@@ -3,10 +3,11 @@
 //!
 //! Resolution is heuristic (and documented as such in DESIGN.md §5l):
 //!
-//! * **Method calls** resolve by bare name against every workspace impl
-//!   method — except names on [`crate::parse::STD_METHODS`], which are
-//!   treated as std calls (the under-approximation that keeps `.get(` from
-//!   wiring edges into every map in the tree).
+//! * **Method calls** resolve by bare name against every workspace `impl`
+//!   or `trait` method (never a free function of the same name) — except
+//!   names on [`crate::parse::STD_METHODS`], which are treated as std
+//!   calls (the under-approximation that keeps `.get(` from wiring edges
+//!   into every map in the tree).
 //! * **Qualified calls** (`codec::decode_meta(…)`, `Self::helper(…)`)
 //!   match when the last qualifier names the callee's impl owner, its
 //!   module, or its crate; `Self`/`crate`/`self` resolve against the
@@ -173,9 +174,9 @@ fn resolve(
         if STD_METHODS.contains(&call.name.as_str()) {
             return;
         }
-        // A method call can only land on an impl method (owner present:
-        // segments = [crate, mods…, Owner, name] — at least 3 segments).
-        out.extend(candidates.iter().filter(|&&i| fns[i].info.segments.len() >= 3));
+        // A method call can only land on an `impl` or `trait` method, never
+        // on a free function that happens to share the name.
+        out.extend(candidates.iter().filter(|&&i| fns[i].info.method));
         return;
     }
 
@@ -288,6 +289,24 @@ mod tests {
         let f = idx(&g, "f");
         let v = idx(&g, "validate");
         assert_eq!(g.fns[f].callees, vec![v]);
+    }
+
+    #[test]
+    fn method_calls_skip_free_functions_of_the_same_name() {
+        let g = graph(&[
+            ("crates/db/src/codec.rs", "fbb_db", "pub fn f(l: &L) { l.characterize(); }"),
+            ("crates/bench/src/designs.rs", "fbb_bench", "fn characterize() { panic!(\"x\"); }"),
+            (
+                "crates/device/src/library.rs",
+                "fbb_device",
+                "impl Library { pub fn characterize(&self) {} }\n\
+                 trait Characterize { fn characterize(&self) {} }",
+            ),
+        ]);
+        let f = idx(&g, "f");
+        let targets: Vec<&str> =
+            g.fns[f].callees.iter().map(|&i| g.fns[i].info.rel_path.as_str()).collect();
+        assert_eq!(targets, vec!["crates/device/src/library.rs"; 2]);
     }
 
     #[test]

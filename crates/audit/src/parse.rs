@@ -77,6 +77,9 @@ pub struct FnInfo {
     pub segments: Vec<String>,
     /// Workspace-relative path of the defining file.
     pub rel_path: String,
+    /// Whether the item sits in an `impl` or `trait` block — the only
+    /// items method-call syntax can reach.
+    pub method: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Whether the item is test-gated (or the file is test-like).
@@ -233,6 +236,7 @@ pub fn parse_file(ctx: &FileCtx, crate_ident: &str) -> ParsedFile {
                             name: name_tok.text.clone(),
                             segments,
                             rel_path: ctx.rel_path.clone(),
+                            method: !impl_stack.is_empty(),
                             line: t.line,
                             is_test: ctx.is_test(k),
                             calls: Vec::new(),
@@ -269,6 +273,8 @@ pub fn parse_file(ctx: &FileCtx, crate_ident: &str) -> ParsedFile {
                 let owner = impl_owner(ctx, k + 1);
                 pending = Some((Pending::Impl(owner), paren_depth));
             }
+            // A trait body holds methods but names no owner type.
+            (true, "trait") => pending = Some((Pending::Impl(None), paren_depth)),
             (true, "let") if fn_stack.last().is_some() && !ctx.is_test(k) => {
                 if let Some(name) = guard_binding(ctx, k) {
                     if let Some(block) = blocks.last_mut() {

@@ -1,14 +1,12 @@
 //! Solver benchmarks: LP relaxations and MIP solves of FBB-shaped models,
-//! plus the dense-vs-sparse and warm-vs-cold headline numbers merged into
+//! plus the sparse LP timings and warm-vs-cold headline numbers merged into
 //! `BENCH_lp.json` at the workspace root (see EXPERIMENTS.md). The snapshot
 //! uses the same flat `{"key": number}` format as `BENCH_sta.json`, so the
 //! two files stay merge-compatible.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};
-use fbb_lp::{
-    solve_lp, solve_lp_dense, solve_mip, MipOptions, MipStatus, Model, Sense,
-};
+use fbb_lp::{solve_lp, solve_mip, MipOptions, MipStatus, Model, Sense};
 use std::hint::black_box;
 
 /// A synthetic FBB-shaped model: n rows x p levels assignment + coverage.
@@ -121,41 +119,29 @@ fn bench_lp(c: &mut Criterion) {
     });
 }
 
-/// Dense-tableau vs sparse-revised LP relaxation at three FBB sizes, B&B
-/// throughput, and warm-vs-cold per-node simplex iterations. Snapshot goes
-/// to `BENCH_lp.json`.
+/// Sparse-revised LP relaxation at three FBB sizes, B&B throughput, and
+/// warm-vs-cold per-node simplex iterations. Snapshot goes to
+/// `BENCH_lp.json`.
 fn bench_lp_report(_c: &mut Criterion) {
     let path = workspace_file("BENCH_lp.json");
     let mut report = BenchReport::load(&path);
 
-    // LP relaxation: the dense two-phase tableau against the sparse revised
-    // engine on the same models. The acceptance floor is sparse >= 2x on
-    // the largest size.
     let sizes: [(&str, usize, usize, usize); 3] =
         [("small", 13, 11, 30), ("medium", 28, 11, 60), ("large", 56, 11, 120)];
-    let mut last_speedup = 0.0;
     for (name, rows, levels, paths) in sizes {
         let model = fbb_like_model(rows, levels, paths);
-        let dense = measure(9, 3, || {
-            black_box(solve_lp_dense(&model).expect("solves"));
-        });
         let sparse = measure(9, 3, || {
             black_box(solve_lp(&model).expect("solves"));
         });
-        last_speedup = sparse.speedup_over(&dense);
         println!(
-            "lp relaxation {name} ({rows}x{levels}, {paths} paths, {} vars x {} cons):",
+            "lp relaxation {name} ({rows}x{levels}, {paths} paths, {} vars x {} cons): \
+             {:.0} ns/solve",
             model.var_count(),
-            model.constraint_count()
+            model.constraint_count(),
+            sparse.median_ns
         );
-        println!("  dense tableau       {:>12.0} ns/solve", dense.median_ns);
-        println!("  sparse revised      {:>12.0} ns/solve", sparse.median_ns);
-        println!("  sparse speedup      {last_speedup:>12.2}x");
-        report.set(&format!("lp_dense_ns_{name}"), dense.median_ns);
         report.set(&format!("lp_sparse_ns_{name}"), sparse.median_ns);
-        report.set(&format!("lp_sparse_speedup_{name}"), last_speedup);
     }
-    println!("largest-size sparse speedup {last_speedup:.2}x (acceptance floor: 2x)");
 
     // B&B throughput and the warm-start effect. Telemetry records the
     // simplex iterations every node costs; warm starts (child re-optimizes

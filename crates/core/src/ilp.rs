@@ -280,11 +280,6 @@ impl IlpAllocator {
             fbb_telemetry::counter("ilp_solves", 1);
             fbb_telemetry::counter("ilp_variables", model.var_count() as u64);
             fbb_telemetry::counter("ilp_constraints", model.constraint_count() as u64);
-            // Structure audit is observability only; a generator bug shows
-            // up here long before the solver's verdict gets confusing.
-            let issues = Self::audit_structure(pre, &model);
-            fbb_telemetry::counter("ilp_audit_runs", 1);
-            fbb_telemetry::counter("ilp_audit_structure_issues", issues.len() as u64);
         }
 
         let incumbent = if self.cold_start {

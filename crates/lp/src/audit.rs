@@ -1,26 +1,28 @@
-//! Layer-2 model auditor: presolve-style static checks on a [`Model`].
+//! Layer-2 model auditor: static checks on a [`Model`].
 //!
 //! [`Model::audit`] inspects a model *without solving it* and reports
 //! structural defects the solver would otherwise only surface as a
 //! confusing `Infeasible`/`Unbounded` verdict deep in phase 1 — or worse,
-//! silently grind through. The split:
+//! silently grind through. The row checks run on the row analysis
+//! [`presolve`](crate::presolve) owns and acts on: the same activity
+//! ranges, duplicate-row key and infeasibility test. The split:
 //!
 //! * **errors** — the model is statically broken: a row no point can
 //!   satisfy given the variable bounds, invalid bounds, a free column that
 //!   makes the objective unbounded. Solving cannot succeed.
 //! * **warnings** — the model solves but is suspicious: vacuous or
 //!   duplicate rows, columns no row touches, fixed columns, coefficient
-//!   dynamic range beyond `1e8` (the dense tableau's reliable precision).
+//!   dynamic range beyond [`DYNAMIC_RANGE_LIMIT`].
 //!
-//! `solve_lp`/`solve_mip` run the audit automatically when telemetry is
-//! enabled and publish `audit_model_*` counters; they never change the
-//! solve result — the audit observes, the solver decides. Generators (the
-//! FBB ILP builder in `fbb-core`) call [`Model::audit`] directly and can
-//! fail fast on `errors`.
+//! Solves never run the audit; a MIP solve reads its model once, in
+//! presolve. Reports come from the callers that ask for them: `fbb lint
+//! --models` and `IlpAllocator::audit_structure` in `fbb-core`.
 
 use std::collections::HashMap;
 
 use crate::model::Sense;
+use crate::presolve::{always_meets, cannot_meet, duplicate_of, Activity};
+use crate::simplex::TOL;
 use crate::Model;
 
 /// How bad a defect is.
@@ -57,10 +59,6 @@ pub struct ModelAudit {
 /// coefficients differ by more than ~8 orders of magnitude.
 pub const DYNAMIC_RANGE_LIMIT: f64 = 1e8;
 
-/// Feasibility slack used when comparing row activity bounds against the
-/// rhs; matches the solver's feasibility tolerance.
-const TOL: f64 = 1e-7;
-
 impl ModelAudit {
     /// Defects that make the model unsolvable.
     pub fn errors(&self) -> impl Iterator<Item = &ModelDefect> {
@@ -80,16 +78,6 @@ impl ModelAudit {
     /// No defects at all.
     pub fn is_clean(&self) -> bool {
         self.defects.is_empty()
-    }
-
-    /// Publishes `audit_model_*` telemetry counters for this audit.
-    pub fn emit_telemetry(&self) {
-        fbb_telemetry::counter("audit_model_runs", 1);
-        fbb_telemetry::counter("audit_model_errors", self.errors().count() as u64);
-        fbb_telemetry::counter("audit_model_warnings", self.warnings().count() as u64);
-        for d in &self.defects {
-            fbb_telemetry::counter(defect_counter(d.code), 1);
-        }
     }
 
     /// One line per defect, errors first.
@@ -120,24 +108,6 @@ impl ModelAudit {
     }
 }
 
-/// `[min, max]` of `Σ aᵢxᵢ` over the variable boxes; infinite bounds
-/// propagate as infinities.
-fn activity_range(model: &Model, terms: &[(usize, f64)]) -> (f64, f64) {
-    let mut lo = 0.0;
-    let mut hi = 0.0;
-    for &(v, a) in terms {
-        let (vl, vu) = (model.vars[v].lower, model.vars[v].upper);
-        if a > 0.0 {
-            lo += a * vl;
-            hi += a * vu;
-        } else if a < 0.0 {
-            lo += a * vu;
-            hi += a * vl;
-        }
-    }
-    (lo, hi)
-}
-
 impl Model {
     /// Audits the model for structural defects. See the [module docs]
     /// (self) for the error/warning split. Deterministic: same model, same
@@ -145,22 +115,15 @@ impl Model {
     #[must_use]
     pub fn audit(&self) -> ModelAudit {
         let mut audit = ModelAudit::default();
-        self.audit_columns(&mut audit);
-        self.audit_rows(&mut audit);
+        let referenced = self.audit_rows(&mut audit);
+        self.audit_columns(&referenced, &mut audit);
         self.audit_dynamic_range(&mut audit);
         audit.finish()
     }
 
-    fn audit_columns(&self, audit: &mut ModelAudit) {
-        let mut referenced = vec![false; self.vars.len()];
-        for c in &self.constraints {
-            for &(v, a) in &c.terms {
-                // A zero coefficient does not couple the variable to the row.
-                if crate::approx::is_nonzero(a) {
-                    referenced[v] = true;
-                }
-            }
-        }
+    /// Column checks; `referenced[j]` says whether a row couples column `j`
+    /// with a nonzero coefficient.
+    fn audit_columns(&self, referenced: &[bool], audit: &mut ModelAudit) {
         for (j, v) in self.vars.iter().enumerate() {
             if v.lower.is_nan() || v.upper.is_nan() || !v.objective.is_finite() {
                 audit.push(
@@ -216,12 +179,13 @@ impl Model {
         }
     }
 
-    fn audit_rows(&self, audit: &mut ModelAudit) {
-        // Duplicate detection keys on the exact (terms, sense, rhs) bits;
-        // rows that differ only in term order were already canonicalized by
-        // `add_constraint` when they contained duplicates, so sort a copy.
-        type RowKey = (u8, u64, Vec<(usize, u64)>);
-        let mut seen: HashMap<RowKey, usize> = HashMap::new();
+    /// Row checks; returns which columns the rows reference (a zero
+    /// coefficient does not couple a column to its row).
+    fn audit_rows(&self, audit: &mut ModelAudit) -> Vec<bool> {
+        let lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = self.vars.iter().map(|v| v.upper).collect();
+        let mut referenced = vec![false; self.vars.len()];
+        let mut seen = HashMap::new();
         for (i, c) in self.constraints.iter().enumerate() {
             let live: Vec<(usize, f64)> = c
                 .terms
@@ -229,21 +193,18 @@ impl Model {
                 .copied()
                 .filter(|&(_, a)| crate::approx::is_nonzero(a))
                 .collect();
+            for &(v, _) in &live {
+                referenced[v] = true;
+            }
             if live.is_empty() {
-                let violated = match c.sense {
-                    Sense::Le => 0.0 > c.rhs + TOL,
-                    Sense::Ge => 0.0 < c.rhs - TOL,
-                    Sense::Eq => c.rhs.abs() > TOL,
-                };
-                if violated {
+                if cannot_meet(c.sense, 0.0, 0.0, c.rhs) {
                     audit.push(
                         Severity::Error,
                         "empty_row_infeasible",
                         i,
                         format!(
-                            "row {i} has no nonzero coefficients but requires {} {}",
-                            sense_str(c.sense),
-                            c.rhs
+                            "row {i} has no nonzero coefficients but requires {}",
+                            requirement(c.sense, c.rhs)
                         ),
                     );
                 } else {
@@ -257,62 +218,41 @@ impl Model {
                 continue;
             }
 
-            let mut key_terms: Vec<(usize, u64)> =
-                live.iter().map(|&(v, a)| (v, a.to_bits())).collect();
-            key_terms.sort_unstable();
-            match seen.entry((c.sense as u8, c.rhs.to_bits(), key_terms)) {
-                std::collections::hash_map::Entry::Occupied(first) => {
-                    audit.push(
-                        Severity::Warning,
-                        "duplicate_row",
-                        i,
-                        format!("row {i} duplicates row {}", first.get()),
-                    );
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(i);
-                }
+            if let Some(first) = duplicate_of(&mut seen, i, c.sense, c.rhs, &live) {
+                audit.push(
+                    Severity::Warning,
+                    "duplicate_row",
+                    i,
+                    format!("row {i} duplicates row {first}"),
+                );
             }
 
-            let (lo, hi) = activity_range(self, &live);
-            let infeasible = match c.sense {
-                Sense::Le => lo > c.rhs + TOL,
-                Sense::Ge => hi < c.rhs - TOL,
-                Sense::Eq => lo > c.rhs + TOL || hi < c.rhs - TOL,
-            };
-            if infeasible {
+            let act = Activity::of(&live, &lower, &upper);
+            let (lo, hi) = (act.row_lo(), act.row_hi());
+            if cannot_meet(c.sense, lo, hi, c.rhs) {
                 audit.push(
                     Severity::Error,
                     "bound_infeasible_row",
                     i,
                     format!(
-                        "row {i} activity range [{lo}, {hi}] cannot satisfy {} {}",
-                        sense_str(c.sense),
-                        c.rhs
+                        "row {i} activity range [{lo}, {hi}] cannot satisfy {}",
+                        requirement(c.sense, c.rhs)
                     ),
                 );
-                continue;
-            }
-            let forced = match c.sense {
-                Sense::Le => hi <= c.rhs + TOL,
-                Sense::Ge => lo >= c.rhs - TOL,
-                // An Eq row is only redundant when the boxes pin it exactly.
-                Sense::Eq => lo >= c.rhs - TOL && hi <= c.rhs + TOL,
-            };
-            if forced {
+            } else if always_meets(c.sense, lo, hi, c.rhs, TOL) {
                 audit.push(
                     Severity::Warning,
                     "redundant_row",
                     i,
                     format!(
                         "row {i} is satisfied by every point in the variable boxes \
-                         (activity range [{lo}, {hi}], requirement {} {})",
-                        sense_str(c.sense),
-                        c.rhs
+                         (activity range [{lo}, {hi}], requirement {})",
+                        requirement(c.sense, c.rhs)
                     ),
                 );
             }
         }
+        referenced
     }
 
     fn audit_dynamic_range(&self, audit: &mut ModelAudit) {
@@ -351,31 +291,14 @@ impl Model {
     }
 }
 
-/// Per-code counter name (telemetry counters are `&'static str`-keyed, so
-/// the mapping is a static table rather than string concatenation).
-fn defect_counter(code: &str) -> &'static str {
-    match code {
-        "invalid_column" => "audit_defect_invalid_column",
-        "inverted_bounds" => "audit_defect_inverted_bounds",
-        "unbounded_free_column" => "audit_defect_unbounded_free_column",
-        "free_column" => "audit_defect_free_column",
-        "fixed_column" => "audit_defect_fixed_column",
-        "empty_row" => "audit_defect_empty_row",
-        "empty_row_infeasible" => "audit_defect_empty_row_infeasible",
-        "duplicate_row" => "audit_defect_duplicate_row",
-        "bound_infeasible_row" => "audit_defect_bound_infeasible_row",
-        "redundant_row" => "audit_defect_redundant_row",
-        "dynamic_range" => "audit_defect_dynamic_range",
-        _ => "audit_defect_other",
-    }
-}
-
-fn sense_str(sense: Sense) -> &'static str {
-    match sense {
+/// `sense rhs` as the defect messages print it, e.g. `<= 4`.
+fn requirement(sense: Sense, rhs: f64) -> String {
+    let op = match sense {
         Sense::Le => "<=",
         Sense::Eq => "=",
         Sense::Ge => ">=",
-    }
+    };
+    format!("{op} {rhs}")
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //!
 //! [`solve_mip`] is now a two-layer pipeline (DESIGN.md §5j):
 //!
-//! 1. the **presolve wrapper** validates and audits the model once per
-//!    tree, runs [`crate::presolve`] on integer models, solves the reduced
+//! 1. the **presolve wrapper** validates the model, runs
+//!    [`crate::presolve`] once per tree on integer models, solves the reduced
 //!    model, and maps the answer back through the [`PostsolveMap`] — the
 //!    restored point is re-priced with the *original* model's objective
 //!    summation order, so presolve-on and presolve-off report the same
@@ -220,13 +220,6 @@ pub fn solve_mip(
 ) -> Result<MipSolution, LpError> {
     let _mip_span = fbb_telemetry::span("bnb_solve");
     model.validate()?;
-    if fbb_telemetry::is_enabled() {
-        // Layer-2 audit (DESIGN.md §5g): observability only — defects are
-        // published as audit_* counters, never change the solve result.
-        // Exactly once per tree: neither the reduced solve below nor any
-        // node re-audits (pinned by crates/lp/tests/audit_once.rs).
-        model.audit().emit_telemetry();
-    }
     let clock = crate::deadline::Stopwatch::start();
 
     if !options.presolve || !model.has_integers() {

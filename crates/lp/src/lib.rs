@@ -10,8 +10,7 @@
 //! * [`solve_lp`] — a **sparse revised two-phase bounded-variable primal
 //!   simplex** (CSC matrix, LU-factorized basis with eta-file updates and
 //!   periodic refactorization, partial pricing with a Bland anti-cycling
-//!   fallback); the original dense tableau survives as [`solve_lp_dense`]
-//!   for benchmarking and cross-checks;
+//!   fallback), the crate's one simplex engine;
 //! * [`solve_mip`] — **best-first branch & bound** with branching
 //!   priorities, incumbent seeding, a rounding probe, node/time limits
 //!   (time-limited solves report the residual MIP gap, which is how the
@@ -60,7 +59,6 @@ mod bnb;
 mod branch;
 pub mod cuts;
 pub mod deadline;
-mod dense;
 mod error;
 mod factor;
 #[cfg(feature = "fault-inject")]
@@ -75,7 +73,6 @@ pub use audit::{ModelAudit, ModelDefect, Severity, DYNAMIC_RANGE_LIMIT};
 pub use bnb::{solve_mip, MipOptions, MipSolution, MipStatus};
 pub use cuts::{Cut, CutKind, StructureHints};
 pub use presolve::{PostsolveMap, Presolved, PresolveStats};
-pub use dense::{solve_lp_dense, solve_lp_dense_with_bounds};
 pub use error::LpError;
 pub use model::{Model, RowView, Sense, VarKind};
 pub use simplex::{solve_lp, solve_lp_with_bounds, LpSolution, LpStatus};

@@ -210,11 +210,6 @@ impl Model {
         self.vars.get(j).map(|v| v.kind)
     }
 
-    /// Objective coefficient of variable `j`, or `None` out of range.
-    pub fn var_objective(&self, j: usize) -> Option<f64> {
-        self.vars.get(j).map(|v| v.objective)
-    }
-
     /// Number of variables.
     pub fn var_count(&self) -> usize {
         self.vars.len()

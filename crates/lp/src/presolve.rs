@@ -1,9 +1,11 @@
 //! Transforming presolve with a bit-exact postsolve map (DESIGN.md §5j).
 //!
-//! [`Model::audit`] (PR 5) *detects* fixed columns, redundant/duplicate
-//! rows, and statically infeasible rows but runs observation-only. This
-//! module promotes those detections into reductions that actually shrink
-//! the model handed to branch & bound:
+//! This module owns the crate's row analysis — activity ranges over the
+//! variable boxes (`Activity`), the bit-exact duplicate-row key
+//! (`duplicate_of`) and the static feasibility tests (`cannot_meet`,
+//! `always_meets`) — and turns its findings into reductions that shrink
+//! the model handed to branch & bound. [`Model::audit`] reports the same
+//! findings on the untouched model without reducing anything:
 //!
 //! * **column elimination** — columns pinned by their bounds (originally or
 //!   by tightening below) are substituted into every row's right-hand side;
@@ -34,14 +36,11 @@
 //! keeps the LP layer of the differential harness bit-identical by
 //! construction.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::model::{Sense, VarKind};
+use crate::simplex::TOL;
 use crate::Model;
-
-/// Slack when *declaring* infeasibility from an activity range; matches the
-/// solver's feasibility tolerance (`simplex::TOL`).
-const TOL: f64 = 1e-7;
 
 /// Slack absorbed when rounding an implied bound to the nearest integer;
 /// matches the B&B integrality tolerance so presolve never cuts a point the
@@ -92,11 +91,6 @@ pub struct PostsolveMap {
 }
 
 impl PostsolveMap {
-    /// Number of columns in the original model.
-    pub fn original_cols(&self) -> usize {
-        self.fate.len()
-    }
-
     /// Number of columns in the reduced model.
     pub fn reduced_cols(&self) -> usize {
         self.kept_cols.len()
@@ -198,7 +192,7 @@ pub enum Presolved {
 /// Per-row activity bookkeeping that stays exact under infinite bounds:
 /// `lo`/`hi` sum only the finite contributions and the counters say how
 /// many contributions were infinite.
-struct Activity {
+pub(crate) struct Activity {
     lo: f64,
     hi: f64,
     inf_lo: usize,
@@ -206,7 +200,8 @@ struct Activity {
 }
 
 impl Activity {
-    fn of(terms: &[(usize, f64)], lower: &[f64], upper: &[f64]) -> Activity {
+    /// Activity of `terms` (nonzero coefficients) over the boxes.
+    pub(crate) fn of(terms: &[(usize, f64)], lower: &[f64], upper: &[f64]) -> Activity {
         let mut act = Activity { lo: 0.0, hi: 0.0, inf_lo: 0, inf_hi: 0 };
         for &(v, a) in terms {
             let (clo, chi) = contrib(a, lower[v], upper[v]);
@@ -224,7 +219,8 @@ impl Activity {
         act
     }
 
-    fn row_lo(&self) -> f64 {
+    /// Minimum activity of the row.
+    pub(crate) fn row_lo(&self) -> f64 {
         if self.inf_lo > 0 {
             f64::NEG_INFINITY
         } else {
@@ -232,7 +228,8 @@ impl Activity {
         }
     }
 
-    fn row_hi(&self) -> f64 {
+    /// Maximum activity of the row.
+    pub(crate) fn row_hi(&self) -> f64 {
         if self.inf_hi > 0 {
             f64::INFINITY
         } else {
@@ -267,6 +264,51 @@ fn contrib(a: f64, lo: f64, up: f64) -> (f64, f64) {
         (a * lo, a * up)
     } else {
         (a * up, a * lo)
+    }
+}
+
+/// The one static infeasibility test: no activity in `[lo, hi]` meets
+/// `sense rhs`, even with the solver's feasibility slack `TOL`.
+pub(crate) fn cannot_meet(sense: Sense, lo: f64, hi: f64, rhs: f64) -> bool {
+    match sense {
+        Sense::Le => lo > rhs + TOL,
+        Sense::Ge => hi < rhs - TOL,
+        Sense::Eq => lo > rhs + TOL || hi < rhs - TOL,
+    }
+}
+
+/// Every activity in `[lo, hi]` meets `sense rhs` within `slack`. Presolve
+/// drops a row only on exact redundancy (`slack = 0`); the audit warns
+/// within `TOL`.
+pub(crate) fn always_meets(sense: Sense, lo: f64, hi: f64, rhs: f64, slack: f64) -> bool {
+    match sense {
+        Sense::Le => hi <= rhs + slack,
+        Sense::Ge => lo >= rhs - slack,
+        Sense::Eq => lo >= rhs - slack && hi <= rhs + slack,
+    }
+}
+
+/// Bit-exact row identity: sense, rhs bits and the sorted `(column,
+/// coefficient bits)` terms.
+type RowKey = (u8, u64, Vec<(usize, u64)>);
+
+/// The earlier row that row `i` bitwise duplicates, if any; otherwise
+/// records `i` as the first holder of its key in `seen`.
+pub(crate) fn duplicate_of(
+    seen: &mut HashMap<RowKey, usize>,
+    i: usize,
+    sense: Sense,
+    rhs: f64,
+    terms: &[(usize, f64)],
+) -> Option<usize> {
+    let mut key_terms: Vec<(usize, u64)> = terms.iter().map(|&(v, a)| (v, a.to_bits())).collect();
+    key_terms.sort_unstable();
+    match seen.entry((sense as u8, rhs.to_bits(), key_terms)) {
+        Entry::Occupied(first) => Some(*first.get()),
+        Entry::Vacant(slot) => {
+            slot.insert(i);
+            None
+        }
     }
 }
 
@@ -320,23 +362,13 @@ pub fn presolve(model: &Model) -> Presolved {
                 .collect();
             let act = Activity::of(&live, &lower, &upper);
             let (lo, hi) = (act.row_lo(), act.row_hi());
-            let infeasible = match c.sense {
-                Sense::Le => lo > c.rhs + TOL,
-                Sense::Ge => hi < c.rhs - TOL,
-                Sense::Eq => lo > c.rhs + TOL || hi < c.rhs - TOL,
-            };
-            if infeasible {
+            if cannot_meet(c.sense, lo, hi, c.rhs) {
                 return Presolved::Infeasible;
             }
             // Exact redundancy only — no tolerance. Dropping a row that
             // held merely within `TOL` would admit near-violating points
             // the untransformed solve rejects.
-            let forced = match c.sense {
-                Sense::Le => hi <= c.rhs,
-                Sense::Ge => lo >= c.rhs,
-                Sense::Eq => lo >= c.rhs && hi <= c.rhs,
-            };
-            if forced {
+            if always_meets(c.sense, lo, hi, c.rhs, 0.0) {
                 dropped[i] = true;
                 stats.rows_dropped += 1;
                 changed = true;
@@ -500,8 +532,7 @@ fn build_reduction(
         reduced.set_branch_priority(r, var.priority);
     }
 
-    type RowKey = (u8, u64, Vec<(usize, u64)>);
-    let mut seen: HashMap<RowKey, usize> = HashMap::new();
+    let mut seen = HashMap::new();
     let mut kept_rows = Vec::new();
     for (i, c) in model.constraints.iter().enumerate() {
         if dropped[i] {
@@ -523,35 +554,17 @@ fn build_reduction(
             // satisfy it *exactly*; a within-tolerance residue keeps the
             // (vacuous) row so the reduced solve sees the same slack the
             // raw solve does.
-            let exact = match c.sense {
-                Sense::Le => 0.0 <= rhs,
-                Sense::Ge => 0.0 >= rhs,
-                Sense::Eq => crate::approx::near(rhs, 0.0, 0.0),
-            };
-            let violated = match c.sense {
-                Sense::Le => 0.0 > rhs + TOL,
-                Sense::Ge => 0.0 < rhs - TOL,
-                Sense::Eq => rhs.abs() > TOL,
-            };
-            if violated {
+            if cannot_meet(c.sense, 0.0, 0.0, rhs) {
                 return Presolved::Infeasible;
             }
-            if exact {
+            if always_meets(c.sense, 0.0, 0.0, rhs, 0.0) {
                 stats.rows_dropped += 1;
                 continue;
             }
         }
-        let mut key_terms: Vec<(usize, u64)> =
-            terms.iter().map(|&(v, a)| (v, a.to_bits())).collect();
-        key_terms.sort_unstable();
-        match seen.entry((c.sense as u8, rhs.to_bits(), key_terms)) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                stats.rows_dropped += 1;
-                continue;
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(i);
-            }
+        if duplicate_of(&mut seen, i, c.sense, rhs, &terms).is_some() {
+            stats.rows_dropped += 1;
+            continue;
         }
         if reduced.add_constraint(terms, c.sense, rhs).is_err() {
             // Folding finite values into a finite rhs cannot overflow for

@@ -8,8 +8,8 @@
 //! row-reducing an m×(n+m) tableau. Pricing is *partial* — a rotating
 //! window of columns is scanned and the best violation inside the first
 //! non-empty window enters — falling back to a full smallest-index scan
-//! when the anti-cycling stall counter trips (same threshold as the dense
-//! engine).
+//! when the anti-cycling stall counter trips (more than `64 + m`
+//! consecutive degenerate steps).
 //!
 //! Phase 1 keeps the matrix fixed across solves (a warm-start requirement)
 //! by *signing the artificials* instead of the rows: artificial `k` always
@@ -202,8 +202,10 @@ impl SparseEngine {
     }
 
     /// Phase-2 cost vector (structural objectives), with the planted
-    /// pivot-sign defect applied when armed — see `dense.rs` for why the
-    /// final objective still tells the truth.
+    /// pivot-sign defect applied when armed: pricing with the negated costs
+    /// walks to an anti-optimal vertex labelled `Optimal`, while the
+    /// reported objective is still evaluated against the true costs — the
+    /// lie an independent oracle must expose.
     fn phase2_cost(&self) -> Vec<f64> {
         let mut c = vec![0.0; self.ntot];
         c[..self.n].copy_from_slice(&self.obj);

@@ -3,10 +3,9 @@
 //! [`solve_lp`]/[`solve_lp_with_bounds`] construct a
 //! [`crate::revised::SparseEngine`] per call and run a cold two-phase
 //! solve; branch-and-bound holds one engine for the whole tree and uses
-//! the warm-start path directly. The previous dense tableau engine lives
-//! on in [`crate::dense`] as the benchmark/reference twin. Shared solver
-//! vocabulary — statuses, tolerances — is defined here so both engines
-//! agree on it by construction.
+//! the warm-start path directly. Shared solver vocabulary — statuses,
+//! tolerances — is defined here so the engine, presolve and
+//! [`Model::audit`] agree on it by construction.
 
 use std::time::Instant;
 
@@ -84,11 +83,6 @@ pub fn solve_lp_with_bounds(
     deadline: Option<Instant>,
 ) -> Result<LpSolution, LpError> {
     model.validate()?;
-    if fbb_telemetry::is_enabled() {
-        // Layer-2 audit (DESIGN.md §5g): observability only — defects are
-        // published as audit_* counters, never change the solve result.
-        model.audit().emit_telemetry();
-    }
     let (var_lower, var_upper): (Vec<f64>, Vec<f64>) = match bounds {
         Some((lo, up)) => (lo.to_vec(), up.to_vec()),
         None => (

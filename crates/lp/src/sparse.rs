@@ -64,7 +64,7 @@ impl CscMatrix {
     /// Builds the simplex working matrix `[A | I_slack | I_art]` for a
     /// model: `n` structural columns transposed out of the row-major
     /// constraint storage, then one `+e_k` slack and one `+e_k` artificial
-    /// column per row. Unlike the dense tableau, rows are **not**
+    /// column per row. Unlike a textbook tableau, rows are **not**
     /// sign-normalized — the artificial start is made feasible by choosing
     /// each artificial's bounds from the sign of its row residual instead,
     /// which keeps the matrix identical across every branch-and-bound node

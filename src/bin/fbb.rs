@@ -111,13 +111,20 @@ fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Parses netlist text by the path's extension: ISCAS `.bench`, else the
+/// native text format. Errors read `"{path}: {reason}"`.
+fn parse_netlist(path: &str, text: &str) -> Result<Netlist, String> {
+    if path.ends_with(".bench") {
+        bench_fmt::from_bench_str(text)
+    } else {
+        nl_fmt::from_str(text)
+    }
+    .map_err(|e| format!("{path}: {e}"))
+}
+
 fn load_netlist(path: &str) -> Result<Netlist, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if path.ends_with(".bench") {
-        bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))
-    } else {
-        nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))
-    }
+    parse_netlist(path, &text)
 }
 
 /// A design ready to solve: either built cold from a text netlist (parse →
@@ -164,11 +171,7 @@ fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
     }
     let text =
         String::from_utf8(bytes).map_err(|_| format!("{path}: neither a design database nor text"))?;
-    let netlist = if path.ends_with(".bench") {
-        bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))?
-    } else {
-        nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))?
-    };
+    let netlist = parse_netlist(path, &text)?;
     let library = Library::date09_45nm();
     let mut options = PlacerOptions::default();
     if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
@@ -628,11 +631,7 @@ fn sta(args: &[String]) -> Result<(), CliError> {
         (db.netlist.stats(), db.timing.dcrit_ps, db.timing.paths.clone())
     } else {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
-        let nl = if path.ends_with(".bench") {
-            bench_fmt::from_bench_str(&text).map_err(|e| format!("{path}: {e}"))?
-        } else {
-            nl_fmt::from_str(&text).map_err(|e| format!("{path}: {e}"))?
-        };
+        let nl = parse_netlist(&path, &text)?;
         let library = Library::date09_45nm();
         let chara = library.characterize(
             &BodyBiasModel::date09_45nm(),
