@@ -191,6 +191,17 @@ fn bench_composed(_c: &mut Criterion) {
         black_box(inc.retime());
     });
     let inc_speedup = incremental.speedup_over(&full);
+
+    // Path extraction on the nominal analysis: the full Π, and the β = 5 %
+    // constrained subset, which materializes only the paths it keeps.
+    let analysis = graph.analyze(&nominal);
+    let mut n_paths = (0, 0);
+    let path_set = measure(5, 1, || {
+        n_paths.0 = black_box(analysis.critical_path_set()).len();
+    });
+    let constrained = measure(5, 3, || {
+        n_paths.1 = black_box(analysis.constrained_path_set(0.05)).len();
+    });
     println!(
         "single-row bias flip on composed design ({} gates, {} blocks, row {} = {} gates):",
         nl.gate_count(),
@@ -201,12 +212,19 @@ fn bench_composed(_c: &mut Criterion) {
     println!("  full analyze        {:>12.0} ns/flip", full.median_ns);
     println!("  incremental retime  {:>12.0} ns/flip", incremental.median_ns);
     println!("  incremental speedup {inc_speedup:>12.2}x");
+    println!("  path set            {:>12.0} ns  ({} paths)", path_set.median_ns, n_paths.0);
+    println!(
+        "  constrained (5%)    {:>12.0} ns  ({} paths)",
+        constrained.median_ns, n_paths.1
+    );
 
     let path = workspace_file("BENCH_sta.json");
     let mut report = BenchReport::load(&path);
     report.set("sta_composed_gate_count", nl.gate_count() as f64);
     report.set("sta_composed_blocks", composed.blocks.len() as f64);
     report.set("sta_composed_full_analyze_ns", full.median_ns);
+    report.set("sta_composed_path_set_ns", path_set.median_ns);
+    report.set("sta_composed_constrained_path_set_ns", constrained.median_ns);
     report.set("sta_composed_incremental_retime_ns", incremental.median_ns);
     report.set("sta_composed_incremental_speedup", inc_speedup);
     report.save(&path).expect("snapshot writable");

@@ -1,20 +1,22 @@
 //! Warm-vs-cold grid-sweep benchmark on a composed 200k-gate design.
 //!
 //! The sweep orchestrator's contract is "warm is faster AND bit-identical":
-//! one pre-processing pass per β and one ILP model per (β, P), with the
-//! budget row patched per C, must produce exactly the per-cell bits a cold
-//! from-scratch solve produces. This bench verifies the bit contract
-//! cell-by-cell first, then times both modes and a single-thread run, and
-//! merges the numbers into `BENCH_sweep.json` at the workspace root
-//! (`sweep_warm_speedup` is gated at ≥2x by check.sh, see EXPERIMENTS.md).
+//! one nominal STA per design, one pre-processing pass per β on it and one
+//! ILP model per (β, P), with the budget row patched per C, must produce
+//! exactly the per-cell bits a cold from-scratch solve produces. This bench
+//! verifies the bit contract cell-by-cell first, then times both modes and
+//! a single-thread run, and merges the numbers into `BENCH_sweep.json` at
+//! the workspace root (`sweep_warm_speedup` is gated at ≥2x by check.sh,
+//! see EXPERIMENTS.md).
 //!
 //! The design is the hierarchical composer's 200k-gate tiling: big enough
-//! that the shared pre-processing pass (~200 ms) is worth amortizing, while
-//! the pruned constraint set stays governed by the two deep multiplier
-//! blocks, so per-cell ILPs remain small. C = 1 is deliberately absent from
-//! the grid — forcing one cluster on a 64-row design makes the ILP's
-//! LP relaxation maximally fractional and the branch & bound cost swamps
-//! the preprocessing the warm path saves.
+//! that the shared nominal STA (graph build plus analysis, about 60 ms on a
+//! 2-CPU x86-64 host, against about 15 ms per β for the pre-process on it)
+//! is worth amortizing, while the pruned constraint set stays governed by
+//! the two deep multiplier blocks, so per-cell ILPs remain small. C = 1 is
+//! deliberately absent from the grid — forcing one cluster on a 64-row
+//! design makes the ILP's LP relaxation maximally fractional and the branch
+//! & bound cost swamps the preprocessing the warm path saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};

@@ -3,7 +3,7 @@
 use fbb_device::Characterization;
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
-use fbb_sta::TimingGraph;
+use fbb_sta::{TimingAnalysis, TimingGraph};
 use serde::{Deserialize, Serialize};
 
 use crate::FbbError;
@@ -143,6 +143,46 @@ impl<'a> FbbProblem<'a> {
     ///
     /// See [`FbbProblem::preprocess`].
     pub fn preprocess_at(&self, granularity: Granularity) -> Result<Preprocessed, FbbError> {
+        let graph = TimingGraph::new(self.netlist)?;
+        let analysis = graph.analyze(&self.nominal_delays());
+        self.preprocess_on(&analysis, granularity)
+    }
+
+    /// Pre-processes on an existing nominal analysis: everything
+    /// [`FbbProblem::preprocess_at`] does after its STA.
+    ///
+    /// The nominal analysis, `TimingGraph::new(netlist)` analyzed on
+    /// [`FbbProblem::nominal_delays`], reads neither β, the cluster budget
+    /// nor the granularity, so one analysis serves every problem over the
+    /// same design; the result is identical to `preprocess_at`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FbbError::InvalidProblem`] if `analysis` is not this
+    /// problem's nominal analysis: it ran on a different netlist, or on a
+    /// delay vector that is not bit-equal to
+    /// [`FbbProblem::nominal_delays`].
+    pub fn preprocess_on(
+        &self,
+        analysis: &TimingAnalysis<'_, '_>,
+        granularity: Granularity,
+    ) -> Result<Preprocessed, FbbError> {
+        let _span = fbb_telemetry::span("core_preprocess");
+        if !std::ptr::eq(analysis.graph().netlist(), self.netlist) {
+            return Err(FbbError::InvalidProblem(
+                "timing analysis ran on a different netlist".into(),
+            ));
+        }
+        // Nominal (NBB) per-gate delays, with a deterministic per-instance
+        // loading perturbation (see [`FbbProblem::with_instance_jitter`]).
+        let nominal = analysis.delays();
+        let bits = |d: &f64| d.to_bits();
+        if !nominal.iter().map(bits).eq(self.nominal_delays().iter().map(bits)) {
+            return Err(FbbError::InvalidProblem(
+                "timing analysis delays are not this problem's nominal delays".into(),
+            ));
+        }
+
         let chara = self.characterization;
         let levels = chara.level_count();
         let group_of: Vec<usize> = match granularity {
@@ -157,13 +197,6 @@ impl<'a> FbbProblem<'a> {
             Granularity::Row => self.placement.row_count(),
             Granularity::Gate => self.netlist.gate_count(),
         };
-
-        // Nominal (NBB) per-gate delays, with a deterministic per-instance
-        // loading perturbation (see [`FbbProblem::with_instance_jitter`]).
-        let nominal: Vec<f64> = self.nominal_delays();
-
-        let graph = TimingGraph::new(self.netlist)?;
-        let analysis = graph.analyze(&nominal);
         let dcrit = analysis.dcrit_ps();
 
         // Per-group leakage at every level: L[i][j].
@@ -181,11 +214,8 @@ impl<'a> FbbProblem<'a> {
         let mut paths = Vec::new();
         let mut row_criticality = vec![0.0f64; n_rows];
         let slack_floor = (dcrit * 1e-3).max(1e-6);
-        for path in analysis.critical_path_set() {
+        for path in analysis.constrained_path_set(self.beta) {
             let degraded = path.delay_ps * (1.0 + self.beta);
-            if degraded <= dcrit + 1e-9 {
-                continue;
-            }
             // Group the path's gates by row; reduction of row i at level j is
             // sum over its gates of degraded_gate_delay * speedup_j.
             let mut per_row: Vec<(usize, f64, usize)> = Vec::new(); // (row, delay sum, gate count)
@@ -426,19 +456,18 @@ mod tests {
     use fbb_netlist::generators;
     use fbb_placement::{Placer, PlacerOptions};
 
-    fn setup(beta: f64) -> (Netlist, Placement, Characterization) {
+    fn setup() -> (Netlist, Placement, Characterization) {
         let nl = generators::ripple_adder("a24", 24, false).unwrap();
         let lib = Library::date09_45nm();
         let placement =
             Placer::new(PlacerOptions::with_target_rows(6)).place(&nl, &lib).unwrap();
         let chara = lib.characterize(&BodyBiasModel::date09_45nm(), &BiasLadder::date09().unwrap());
-        let _ = beta;
         (nl, placement, chara)
     }
 
     #[test]
     fn rejects_bad_parameters() {
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         assert!(FbbProblem::new(&nl, &p, &c, -0.1, 3).is_err());
         assert!(FbbProblem::new(&nl, &p, &c, 1.5, 3).is_err());
         assert!(FbbProblem::new(&nl, &p, &c, 0.05, 0).is_err());
@@ -447,7 +476,7 @@ mod tests {
 
     #[test]
     fn preprocess_dimensions() {
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         assert_eq!(pre.n_rows, 6);
         assert_eq!(pre.levels, 11);
@@ -459,7 +488,7 @@ mod tests {
 
     #[test]
     fn leakage_grows_with_level() {
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         for row in &pre.row_leakage_nw {
             for j in 1..row.len() {
@@ -473,7 +502,7 @@ mod tests {
 
     #[test]
     fn constraint_count_grows_with_beta() {
-        let (nl, p, c) = setup(0.0);
+        let (nl, p, c) = setup();
         let pre5 = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         let pre10 = FbbProblem::new(&nl, &p, &c, 0.10, 3).unwrap().preprocess().unwrap();
         assert!(pre10.constraint_count() >= pre5.constraint_count());
@@ -482,7 +511,7 @@ mod tests {
 
     #[test]
     fn reductions_are_monotone_in_level() {
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         for path in &pre.paths {
             for (_, reds) in &path.rows {
@@ -498,7 +527,7 @@ mod tests {
     fn max_bias_satisfies_all_constraints() {
         // At full bias, every gate speeds up by the ladder maximum, which by
         // construction covers beta <= ~9.9% ... use beta = 5%.
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         let all_max = vec![pre.levels - 1; pre.n_rows];
         for path in &pre.paths {
@@ -517,12 +546,52 @@ mod tests {
 
     #[test]
     fn criticality_nonzero_only_for_rows_on_paths() {
-        let (nl, p, c) = setup(0.05);
+        let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         let on_paths: std::collections::HashSet<usize> =
             pre.paths.iter().flat_map(|p| p.rows.iter().map(|(r, _)| *r)).collect();
         for (row, &ct) in pre.row_criticality.iter().enumerate() {
             assert_eq!(ct > 0.0, on_paths.contains(&row), "row {row}");
         }
+    }
+
+    #[test]
+    fn one_nominal_analysis_serves_every_beta_and_granularity() {
+        let (nl, p, c) = setup();
+        let first = FbbProblem::new(&nl, &p, &c, 0.03, 2).unwrap();
+        let graph = TimingGraph::new(&nl).unwrap();
+        let analysis = graph.analyze(&first.nominal_delays());
+        for beta in [0.0, 0.05, 0.10] {
+            let problem = FbbProblem::new(&nl, &p, &c, beta, 3).unwrap();
+            for g in [Granularity::Block, Granularity::Row, Granularity::Gate] {
+                let shared = problem.preprocess_on(&analysis, g).unwrap();
+                assert_eq!(shared, problem.preprocess_at(g).unwrap(), "beta {beta}, {g:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn preprocess_on_rejects_a_foreign_analysis() {
+        let (nl, p, c) = setup();
+        let problem = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap();
+        let rejects = |analysis: &TimingAnalysis| {
+            matches!(
+                problem.preprocess_on(analysis, Granularity::Row),
+                Err(FbbError::InvalidProblem(_))
+            )
+        };
+
+        // The same design, but another netlist object.
+        let copy = nl.clone();
+        let graph = TimingGraph::new(&copy).unwrap();
+        assert!(rejects(&graph.analyze(&problem.nominal_delays())));
+
+        // The right netlist, but delays that are not the nominal ones.
+        let graph = TimingGraph::new(&nl).unwrap();
+        let unjittered = problem.clone().with_instance_jitter(0.0).nominal_delays();
+        assert!(rejects(&graph.analyze(&unjittered)));
+        let mut nudged = problem.nominal_delays();
+        nudged[0] = f64::from_bits(nudged[0].to_bits() + 1);
+        assert!(rejects(&graph.analyze(&nudged)));
     }
 }

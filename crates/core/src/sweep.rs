@@ -2,14 +2,15 @@
 //!
 //! A design-space sweep solves the allocation at every point of a
 //! (slowdown β, cluster budget C, bias-level count P) grid. Solving each
-//! cell cold repeats the expensive part — STA plus critical-path-set
-//! extraction over the whole design — once per cell, even though it only
-//! depends on β. [`run_sweep`] instead walks the grid as one warm pipeline
-//! and re-uses exactly what a grid step leaves valid:
+//! cell cold repeats the expensive part — STA over the whole design and
+//! critical-path extraction — once per cell, even though the STA depends on
+//! no grid axis and the constrained path set only on β. [`run_sweep`]
+//! instead walks the grid as one warm pipeline and re-uses exactly what a
+//! grid step leaves valid:
 //!
 //! | axis step | invalidates                              | kept            |
 //! |-----------|------------------------------------------|-----------------|
-//! | β         | everything (delays, path set, tables)    | —               |
+//! | β         | constrained path set, tables             | nominal STA     |
 //! | P         | level-indexed tables, ILP model          | pre-process     |
 //! | C         | budget-row RHS, incumbent, search tree   | pre-process + model |
 //!
@@ -18,6 +19,9 @@
 //! returns. The reuse ladder is chosen so each warm input is *value-equal*
 //! to its cold counterpart, never merely "close":
 //!
+//! * one timing graph and one nominal analysis per sweep — the nominal
+//!   delays read no grid axis, and [`FbbProblem::preprocess_on`] over that
+//!   analysis is exactly the pre-process a cold cell runs after its own STA;
 //! * one [`Preprocessed`] per β — `preprocess` reads
 //!   the cluster budget only to copy it into the output, so a shared
 //!   pre-process equals a per-cell one;
@@ -51,10 +55,11 @@ use fbb_device::Characterization;
 use fbb_lp::{solve_mip, MipOptions, MipStatus};
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
+use fbb_sta::TimingGraph;
 use serde::{Deserialize, Serialize};
 
 use crate::ilp::{decode, encode};
-use crate::{FbbError, FbbProblem, IlpAllocator, Preprocessed, TwoPassHeuristic};
+use crate::{FbbError, FbbProblem, Granularity, IlpAllocator, Preprocessed, TwoPassHeuristic};
 
 /// The β × C × P grid to sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -194,15 +199,28 @@ pub fn run_sweep(
         pruned: 0,
     };
 
+    // Warm: one timing graph and one nominal analysis for the whole grid;
+    // neither reads β, C or P. β and the placement are checked before the
+    // STA runs, as the first β's pre-process would.
+    let nominal = if options.cold {
+        None
+    } else {
+        let problem = FbbProblem::new(netlist, placement, chara, grid.betas[0], cmax)?;
+        Some((TimingGraph::new(netlist)?, problem.nominal_delays()))
+    };
+    let analysis = nominal.as_ref().map(|(graph, delays)| graph.analyze(delays));
+
     for &beta in &grid.betas {
         // Warm: one pre-process per β, shared by every (C, P) cell. The
         // budget argument is only copied into `max_clusters`, which each
         // cell overwrites below, so sharing is value-exact.
-        let shared = if options.cold {
-            None
-        } else {
-            report.preprocess_count += 1;
-            Some(FbbProblem::new(netlist, placement, chara, beta, cmax)?.preprocess()?)
+        let shared = match &analysis {
+            Some(analysis) => {
+                report.preprocess_count += 1;
+                let problem = FbbProblem::new(netlist, placement, chara, beta, cmax)?;
+                Some(problem.preprocess_on(analysis, Granularity::Row)?)
+            }
+            None => None,
         };
 
         for &p in &grid.levels {

@@ -96,34 +96,33 @@ impl DesignDb {
         granularities: &[Granularity],
         max_clusters: usize,
     ) -> Result<Self, FbbError> {
-        if betas.is_empty() {
+        let Some(&first_beta) = betas.first() else {
             return Err(FbbError::InvalidProblem("at least one beta is required".into()));
-        }
+        };
         if granularities.is_empty() {
             return Err(FbbError::InvalidProblem("at least one granularity is required".into()));
         }
+        let problem_at =
+            |beta| FbbProblem::new(netlist, placement, characterization, beta, max_clusters);
+        // The nominal analysis is β-independent: run it once, after the
+        // first problem has checked β and the placement, and pre-process
+        // every entry on it.
+        let delays = problem_at(first_beta)?.nominal_delays();
+        let graph = TimingGraph::new(netlist).map_err(FbbError::Netlist)?;
+        let analysis = graph.analyze(&delays);
         let mut entries = Vec::with_capacity(betas.len() * granularities.len());
-        let mut timing = None;
         for &beta in betas {
-            let problem = FbbProblem::new(netlist, placement, characterization, beta, max_clusters)?;
-            if timing.is_none() {
-                // The delay vector and path set are β-independent; compute
-                // them once from the first problem.
-                let delays = problem.nominal_delays();
-                let graph = TimingGraph::new(netlist).map_err(FbbError::Netlist)?;
-                let analysis = graph.analyze(&delays);
-                timing = Some(TimingTables {
-                    delays_ps: delays,
-                    dcrit_ps: analysis.dcrit_ps(),
-                    paths: analysis.critical_path_set(),
-                });
-            }
+            let problem = problem_at(beta)?;
             for &granularity in granularities {
-                let pre = problem.preprocess_at(granularity)?;
+                let pre = problem.preprocess_on(&analysis, granularity)?;
                 entries.push(PreparedEntry { granularity, pre });
             }
         }
-        let timing = timing.expect("betas is non-empty, so timing was computed");
+        let timing = TimingTables {
+            dcrit_ps: analysis.dcrit_ps(),
+            paths: analysis.critical_path_set(),
+            delays_ps: delays,
+        };
         entries.sort_by_key(entry_key);
         entries.dedup_by_key(|e| entry_key(e));
         Ok(DesignDb {

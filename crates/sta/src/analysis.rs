@@ -1,9 +1,5 @@
 //! Timing analysis results, path extraction, and incremental re-timing.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
-
 use fbb_netlist::GateId;
 
 use crate::{TimingGraph, TimingPath};
@@ -28,10 +24,8 @@ pub struct RowMap {
 impl RowMap {
     /// Builds the map from a per-gate row assignment (`row_of[gate_index]`).
     ///
-    /// # Panics
-    ///
-    /// Panics if `row_of` is empty references no rows; rows are sized by the
-    /// maximum id present.
+    /// Rows are sized by the largest id present; an empty `row_of` gives a
+    /// map with no rows.
     pub fn new(row_of: &[usize]) -> Self {
         let n_rows = row_of.iter().copied().max().map_or(0, |m| m + 1);
         let mut gates_of = vec![Vec::new(); n_rows];
@@ -68,7 +62,7 @@ pub struct TimingAnalysis<'g, 'nl> {
     pub(crate) dcrit: f64,
 }
 
-impl TimingAnalysis<'_, '_> {
+impl<'g, 'nl> TimingAnalysis<'g, 'nl> {
     /// The critical (longest endpoint arrival) delay `Dcrit` in picoseconds.
     pub fn dcrit_ps(&self) -> f64 {
         self.dcrit
@@ -114,34 +108,59 @@ impl TimingAnalysis<'_, '_> {
     }
 
     /// The paper's pruned critical path set Π: the longest path through each
-    /// cell, deduplicated (many cells share their worst path).
+    /// cell, each distinct path once (many cells share their worst path), in
+    /// the topological order of the first cell whose path it is.
     ///
     /// Sequential cells contribute through the launch paths of their Q pins,
     /// which already include them as startpoints, so only combinational
     /// cells seed extraction.
+    ///
+    /// Deduplication is exact and O(gates): two combinational cells share
+    /// their longest path exactly when a chain of mutual critical links
+    /// (`succ[a] == b` and `pred[b] == a`) joins them, so each distinct path
+    /// is materialized once, from the first cell of its chain.
     pub fn critical_path_set(&self) -> Vec<TimingPath> {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut paths = Vec::new();
-        for &id in &self.graph.topo {
-            let path = self.longest_path_through(id);
-            let mut hasher = DefaultHasher::new();
-            path.gates.hash(&mut hasher);
-            if seen.insert(hasher.finish()) {
-                paths.push(path);
-            }
-        }
-        paths
+        self.path_set(|_| true)
     }
 
     /// Like [`TimingAnalysis::critical_path_set`], but keeps only paths whose
     /// delay degraded by the slowdown coefficient `beta` would violate
     /// `Dcrit` — exactly the constraint set (`No.Constr`) of the paper:
-    /// `pd · (1 + β) > Dcrit`.
+    /// `pd · (1 + β) > Dcrit`. Paths that pass the filter are the only ones
+    /// materialized.
     pub fn constrained_path_set(&self, beta: f64) -> Vec<TimingPath> {
-        self.critical_path_set()
-            .into_iter()
-            .filter(|p| p.delay_ps * (1.0 + beta) > self.dcrit + 1e-9)
+        self.path_set(|g| self.longest_through_ps(g) * (1.0 + beta) > self.dcrit + 1e-9)
+    }
+
+    /// Materializes, in topological order, the path of every chain head
+    /// (the first cell of its chain, see
+    /// [`TimingAnalysis::critical_path_set`]) that `keep` accepts. The
+    /// topological loop reaches a head before the rest of its chain, so the
+    /// path and its `delay_ps` (the head's own
+    /// [`TimingAnalysis::longest_through_ps`]) are the ones a
+    /// first-occurrence deduplication keeps.
+    fn path_set(&self, keep: impl Fn(GateId) -> bool) -> Vec<TimingPath> {
+        let _span = fbb_telemetry::span("sta_path_set");
+        let nl = self.graph.netlist;
+        self.graph
+            .topo
+            .iter()
+            .copied()
+            .filter(|&g| match self.pred[g.index()] {
+                None => true,
+                // A flip-flop never seeds extraction, so it cannot head the
+                // chain of the gate it launches into.
+                Some(p) if nl.gate(p).cell.kind.is_sequential() => true,
+                Some(p) => self.succ[p.index()] != Some(g),
+            })
+            .filter(|&g| keep(g))
+            .map(|g| self.longest_path_through(g))
             .collect()
+    }
+
+    /// The timing graph this analysis ran on.
+    pub fn graph(&self) -> &'g TimingGraph<'nl> {
+        self.graph
     }
 
     /// The delay assignment this analysis was computed for.
@@ -706,10 +725,10 @@ mod tests {
         let max = paths.iter().map(|p| p.delay_ps).fold(0.0f64, f64::max);
         assert!((max - a.dcrit_ps()).abs() < 1e-9);
         // No duplicates.
-        let mut seen = std::collections::HashSet::new();
-        for p in &paths {
-            assert!(seen.insert(p.gates.clone()), "duplicate path in Π");
-        }
+        let mut gates: Vec<&[GateId]> = paths.iter().map(|p| p.gates.as_slice()).collect();
+        gates.sort_unstable();
+        gates.dedup();
+        assert_eq!(gates.len(), paths.len(), "duplicate path in Π");
     }
 
     #[test]

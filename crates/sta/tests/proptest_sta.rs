@@ -5,10 +5,13 @@
 //! `FBB_TEST_SEED` environment variable to re-roll every stream
 //! reproducibly (failures print the active seed).
 
+use std::collections::BTreeSet;
+
 use fbb_netlist::generators::{random_logic, RandomLogicOptions};
 use fbb_netlist::{GateId, Netlist};
-use fbb_sta::TimingGraph;
+use fbb_sta::{TimingAnalysis, TimingGraph, TimingPath};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::{Rng as _, SeedableRng as _};
 use rand_chacha::ChaCha8Rng;
 
@@ -29,6 +32,36 @@ fn circuit(seed: u64, gates: usize) -> Netlist {
 fn delays(nl: &Netlist, seed: u64) -> Vec<f64> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..nl.gate_count()).map(|_| rng.gen_range(1.0..20.0)).collect()
+}
+
+/// Π by its definition: the longest path through every combinational gate,
+/// in topological order, deduplicated by full gate-sequence equality with
+/// the first occurrence kept.
+fn reference_path_set(nl: &Netlist, analysis: &TimingAnalysis) -> Vec<TimingPath> {
+    let mut seen = BTreeSet::new();
+    nl.topo_order()
+        .expect("acyclic")
+        .into_iter()
+        .map(|g| analysis.longest_path_through(g))
+        .filter(|p| seen.insert(p.gates.clone()))
+        .collect()
+}
+
+/// Element-by-element equality: same gates, same delay bits, same order.
+fn assert_same_paths(got: &[TimingPath], want: &[TimingPath]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len());
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(&g.gates, &w.gates, "gates of path {}: {:?} vs {:?}", k, g.gates, w.gates);
+        prop_assert_eq!(
+            g.delay_ps.to_bits(),
+            w.delay_ps.to_bits(),
+            "delay of path {}: {} vs {}",
+            k,
+            g.delay_ps,
+            w.delay_ps
+        );
+    }
+    Ok(())
 }
 
 /// Exhaustively enumerates every source-to-sink path delay through DFS and
@@ -112,6 +145,43 @@ proptest! {
                 let out = nl.gates()[pair[0].index()].output;
                 prop_assert!(nl.net(out).sinks.contains(&pair[1]),
                     "path gates {} and {} are not connected", pair[0], pair[1]);
+            }
+        }
+    }
+
+    #[test]
+    fn path_sets_match_the_deduplicating_reference(seed in 0u64..5_000, tied in any::<bool>()) {
+        // Coarse delays make arrival and tail ties common, so the critical
+        // links pick among equals; fine ones almost never tie.
+        for registered in [false, true] {
+            let nl = random_logic(
+                "p",
+                &RandomLogicOptions {
+                    target_gates: 150,
+                    n_inputs: 6,
+                    seed,
+                    registered,
+                    locality_window: 10,
+                },
+            )
+            .expect("valid generator");
+            let d: Vec<f64> = if tied {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x71ED);
+                (0..nl.gate_count()).map(|_| f64::from(rng.gen_range(1u32..4)) * 5.0).collect()
+            } else {
+                delays(&nl, seed ^ 0x9A7)
+            };
+            let graph = TimingGraph::new(&nl).expect("acyclic");
+            let analysis = graph.analyze(&d);
+            let reference = reference_path_set(&nl, &analysis);
+            assert_same_paths(&analysis.critical_path_set(), &reference)?;
+            for beta in [0.0, 0.03, 0.05, 0.10] {
+                let constrained: Vec<TimingPath> = reference
+                    .iter()
+                    .filter(|p| p.delay_ps * (1.0 + beta) > analysis.dcrit_ps() + 1e-9)
+                    .cloned()
+                    .collect();
+                assert_same_paths(&analysis.constrained_path_set(beta), &constrained)?;
             }
         }
     }
