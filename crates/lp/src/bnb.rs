@@ -15,16 +15,21 @@
 //!    warm starts stay sound), then searches best-first with pseudocost
 //!    branching seeded by strong-branch probes on the first nodes.
 //!
-//! One [`SparseEngine`] is built per tree and every explored node records
-//! its optimal basis; children inherit it (shared via `Rc`, since both
-//! siblings start from the same parent vertex) and re-optimize with the
-//! dual simplex after their single branching-bound change instead of
-//! running two-phase from scratch. Any warm-path bailout falls back to a
-//! cold solve of the same node, so warm-starting can only change *how* a
-//! relaxation is solved, never its answer. Warm-started children re-check
-//! the root cuts against their relaxation point and fall back cold on a
-//! violation (which the shared matrix makes impossible in practice — the
-//! re-check is the §5j safety net, counted as `bnb_cut_child_rechecks`).
+//! A tree solves one relaxation from the all-artificial basis: the first
+//! root cut round. Every later round re-optimizes by dual simplex from the
+//! previous round's optimal basis, restated for the appended cut rows by
+//! [`Basis::with_rows`], and the root node enters the tree carrying the
+//! final root basis. One [`SparseEngine`] is built for the tree and every
+//! explored node records its optimal basis; children inherit it (shared via
+//! `Rc`, since both siblings start from the same parent vertex) and
+//! re-optimize with the dual simplex after their single branching-bound
+//! change. Any warm-path bailout, in a root round or at a node, falls back
+//! to a cold solve of the same relaxation (`bnb_warm_start_fallbacks`), so
+//! warm-starting can only change *how* a relaxation is solved, never its
+//! answer. Warm-started nodes re-check the root cuts against their
+//! relaxation point and fall back cold on a violation (which the shared
+//! matrix makes impossible in practice — the re-check is the §5j safety
+//! net, counted as `bnb_cut_child_rechecks`).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -66,8 +71,10 @@ pub struct MipOptions {
     pub rel_gap: f64,
     /// Integrality tolerance.
     pub int_tol: f64,
-    /// Warm-start child nodes from their parent's basis (dual simplex).
-    /// On by default; turning it off forces a cold two-phase solve per
+    /// Re-optimize by dual simplex from a known basis: root cut rounds after
+    /// the first from the previous round's, the root node from the last
+    /// round's, and every other node from its parent's. On by default;
+    /// turning it off forces a cold two-phase solve per root round and per
     /// node, which the equivalence tests and the benchmark use as the
     /// comparison baseline.
     pub warm_start: bool,
@@ -172,8 +179,9 @@ struct Node {
     bound: f64,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    /// Parent's optimal basis, shared by both siblings; `None` at the root
-    /// (and below any node whose relaxation produced no basis).
+    /// Parent's optimal basis, shared by both siblings; at the root, the
+    /// last root cut round's. `None` when there is none (no cut round ran,
+    /// or a relaxation produced no basis).
     basis: Option<Rc<Basis>>,
     /// Branching step that created this node; `None` at the root.
     branch: Option<BranchInfo>,
@@ -335,15 +343,20 @@ fn branch_and_bound(
     let root_lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
     let root_upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
 
+    let mut tel_warm = WarmTally::default();
+
     // Root cut separation (§5j): solve the root relaxation, add every
     // violated valid inequality, repeat on the strengthened relaxation.
     // The cuts are appended to the model the engine is built from, so the
-    // whole tree prices them — warm starts included.
+    // whole tree prices them — warm starts included. Each round after the
+    // first re-optimizes from the previous round's optimal basis, restated
+    // for the appended rows, and the root node inherits the last one.
     let mut tel_cut_rounds = 0u64;
     let mut tel_cuts_clique = 0u64;
     let mut tel_cuts_cover = 0u64;
     let mut root_cuts: Vec<Cut> = Vec::new();
     let mut cut_model: Option<Model> = None;
+    let mut root_basis: Option<Basis> = None;
     if options.cuts && !int_vars.is_empty() {
         let structure = cuts::detect_structure(model, hints);
         if structure.has_candidates() {
@@ -353,13 +366,19 @@ fn branch_and_bound(
                     break;
                 }
                 let deadline = clock.deadline_after(options.time_limit);
-                let outcome = {
-                    let mut root_engine = SparseEngine::new(&strengthened);
-                    root_engine.solve_cold(&root_lower, &root_upper, deadline)?
-                };
+                let warm = if options.warm_start { root_basis.as_ref() } else { None };
+                let (outcome, _) = solve_relaxation(
+                    &mut SparseEngine::new(&strengthened),
+                    &root_lower,
+                    &root_upper,
+                    deadline,
+                    warm,
+                    &mut tel_warm,
+                )?;
                 if outcome.solution.status != LpStatus::Optimal {
                     break;
                 }
+                root_basis = outcome.basis;
                 let fresh: Vec<Cut> = cuts::separate(model, &structure, &outcome.solution.x)
                     .into_iter()
                     .filter(|c| !root_cuts.contains(c))
@@ -367,7 +386,7 @@ fn branch_and_bound(
                 if fresh.is_empty() {
                     break;
                 }
-                let mut added = false;
+                let mut added = 0usize;
                 for cut in fresh {
                     if strengthened.add_constraint(cut.terms.clone(), cut.sense, cut.rhs).is_err()
                     {
@@ -378,11 +397,12 @@ fn branch_and_bound(
                         CutKind::Cover => tel_cuts_cover += 1,
                     }
                     root_cuts.push(cut);
-                    added = true;
+                    added += 1;
                 }
-                if !added {
+                if added == 0 {
                     break;
                 }
+                root_basis = root_basis.map(|b| b.with_rows(added));
                 tel_cut_rounds += 1;
             }
             if !root_cuts.is_empty() {
@@ -396,7 +416,7 @@ fn branch_and_bound(
         bound: f64::NEG_INFINITY,
         lower: root_lower,
         upper: root_upper,
-        basis: None,
+        basis: root_basis.map(Rc::new),
         branch: None,
     });
 
@@ -415,8 +435,6 @@ fn branch_and_bound(
     let mut tel_infeasible = 0u64;
     let mut tel_branches = 0u64;
     let mut tel_incumbents = 0u64;
-    let mut tel_warm_starts = 0u64;
-    let mut tel_warm_fallbacks = 0u64;
     let mut tel_cut_rechecks = 0u64;
     let mut tel_probes = 0u64;
     let mut tel_pc_branches = 0u64;
@@ -450,31 +468,22 @@ fn branch_and_bound(
         nodes += 1;
 
         let deadline = clock.deadline_after(options.time_limit);
-        // Warm-start from the parent basis when we have one; a warm-path
-        // bailout (`Ok(None)`) re-solves the same node cold.
         let warm_basis = if options.warm_start { node.basis.as_deref() } else { None };
-        let mut was_warm = false;
-        let mut outcome: SolveOutcome = match warm_basis {
-            Some(basis) => match engine.solve_warm(&node.lower, &node.upper, deadline, basis)? {
-                Some(out) => {
-                    tel_warm_starts += 1;
-                    was_warm = true;
-                    out
-                }
-                None => {
-                    tel_warm_fallbacks += 1;
-                    engine.solve_cold(&node.lower, &node.upper, deadline)?
-                }
-            },
-            None => engine.solve_cold(&node.lower, &node.upper, deadline)?,
-        };
+        let (mut outcome, was_warm) = solve_relaxation(
+            &mut engine,
+            &node.lower,
+            &node.upper,
+            deadline,
+            warm_basis,
+            &mut tel_warm,
+        )?;
         if was_warm && !root_cuts.is_empty() && outcome.solution.status == LpStatus::Optimal {
-            // Re-check the root cuts at the warm-started child. The cuts
+            // Re-check the root cuts at the warm-started node. The cuts
             // live in the engine's matrix, so a violation means the warm
             // path went wrong: fall back to a cold solve of the node.
             tel_cut_rechecks += 1;
             if root_cuts.iter().any(|c| !c.is_satisfied(&outcome.solution.x, CUT_RECHECK_TOL)) {
-                tel_warm_fallbacks += 1;
+                tel_warm.fallbacks += 1;
                 outcome = engine.solve_cold(&node.lower, &node.upper, deadline)?;
             }
         }
@@ -656,8 +665,8 @@ fn branch_and_bound(
         fbb_telemetry::counter("bnb_nodes_infeasible", tel_infeasible);
         fbb_telemetry::counter("bnb_branches", tel_branches);
         fbb_telemetry::counter("bnb_incumbent_updates", tel_incumbents);
-        fbb_telemetry::counter("bnb_warm_starts", tel_warm_starts);
-        fbb_telemetry::counter("bnb_warm_start_fallbacks", tel_warm_fallbacks);
+        fbb_telemetry::counter("bnb_warm_starts", tel_warm.starts);
+        fbb_telemetry::counter("bnb_warm_start_fallbacks", tel_warm.fallbacks);
         fbb_telemetry::counter("bnb_cut_rounds", tel_cut_rounds);
         fbb_telemetry::counter("bnb_cuts_clique_added", tel_cuts_clique);
         fbb_telemetry::counter("bnb_cuts_cover_added", tel_cuts_cover);
@@ -668,6 +677,36 @@ fn branch_and_bound(
         fbb_telemetry::record("bnb_gap", solution.gap());
     }
     Ok(solution)
+}
+
+/// Warm solves that succeeded and warm-path bailouts re-solved cold, over
+/// root cut rounds and tree nodes alike.
+#[derive(Default)]
+struct WarmTally {
+    starts: u64,
+    fallbacks: u64,
+}
+
+/// Solves one relaxation: warm from `basis` when there is one, cold
+/// otherwise; a warm-path bailout (`Ok(None)`) re-solves the same
+/// relaxation cold. The flag says whether the answer came from the warm
+/// path.
+fn solve_relaxation(
+    engine: &mut SparseEngine,
+    lower: &[f64],
+    upper: &[f64],
+    deadline: Option<std::time::Instant>,
+    basis: Option<&Basis>,
+    tally: &mut WarmTally,
+) -> Result<(SolveOutcome, bool), LpError> {
+    if let Some(basis) = basis {
+        if let Some(out) = engine.solve_warm(lower, upper, deadline, basis)? {
+            tally.starts += 1;
+            return Ok((out, true));
+        }
+        tally.fallbacks += 1;
+    }
+    Ok((engine.solve_cold(lower, upper, deadline)?, false))
 }
 
 /// Fractional integer variables of the highest branching-priority class

@@ -24,6 +24,12 @@
 //! iteration blow-up, an "unbounded" verdict that a box-bounded child
 //! cannot actually have — abandons the warm path and reports "fall back to
 //! a cold solve" rather than guessing.
+//!
+//! The dual loop prices once per (re)factorization and then *updates* the
+//! reduced costs from the pivot row its ratio test already computes
+//! (`d_j -= θ·α_rj`, `d_leaving = -θ`), so a dual iteration costs one BTRAN
+//! (the pivot row), one FTRAN (the entering column) and one pass over the
+//! nonbasic columns.
 
 use std::time::Instant;
 
@@ -36,10 +42,34 @@ use crate::{LpError, Model};
 
 /// A resumable basis snapshot: which column sits in each basis position and
 /// the bound status of every column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Basis {
     cols: Vec<usize>,
     status: Vec<VarStatus>,
+}
+
+impl Basis {
+    /// The same basis restated for the model with `added` rows appended
+    /// (root cutting planes): each new row's slack enters the basis at the
+    /// new row's position, and the artificial column indices shift past the
+    /// new slacks. The extended basis matrix is block triangular with an
+    /// identity block, so it stays nonsingular; the new slacks cost nothing,
+    /// so the duals and every old reduced cost are unchanged and the basis
+    /// stays dual feasible. Only the new rows can be primal infeasible,
+    /// which is what [`SparseEngine::solve_warm`]'s dual simplex repairs.
+    pub fn with_rows(&self, added: usize) -> Basis {
+        let m = self.cols.len();
+        let n = self.status.len() - 2 * m;
+        let art_shift = |j: usize| if j >= n + m { j + added } else { j };
+        let mut cols: Vec<usize> = self.cols.iter().map(|&j| art_shift(j)).collect();
+        cols.extend((0..added).map(|k| n + m + k));
+        let mut status = Vec::with_capacity(self.status.len() + 2 * added);
+        status.extend_from_slice(&self.status[..n + m]);
+        status.extend((0..added).map(|k| VarStatus::Basic(m + k)));
+        status.extend_from_slice(&self.status[n + m..]);
+        status.extend((0..added).map(|_| VarStatus::AtLower));
+        Basis { cols, status }
+    }
 }
 
 /// Result of one engine solve, with the data branch-and-bound needs on top
@@ -95,6 +125,9 @@ pub(crate) struct SparseEngine {
     status: Vec<VarStatus>,
     basis: Vec<usize>,
     xb: Vec<f64>,
+    /// Reduced costs the dual loop maintains between refactorizations
+    /// (meaningful for nonbasic, non-fixed columns only).
+    d: Vec<f64>,
     factor: BasisFactor,
     cursor: usize,
     stats: Stats,
@@ -128,6 +161,7 @@ impl SparseEngine {
             status: vec![VarStatus::AtLower; ntot],
             basis: artificial_basis,
             xb: vec![0.0; m],
+            d: vec![0.0; ntot],
             factor,
             cursor: 0,
             stats: Stats::default(),
@@ -150,12 +184,20 @@ impl SparseEngine {
         self.stats = Stats::default();
         let res = self.cold_inner(var_lower, var_upper, deadline);
         self.flush_stats();
+        if fbb_telemetry::is_enabled() {
+            fbb_telemetry::counter("lp_simplex_cold_solves", 1);
+        }
         res
     }
 
-    /// Dual-simplex re-solve from a parent basis after bound-only changes.
-    /// `Ok(None)` means the warm path gave up and the caller should solve
-    /// cold; it is never an answer.
+    /// Dual-simplex re-solve from an optimal basis of the same matrix after
+    /// bound-only changes (a branch-and-bound parent), or of the matrix
+    /// before rows were appended, restated by [`Basis::with_rows`] (the
+    /// previous root cut round). `Ok(None)` means the warm path gave up and
+    /// the caller should solve cold; it is never an answer. The dual loop
+    /// maintains its reduced costs incrementally; the primal finish pass
+    /// prices from fresh duals, so the optimality it certifies does not
+    /// rest on the update.
     ///
     /// # Errors
     ///
@@ -323,36 +365,9 @@ impl SparseEngine {
         if let Some(out) = self.install_bounds(var_lower, var_upper) {
             return Ok(Some(out));
         }
-        let (n, m) = (self.n, self.m);
-        self.cursor = 0;
-        // Artificials stay fixed at zero in every warm solve.
-        for j in n + m..self.ntot {
-            self.lower[j] = 0.0;
-            self.upper[j] = 0.0;
-        }
-        self.basis.copy_from_slice(&warm.cols);
-        self.status.copy_from_slice(&warm.status);
-        // Repair nonbasic statuses the bound changes invalidated.
-        for j in 0..self.ntot {
-            let (lo, up) = (self.lower[j], self.upper[j]);
-            self.status[j] = match self.status[j] {
-                VarStatus::AtLower if !lo.is_finite() => {
-                    if up.is_finite() { VarStatus::AtUpper } else { VarStatus::Free }
-                }
-                VarStatus::AtUpper if !up.is_finite() => {
-                    if lo.is_finite() { VarStatus::AtLower } else { VarStatus::Free }
-                }
-                VarStatus::Free if lo > 0.0 => VarStatus::AtLower,
-                VarStatus::Free if up < 0.0 => VarStatus::AtUpper,
-                other => other,
-            };
-        }
-        let Ok(factor) = BasisFactor::factorize(&self.mat, &self.basis) else {
+        if !self.install_basis(warm) {
             return Ok(None);
-        };
-        self.factor = factor;
-        self.stats.factorizations += 1;
-        self.recompute_xb();
+        }
 
         let iter_limit = self.iter_limit();
         let c2 = self.phase2_cost();
@@ -374,6 +389,44 @@ impl SparseEngine {
             Err(LpError::DeadlineExceeded) => Ok(Some(Self::bare(LpStatus::DeadlineExceeded))),
             Err(_) => Ok(None),
         }
+    }
+
+    /// Installs a warm basis under the current bounds: artificials pinned at
+    /// zero, nonbasic statuses the bounds invalidated repaired, a fresh
+    /// factorization and fresh basic values. `false` when the basis does not
+    /// fit this matrix or is singular.
+    fn install_basis(&mut self, warm: &Basis) -> bool {
+        if warm.cols.len() != self.m || warm.status.len() != self.ntot {
+            return false;
+        }
+        self.cursor = 0;
+        for j in self.n + self.m..self.ntot {
+            self.lower[j] = 0.0;
+            self.upper[j] = 0.0;
+        }
+        self.basis.copy_from_slice(&warm.cols);
+        self.status.copy_from_slice(&warm.status);
+        for j in 0..self.ntot {
+            let (lo, up) = (self.lower[j], self.upper[j]);
+            self.status[j] = match self.status[j] {
+                VarStatus::AtLower if !lo.is_finite() => {
+                    if up.is_finite() { VarStatus::AtUpper } else { VarStatus::Free }
+                }
+                VarStatus::AtUpper if !up.is_finite() => {
+                    if lo.is_finite() { VarStatus::AtLower } else { VarStatus::Free }
+                }
+                VarStatus::Free if lo > 0.0 => VarStatus::AtLower,
+                VarStatus::Free if up < 0.0 => VarStatus::AtUpper,
+                other => other,
+            };
+        }
+        let Ok(factor) = BasisFactor::factorize(&self.mat, &self.basis) else {
+            return false;
+        };
+        self.factor = factor;
+        self.stats.factorizations += 1;
+        self.recompute_xb();
+        true
     }
 
     /// Installs per-solve bounds. Returns an infeasible outcome directly for
@@ -468,10 +521,26 @@ impl SparseEngine {
         }
     }
 
+    /// Prices every nonbasic, non-fixed column afresh into `d` (one BTRAN);
+    /// the dual loop calls it on entry and after every refactorization.
+    fn refresh_reduced_costs(&mut self, c: &[f64]) {
+        let (y, y_nonzero) = self.duals(c);
+        let mut d = std::mem::take(&mut self.d);
+        for (j, dj) in d.iter_mut().enumerate() {
+            *dj = if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
+                0.0
+            } else {
+                self.reduced_cost(j, c, &y, y_nonzero)
+            };
+        }
+        self.d = d;
+    }
+
     /// Books the basis change `position r <- column e` whose FTRAN image is
     /// `w`, then refactorizes if the eta file is full (or, in the rare case
-    /// the eta pivot is unusable, immediately).
-    fn install_pivot(&mut self, r: usize, e: usize, w: &[f64]) -> Result<(), LpError> {
+    /// the eta pivot is unusable, immediately). Returns whether it
+    /// refactorized.
+    fn install_pivot(&mut self, r: usize, e: usize, w: &[f64]) -> Result<bool, LpError> {
         self.basis[r] = e;
         self.status[e] = VarStatus::Basic(r);
         let pushed = self.factor.push_eta(r, w).is_ok();
@@ -485,6 +554,7 @@ impl SparseEngine {
                     self.stats.factorizations += 1;
                     self.stats.refactorizations += 1;
                     self.recompute_xb();
+                    return Ok(true);
                 }
                 // With a valid eta we may keep the (long but correct)
                 // product form and try again next pivot; without one the
@@ -493,7 +563,7 @@ impl SparseEngine {
                 Err(_) => return Err(LpError::NumericallySingular),
             }
         }
-        Ok(())
+        Ok(false)
     }
 
     /// Bookkeeping shared by both loops: iteration count, iteration limit,
@@ -659,6 +729,8 @@ impl SparseEngine {
     /// preserving dual feasibility. Entering is chosen by the standard dual
     /// ratio test over the leaving row; no eligible column is a primal
     /// infeasibility certificate for the row, independent of the costs.
+    /// Reduced costs are priced on entry and after every refactorization and
+    /// updated from the pivot row in between.
     fn dual(
         &mut self,
         c: &[f64],
@@ -667,6 +739,10 @@ impl SparseEngine {
     ) -> Result<DualEnd, LpError> {
         let mut rho = vec![0.0f64; self.m];
         let mut w = vec![0.0f64; self.m];
+        // Nonzero entries of pivot row r of B^{-1}A over the nonbasic,
+        // non-fixed columns.
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        self.refresh_reduced_costs(c);
         loop {
             self.tick(iter_limit, deadline)?;
 
@@ -689,19 +765,22 @@ impl SparseEngine {
                 return Ok(DualEnd::Feasible);
             };
 
-            // Row r of B^{-1}A via one BTRAN, plus current duals for the
-            // ratio numerators.
+            // Row r of B^{-1} via one BTRAN; the ratio test reads the
+            // maintained reduced costs.
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r] = 1.0;
             self.factor.btran(&mut rho);
-            let (y, y_nonzero) = self.duals(c);
 
-            let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
+            row.clear();
+            let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, alpha)
             for j in 0..self.ntot {
                 if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
                     continue;
                 }
                 let alpha = self.mat.col_dot(j, &rho);
+                if is_nonzero(alpha) {
+                    row.push((j, alpha));
+                }
                 let sa = sigma * alpha;
                 let eligible = match self.status[j] {
                     VarStatus::AtLower => sa > PIVOT_TOL,
@@ -712,20 +791,19 @@ impl SparseEngine {
                 if !eligible {
                     continue;
                 }
-                let d = self.reduced_cost(j, c, y.as_slice(), y_nonzero);
-                let ratio = (d / sa).max(0.0);
+                let ratio = (self.d[j] / sa).max(0.0);
                 let better = match best {
                     None => true,
                     Some((_, br, ba)) => {
                         ratio < br - PIVOT_TOL
-                            || ((ratio - br).abs() <= PIVOT_TOL && alpha.abs() > ba)
+                            || ((ratio - br).abs() <= PIVOT_TOL && alpha.abs() > ba.abs())
                     }
                 };
                 if better {
-                    best = Some((j, ratio, alpha.abs()));
+                    best = Some((j, ratio, alpha));
                 }
             }
-            let Some((e, _, _)) = best else {
+            let Some((e, _, alpha_e)) = best else {
                 return Ok(DualEnd::Infeasible);
             };
 
@@ -741,6 +819,7 @@ impl SparseEngine {
                         self.stats.factorizations += 1;
                         self.stats.refactorizations += 1;
                         self.recompute_xb();
+                        self.refresh_reduced_costs(c);
                         continue;
                     }
                     Err(_) => return Err(LpError::NumericallySingular),
@@ -761,7 +840,20 @@ impl SparseEngine {
             self.xb[r] = entering_value;
             self.status[leaving] =
                 if sigma > 0.0 { VarStatus::AtUpper } else { VarStatus::AtLower };
-            self.install_pivot(r, e, &w)?;
+
+            // Dual step: the entering reduced cost goes to zero, every other
+            // nonbasic one moves along the pivot row, and the leaving column
+            // (alpha = 1 in its own row) picks up -theta.
+            let theta = self.d[e] / alpha_e;
+            for &(j, alpha) in &row {
+                self.d[j] -= theta * alpha;
+            }
+            self.d[e] = 0.0;
+            self.d[leaving] = -theta;
+
+            if self.install_pivot(r, e, &w)? {
+                self.refresh_reduced_costs(c);
+            }
         }
     }
 
@@ -824,15 +916,52 @@ mod tests {
         assert!((a - b).abs() < 1e-5, "{a} vs {b}");
     }
 
-    #[test]
-    fn textbook_le_problem_matches_known_optimum() {
+    /// max 3x + 5y over the textbook polygon (optimum -36 at (2, 6)).
+    fn textbook_lp() -> Model {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, f64::INFINITY, -3.0);
         let y = m.add_continuous(0.0, f64::INFINITY, -5.0);
         m.add_constraint(vec![(x, 1.0)], Sense::Le, 4.0).unwrap();
         m.add_constraint(vec![(y, 2.0)], Sense::Le, 12.0).unwrap();
         m.add_constraint(vec![(x, 3.0), (y, 2.0)], Sense::Le, 18.0).unwrap();
-        let out = cold(&m);
+        m
+    }
+
+    /// x + y >= 1.5 over the unit box.
+    fn covering_lp() -> Model {
+        let mut m = Model::new();
+        let x = m.add_continuous(0.0, 1.0, 1.0);
+        let y = m.add_continuous(0.0, 1.0, 1.0);
+        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 1.5).unwrap();
+        m
+    }
+
+    /// Knapsack-ish relaxation with a fractional optimum (a = 1, b = 0.5).
+    fn knapsack_relaxation() -> Model {
+        let mut m = Model::new();
+        let a = m.add_continuous(0.0, 1.0, -5.0);
+        let b = m.add_continuous(0.0, 1.0, -4.0);
+        let c = m.add_continuous(0.0, 1.0, -3.0);
+        m.add_constraint(vec![(a, 2.0), (b, 3.0), (c, 1.0)], Sense::Le, 3.5).unwrap();
+        m
+    }
+
+    /// `n` boxed variables, adjacent pairs capped at 3, the total at 40.
+    fn chain_model(n: usize) -> Model {
+        let mut m = Model::new();
+        let vars: Vec<usize> =
+            (0..n).map(|i| m.add_continuous(0.0, 10.0, -((i % 7) as f64) - 1.0)).collect();
+        for pair in vars.windows(2) {
+            m.add_constraint(vec![(pair[0], 1.0), (pair[1], 1.0)], Sense::Le, 3.0).unwrap();
+        }
+        m.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(), Sense::Le, 40.0)
+            .unwrap();
+        m
+    }
+
+    #[test]
+    fn textbook_le_problem_matches_known_optimum() {
+        let out = cold(&textbook_lp());
         assert_eq!(out.solution.status, LpStatus::Optimal);
         assert_close(out.solution.objective, -36.0);
         assert!(out.basis.is_some());
@@ -853,13 +982,8 @@ mod tests {
 
     #[test]
     fn warm_solve_after_bound_tightening_matches_cold() {
-        // Knapsack-ish relaxation; branch x0 to [1, 1] and compare warm
-        // against cold.
-        let mut m = Model::new();
-        let a = m.add_continuous(0.0, 1.0, -5.0);
-        let b = m.add_continuous(0.0, 1.0, -4.0);
-        let c = m.add_continuous(0.0, 1.0, -3.0);
-        m.add_constraint(vec![(a, 2.0), (b, 3.0), (c, 1.0)], Sense::Le, 3.5).unwrap();
+        // Branch x0 to [1, 1] and compare warm against cold.
+        let m = knapsack_relaxation();
         let (lo, up) = bounds_of(&m);
 
         let mut engine = SparseEngine::new(&m);
@@ -880,10 +1004,7 @@ mod tests {
     #[test]
     fn warm_solve_detects_child_infeasibility() {
         // x + y >= 1.5 with both branched to [0, 0] is empty.
-        let mut m = Model::new();
-        let x = m.add_continuous(0.0, 1.0, 1.0);
-        let y = m.add_continuous(0.0, 1.0, 1.0);
-        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 1.5).unwrap();
+        let m = covering_lp();
         let (lo, up) = bounds_of(&m);
         let mut engine = SparseEngine::new(&m);
         let parent = engine.solve_cold(&lo, &up, None).unwrap();
@@ -898,19 +1019,170 @@ mod tests {
     #[test]
     fn refactorization_kicks_in_on_long_solves() {
         // A chain model long enough to exceed the eta budget.
-        let mut m = Model::new();
-        let n = 80;
-        let vars: Vec<usize> = (0..n).map(|i| m.add_continuous(0.0, 10.0, -((i % 7) as f64) - 1.0)).collect();
-        for pair in vars.windows(2) {
-            m.add_constraint(vec![(pair[0], 1.0), (pair[1], 1.0)], Sense::Le, 3.0).unwrap();
-        }
-        m.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(), Sense::Le, 40.0)
-            .unwrap();
+        let m = chain_model(80);
         let (lo, up) = bounds_of(&m);
         let mut engine = SparseEngine::new(&m);
         let out = engine.solve_cold(&lo, &up, None).unwrap();
         assert_eq!(out.solution.status, LpStatus::Optimal);
         assert!(engine.stats.pivots > 0);
+    }
+
+    #[test]
+    fn with_zero_rows_is_the_same_basis() {
+        let m = knapsack_relaxation();
+        let basis = cold(&m).basis.unwrap();
+        assert_eq!(basis.with_rows(0), basis);
+    }
+
+    #[test]
+    fn with_rows_enters_the_new_slacks_and_shifts_the_artificials() {
+        // Two structurals, two rows: x0 basic in row 0 and, as phase 1
+        // leaves it on a redundant row, row 1's artificial basic in row 1.
+        let (n, rows) = (2, 2);
+        let basis = Basis {
+            cols: vec![0, n + rows + 1],
+            status: vec![
+                VarStatus::Basic(0),
+                VarStatus::AtUpper,
+                VarStatus::AtLower,
+                VarStatus::AtUpper,
+                VarStatus::AtLower,
+                VarStatus::Basic(1),
+            ],
+        };
+        let added = 3;
+        let grown = basis.with_rows(added);
+        assert_eq!(grown.cols.len(), rows + added);
+        assert_eq!(grown.status.len(), n + 2 * (rows + added));
+        for (pos, &j) in basis.cols.iter().enumerate() {
+            let moved = if j >= n + rows { j + added } else { j };
+            assert_eq!(grown.cols[pos], moved);
+        }
+        for k in 0..added {
+            assert_eq!(grown.cols[rows + k], n + rows + k, "new slack {k} is basic at its row");
+        }
+        for (pos, &j) in grown.cols.iter().enumerate() {
+            assert_eq!(grown.status[j], VarStatus::Basic(pos), "column {j} at position {pos}");
+        }
+        let basic = grown.status.iter().filter(|s| matches!(s, VarStatus::Basic(_))).count();
+        assert_eq!(basic, rows + added, "no column claims a basis position it does not hold");
+    }
+
+    #[test]
+    fn violated_appended_row_reoptimizes_warm_to_the_cold_optimum() {
+        let m = knapsack_relaxation();
+        let (lo, up) = bounds_of(&m);
+        let root = cold(&m);
+        let x = &root.solution.x;
+        // a + b <= 1 cuts the root vertex off.
+        assert!(x[0] + x[1] > 1.0 + 1e-6, "root vertex {x:?} must violate the new row");
+        let mut cut = m.clone();
+        cut.add_constraint(vec![(0, 1.0), (1, 1.0)], Sense::Le, 1.0).unwrap();
+        let warm_basis = root.basis.unwrap().with_rows(1);
+
+        let mut engine = SparseEngine::new(&cut);
+        let warm = engine
+            .solve_warm(&lo, &up, None, &warm_basis)
+            .unwrap()
+            .expect("the restated basis re-optimizes without a fallback");
+        let fresh = SparseEngine::new(&cut).solve_cold(&lo, &up, None).unwrap();
+        assert_eq!(warm.solution.status, LpStatus::Optimal);
+        assert_eq!(fresh.solution.status, LpStatus::Optimal);
+        assert_close(warm.solution.objective, fresh.solution.objective);
+        assert!(cut.is_feasible(&warm.solution.x, 1e-9));
+    }
+
+    #[test]
+    fn appended_row_that_empties_the_feasible_set_is_infeasible_warm() {
+        let m = knapsack_relaxation();
+        let (lo, up) = bounds_of(&m);
+        let root = cold(&m);
+        // a + b + c >= 3.5 cannot hold inside the unit box.
+        let mut cut = m.clone();
+        cut.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Sense::Ge, 3.5).unwrap();
+        let warm = SparseEngine::new(&cut)
+            .solve_warm(&lo, &up, None, &root.basis.unwrap().with_rows(1))
+            .unwrap()
+            .expect("the dual simplex certifies infeasibility without a fallback");
+        assert_eq!(warm.solution.status, LpStatus::Infeasible);
+    }
+
+    /// Installs `basis` under the bounds `lo`/`up`, runs the dual loop alone
+    /// (no primal finish pass), and returns the largest gap between the
+    /// reduced costs it maintained and a fresh `c_j - a_j·y` over the
+    /// columns its ratio test reads, with the pivots it took.
+    fn dual_reduced_cost_drift(
+        engine: &mut SparseEngine,
+        lo: &[f64],
+        up: &[f64],
+        basis: &Basis,
+    ) -> (f64, usize) {
+        assert!(engine.install_bounds(lo, up).is_none(), "non-empty box");
+        engine.stats = Stats::default();
+        assert!(engine.install_basis(basis));
+        let c = engine.phase2_cost();
+        let limit = engine.iter_limit();
+        engine.dual(&c, limit, None).unwrap();
+        let (y, y_nonzero) = engine.duals(&c);
+        let drift = (0..engine.ntot)
+            .filter(|&j| !matches!(engine.status[j], VarStatus::Basic(_)) && !engine.is_fixed(j))
+            .map(|j| (engine.d[j] - engine.reduced_cost(j, &c, &y, y_nonzero)).abs())
+            .fold(0.0, f64::max);
+        (drift, engine.stats.pivots)
+    }
+
+    #[test]
+    fn maintained_reduced_costs_match_fresh_pricing() {
+        // Every unit model, each variable pushed off its root value both ways.
+        let mut pivots = 0;
+        for model in [textbook_lp(), covering_lp(), knapsack_relaxation(), chain_model(80)] {
+            let (lo, up) = bounds_of(&model);
+            let mut engine = SparseEngine::new(&model);
+            let root = engine.solve_cold(&lo, &up, None).unwrap();
+            let basis = root.basis.unwrap();
+            for (j, &xj) in root.solution.x.iter().enumerate() {
+                let mut down = up.clone();
+                down[j] = (xj - 0.5).max(lo[j]);
+                let mut upward = lo.clone();
+                upward[j] = (xj + 0.5).min(up[j]);
+                for (l, u) in [(&lo, &down), (&upward, &up)] {
+                    let (drift, taken) = dual_reduced_cost_drift(&mut engine, l, u, &basis);
+                    assert!(drift <= 1e-9, "var {j}: reduced-cost drift {drift}");
+                    pivots += taken;
+                }
+            }
+        }
+
+        // Seeded random boxes on the chain model: several bounds move at
+        // once, so the dual takes long runs of pivots across
+        // refactorizations.
+        let model = chain_model(80);
+        let (lo, up) = bounds_of(&model);
+        let mut engine = SparseEngine::new(&model);
+        let basis = engine.solve_cold(&lo, &up, None).unwrap().basis.unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |k: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % k
+        };
+        for _ in 0..200 {
+            let (mut l, mut u) = (lo.clone(), up.clone());
+            for _ in 0..1 + next(12) {
+                let j = next(80);
+                let cut = next(11) as f64 * 0.3;
+                if next(2) == 0 {
+                    u[j] = cut.min(u[j]).max(l[j]);
+                } else {
+                    l[j] = cut.max(l[j]).min(u[j]);
+                }
+            }
+            let (drift, taken) = dual_reduced_cost_drift(&mut engine, &l, &u, &basis);
+            assert!(drift <= 1e-9, "reduced-cost drift {drift}");
+            pivots += taken;
+        }
+        assert!(pivots > 100, "the dual must actually pivot ({pivots} pivots)");
     }
 
     #[test]

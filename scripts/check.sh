@@ -14,6 +14,9 @@
 #   - lp bench smoke: BENCH_lp.json regenerates and holds the warm-start
 #     iteration-reduction and presolve+cuts node-count reduction (>= 1.3x
 #     on the largest shape) acceptance numbers
+#   - MIP-root lane: the `runtime` bin proves c6288 at beta 10%, C = 2
+#     optimal within its 60 s ILP budget (a cell whose root once never
+#     finished its cut rounds)
 #   - sweep lane: BENCH_sweep.json regenerates on a composed >=50k-gate
 #     design and holds the warm-pipeline acceptance numbers (>= 2x over
 #     cold per-cell solves, bit-identical cells), plus an `fbb sweep`
@@ -139,6 +142,18 @@ assert nodes >= 1.3, f"presolve+cuts node reduction {nodes} below the 1.3x floor
 print(f"lp bench smoke: warm iter reduction {reduction:.2f}x, "
       f"node reduction {nodes:.1f}x")
 EOF
+# MIP-root lane: c6288 at beta 10%, C = 2 is the Table 1 cell whose root
+# cut rounds once stalled in cold re-solves and never reached node 1. The
+# runtime bin's "optimal?" column must read "yes" (not "gap ...") within
+# the 60 s ILP budget.
+c6288_optimal=$(cargo run --release --quiet -p fbb-bench --bin runtime -- \
+    --designs c6288 --beta 0.10 --clusters 2 --ilp-time-limit 60 \
+    | awk '$1 == "c6288" { print $6 }')
+if [ "$c6288_optimal" != "yes" ]; then
+    echo "check.sh: c6288 beta=0.10 C=2 not proven optimal in 60 s (got '$c6288_optimal')" >&2
+    exit 1
+fi
+echo "mip-root lane: c6288 beta=0.10 C=2 proven optimal"
 # Sweep lane: regenerate BENCH_sweep.json on the composed 200k-gate design
 # and hold the acceptance numbers — the warm pipeline at least 2x faster
 # than cold per-cell solves, every cell bit-identical between the two, on
