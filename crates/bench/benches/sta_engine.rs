@@ -1,15 +1,13 @@
 //! STA engine benchmarks: graph build, full analysis, path extraction, and
-//! the headline speedups of the incremental/parallel engine —
-//! full-vs-incremental re-timing on a single-row bias change and
-//! serial-vs-parallel Monte Carlo sampling. The speedup numbers are merged
+//! serial-vs-parallel Monte Carlo sampling. The summary numbers are merged
 //! into `BENCH_sta.json` at the workspace root (see EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_bench::prepare_design;
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
-use fbb_netlist::{generators, GateId};
-use fbb_sta::{par, IncrementalSta, RowMap, TimingGraph};
+use fbb_netlist::generators;
+use fbb_sta::{par, TimingGraph};
 use fbb_variation::{MonteCarloYield, ProcessVariation};
 use std::hint::black_box;
 
@@ -37,69 +35,20 @@ fn bench_sta(c: &mut Criterion) {
     });
 }
 
-/// Full-vs-incremental re-timing on a single-row bias change, and
-/// serial-vs-parallel Monte Carlo, on a placed Table 1 design.
+/// One full analysis, and serial-vs-parallel Monte Carlo, on a placed
+/// Table 1 design.
 fn bench_speedups(_c: &mut Criterion) {
     let design = prepare_design("c3540");
     let nl = &design.netlist;
     let chara = &design.characterization;
     let graph = TimingGraph::new(nl).expect("acyclic");
     let nominal: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
-    let biased: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 3)).collect();
 
-    let row_of: Vec<usize> = (0..nl.gate_count())
-        .map(|i| design.placement.row_of(GateId::from_index(i)).index())
-        .collect();
-    // Flip the bias of the row holding the middle gate — an arbitrary but
-    // fixed single-row change, as a bias-allocation move would make.
-    let flip_row = row_of[nl.gate_count() / 2];
-    let flip_gates: Vec<usize> =
-        (0..nl.gate_count()).filter(|&i| row_of[i] == flip_row).collect();
-
-    // Baseline: full re-analysis after each flip.
-    let mut full_delays = nominal.clone();
-    let mut level = 0usize;
     let full = measure(15, 20, || {
-        level ^= 1;
-        for &i in &flip_gates {
-            full_delays[i] = if level == 1 { biased[i] } else { nominal[i] };
-        }
-        black_box(graph.analyze(&full_delays).dcrit_ps());
+        black_box(graph.analyze(&nominal).dcrit_ps());
     });
-
-    // Incremental: invalidate the row, retime only its cone.
-    let mut inc = IncrementalSta::with_rows(&graph, &nominal, RowMap::new(&row_of));
-    let mut level = 0usize;
-    let incremental = measure(15, 20, || {
-        level ^= 1;
-        for &i in &flip_gates {
-            let d = if level == 1 { biased[i] } else { nominal[i] };
-            inc.delays_mut()[i] = d;
-        }
-        inc.invalidate_rows(&[flip_row]);
-        black_box(inc.retime());
-    });
-    // One more flip to report the cone size.
-    for &i in &flip_gates {
-        inc.delays_mut()[i] = biased[i];
-    }
-    inc.invalidate_rows(&[flip_row]);
-    inc.retime();
-    let retimed = inc.last_retimed_nodes();
-
-    let inc_speedup = incremental.speedup_over(&full);
-    println!(
-        "single-row bias flip on c3540 ({} gates, row {} = {} gates):",
-        nl.gate_count(),
-        flip_row,
-        flip_gates.len()
-    );
-    println!("  full analyze        {:>10.0} ns/flip", full.median_ns);
-    println!(
-        "  incremental retime  {:>10.0} ns/flip  ({} nodes retimed)",
-        incremental.median_ns, retimed
-    );
-    println!("  incremental speedup {inc_speedup:>10.2}x  (acceptance floor: 2x)");
+    println!("c3540 ({} gates):", nl.gate_count());
+    println!("  full analyze        {:>10.0} ns", full.median_ns);
 
     // Serial vs parallel Monte Carlo yield estimation.
     let mc = MonteCarloYield::new(nl, &design.placement, &nominal);
@@ -133,9 +82,6 @@ fn bench_speedups(_c: &mut Criterion) {
     let mut report = BenchReport::load(&path);
     report.set("sta_gate_count", nl.gate_count() as f64);
     report.set("sta_full_analyze_ns", full.median_ns);
-    report.set("sta_incremental_retime_ns", incremental.median_ns);
-    report.set("sta_incremental_speedup", inc_speedup);
-    report.set("sta_incremental_retimed_nodes", retimed as f64);
     report.set("mc_serial_ns", mc_serial.median_ns);
     report.set("mc_parallel_ns", mc_parallel.median_ns);
     report.set("mc_parallel_speedup", mc_speedup);
@@ -145,52 +91,24 @@ fn bench_speedups(_c: &mut Criterion) {
     println!("snapshot merged into {}", path.display());
 }
 
-/// Same full-vs-incremental comparison on the largest composed design the
-/// sweep bench uses, so `BENCH_sta.json` records how the engine holds up at
-/// the scaled workload axis (200k+ gates vs the 748-gate Table 1 row).
+/// The same full analysis, plus path extraction, on the largest composed
+/// design the sweep bench uses, so `BENCH_sta.json` records how the engine
+/// holds up at the scaled workload axis (200k+ gates vs the 748-gate
+/// Table 1 row).
 fn bench_composed(_c: &mut Criterion) {
     let composed = fbb_netlist::compose("soc200k", &fbb_netlist::ComposeOptions::with_target(200_000))
         .expect("palette composes");
     let nl = &composed.netlist;
     let library = Library::date09_45nm();
-    let placement = fbb_placement::tile(nl, &library, 64).expect("composed design tiles");
     let chara = library.characterize(
         &BodyBiasModel::date09_45nm(),
         &BiasLadder::date09().expect("valid ladder"),
     );
     let graph = TimingGraph::new(nl).expect("acyclic");
     let nominal: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
-    let biased: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 3)).collect();
-
-    let row_of: Vec<usize> = (0..nl.gate_count())
-        .map(|i| placement.row_of(GateId::from_index(i)).index())
-        .collect();
-    let flip_row = row_of[nl.gate_count() / 2];
-    let flip_gates: Vec<usize> =
-        (0..nl.gate_count()).filter(|&i| row_of[i] == flip_row).collect();
-
-    let mut full_delays = nominal.clone();
-    let mut level = 0usize;
     let full = measure(5, 3, || {
-        level ^= 1;
-        for &i in &flip_gates {
-            full_delays[i] = if level == 1 { biased[i] } else { nominal[i] };
-        }
-        black_box(graph.analyze(&full_delays).dcrit_ps());
+        black_box(graph.analyze(&nominal).dcrit_ps());
     });
-
-    let mut inc = IncrementalSta::with_rows(&graph, &nominal, RowMap::new(&row_of));
-    let mut level = 0usize;
-    let incremental = measure(5, 3, || {
-        level ^= 1;
-        for &i in &flip_gates {
-            let d = if level == 1 { biased[i] } else { nominal[i] };
-            inc.delays_mut()[i] = d;
-        }
-        inc.invalidate_rows(&[flip_row]);
-        black_box(inc.retime());
-    });
-    let inc_speedup = incremental.speedup_over(&full);
 
     // Path extraction on the nominal analysis: the full Π, and the β = 5 %
     // constrained subset, which materializes only the paths it keeps.
@@ -203,15 +121,11 @@ fn bench_composed(_c: &mut Criterion) {
         n_paths.1 = black_box(analysis.constrained_path_set(0.05)).len();
     });
     println!(
-        "single-row bias flip on composed design ({} gates, {} blocks, row {} = {} gates):",
+        "composed design ({} gates, {} blocks):",
         nl.gate_count(),
-        composed.blocks.len(),
-        flip_row,
-        flip_gates.len()
+        composed.blocks.len()
     );
-    println!("  full analyze        {:>12.0} ns/flip", full.median_ns);
-    println!("  incremental retime  {:>12.0} ns/flip", incremental.median_ns);
-    println!("  incremental speedup {inc_speedup:>12.2}x");
+    println!("  full analyze        {:>12.0} ns", full.median_ns);
     println!("  path set            {:>12.0} ns  ({} paths)", path_set.median_ns, n_paths.0);
     println!(
         "  constrained (5%)    {:>12.0} ns  ({} paths)",
@@ -225,8 +139,6 @@ fn bench_composed(_c: &mut Criterion) {
     report.set("sta_composed_full_analyze_ns", full.median_ns);
     report.set("sta_composed_path_set_ns", path_set.median_ns);
     report.set("sta_composed_constrained_path_set_ns", constrained.median_ns);
-    report.set("sta_composed_incremental_retime_ns", incremental.median_ns);
-    report.set("sta_composed_incremental_speedup", inc_speedup);
     report.save(&path).expect("snapshot writable");
     println!("snapshot merged into {}", path.display());
 }

@@ -182,7 +182,7 @@ mod tests {
         let sink = fbb_telemetry::MemorySink::new();
         use fbb_telemetry::Sink as _;
         sink.add("lp_simplex_solves", 7);
-        sink.record("sta_retime_cone_nodes", 12.5);
+        sink.record("mc_die_dcrit_ps", 12.5);
         sink.span_ns("ilp_solve", 1_000);
         let snap = sink.snapshot();
 
@@ -193,8 +193,8 @@ mod tests {
 
         let report = BenchReport::load(&path);
         assert_eq!(report.get("lp_simplex_solves"), Some(7.0));
-        assert_eq!(report.get("sta_retime_cone_nodes_count"), Some(1.0));
-        assert!((report.get("sta_retime_cone_nodes_mean").unwrap() - 12.5).abs() < 1e-9);
+        assert_eq!(report.get("mc_die_dcrit_ps_count"), Some(1.0));
+        assert!((report.get("mc_die_dcrit_ps_mean").unwrap() - 12.5).abs() < 1e-9);
         assert_eq!(report.get("ilp_solve_calls"), Some(1.0));
         assert_eq!(report.get("ilp_solve_total_ns"), Some(1000.0));
         // Nothing silently dropped: every snapshot key loads back.

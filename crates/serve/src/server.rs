@@ -18,11 +18,12 @@
 //!
 //! # Worker budget
 //!
-//! The pool size is fixed at startup: `--workers N`, or the
-//! `fbb_sta::par::threads` default when unset — resolved **once** in
-//! [`ServeConfig::resolved_workers`] and passed down explicitly, per the
-//! daemon policy in `fbb_sta::par` (a live pool never re-reads the
-//! environment).
+//! The number of solver threads is fixed at startup: `--workers N`, or the
+//! `fbb_sta::par::threads` default when unset, resolved once in
+//! [`ServeConfig::resolved_workers`]; the pool never grows or shrinks. The
+//! parallel loops *inside* each solve are sized per call by
+//! `fbb_sta::par::worker_count`, which reads `FBB_THREADS` every time (run
+//! the daemon with `FBB_THREADS=1` to keep each solve serial).
 //!
 //! # Clocks
 //!
@@ -91,8 +92,10 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The startup-time worker budget: `--workers` if given, otherwise the
-    /// `FBB_THREADS`/hardware default — read here, once, never again.
+    /// The solver-thread count: `--workers` if given, otherwise the
+    /// `FBB_THREADS`/hardware default at startup. It sizes the daemon's
+    /// pool only; loops inside a solve size themselves per call through
+    /// `fbb_sta::par`.
     #[must_use]
     pub fn resolved_workers(&self) -> usize {
         if self.workers > 0 {

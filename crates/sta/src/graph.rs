@@ -103,10 +103,11 @@ impl<'nl> TimingGraph<'nl> {
     /// (picoseconds, indexed by [`GateId::index`]; a flip-flop's entry is its
     /// clk→Q delay).
     ///
-    /// For repeated analyses that change only a few gates between calls
-    /// (bias allocation, tuning loops), prefer
-    /// [`IncrementalSta`](crate::IncrementalSta), which reuses this pass's
-    /// results and re-propagates only the affected cone.
+    /// Every timing consumer in the workspace runs this full pass:
+    /// pre-processing (once per design, to extract Π), timing-driven
+    /// placement, Monte-Carlo sampling (once per die) and the `fbb solve`
+    /// verification. Allocation re-checks Π through `fbb_core::CheckState`
+    /// instead of re-timing the netlist.
     ///
     /// # Example
     ///
@@ -131,8 +132,7 @@ impl<'nl> TimingGraph<'nl> {
         assert_eq!(delays.len(), self.gate_count(), "one delay per gate required");
         // Counter only (no float observation): analyze() also runs on
         // `par` worker threads, where only order-independent integer sums
-        // stay deterministic. Together with `sta_incremental_retimes` this
-        // gives the full-vs-incremental hit ratio.
+        // stay deterministic.
         fbb_telemetry::counter("sta_full_analyses", 1);
         let n = self.gate_count();
         let mut arrival = vec![0.0f64; n];
@@ -271,6 +271,26 @@ mod tests {
         let a = g.analyze(&[10.0, 30.0, 10.0]);
         // Input path: 10 (ends at DFF D). Launch path: 30 + 10 = 40.
         assert!((a.dcrit_ps() - 40.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dff_clk_to_q_change_moves_dcrit() {
+        // in -> inv(10) -> DFF(clk->q) -> inv(10) -> out
+        let mut b = NetlistBuilder::new("seq");
+        let a = b.input("a");
+        let w1 = b.gate(CellKind::Inv, DriveStrength::X1, &[a]).unwrap();
+        let q = b.dff(DriveStrength::X1, w1).unwrap();
+        let w2 = b.gate(CellKind::Inv, DriveStrength::X1, &[q]).unwrap();
+        b.output(w2, "y");
+        let nl = b.finish().unwrap();
+        let g = TimingGraph::new(&nl).unwrap();
+        assert!((g.analyze(&[10.0, 30.0, 10.0]).dcrit_ps() - 40.0).abs() < 1e-9);
+        // A slower clk->Q lengthens the launch path: 50 + 10 = 60, in both
+        // the capturing gate's arrival and the flop's own tail.
+        let slow = g.analyze(&[10.0, 50.0, 10.0]);
+        assert!((slow.dcrit_ps() - 60.0).abs() < 1e-9);
+        assert!((slow.arrival_ps(GateId::from_index(2)) - 60.0).abs() < 1e-9);
+        assert!((slow.tail_ps(GateId::from_index(1)) - 60.0).abs() < 1e-9);
     }
 
     #[test]

@@ -14,16 +14,14 @@
 //!   through one gate;
 //! * [`TimingAnalysis::critical_path_set`] — the deduplicated path set Π.
 //!
-//! Beyond the paper's one-shot flow, the crate provides the performance
-//! layer the allocators are built on:
-//!
-//! * [`IncrementalSta`] — generation-counted arrival/tail caches with
-//!   cone-limited re-timing after [`IncrementalSta::invalidate_rows`] /
-//!   [`IncrementalSta::set_gate_delay`], bit-identical to a from-scratch
-//!   [`TimingGraph::analyze`];
-//! * [`par`] — a std-only scoped-thread worker pool ([`par::parallel_map`],
-//!   [`par::parallel_gen`]) used for candidate ranking, ILP constraint
-//!   generation, and Monte Carlo sampling.
+//! [`TimingGraph::analyze`] is the crate's one deterministic timing engine,
+//! and no caller needs a cone-limited re-timer: as in the paper, the
+//! allocators re-check timing on Π's path table (`fbb_core::CheckState`),
+//! and Monte-Carlo sampling changes every gate of every die, so each die
+//! costs one full pass. Beside it sit [`ssta`] (first-order statistical
+//! timing with Clark's max) and [`par`], a std-only scoped-thread worker
+//! pool ([`par::parallel_map`], [`par::parallel_gen`]) used for candidate
+//! ranking, ILP constraint generation, and Monte Carlo sampling.
 //!
 //! # Example
 //!
@@ -52,6 +50,6 @@ pub mod par;
 mod path;
 pub mod ssta;
 
-pub use analysis::{IncrementalSta, RowId, RowMap, TimingAnalysis};
+pub use analysis::TimingAnalysis;
 pub use graph::TimingGraph;
 pub use path::TimingPath;

@@ -25,19 +25,14 @@
 //! small loops run serially instead of paying for threads that slow them
 //! down.
 //!
-//! # Daemons: pass the budget explicitly
+//! # One budget, read per loop
 //!
-//! `FBB_THREADS` is a **startup-time** knob. It is the right interface for
-//! a CLI invocation (one process, one environment, one budget), but a
-//! long-running service must not let an ambient process-global read decide
-//! its pool size: the operator configures the worker count when the daemon
-//! starts (`fbb serve --workers N`), and resizing means restarting with a
-//! new value — the environment is never re-consulted to grow or shrink a
-//! live pool. Services therefore resolve their budget **once at startup**
-//! (defaulting to [`threads`] if unconfigured) and thread it through the
-//! explicit-budget entry points [`worker_count_in`], [`parallel_gen_in`],
-//! and [`parallel_map_in`] instead of calling the env-reading [`threads`]
-//! from request paths.
+//! Every loop sizes itself from [`threads`], which reads `FBB_THREADS` on
+//! each call. That per-call read is deliberate: tests and benches change
+//! the variable at runtime, and an embedding process can set it in-process
+//! to pin every solve serial. A daemon (`fbb serve --workers N`) fixes the
+//! number of *solve workers* once at startup, but the loops inside each
+//! solve still size themselves here, from the same environment.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -77,16 +72,12 @@ pub const MIN_JOBS_PER_WORKER: usize = 4;
 /// [`MIN_JOBS_PER_WORKER`] jobs shrink the pool, down to `1` — fully
 /// serial, no threads spawned.
 pub fn worker_count(jobs: usize) -> usize {
-    worker_count_in(threads(), jobs)
+    workers_for(threads(), jobs)
 }
 
-/// [`worker_count`] with an explicit thread budget instead of the
-/// env-derived [`threads`] value.
-///
-/// Daemons resolve their budget once at startup (`fbb serve --workers N`)
-/// and pass it here per loop, so a request never consults the process
-/// environment. Budget `0` is treated as `1` — fully serial.
-pub fn worker_count_in(budget: usize, jobs: usize) -> usize {
+/// [`worker_count`] for an explicit thread budget; budget `0` is treated
+/// as `1` — fully serial.
+fn workers_for(budget: usize, jobs: usize) -> usize {
     budget.min(jobs / MIN_JOBS_PER_WORKER).max(1)
 }
 
@@ -104,23 +95,17 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    parallel_gen_in(threads(), n, f)
+    gen_with_budget(threads(), n, f)
 }
 
-/// [`parallel_gen`] with an explicit thread budget instead of the
-/// env-derived [`threads`] value — the entry point for daemons that sized
-/// their pool at startup (see the module docs). The budget is still subject
-/// to [`MIN_JOBS_PER_WORKER`] clamping, so small loops stay serial.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`.
-pub fn parallel_gen_in<R, F>(budget: usize, n: usize, f: F) -> Vec<R>
+/// [`parallel_gen`] for an explicit thread budget, still subject to the
+/// [`MIN_JOBS_PER_WORKER`] clamp.
+fn gen_with_budget<R, F>(budget: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = worker_count_in(budget, n);
+    let workers = workers_for(budget, n);
     let serial = workers <= 1 || n <= 1;
     if fbb_telemetry::is_enabled() {
         // NOTE: `par_*` counters legitimately vary with `FBB_THREADS` (the
@@ -177,20 +162,6 @@ where
     parallel_gen(items.len(), |i| f(i, &items[i]))
 }
 
-/// [`parallel_map`] with an explicit thread budget (see [`parallel_gen_in`]).
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`.
-pub fn parallel_map_in<T, R, F>(budget: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_gen_in(budget, items.len(), |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,21 +213,13 @@ mod tests {
     fn explicit_budget_ignores_env() {
         // A fixed budget must behave identically whatever FBB_THREADS says;
         // these are pure-arithmetic checks, no env mutation required.
-        assert_eq!(worker_count_in(0, 10_000), 1);
-        assert_eq!(worker_count_in(1, 10_000), 1);
-        assert_eq!(worker_count_in(4, 10_000), 4);
-        assert_eq!(worker_count_in(4, 8), 2); // MIN_JOBS_PER_WORKER clamp
+        assert_eq!(workers_for(0, 10_000), 1);
+        assert_eq!(workers_for(1, 10_000), 1);
+        assert_eq!(workers_for(4, 10_000), 4);
+        assert_eq!(workers_for(4, 8), 2); // MIN_JOBS_PER_WORKER clamp
         let expect: Vec<usize> = (0..257).map(|i| i * 3).collect();
-        assert_eq!(parallel_gen_in(1, 257, |i| i * 3), expect);
-        assert_eq!(parallel_gen_in(8, 257, |i| i * 3), expect);
-    }
-
-    #[test]
-    fn map_in_matches_map() {
-        let items: Vec<i64> = (0..100).collect();
-        let got = parallel_map_in(3, &items, |i, &x| x + i as i64);
-        let expect: Vec<i64> = (0..100).map(|x| x * 2).collect();
-        assert_eq!(got, expect);
+        assert_eq!(gen_with_budget(1, 257, |i| i * 3), expect);
+        assert_eq!(gen_with_budget(8, 257, |i| i * 3), expect);
     }
 
     #[test]

@@ -198,89 +198,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_retime_is_bit_identical_to_full_analyze(
-        seed in 0u64..5_000,
-        registered in proptest::arbitrary::any::<bool>(),
-        flips in proptest::collection::vec((0usize..10_000, 1.0f64..20.0), 1..25),
-    ) {
-        // Randomized bias flips: after every delay change, the incremental
-        // engine must reproduce a from-scratch analyze exactly — same bits,
-        // not just the same values up to rounding.
-        let nl = random_logic(
-            "p",
-            &RandomLogicOptions {
-                target_gates: 120,
-                n_inputs: 6,
-                seed,
-                registered,
-                locality_window: 10,
-            },
-        )
-        .expect("valid generator");
-        let mut d = delays(&nl, seed ^ 0x5EED);
-        let graph = TimingGraph::new(&nl).expect("acyclic");
-        let mut inc = fbb_sta::IncrementalSta::new(&graph, &d);
-        for (raw_gate, new_delay) in flips {
-            let gate = raw_gate % nl.gate_count();
-            d[gate] = new_delay;
-            inc.set_gate_delay(GateId::from_index(gate), new_delay);
-            let dcrit = inc.retime();
-            let full = graph.analyze(&d);
-            prop_assert_eq!(dcrit.to_bits(), full.dcrit_ps().to_bits());
-            for i in 0..nl.gate_count() {
-                let id = GateId::from_index(i);
-                prop_assert_eq!(
-                    inc.arrival_ps(id).to_bits(),
-                    full.arrival_ps(id).to_bits(),
-                    "arrival differs at gate {}", i
-                );
-                prop_assert_eq!(
-                    inc.tail_ps(id).to_bits(),
-                    full.tail_ps(id).to_bits(),
-                    "tail differs at gate {}", i
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn row_invalidation_is_bit_identical_to_full_analyze(
-        seed in 0u64..5_000,
-        n_rows in 2usize..8,
-        flips in proptest::collection::vec((0usize..10_000, 0.5f64..1.0), 1..12),
-    ) {
-        // Row-granular bias moves through invalidate_rows: scale every gate
-        // of one row (a bias step speeds the whole row up) and compare.
-        let nl = circuit(seed, 140);
-        let mut d = delays(&nl, seed ^ 0x0FBB);
-        let graph = TimingGraph::new(&nl).expect("acyclic");
-        let row_of: Vec<usize> = (0..nl.gate_count()).map(|i| i % n_rows).collect();
-        let rows = fbb_sta::RowMap::new(&row_of);
-        let mut inc = fbb_sta::IncrementalSta::with_rows(&graph, &d, rows);
-        for (raw_row, scale) in flips {
-            let row = raw_row % n_rows;
-            for i in 0..nl.gate_count() {
-                if row_of[i] == row {
-                    d[i] *= scale;
-                    inc.delays_mut()[i] = d[i];
-                }
-            }
-            inc.invalidate_rows(&[row]);
-            let dcrit = inc.retime();
-            let full = graph.analyze(&d);
-            prop_assert_eq!(dcrit.to_bits(), full.dcrit_ps().to_bits());
-            for i in 0..nl.gate_count() {
-                let id = GateId::from_index(i);
-                prop_assert_eq!(
-                    inc.arrival_ps(id).to_bits(),
-                    full.arrival_ps(id).to_bits(),
-                    "arrival differs at gate {}", i
-                );
-            }
-        }
-    }
-
-    #[test]
     fn slack_is_nonnegative_and_zero_on_the_critical_path(seed in 0u64..5_000) {
         let nl = circuit(seed, 120);
         let d = delays(&nl, seed ^ 0x77);

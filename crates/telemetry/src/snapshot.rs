@@ -249,7 +249,7 @@ mod tests {
         let mut stat = StatSummary::default();
         stat.observe(2.0);
         stat.observe(4.0);
-        snap.stats.insert("sta_retime_cone_nodes".into(), stat);
+        snap.stats.insert("mc_die_dcrit_ps".into(), stat);
         let mut span = SpanSummary::default();
         span.observe(1_500);
         snap.spans.insert("ilp_solve".into(), span);
@@ -260,8 +260,8 @@ mod tests {
     fn flat_json_schema() {
         let json = sample().to_flat_json();
         assert!(json.contains("\"lp_simplex_pivots\": 42"));
-        assert!(json.contains("\"sta_retime_cone_nodes_count\": 2"));
-        assert!(json.contains("\"sta_retime_cone_nodes_mean\": 3.0"));
+        assert!(json.contains("\"mc_die_dcrit_ps_count\": 2"));
+        assert!(json.contains("\"mc_die_dcrit_ps_mean\": 3.0"));
         assert!(json.contains("\"ilp_solve_calls\": 1"));
         assert!(json.contains("\"ilp_solve_total_ns\": 1500"));
         assert!(json.starts_with("{\n"));

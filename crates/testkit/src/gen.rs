@@ -231,7 +231,7 @@ pub fn random_cluster(rng: &mut ChaCha8Rng) -> Preprocessed {
 }
 
 /// A random STA workload: a netlist, its initial per-gate delays, and a
-/// sequence of single-gate delay changes to replay incrementally.
+/// sequence of single-gate delay changes, each re-timed from scratch.
 #[derive(Debug, Clone)]
 pub struct StaCase {
     /// The generated (acyclic, possibly registered) netlist.

@@ -19,8 +19,8 @@
 //!    engines agree with the oracles: simplex/B&B objectives match the dense
 //!    simplex within tolerance, ILP solutions are optimal per the
 //!    enumerator, greedy solutions are feasible and within a bounded leakage
-//!    gap of the ILP, and `IncrementalSta` stays bit-identical to both the
-//!    full `analyze` and the naive STA.
+//!    gap of the ILP, and `analyze` stays bit-identical to the naive STA
+//!    across random delay flips.
 //! 3. **Deterministic fault injection** ([`FaultPlan`]) — seeded from the
 //!    case, no wall-clock in plan construction — forces the degraded exits
 //!    (deadline, iteration limit, node limit, zero-row and single-row

@@ -4,6 +4,9 @@
 #   - unit + integration + property + doc tests
 #   - clippy clean under -D warnings
 #   - rustdoc builds warning-free (RUSTDOCFLAGS turns warnings into errors)
+#   - benchmark lane: the separate benchmark/ workspace (path deps on the
+#     engine crates) builds and its unit tests pass; --locked keeps it from
+#     rewriting benchmark/Cargo.lock
 #   - testkit gate: the differential-oracle suites in crates/testkit
 #     (includes the sparse-engine-vs-dense-oracle property suite)
 #   - difftest smoke: a clean sparse-vs-oracle run passes AND the armed
@@ -44,6 +47,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+# Benchmark lane: benchmark/ is its own workspace, so `--workspace` above
+# never compiles it; build and test it here so that removing an engine API
+# it uses fails this gate, not the first benchmark run.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Differential-testing gate: oracles vs engines, plus fault-injection suites.
 cargo test -q -p fbb-testkit

@@ -38,10 +38,10 @@ use fbb::db::{is_design_db, DesignDb};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
 use fbb::lp::deadline::Stopwatch;
 use fbb::serve::{Client, ServeConfig, Server, SolveRequest};
-use fbb::netlist::{bench_fmt, fmt as nl_fmt, suite, GateId, Netlist};
+use fbb::netlist::{bench_fmt, fmt as nl_fmt, suite, Netlist};
 use fbb::placement::layout::{self, LayoutOptions};
 use fbb::placement::{Placement, Placer, PlacerOptions};
-use fbb::sta::{IncrementalSta, RowMap, TimingGraph};
+use fbb::sta::TimingGraph;
 use fbb::variation::{MonteCarloYield, ProcessVariation};
 
 /// CLI outcome classes, each with a stable exit code (see the module docs).
@@ -875,37 +875,21 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     fbb::telemetry::record("cli_solution_savings_pct", sol.savings_vs(&baseline));
 
     // Independent verification: apply the biases to the degraded die and
-    // re-time. Seeding the incremental engine with the degraded delays and
-    // invalidating only the biased rows exercises the cone-limited re-timing
-    // path, which is bit-identical to a from-scratch analyze of the tuned
-    // delays.
+    // re-time the whole netlist once (the allocators only checked Π).
     let graph = TimingGraph::new(nl).map_err(|e| e.to_string())?;
-    let degraded: Vec<f64> =
-        nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0) * (1.0 + beta)).collect();
-    let row_of: Vec<usize> =
-        (0..nl.gate_count()).map(|i| placement.row_of(GateId::from_index(i)).index()).collect();
-    let mut inc = IncrementalSta::with_rows(&graph, &degraded, RowMap::new(&row_of));
-    let mut dirty_rows = Vec::new();
-    {
-        let delays = inc.delays_mut();
-        for (i, &base) in degraded.iter().enumerate() {
-            let tuned = base * (1.0 - chara.speedup_fraction(sol.assignment[row_of[i]]));
-            if tuned.to_bits() != delays[i].to_bits() {
-                delays[i] = tuned;
-                dirty_rows.push(row_of[i]);
-            }
-        }
-    }
-    dirty_rows.sort_unstable();
-    dirty_rows.dedup();
-    inc.invalidate_rows(&dirty_rows);
-    let tuned_dcrit = inc.retime();
+    let tuned: Vec<f64> = nl
+        .iter_gates()
+        .map(|(id, g)| {
+            let level = sol.assignment[placement.row_of(id).index()];
+            chara.delay_ps(g.cell, 0) * (1.0 + beta) * (1.0 - chara.speedup_fraction(level))
+        })
+        .collect();
+    let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
     println!(
-        "verification: biased degraded Dcrit = {:.1} ps vs target {:.1} ps ({}; retimed {} nodes)",
+        "verification: biased degraded Dcrit = {:.1} ps vs target {:.1} ps ({})",
         tuned_dcrit,
         pre.dcrit_ps,
-        if tuned_dcrit <= pre.dcrit_ps * 1.002 { "met" } else { "VIOLATED" },
-        inc.last_retimed_nodes()
+        if tuned_dcrit <= pre.dcrit_ps * 1.002 { "met" } else { "VIOLATED" }
     );
 
     // Monte-Carlo yield of the uncompensated die population. On by default

@@ -97,6 +97,28 @@ fn proven_ilp_solve_exits_0_and_says_proven() {
 }
 
 #[test]
+fn verification_line_agrees_with_its_own_numbers() {
+    let nl = adder_netlist("verify");
+    let out =
+        fbb(&["solve", "--netlist", nl.to_str().expect("utf8"), "--rows", "9", "--beta", "0.05"]);
+    let stdout = text(&out.stdout);
+    assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
+    let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("verification:")).collect();
+    assert_eq!(lines.len(), 1, "stdout: {stdout}");
+    let numbers = lines[0]
+        .strip_prefix("verification: biased degraded Dcrit = ")
+        .and_then(|rest| rest.strip_suffix(" ps (met)"))
+        .unwrap_or_else(|| panic!("unexpected verification line: {}", lines[0]));
+    let (dcrit, target) = numbers.split_once(" ps vs target ").expect("Dcrit and target");
+    let dcrit: f64 = dcrit.parse().expect("Dcrit is a number");
+    let target: f64 = target.parse().expect("target is a number");
+    // `met` means Dcrit <= target * 1.002; both print to 0.1 ps, so each
+    // printed value may be off by up to 0.05 ps.
+    assert!(dcrit - 0.05 <= (target + 0.05) * 1.002, "{dcrit} ps vs target {target} ps");
+    let _ = std::fs::remove_file(nl);
+}
+
+#[test]
 fn clean_difftest_exits_0() {
     let out = fbb(&["difftest", "--cases", "4", "--seed", "9"]);
     let stdout = text(&out.stdout);
