@@ -177,8 +177,10 @@ struct BranchInfo {
 
 struct Node {
     bound: f64,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
+    /// Branching bound changes from the root, oldest first, as
+    /// `(var, lower, upper)`; a later change of the same variable overrides
+    /// an earlier one.
+    changes: Vec<(usize, f64, f64)>,
     /// Parent's optimal basis, shared by both siblings; at the root, the
     /// last root cut round's. `None` when there is none (no cut round ran,
     /// or a relaxation produced no basis).
@@ -414,11 +416,13 @@ fn branch_and_bound(
     let mut heap = BinaryHeap::new();
     heap.push(Node {
         bound: f64::NEG_INFINITY,
-        lower: root_lower,
-        upper: root_upper,
+        changes: Vec::new(),
         basis: root_basis.map(Rc::new),
         branch: None,
     });
+    // The popped node's box: the root bounds with its changes applied.
+    let mut lower = root_lower.clone();
+    let mut upper = root_upper.clone();
 
     // One engine for the whole tree: the constraint matrix — original rows
     // plus the root cuts — is shared by every node (only variable bounds
@@ -466,13 +470,19 @@ fn branch_and_bound(
             }
         }
         nodes += 1;
+        lower.copy_from_slice(&root_lower);
+        upper.copy_from_slice(&root_upper);
+        for &(j, lo, up) in &node.changes {
+            lower[j] = lo;
+            upper[j] = up;
+        }
 
         let deadline = clock.deadline_after(options.time_limit);
         let warm_basis = if options.warm_start { node.basis.as_deref() } else { None };
         let (mut outcome, was_warm) = solve_relaxation(
             &mut engine,
-            &node.lower,
-            &node.upper,
+            &lower,
+            &upper,
             deadline,
             warm_basis,
             &mut tel_warm,
@@ -484,7 +494,7 @@ fn branch_and_bound(
             tel_cut_rechecks += 1;
             if root_cuts.iter().any(|c| !c.is_satisfied(&outcome.solution.x, CUT_RECHECK_TOL)) {
                 tel_warm.fallbacks += 1;
-                outcome = engine.solve_cold(&node.lower, &node.upper, deadline)?;
+                outcome = engine.solve_cold(&lower, &upper, deadline)?;
             }
         }
         if fbb_telemetry::is_enabled() {
@@ -536,7 +546,8 @@ fn branch_and_bound(
                             &cands,
                             &relax.x,
                             relax.objective,
-                            &node,
+                            &lower,
+                            &upper,
                             clock,
                             options.time_limit,
                             basis,
@@ -575,7 +586,7 @@ fn branch_and_bound(
                 if best_x.is_none() {
                     let mut probe = relax.x.clone();
                     for &k in &int_vars {
-                        probe[k] = probe[k].round().clamp(node.lower[k], node.upper[k]);
+                        probe[k] = probe[k].round().clamp(lower[k], upper[k]);
                     }
                     if model.is_feasible(&probe, 1e-6) {
                         let obj = model.objective_value(&probe);
@@ -590,10 +601,15 @@ fn branch_and_bound(
                 let xv = relax.x[j];
                 let frac = xv - xv.floor();
                 let inherited = relax_basis.map(Rc::new);
-                let mut down = Node {
+                let child_changes = |change: (usize, f64, f64)| {
+                    let mut changes = Vec::with_capacity(node.changes.len() + 1);
+                    changes.extend_from_slice(&node.changes);
+                    changes.push(change);
+                    changes
+                };
+                let down = Node {
                     bound: relax.objective,
-                    lower: node.lower.clone(),
-                    upper: node.upper.clone(),
+                    changes: child_changes((j, lower[j], xv.floor())),
                     basis: inherited.clone(),
                     branch: Some(BranchInfo {
                         var: j,
@@ -602,11 +618,9 @@ fn branch_and_bound(
                         parent_obj: relax.objective,
                     }),
                 };
-                down.upper[j] = xv.floor();
-                let mut up = Node {
+                let up = Node {
                     bound: relax.objective,
-                    lower: node.lower,
-                    upper: node.upper,
+                    changes: child_changes((j, xv.ceil(), upper[j])),
                     basis: inherited,
                     branch: Some(BranchInfo {
                         var: j,
@@ -615,7 +629,6 @@ fn branch_and_bound(
                         parent_obj: relax.objective,
                     }),
                 };
-                up.lower[j] = xv.ceil();
                 heap.push(down);
                 heap.push(up);
             }
@@ -747,7 +760,8 @@ fn strong_branch_probes(
     cands: &[(usize, f64)],
     x: &[f64],
     parent_obj: f64,
-    node: &Node,
+    node_lower: &[f64],
+    node_upper: &[f64],
     clock: &crate::deadline::Stopwatch,
     time_limit: Option<Duration>,
     basis: &Basis,
@@ -764,20 +778,20 @@ fn strong_branch_probes(
         }
         let probe_deadline = clock.deadline_after(time_limit);
         let xv = x[j];
-        let mut upper = node.upper.clone();
+        let mut upper = node_upper.to_vec();
         upper[j] = xv.floor();
         *tel_probes += 1;
-        if let Some(out) = engine.solve_warm(&node.lower, &upper, probe_deadline, basis)? {
+        if let Some(out) = engine.solve_warm(node_lower, &upper, probe_deadline, basis)? {
             match out.solution.status {
                 LpStatus::Optimal => pc.observe(j, false, frac, out.solution.objective - parent_obj),
                 LpStatus::Infeasible => pc.observe(j, false, frac, STRONG_INFEASIBLE_DEGRADATION),
                 _ => {}
             }
         }
-        let mut lower = node.lower.clone();
+        let mut lower = node_lower.to_vec();
         lower[j] = xv.ceil();
         *tel_probes += 1;
-        if let Some(out) = engine.solve_warm(&lower, &node.upper, probe_deadline, basis)? {
+        if let Some(out) = engine.solve_warm(&lower, node_upper, probe_deadline, basis)? {
             match out.solution.status {
                 LpStatus::Optimal => pc.observe(j, true, 1.0 - frac, out.solution.objective - parent_obj),
                 LpStatus::Infeasible => pc.observe(j, true, 1.0 - frac, STRONG_INFEASIBLE_DEGRADATION),

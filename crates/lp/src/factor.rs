@@ -2,12 +2,18 @@
 //! product-form (eta) updates.
 //!
 //! The basis matrix `B` (one column of [`crate::sparse::CscMatrix`] per
-//! basic variable) is factorized as `PB = LU` by a left-looking
-//! Gilbert–Peierls elimination with partial pivoting: each column is
-//! obtained by a sparse triangular solve whose nonzero pattern is found by
-//! depth-first reachability over the columns of `L` built so far, so the
-//! work per column is proportional to arithmetic actually performed rather
-//! than to `m`.
+//! basic variable) is factorized as `PBQ = LU`. Most of an FBB basis is
+//! slack (and, on redundant rows, artificial) unit columns, so the
+//! factorization first pivots every column with a single nonzero on its own
+//! row, in basis-position order, without any elimination: those steps
+//! leave `L` empty and put only a diagonal entry in `U`. The remaining
+//! *kernel* columns then go through a left-looking Gilbert–Peierls
+//! elimination with partial pivoting: each column is obtained by a sparse
+//! triangular solve whose nonzero pattern is found by depth-first
+//! reachability over the columns of `L` built so far, so the work per
+//! column is proportional to arithmetic actually performed rather than to
+//! `m`. `Q` records which basis position each elimination step took, and
+//! the triangular solves apply it on the way out (FTRAN) or in (BTRAN).
 //!
 //! After a pivot the simplex does not refactorize; it appends an *eta*
 //! column — the product-form update `B_k = B_0 · E_1 ⋯ E_k`, where `E_j` is
@@ -33,14 +39,14 @@ const ETA_DROP_TOL: f64 = 1e-12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SingularBasis;
 
-/// `PB = LU` for one snapshot of the basis.
+/// `PBQ = LU` for one snapshot of the basis.
 ///
 /// `L` is unit lower triangular and `U` upper triangular, both stored
-/// column-wise with row indices in *pivot-position* space; `pinv` maps an
-/// original row index to its pivot position.
-#[derive(Debug, Clone)]
+/// column-wise by elimination step with row indices in step space; `pinv`
+/// maps an original row index to the step that pivoted it, and `q` maps a
+/// step to the basis position it eliminated.
+#[derive(Debug, Clone, Default)]
 struct LuFactor {
-    m: usize,
     l_ptr: Vec<usize>,
     l_idx: Vec<usize>,
     l_val: Vec<f64>,
@@ -49,38 +55,80 @@ struct LuFactor {
     u_val: Vec<f64>,
     u_diag: Vec<f64>,
     pinv: Vec<usize>,
+    q: Vec<usize>,
+    /// Columns that went through elimination (not single-nonzero).
+    kernel: usize,
 }
 
 const UNPIVOTED: usize = usize::MAX;
 
+/// Scratch kept across factorizations and solves so neither allocates:
+/// the factorization's scatter and DFS buffers (`x` and `visited` are left
+/// all-zero / all-false between columns) and the triangular solves'
+/// step-space vector `y`.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    x: Vec<f64>,
+    visited: Vec<bool>,
+    topo: Vec<usize>,
+    dfs: Vec<(usize, usize)>,
+    y: Vec<f64>,
+}
+
 impl LuFactor {
-    /// Factorizes the basis columns `basis[pos] = matrix column` in
-    /// position order.
-    fn factorize(mat: &CscMatrix, basis: &[usize]) -> Result<LuFactor, SingularBasis> {
+    /// Factorizes the basis columns `basis[pos] = matrix column` into
+    /// `self`, reusing its storage: single-nonzero columns first, then the
+    /// kernel, each group in position order. On failure `self` holds no
+    /// usable factorization.
+    fn factorize_into(
+        &mut self,
+        mat: &CscMatrix,
+        basis: &[usize],
+        ws: &mut Workspace,
+    ) -> Result<(), SingularBasis> {
         let m = mat.rows();
         debug_assert_eq!(basis.len(), m);
-        let mut f = LuFactor {
-            m,
-            l_ptr: Vec::with_capacity(m + 1),
-            l_idx: Vec::new(),
-            l_val: Vec::new(),
-            u_ptr: Vec::with_capacity(m + 1),
-            u_idx: Vec::new(),
-            u_val: Vec::new(),
-            u_diag: Vec::with_capacity(m),
-            pinv: vec![UNPIVOTED; m],
-        };
-        f.l_ptr.push(0);
-        f.u_ptr.push(0);
+        for v in [&mut self.l_ptr, &mut self.l_idx, &mut self.u_ptr, &mut self.u_idx, &mut self.q] {
+            v.clear();
+        }
+        for v in [&mut self.l_val, &mut self.u_val, &mut self.u_diag] {
+            v.clear();
+        }
+        self.pinv.clear();
+        self.pinv.resize(m, UNPIVOTED);
+        self.l_ptr.push(0);
+        self.u_ptr.push(0);
+        ws.x.resize(m, 0.0);
+        ws.visited.resize(m, false);
 
-        // Scatter / DFS workspaces, reset incrementally between columns.
-        let mut x = vec![0.0f64; m];
-        let mut visited = vec![false; m];
-        let mut topo: Vec<usize> = Vec::with_capacity(m);
-        let mut dfs: Vec<(usize, usize)> = Vec::with_capacity(m);
+        // Single-nonzero columns pivot on their own row: nothing to
+        // eliminate, so L gets an empty column and U only its diagonal.
+        // Two of them on one row are linearly dependent.
+        for (pos, &bk) in basis.iter().enumerate() {
+            let (rows, vals) = mat.col(bk);
+            if let ([r], [v]) = (rows, vals) {
+                if self.pinv[*r] != UNPIVOTED || v.abs() <= SINGULAR_TOL {
+                    return Err(SingularBasis);
+                }
+                self.pinv[*r] = self.q.len();
+                self.q.push(pos);
+                self.u_diag.push(*v);
+                self.l_ptr.push(self.l_idx.len());
+                self.u_ptr.push(self.u_idx.len());
+            }
+        }
+        self.kernel = m - self.q.len();
 
-        for (k, &bk) in basis.iter().enumerate() {
+        let x = &mut ws.x;
+        let visited = &mut ws.visited;
+        let topo = &mut ws.topo;
+        let dfs = &mut ws.dfs;
+        for (pos, &bk) in basis.iter().enumerate() {
             let (b_rows, b_vals) = mat.col(bk);
+            if b_rows.len() == 1 {
+                continue;
+            }
+            let k = self.q.len();
 
             // Symbolic step: nonzero pattern of L⁻¹ b is the set of rows
             // reachable from b's pattern through columns of L built so far.
@@ -93,11 +141,11 @@ impl LuFactor {
                 dfs.push((root, 0));
                 visited[root] = true;
                 while let Some(&mut (node, ref mut child)) = dfs.last_mut() {
-                    let col = f.pinv[node];
+                    let col = self.pinv[node];
                     let kids: &[usize] = if col == UNPIVOTED {
                         &[]
                     } else {
-                        &f.l_idx[f.l_ptr[col]..f.l_ptr[col + 1]]
+                        &self.l_idx[self.l_ptr[col]..self.l_ptr[col + 1]]
                     };
                     // Note: before the final remap below, l_idx holds
                     // *original* row indices, which is what DFS needs.
@@ -120,7 +168,7 @@ impl LuFactor {
                 x[i] = v;
             }
             for &i in topo.iter().rev() {
-                let col = f.pinv[i];
+                let col = self.pinv[i];
                 if col == UNPIVOTED {
                     continue;
                 }
@@ -128,23 +176,24 @@ impl LuFactor {
                 if is_zero(xi) {
                     continue;
                 }
-                for (idx, &r) in f.l_idx[f.l_ptr[col]..f.l_ptr[col + 1]].iter().enumerate() {
-                    x[r] -= f.l_val[f.l_ptr[col] + idx] * xi;
+                let span = self.l_ptr[col]..self.l_ptr[col + 1];
+                for (&r, &l) in self.l_idx[span.clone()].iter().zip(&self.l_val[span]) {
+                    x[r] -= l * xi;
                 }
             }
 
             // Partial pivoting over rows not yet assigned a pivot.
             let mut pivot_row = UNPIVOTED;
             let mut pivot_mag = SINGULAR_TOL;
-            for &i in &topo {
-                if f.pinv[i] == UNPIVOTED && x[i].abs() > pivot_mag {
+            for &i in topo.iter() {
+                if self.pinv[i] == UNPIVOTED && x[i].abs() > pivot_mag {
                     pivot_mag = x[i].abs();
                     pivot_row = i;
                 }
             }
             if pivot_row == UNPIVOTED {
                 // Clean up workspaces before reporting failure.
-                for &i in &topo {
+                for &i in topo.iter() {
                     x[i] = 0.0;
                     visited[i] = false;
                 }
@@ -152,40 +201,46 @@ impl LuFactor {
             }
             let diag = x[pivot_row];
 
-            for &i in &topo {
-                if f.pinv[i] != UNPIVOTED {
-                    f.u_idx.push(f.pinv[i]);
-                    f.u_val.push(x[i]);
+            for &i in topo.iter() {
+                if self.pinv[i] != UNPIVOTED {
+                    self.u_idx.push(self.pinv[i]);
+                    self.u_val.push(x[i]);
                 } else if i != pivot_row {
                     let scaled = x[i] / diag;
                     if is_nonzero(scaled) {
-                        f.l_idx.push(i);
-                        f.l_val.push(scaled);
+                        self.l_idx.push(i);
+                        self.l_val.push(scaled);
                     }
                 }
                 x[i] = 0.0;
                 visited[i] = false;
             }
-            f.u_diag.push(diag);
-            f.u_ptr.push(f.u_idx.len());
-            f.l_ptr.push(f.l_idx.len());
-            f.pinv[pivot_row] = k;
+            self.u_diag.push(diag);
+            self.u_ptr.push(self.u_idx.len());
+            self.l_ptr.push(self.l_idx.len());
+            self.pinv[pivot_row] = k;
+            self.q.push(pos);
         }
 
-        // Remap L's row indices from original to pivot-position space so the
-        // triangular solves below never consult the permutation.
-        for r in f.l_idx.iter_mut() {
-            *r = f.pinv[*r];
+        // Remap L's row indices from original to step space so the
+        // triangular solves below never consult the row permutation.
+        for r in self.l_idx.iter_mut() {
+            *r = self.pinv[*r];
         }
-        Ok(f)
+        Ok(())
+    }
+
+    /// Stored entries of `L` and `U`, diagonal included.
+    fn nnz(&self) -> usize {
+        self.l_idx.len() + self.u_idx.len() + self.u_diag.len()
     }
 
     /// In-place FTRAN: on entry `x` holds `b` in original row space, on exit
-    /// the solution of `Bx = b` indexed by basis position.
-    fn solve_dense(&self, x: &mut [f64]) {
-        let m = self.m;
-        // Permute into pivot space via a scratch pass.
-        let mut y = vec![0.0f64; m];
+    /// the solution of `Bx = b` indexed by basis position. `y` is scratch
+    /// of length `m`; its contents are overwritten.
+    fn solve_dense(&self, x: &mut [f64], y: &mut [f64]) {
+        let m = self.q.len();
+        // Permute into step space.
         for (i, &v) in x.iter().enumerate() {
             y[self.pinv[i]] = v;
         }
@@ -208,35 +263,40 @@ impl LuFactor {
                 }
             }
         }
-        x.copy_from_slice(&y);
+        // Step s solved for basis position q[s].
+        for (&pos, &ys) in self.q.iter().zip(y.iter()) {
+            x[pos] = ys;
+        }
     }
 
     /// In-place BTRAN: on entry `x` holds `c` indexed by basis position, on
-    /// exit the solution of `Bᵀy = c` in original row space.
-    fn solve_transpose_dense(&self, x: &mut [f64]) {
-        let m = self.m;
+    /// exit the solution of `Bᵀy = c` in original row space. `y` is scratch
+    /// of length `m`; its contents are overwritten.
+    fn solve_transpose_dense(&self, x: &mut [f64], y: &mut [f64]) {
+        let m = self.q.len();
+        for (&pos, ys) in self.q.iter().zip(y.iter_mut()) {
+            *ys = x[pos];
+        }
         // Uᵀ forward solve.
         for k in 0..m {
-            let mut v = x[k];
+            let mut v = y[k];
             for idx in self.u_ptr[k]..self.u_ptr[k + 1] {
-                v -= self.u_val[idx] * x[self.u_idx[idx]];
+                v -= self.u_val[idx] * y[self.u_idx[idx]];
             }
-            x[k] = v / self.u_diag[k];
+            y[k] = v / self.u_diag[k];
         }
         // Lᵀ backward solve (unit diagonal).
         for k in (0..m).rev() {
-            let mut v = x[k];
+            let mut v = y[k];
             for idx in self.l_ptr[k]..self.l_ptr[k + 1] {
-                v -= self.l_val[idx] * x[self.l_idx[idx]];
+                v -= self.l_val[idx] * y[self.l_idx[idx]];
             }
-            x[k] = v;
+            y[k] = v;
         }
         // Permute back to original row space.
-        let mut y = vec![0.0f64; m];
-        for (i, &pos) in self.pinv.iter().enumerate() {
-            y[i] = x[pos];
+        for (xi, &step) in x.iter_mut().zip(&self.pinv) {
+            *xi = y[step];
         }
-        x.copy_from_slice(&y);
     }
 }
 
@@ -251,11 +311,16 @@ struct Eta {
 }
 
 /// An LU-factorized basis plus the eta file accumulated since the last
-/// refactorization.
+/// refactorization, with the scratch both reuse.
 #[derive(Debug, Clone)]
 pub(crate) struct BasisFactor {
     lu: LuFactor,
+    /// The previous factorization's storage: the next [`Self::refactorize`]
+    /// fills it and swaps it in only on success, so a singular candidate
+    /// leaves `lu` and the eta file as they were.
+    spare: LuFactor,
     etas: Vec<Eta>,
+    ws: Workspace,
 }
 
 /// Refactorize once this many etas have accumulated: beyond it the eta
@@ -266,7 +331,35 @@ pub(crate) const MAX_ETAS: usize = 64;
 impl BasisFactor {
     /// Factorizes the given basis columns of `mat`.
     pub fn factorize(mat: &CscMatrix, basis: &[usize]) -> Result<BasisFactor, SingularBasis> {
-        Ok(BasisFactor { lu: LuFactor::factorize(mat, basis)?, etas: Vec::new() })
+        let mut f = BasisFactor {
+            lu: LuFactor::default(),
+            spare: LuFactor::default(),
+            etas: Vec::new(),
+            ws: Workspace { y: vec![0.0; mat.rows()], ..Workspace::default() },
+        };
+        f.refactorize(mat, basis)?;
+        Ok(f)
+    }
+
+    /// Replaces the factorization (and drops the eta file) with one of the
+    /// given basis columns, reusing this factor's storage. On failure
+    /// nothing changes.
+    pub fn refactorize(&mut self, mat: &CscMatrix, basis: &[usize]) -> Result<(), SingularBasis> {
+        self.spare.factorize_into(mat, basis, &mut self.ws)?;
+        std::mem::swap(&mut self.lu, &mut self.spare);
+        self.etas.clear();
+        Ok(())
+    }
+
+    /// Basis columns the last factorization had to eliminate: those with
+    /// more than one nonzero.
+    pub fn kernel_columns(&self) -> usize {
+        self.lu.kernel
+    }
+
+    /// Entries of the last factorization's `L` and `U`, diagonal included.
+    pub fn lu_nnz(&self) -> usize {
+        self.lu.nnz()
     }
 
     /// Number of eta updates since the last refactorization.
@@ -282,8 +375,8 @@ impl BasisFactor {
 
     /// Solves `B x = b` in place: `x` enters in original row space, leaves
     /// indexed by basis position.
-    pub fn ftran(&self, x: &mut [f64]) {
-        self.lu.solve_dense(x);
+    pub fn ftran(&mut self, x: &mut [f64]) {
+        self.lu.solve_dense(x, &mut self.ws.y);
         // Oldest eta first: x ← E_j⁻¹ x.
         for eta in &self.etas {
             let xr = x[eta.pivot] / eta.pivot_val;
@@ -298,7 +391,7 @@ impl BasisFactor {
 
     /// Solves `Bᵀ y = c` in place: `x` enters indexed by basis position,
     /// leaves in original row space.
-    pub fn btran(&self, x: &mut [f64]) {
+    pub fn btran(&mut self, x: &mut [f64]) {
         // Newest eta first: x ← E_jᵀ⁻¹ x.
         for eta in self.etas.iter().rev() {
             let mut v = x[eta.pivot];
@@ -307,7 +400,7 @@ impl BasisFactor {
             }
             x[eta.pivot] = v / eta.pivot_val;
         }
-        self.lu.solve_transpose_dense(x);
+        self.lu.solve_transpose_dense(x, &mut self.ws.y);
     }
 
     /// Records the pivot that replaces basis position `pivot` with the
@@ -363,7 +456,7 @@ mod tests {
         let n = 2;
         let m = 2;
         let basis: Vec<usize> = (0..m).map(|k| n + m + k).collect();
-        let f = BasisFactor::factorize(&mat, &basis).unwrap();
+        let mut f = BasisFactor::factorize(&mat, &basis).unwrap();
         let mut x = vec![5.0, -7.0];
         f.ftran(&mut x);
         assert_close(&x, &[5.0, -7.0]);
@@ -376,7 +469,7 @@ mod tests {
     fn structural_basis_solves_match_hand_inverse() {
         // B = [[3, 1], [1, 2]], det 5; B⁻¹ = [[2, -1], [-1, 3]] / 5.
         let mat = csc_from_rows(2, &[&[3.0, 1.0], &[1.0, 2.0]]);
-        let f = BasisFactor::factorize(&mat, &[0, 1]).unwrap();
+        let mut f = BasisFactor::factorize(&mat, &[0, 1]).unwrap();
 
         let mut x = vec![1.0, 0.0];
         f.ftran(&mut x);
@@ -392,7 +485,7 @@ mod tests {
     fn permutation_requiring_basis_factors() {
         // First column forces a row swap: [[0, 1], [1, 0]].
         let mat = csc_from_rows(2, &[&[0.0, 1.0], &[1.0, 0.0]]);
-        let f = BasisFactor::factorize(&mat, &[0, 1]).unwrap();
+        let mut f = BasisFactor::factorize(&mat, &[0, 1]).unwrap();
         let mut x = vec![3.0, 4.0];
         f.ftran(&mut x);
         // B = [[0,1],[1,0]] so x = B⁻¹ b swaps entries.
@@ -413,7 +506,7 @@ mod tests {
         f.push_eta(1, &w).unwrap();
         assert_eq!(f.eta_count(), 1);
 
-        let fresh = BasisFactor::factorize(&mat, &[0, entering]).unwrap();
+        let mut fresh = BasisFactor::factorize(&mat, &[0, entering]).unwrap();
         for rhs in [[1.0, 0.0], [0.0, 1.0], [2.5, -4.0]] {
             let mut a = rhs.to_vec();
             let mut b = rhs.to_vec();
@@ -447,7 +540,7 @@ mod tests {
         f.ftran(&mut w);
         f.push_eta(2, &w).unwrap();
 
-        let fresh = BasisFactor::factorize(&mat, &[4, 1, 3]).unwrap();
+        let mut fresh = BasisFactor::factorize(&mat, &[4, 1, 3]).unwrap();
         for rhs in [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5]] {
             let mut a = rhs.to_vec();
             let mut b = rhs.to_vec();
@@ -468,6 +561,106 @@ mod tests {
         // Two copies of the same column cannot form a basis.
         let mat = csc_from_rows(2, &[&[1.0, 1.0], &[2.0, 2.0]]);
         assert_eq!(BasisFactor::factorize(&mat, &[0, 1]).unwrap_err(), SingularBasis);
+    }
+
+    #[test]
+    fn slack_and_artificial_bases_need_no_elimination() {
+        let mat = csc_from_rows(3, &[&[2.0, 0.0, 1.0], &[1.0, 3.0, 0.0], &[0.0, 1.0, 4.0]]);
+        let (n, m) = (3, 3);
+        for first in [n, n + m] {
+            // Positions reversed, so the column permutation is not the identity.
+            let basis: Vec<usize> = (0..m).rev().map(|k| first + k).collect();
+            let mut f = BasisFactor::factorize(&mat, &basis).unwrap();
+            assert_eq!(f.kernel_columns(), 0);
+            assert_eq!(f.lu_nnz(), m, "one diagonal entry per column, no fill");
+            let mut x = vec![1.0, 2.0, 3.0];
+            f.ftran(&mut x);
+            assert_close(&x, &[3.0, 2.0, 1.0]);
+            let mut y = vec![1.0, 2.0, 3.0];
+            f.btran(&mut y);
+            assert_close(&y, &[3.0, 2.0, 1.0]);
+        }
+    }
+
+    #[test]
+    fn two_unit_columns_on_one_row_are_singular() {
+        let mat = csc_from_rows(2, &[&[3.0, 1.0], &[1.0, 2.0]]);
+        // Slack and artificial of row 1.
+        assert_eq!(BasisFactor::factorize(&mat, &[3, 5]).unwrap_err(), SingularBasis);
+    }
+
+    /// `‖Bx − b‖∞ / (‖B‖∞‖x‖∞ + ‖b‖∞)` for the basis columns `basis` of
+    /// `mat`; `transpose` checks `Bᵀx = b` instead.
+    fn relative_residual(
+        mat: &CscMatrix,
+        basis: &[usize],
+        x: &[f64],
+        b: &[f64],
+        transpose: bool,
+    ) -> f64 {
+        let m = b.len();
+        let mut r: Vec<f64> = b.iter().map(|v| -v).collect();
+        let mut norm_b = vec![0.0f64; m];
+        for (pos, &j) in basis.iter().enumerate() {
+            let (rows, vals) = mat.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                let (out, inp) = if transpose { (pos, i) } else { (i, pos) };
+                r[out] += v * x[inp];
+                norm_b[out] += v.abs();
+            }
+        }
+        let inf = |v: &[f64]| v.iter().fold(0.0f64, |a, x| a.max(x.abs()));
+        inf(&r) / (inf(&norm_b) * inf(x) + inf(b))
+    }
+
+    #[test]
+    fn unit_dominated_random_bases_solve_to_small_residuals() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xfb6);
+        for _ in 0..300 {
+            let (n, m) = (rng.gen_range(2usize..=10), rng.gen_range(3usize..=14));
+            let rows: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| if rng.gen_bool(0.35) { rng.gen_range(-4.0f64..4.0) } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+            let mat = csc_from_rows(n, &row_refs);
+            // A few structurals, each taking over a row where it is nonzero
+            // (a matching, so the basis is nonsingular with probability
+            // one); every other row keeps its slack or its artificial;
+            // positions shuffled.
+            let mut basis: Vec<usize> = Vec::with_capacity(m);
+            let mut free_rows: Vec<usize> = (0..m).collect();
+            for j in 0..n {
+                let (nonzero_rows, _) = mat.col(j);
+                let hits: Vec<usize> =
+                    (0..free_rows.len()).filter(|&k| nonzero_rows.contains(&free_rows[k])).collect();
+                if basis.len() < m / 3 && !hits.is_empty() && rng.gen_bool(0.7) {
+                    basis.push(j);
+                    free_rows.swap_remove(hits[rng.gen_range(0..hits.len())]);
+                }
+            }
+            for k in free_rows {
+                basis.push(if rng.gen_bool(0.5) { n + k } else { n + m + k });
+            }
+            for i in (1..basis.len()).rev() {
+                basis.swap(i, rng.gen_range(0..=i));
+            }
+            let mut f = BasisFactor::factorize(&mat, &basis).expect("matched basis");
+            assert!(f.kernel_columns() <= m / 3, "only structurals with 2+ nonzeros eliminate");
+            let b: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
+            let mut x = b.clone();
+            f.ftran(&mut x);
+            let res = relative_residual(&mat, &basis, &x, &b, false);
+            assert!(res <= 1e-9, "FTRAN residual {res}");
+            let mut y = b.clone();
+            f.btran(&mut y);
+            let res = relative_residual(&mat, &basis, &y, &b, true);
+            assert!(res <= 1e-9, "BTRAN residual {res}");
+        }
     }
 
     #[test]

@@ -29,23 +29,46 @@
 //! reduced costs from the pivot row its ratio test already computes
 //! (`d_j -= θ·α_rj`, `d_leaving = -θ`), so a dual iteration costs one BTRAN
 //! (the pivot row), one FTRAN (the entering column) and one pass over the
-//! nonbasic columns.
+//! nonbasic columns. The pivot row `α_r = ρᵀA` is formed row-wise from a
+//! CSR copy of the matrix, visiting only the rows where `ρ` is nonzero.
 
 use std::time::Instant;
 
 use crate::approx::{is_nonzero, is_zero};
 use crate::deadline;
-use crate::factor::BasisFactor;
+use crate::factor::{BasisFactor, SingularBasis};
 use crate::simplex::{LpSolution, LpStatus, VarStatus, PIVOT_TOL, TOL};
-use crate::sparse::{slack_bounds, CscMatrix};
+use crate::sparse::{slack_bounds, CscMatrix, CsrMatrix};
 use crate::{LpError, Model};
 
+/// A column's [`VarStatus`] as a [`Basis`] snapshot stores it: one byte,
+/// with a basic column's position left to [`Basis::cols`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stored {
+    Basic,
+    AtLower,
+    AtUpper,
+    Free,
+}
+
+impl From<VarStatus> for Stored {
+    fn from(s: VarStatus) -> Stored {
+        match s {
+            VarStatus::Basic(_) => Stored::Basic,
+            VarStatus::AtLower => Stored::AtLower,
+            VarStatus::AtUpper => Stored::AtUpper,
+            VarStatus::Free => Stored::Free,
+        }
+    }
+}
+
 /// A resumable basis snapshot: which column sits in each basis position and
-/// the bound status of every column.
+/// the bound status of every column. Branch-and-bound keeps one per open
+/// parent, so it is stored compactly.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Basis {
-    cols: Vec<usize>,
-    status: Vec<VarStatus>,
+    cols: Vec<u32>,
+    status: Vec<Stored>,
 }
 
 impl Basis {
@@ -60,14 +83,14 @@ impl Basis {
     pub fn with_rows(&self, added: usize) -> Basis {
         let m = self.cols.len();
         let n = self.status.len() - 2 * m;
-        let art_shift = |j: usize| if j >= n + m { j + added } else { j };
-        let mut cols: Vec<usize> = self.cols.iter().map(|&j| art_shift(j)).collect();
-        cols.extend((0..added).map(|k| n + m + k));
+        let art_shift = |j: u32| if j as usize >= n + m { j + added as u32 } else { j };
+        let mut cols: Vec<u32> = self.cols.iter().map(|&j| art_shift(j)).collect();
+        cols.extend((0..added).map(|k| (n + m + k) as u32));
         let mut status = Vec::with_capacity(self.status.len() + 2 * added);
         status.extend_from_slice(&self.status[..n + m]);
-        status.extend((0..added).map(|k| VarStatus::Basic(m + k)));
+        status.extend(std::iter::repeat_n(Stored::Basic, added));
         status.extend_from_slice(&self.status[n + m..]);
-        status.extend((0..added).map(|_| VarStatus::AtLower));
+        status.extend(std::iter::repeat_n(Stored::AtLower, added));
         Basis { cols, status }
     }
 }
@@ -105,12 +128,17 @@ struct Stats {
     factorizations: usize,
     refactorizations: usize,
     eta_appends: usize,
+    lu_kernel_columns: usize,
+    lu_nnz: usize,
 }
 
 /// Sparse revised simplex engine, reusable across many solves of the same
 /// model (branch-and-bound builds it once per tree).
 pub(crate) struct SparseEngine {
     mat: CscMatrix,
+    /// Row-wise copy of `mat`, for the dual loop's pivot rows and reduced
+    /// costs.
+    rows: CsrMatrix,
     n: usize,
     m: usize,
     ntot: usize,
@@ -128,6 +156,8 @@ pub(crate) struct SparseEngine {
     /// Reduced costs the dual loop maintains between refactorizations
     /// (meaningful for nonbasic, non-fixed columns only).
     d: Vec<f64>,
+    /// All-zero accumulator for row-wise products.
+    row_acc: Vec<f64>,
     factor: BasisFactor,
     cursor: usize,
     stats: Stats,
@@ -148,6 +178,7 @@ impl SparseEngine {
         let (slack_lo, slack_up): (Vec<f64>, Vec<f64>) =
             model.constraints.iter().map(|c| slack_bounds(c.sense)).unzip();
         SparseEngine {
+            rows: CsrMatrix::from_csc(&mat),
             mat,
             n,
             m,
@@ -162,6 +193,7 @@ impl SparseEngine {
             basis: artificial_basis,
             xb: vec![0.0; m],
             d: vec![0.0; ntot],
+            row_acc: vec![0.0; ntot],
             factor,
             cursor: 0,
             stats: Stats::default(),
@@ -231,6 +263,8 @@ impl SparseEngine {
         fbb_telemetry::counter("lp_factorizations", s.factorizations as u64);
         fbb_telemetry::counter("lp_refactorizations", s.refactorizations as u64);
         fbb_telemetry::counter("lp_eta_appends", s.eta_appends as u64);
+        fbb_telemetry::counter("lp_lu_kernel_columns", s.lu_kernel_columns as u64);
+        fbb_telemetry::counter("lp_lu_nnz", s.lu_nnz as u64);
     }
 
     fn iter_limit(&self) -> usize {
@@ -319,9 +353,7 @@ impl SparseEngine {
             self.status[a] = VarStatus::Basic(k);
         }
         self.xb = residual;
-        self.factor = BasisFactor::factorize(&self.mat, &self.basis)
-            .expect("identity artificial basis cannot be singular");
-        self.stats.factorizations += 1;
+        self.refactor().expect("identity artificial basis cannot be singular");
 
         let iter_limit = self.iter_limit();
 
@@ -404,27 +436,30 @@ impl SparseEngine {
             self.lower[j] = 0.0;
             self.upper[j] = 0.0;
         }
-        self.basis.copy_from_slice(&warm.cols);
-        self.status.copy_from_slice(&warm.status);
+        for (pos, &j) in warm.cols.iter().enumerate() {
+            self.basis[pos] = j as usize;
+            self.status[j as usize] = VarStatus::Basic(pos);
+        }
         for j in 0..self.ntot {
             let (lo, up) = (self.lower[j], self.upper[j]);
-            self.status[j] = match self.status[j] {
-                VarStatus::AtLower if !lo.is_finite() => {
+            self.status[j] = match warm.status[j] {
+                Stored::Basic => self.status[j],
+                Stored::AtLower if !lo.is_finite() => {
                     if up.is_finite() { VarStatus::AtUpper } else { VarStatus::Free }
                 }
-                VarStatus::AtUpper if !up.is_finite() => {
+                Stored::AtLower => VarStatus::AtLower,
+                Stored::AtUpper if !up.is_finite() => {
                     if lo.is_finite() { VarStatus::AtLower } else { VarStatus::Free }
                 }
-                VarStatus::Free if lo > 0.0 => VarStatus::AtLower,
-                VarStatus::Free if up < 0.0 => VarStatus::AtUpper,
-                other => other,
+                Stored::AtUpper => VarStatus::AtUpper,
+                Stored::Free if lo > 0.0 => VarStatus::AtLower,
+                Stored::Free if up < 0.0 => VarStatus::AtUpper,
+                Stored::Free => VarStatus::Free,
             };
         }
-        let Ok(factor) = BasisFactor::factorize(&self.mat, &self.basis) else {
+        if self.refactor().is_err() {
             return false;
-        };
-        self.factor = factor;
-        self.stats.factorizations += 1;
+        }
         self.recompute_xb();
         true
     }
@@ -462,7 +497,10 @@ impl SparseEngine {
         let objective: f64 = self.obj.iter().zip(&x).map(|(c, v)| c * v).sum();
         SolveOutcome {
             solution: LpSolution { status: LpStatus::Optimal, x, objective },
-            basis: Some(Basis { cols: self.basis.clone(), status: self.status.clone() }),
+            basis: Some(Basis {
+                cols: self.basis.iter().map(|&j| j as u32).collect(),
+                status: self.status.iter().map(|&s| Stored::from(s)).collect(),
+            }),
             iterations: self.stats.iterations,
         }
     }
@@ -498,9 +536,19 @@ impl SparseEngine {
         self.xb = r;
     }
 
+    /// Refactorizes the current basis, counting it; on failure the previous
+    /// factorization and its etas stay in place.
+    fn refactor(&mut self) -> Result<(), SingularBasis> {
+        self.factor.refactorize(&self.mat, &self.basis)?;
+        self.stats.factorizations += 1;
+        self.stats.lu_kernel_columns += self.factor.kernel_columns();
+        self.stats.lu_nnz += self.factor.lu_nnz();
+        Ok(())
+    }
+
     /// Dual variables `y = B^{-T} c_B` in row space (skipping the solve when
     /// every basic cost is zero, as in most of phase 1).
-    fn duals(&self, c: &[f64]) -> (Vec<f64>, bool) {
+    fn duals(&mut self, c: &[f64]) -> (Vec<f64>, bool) {
         let mut y = vec![0.0; self.m];
         let mut any = false;
         for (pos, &j) in self.basis.iter().enumerate() {
@@ -523,17 +571,19 @@ impl SparseEngine {
 
     /// Prices every nonbasic, non-fixed column afresh into `d` (one BTRAN);
     /// the dual loop calls it on entry and after every refactorization.
+    /// `Aᵀy` comes row-wise from the rows where `y` is nonzero, bit-identical
+    /// to [`Self::reduced_cost`].
     fn refresh_reduced_costs(&mut self, c: &[f64]) {
-        let (y, y_nonzero) = self.duals(c);
-        let mut d = std::mem::take(&mut self.d);
-        for (j, dj) in d.iter_mut().enumerate() {
-            *dj = if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
+        let (y, _) = self.duals(c);
+        self.rows.scatter_transpose(&y, &mut self.row_acc);
+        for (j, &cj) in c.iter().enumerate() {
+            let aty = std::mem::take(&mut self.row_acc[j]);
+            self.d[j] = if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
                 0.0
             } else {
-                self.reduced_cost(j, c, &y, y_nonzero)
+                cj - aty
             };
         }
-        self.d = d;
     }
 
     /// Books the basis change `position r <- column e` whose FTRAN image is
@@ -548,10 +598,8 @@ impl SparseEngine {
             self.stats.eta_appends += 1;
         }
         if !pushed || self.factor.should_refactor() {
-            match BasisFactor::factorize(&self.mat, &self.basis) {
-                Ok(f) => {
-                    self.factor = f;
-                    self.stats.factorizations += 1;
+            match self.refactor() {
+                Ok(()) => {
                     self.stats.refactorizations += 1;
                     self.recompute_xb();
                     return Ok(true);
@@ -634,6 +682,8 @@ impl SparseEngine {
     ) -> Result<bool, LpError> {
         let mut stall = 0usize;
         let mut w = vec![0.0f64; self.m];
+        // Rows that can block the entering column: (row, ratio, bound hit).
+        let mut ratios: Vec<(usize, f64, VarStatus)> = Vec::new();
         loop {
             self.tick(iter_limit, deadline)?;
             let bland = stall > 64 + self.m;
@@ -654,12 +704,12 @@ impl SparseEngine {
 
             // Ratio test: entering moves by t >= 0 in direction `dir`;
             // basic i changes by -dir * w[i] * t.
-            let mut t_best = if self.lower[e].is_finite() && self.upper[e].is_finite() {
+            let flip = if self.lower[e].is_finite() && self.upper[e].is_finite() {
                 self.upper[e] - self.lower[e]
             } else {
                 f64::INFINITY
             };
-            let mut leave: Option<(usize, VarStatus)> = None;
+            ratios.clear();
             for (i, &wi) in w.iter().enumerate() {
                 let coef = dir * wi;
                 let (ratio, hit) = if coef > PIVOT_TOL {
@@ -678,18 +728,30 @@ impl SparseEngine {
                 } else {
                     continue;
                 };
-                let ratio = ratio.max(0.0);
-                if ratio < t_best - PIVOT_TOL
-                    || (bland
-                        && (ratio - t_best).abs() <= PIVOT_TOL
-                        && leave
-                            .as_ref()
-                            .is_some_and(|&(r, _)| self.basis[i] < self.basis[r]))
-                {
-                    t_best = ratio;
-                    leave = Some((i, hit));
+                ratios.push((i, ratio.max(0.0), hit));
+            }
+            // Two passes: the smallest ratio opens a window PIVOT_TOL wide.
+            // Within it Bland mode takes the smallest column index, otherwise
+            // the largest |w_i|, so a near-zero pivot never leaves when a
+            // sound one ties with it. The step is the chosen row's ratio, so
+            // no basic passes its bound by more than PIVOT_TOL·|w_i|.
+            let t_min = ratios.iter().fold(f64::INFINITY, |t, &(_, ratio, _)| t.min(ratio));
+            let mut leave: Option<(usize, f64, VarStatus)> = None;
+            if t_min < flip - PIVOT_TOL {
+                for &(i, ratio, hit) in ratios.iter().filter(|c| c.1 <= t_min + PIVOT_TOL) {
+                    let wins = leave.is_none_or(|(r, _, _)| {
+                        if bland {
+                            self.basis[i] < self.basis[r]
+                        } else {
+                            w[i].abs() > w[r].abs()
+                        }
+                    });
+                    if wins {
+                        leave = Some((i, ratio, hit));
+                    }
                 }
             }
+            let t_best = leave.map_or(flip, |(_, ratio, _)| ratio);
 
             if t_best.is_infinite() {
                 return Ok(false); // unbounded ray
@@ -709,7 +771,7 @@ impl SparseEngine {
                         other => other, // free vars cannot bound-flip (t is infinite)
                     };
                 }
-                Some((r, hit)) => {
+                Some((r, _, hit)) => {
                     self.stats.pivots += 1;
                     let entering_value = self.value_of(e) + dir * t_best;
                     for (i, &wi) in w.iter().enumerate() {
@@ -765,22 +827,25 @@ impl SparseEngine {
                 return Ok(DualEnd::Feasible);
             };
 
-            // Row r of B^{-1} via one BTRAN; the ratio test reads the
+            // Row r of B^{-1} via one BTRAN, then α_r = ρᵀA row-wise over
+            // the rows where ρ is nonzero; the ratio test reads the
             // maintained reduced costs.
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r] = 1.0;
             self.factor.btran(&mut rho);
+            self.rows.scatter_transpose(&rho, &mut self.row_acc);
 
             row.clear();
             let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, alpha)
             for j in 0..self.ntot {
-                if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
+                let alpha = std::mem::take(&mut self.row_acc[j]);
+                if is_zero(alpha)
+                    || matches!(self.status[j], VarStatus::Basic(_))
+                    || self.is_fixed(j)
+                {
                     continue;
                 }
-                let alpha = self.mat.col_dot(j, &rho);
-                if is_nonzero(alpha) {
-                    row.push((j, alpha));
-                }
+                row.push((j, alpha));
                 let sa = sigma * alpha;
                 let eligible = match self.status[j] {
                     VarStatus::AtLower => sa > PIVOT_TOL,
@@ -813,10 +878,8 @@ impl SparseEngine {
             if w[r].abs() <= PIVOT_TOL {
                 // Factor drift made the chosen pivot unusable; rebuild the
                 // factorization and retry the row.
-                match BasisFactor::factorize(&self.mat, &self.basis) {
-                    Ok(f) => {
-                        self.factor = f;
-                        self.stats.factorizations += 1;
+                match self.refactor() {
+                    Ok(()) => {
                         self.stats.refactorizations += 1;
                         self.recompute_xb();
                         self.refresh_reduced_costs(c);
@@ -981,6 +1044,27 @@ mod tests {
     }
 
     #[test]
+    fn near_tied_ratio_chain_keeps_every_row_within_tol() {
+        // max x under rows (1+i)·x <= (1+i)·(1 + 0.9·i·PIVOT_TOL): each
+        // ratio ties with its neighbours while |w_i| grows, so a ratio test
+        // that judged ties against its last winner would climb the chain
+        // and step every earlier row past its bound.
+        let mut m = Model::new();
+        let x = m.add_continuous(0.0, f64::INFINITY, -1.0);
+        for i in 0..200 {
+            let w = 1.0 + i as f64;
+            m.add_constraint(vec![(x, w)], Sense::Le, w * (1.0 + 0.9 * i as f64 * PIVOT_TOL))
+                .unwrap();
+        }
+        let out = cold(&m);
+        assert_eq!(out.solution.status, LpStatus::Optimal);
+        for (i, row) in m.constraints.iter().enumerate() {
+            let excess = row.terms[0].1 * out.solution.x[x] - row.rhs;
+            assert!(excess <= TOL, "row {i} is {excess} past its bound");
+        }
+    }
+
+    #[test]
     fn warm_solve_after_bound_tightening_matches_cold() {
         // Branch x0 to [1, 1] and compare warm against cold.
         let m = knapsack_relaxation();
@@ -1040,14 +1124,14 @@ mod tests {
         // leaves it on a redundant row, row 1's artificial basic in row 1.
         let (n, rows) = (2, 2);
         let basis = Basis {
-            cols: vec![0, n + rows + 1],
+            cols: vec![0, (n + rows + 1) as u32],
             status: vec![
-                VarStatus::Basic(0),
-                VarStatus::AtUpper,
-                VarStatus::AtLower,
-                VarStatus::AtUpper,
-                VarStatus::AtLower,
-                VarStatus::Basic(1),
+                Stored::Basic,
+                Stored::AtUpper,
+                Stored::AtLower,
+                Stored::AtUpper,
+                Stored::AtLower,
+                Stored::Basic,
             ],
         };
         let added = 3;
@@ -1055,16 +1139,18 @@ mod tests {
         assert_eq!(grown.cols.len(), rows + added);
         assert_eq!(grown.status.len(), n + 2 * (rows + added));
         for (pos, &j) in basis.cols.iter().enumerate() {
+            let j = j as usize;
             let moved = if j >= n + rows { j + added } else { j };
-            assert_eq!(grown.cols[pos], moved);
+            assert_eq!(grown.cols[pos] as usize, moved);
         }
         for k in 0..added {
-            assert_eq!(grown.cols[rows + k], n + rows + k, "new slack {k} is basic at its row");
+            let slack = grown.cols[rows + k] as usize;
+            assert_eq!(slack, n + rows + k, "new slack {k} is basic at its row");
         }
         for (pos, &j) in grown.cols.iter().enumerate() {
-            assert_eq!(grown.status[j], VarStatus::Basic(pos), "column {j} at position {pos}");
+            assert_eq!(grown.status[j as usize], Stored::Basic, "column {j} at position {pos}");
         }
-        let basic = grown.status.iter().filter(|s| matches!(s, VarStatus::Basic(_))).count();
+        let basic = grown.status.iter().filter(|&&s| s == Stored::Basic).count();
         assert_eq!(basic, rows + added, "no column claims a basis position it does not hold");
     }
 

@@ -9,6 +9,7 @@
 //! afterwards: the simplex tracks basis changes in the LU/eta factorization
 //! ([`crate::factor`]), not in the matrix.
 
+use crate::approx::is_zero;
 use crate::model::Sense;
 use crate::Model;
 
@@ -113,6 +114,60 @@ impl CscMatrix {
     }
 }
 
+/// A row-wise (CSR) copy of a [`CscMatrix`], for products `yᵀA` with a
+/// sparse `y`: the dual simplex's pivot row `α_r = ρᵀA` and its reduced
+/// costs `d = c − Aᵀy`.
+#[derive(Debug, Clone)]
+pub(crate) struct CsrMatrix {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl CsrMatrix {
+    /// Transposes `csc` into row-wise storage.
+    pub fn from_csc(csc: &CscMatrix) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; csc.rows() + 1];
+        for &i in &csc.row_idx {
+            row_ptr[i + 1] += 1;
+        }
+        for i in 0..csc.rows() {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let nnz = row_ptr[csc.rows()];
+        let mut col_idx = vec![0usize; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let mut cursor = row_ptr.clone();
+        for j in 0..csc.cols() {
+            let (rows, vals) = csc.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                col_idx[cursor[i]] = j;
+                values[cursor[i]] = v;
+                cursor[i] += 1;
+            }
+        }
+        CsrMatrix { row_ptr, col_idx, values }
+    }
+
+    /// Adds `Σ_i a_ij · y_i` into `out[j]` for every stored column `j`,
+    /// visiting only the rows with a nonzero `y_i`, in increasing row order.
+    /// On an all-zero `out` the result is `f64`-bit-identical to
+    /// [`CscMatrix::col_dot`]: both sum the same nonzero products in the
+    /// same order, and the products with `y_i = 0` that `col_dot` also adds
+    /// cannot change a sum that starts at `+0.0`.
+    pub fn scatter_transpose(&self, y: &[f64], out: &mut [f64]) {
+        for (i, &yi) in y.iter().enumerate() {
+            if is_zero(yi) {
+                continue;
+            }
+            let span = self.row_ptr[i]..self.row_ptr[i + 1];
+            for (&j, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+                out[j] += v * yi;
+            }
+        }
+    }
+}
+
 /// Slack bounds implied by a constraint sense (`lhs + slack = rhs`).
 pub(crate) fn slack_bounds(sense: Sense) -> (f64, f64) {
     match sense {
@@ -167,6 +222,43 @@ mod tests {
         csc.scatter_col(x, 2.0, &mut acc);
         assert!((acc[0] - 3.0).abs() < 1e-12);
         assert!((acc[1] - (1.0 - 6.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn row_wise_products_are_bit_identical_to_col_dot() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
+        for _ in 0..200 {
+            let (n, m) = (rng.gen_range(1usize..=12), rng.gen_range(1usize..=10));
+            let mut model = Model::new();
+            for _ in 0..n {
+                model.add_continuous(0.0, 1.0, 0.0);
+            }
+            for _ in 0..m {
+                let mut terms = Vec::new();
+                for j in 0..n {
+                    if rng.gen_bool(0.4) {
+                        let scale = 10f64.powi(rng.gen_range(-4i32..=4));
+                        terms.push((j, rng.gen_range(-3.0f64..3.0) * scale));
+                    }
+                }
+                model.add_constraint(terms, Sense::Le, 0.0).unwrap();
+            }
+            let csc = CscMatrix::build(&model);
+            let csr = CsrMatrix::from_csc(&csc);
+            let rho: Vec<f64> = (0..m)
+                .map(|_| match rng.gen_range(0u32..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-2.0f64..2.0) * 10f64.powi(rng.gen_range(-8i32..=8)),
+                })
+                .collect();
+            let mut alpha = vec![0.0; csc.cols()];
+            csr.scatter_transpose(&rho, &mut alpha);
+            for (j, a) in alpha.iter().enumerate() {
+                assert_eq!(a.to_bits(), csc.col_dot(j, &rho).to_bits(), "column {j}, rho {rho:?}");
+            }
+        }
     }
 
     #[test]

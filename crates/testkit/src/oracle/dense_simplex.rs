@@ -117,7 +117,7 @@ pub fn solve(inst: &LpInstance) -> DenseLpResult {
 
     // Phase 1: minimize the artificial sum.
     let cost1: Vec<f64> = artificial.iter().map(|&is_art| f64::from(u8::from(is_art))).collect();
-    match bland(&mut a, &mut b, &mut basis, &cost1, &artificial) {
+    match bland(&mut a, &mut b, &mut basis, &cost1, &artificial, false) {
         Phase::Optimal => {}
         Phase::Unbounded => unreachable!("phase 1 objective is bounded below by zero"),
     }
@@ -132,10 +132,11 @@ pub fn solve(inst: &LpInstance) -> DenseLpResult {
     }
 
     // Phase 2: minimize the shifted objective; artificials stay banned from
-    // entering (a basic artificial stuck at zero is harmless degeneracy).
+    // entering, and one still basic after phase 1 (necessarily at zero) is
+    // pinned there: it leaves at ratio 0 before any pivot would move it.
     let mut cost2 = vec![0.0f64; total];
     cost2[..n].copy_from_slice(&inst.objective);
-    if let Phase::Unbounded = bland(&mut a, &mut b, &mut basis, &cost2, &artificial) {
+    if let Phase::Unbounded = bland(&mut a, &mut b, &mut basis, &cost2, &artificial, true) {
         return DenseLpResult::Unbounded;
     }
 
@@ -154,13 +155,16 @@ enum Phase {
 }
 
 /// Primal simplex on a dense tableau with Bland's smallest-index rule.
-/// `banned` columns may never *enter* the basis.
+/// `banned` columns may never *enter* the basis; with `pin_banned`, a
+/// basic banned column is also held at zero, so a nonzero entry of either
+/// sign in its row blocks the entering column at ratio 0.
 fn bland(
     a: &mut [Vec<f64>],
     b: &mut [f64],
     basis: &mut [usize],
     cost: &[f64],
     banned: &[bool],
+    pin_banned: bool,
 ) -> Phase {
     let m = a.len();
     let total = cost.len();
@@ -188,8 +192,9 @@ fn bland(
         // Bland leaving rule: min ratio, ties broken by smallest basis index.
         let mut leaving: Option<(usize, f64)> = None;
         for i in 0..m {
-            if a[i][e] > TOL {
-                let ratio = b[i] / a[i][e];
+            let pinned = pin_banned && banned[basis[i]] && a[i][e].abs() > TOL;
+            if a[i][e] > TOL || pinned {
+                let ratio = if pinned { 0.0 } else { b[i] / a[i][e] };
                 let better = match leaving {
                     None => true,
                     Some((li, lr)) => {
@@ -301,6 +306,44 @@ mod tests {
                 assert!((x[0] - 1.0).abs() < 1e-9);
                 assert!((x[1] - 2.0).abs() < 1e-9);
                 assert!((objective - 7.0).abs() < 1e-9);
+            }
+            other => panic!("expected optimal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn artificial_left_basic_after_phase_one_stays_at_zero() {
+        // Five placement rows pick level 0 or 1 (x[i][j] = var 2i + j), one
+        // cluster (y0 = var 10, y1 = var 11) with x_ij <= y_j, and a path
+        // over rows 0, 3, 4 needing 3 (x01 + x31 + x41) >= 8. The rows force
+        // x_i1 = y1 = t >= 8/9 for every row, so the optimum is
+        // 21 + 9t = 29. Phase 1 leaves an artificial basic at zero;
+        // letting phase 2 raise it reached an infeasible 26.67.
+        let costs = [(2.0, 6.0), (3.0, 3.0), (3.0, 5.0), (4.0, 6.0), (9.0, 10.0)];
+        let mut objective: Vec<f64> = costs.iter().flat_map(|&(c0, c1)| [c0, c1]).collect();
+        objective.extend([0.0, 0.0]);
+        let le = |terms: Vec<(usize, f64)>, rhs: f64| LpRow { terms, sense: RowSense::Le, rhs };
+        let one_hot = |i: usize| vec![(2 * i, 1.0), (2 * i + 1, 1.0)];
+        let mut rows: Vec<LpRow> =
+            (0..5).map(|i| LpRow { terms: one_hot(i), sense: RowSense::Eq, rhs: 1.0 }).collect();
+        let path = vec![(1, 3.0), (7, 3.0), (9, 3.0)];
+        rows.push(LpRow { terms: path, sense: RowSense::Ge, rhs: 8.0 });
+        for j in 0..2 {
+            let mut terms: Vec<(usize, f64)> = (0..5).map(|i| (2 * i + j, 1.0)).collect();
+            terms.push((10 + j, -5.0));
+            rows.push(le(terms, 0.0));
+        }
+        rows.push(le(vec![(10, 1.0), (11, 1.0)], 1.0));
+        for i in 0..5 {
+            for j in 0..2 {
+                rows.push(le(vec![(2 * i + j, 1.0), (10 + j, -1.0)], 0.0));
+            }
+        }
+        let instance = inst(objective, vec![0.0; 12], vec![1.0; 12], rows);
+        match solve(&instance) {
+            DenseLpResult::Optimal { x, objective } => {
+                assert!((objective - 29.0).abs() < 1e-9, "objective {objective}");
+                assert!(instance.to_model().is_feasible(&x, 1e-9), "point {x:?}");
             }
             other => panic!("expected optimal, got {other:?}"),
         }

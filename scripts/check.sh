@@ -20,6 +20,9 @@
 #   - MIP-root lane: the `runtime` bin proves c6288 at beta 10%, C = 2
 #     optimal within its 60 s ILP budget (a cell whose root once never
 #     finished its cut rounds)
+#   - Table 1 ILP lane: the `table1_ilp` bin's exact ILP answers for all
+#     28 Table 1 cells (status, leakage bits, assignment) match
+#     tests/golden/table1_ilp.txt line for line, every cell proven optimal
 #   - sweep lane: BENCH_sweep.json regenerates on a composed >=50k-gate
 #     design and holds the warm-pipeline acceptance numbers (>= 2x over
 #     cold per-cell solves, bit-identical cells), plus an `fbb sweep`
@@ -162,6 +165,21 @@ if [ "$c6288_optimal" != "yes" ]; then
     exit 1
 fi
 echo "mip-root lane: c6288 beta=0.10 C=2 proven optimal"
+# Table 1 ILP lane: the exact answers of every Table 1 cell (no node limit,
+# 120 s per cell) must match the golden file bit for bit, and every cell
+# must be proven optimal. The benchmark only checks that two passes of one
+# binary agree; this pins the answers across changes.
+table1_ilp=$(cargo run --release --quiet -p fbb-bench --bin table1_ilp)
+if ! diff <(echo "$table1_ilp") tests/golden/table1_ilp.txt >&2; then
+    echo "check.sh: Table 1 ILP answers differ from tests/golden/table1_ilp.txt" >&2
+    exit 1
+fi
+unproven=$(echo "$table1_ilp" | awk '$4 != "optimal"' | wc -l)
+if [ "$unproven" -ne 0 ] || [ "$(echo "$table1_ilp" | wc -l)" -ne 28 ]; then
+    echo "check.sh: Table 1 ILP lane expects 28 cells, all optimal" >&2
+    exit 1
+fi
+echo "table1 ilp lane: 28 cells match the golden answers, all optimal"
 # Sweep lane: regenerate BENCH_sweep.json on the composed 200k-gate design
 # and hold the acceptance numbers — the warm pipeline at least 2x faster
 # than cold per-cell solves, every cell bit-identical between the two, on
