@@ -23,6 +23,9 @@
 #   - Table 1 ILP lane: the `table1_ilp` bin's exact ILP answers for all
 #     28 Table 1 cells (status, leakage bits, assignment) match
 #     tests/golden/table1_ilp.txt line for line, every cell proven optimal
+#   - Table 1 heuristic lane: the `table1_heuristic` bin's two-pass
+#     heuristic answers for all 36 Table 1 cells match
+#     tests/golden/table1_heuristic.txt line for line
 #   - sweep lane: BENCH_sweep.json regenerates on a composed >=50k-gate
 #     design and holds the warm-pipeline acceptance numbers (>= 2x over
 #     cold per-cell solves, bit-identical cells), plus an `fbb sweep`
@@ -180,6 +183,21 @@ if [ "$unproven" -ne 0 ] || [ "$(echo "$table1_ilp" | wc -l)" -ne 28 ]; then
     exit 1
 fi
 echo "table1 ilp lane: 28 cells match the golden answers, all optimal"
+# Table 1 heuristic lane: the two-pass heuristic's answers on all 36
+# Table 1 cells (9 designs x beta {5%,10%} x C {2,3}: leakage bits, cluster
+# count, assignment) must match the golden file line for line. Nothing
+# else pins heuristic bits across changes; serve_warm only compares the
+# daemon with the same build run in-process.
+table1_heuristic=$(cargo run --release --quiet -p fbb-bench --bin table1_heuristic)
+if ! diff <(echo "$table1_heuristic") tests/golden/table1_heuristic.txt >&2; then
+    echo "check.sh: Table 1 heuristic answers differ from tests/golden/table1_heuristic.txt" >&2
+    exit 1
+fi
+if [ "$(echo "$table1_heuristic" | wc -l)" -ne 36 ]; then
+    echo "check.sh: Table 1 heuristic lane expects 36 cells" >&2
+    exit 1
+fi
+echo "table1 heuristic lane: 36 cells match the golden answers"
 # Sweep lane: regenerate BENCH_sweep.json on the composed 200k-gate design
 # and hold the acceptance numbers — the warm pipeline at least 2x faster
 # than cold per-cell solves, every cell bit-identical between the two, on
