@@ -30,14 +30,14 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 
     // CheckTiming: full re-evaluation (paper Fig. 4) vs incremental updates.
-    let assignment = vec![pre.levels - 1; pre.n_rows];
+    let assignment = vec![pre.levels() - 1; pre.n_rows()];
     c.bench_function("check_timing_full", |b| {
         b.iter(|| check_timing(black_box(&pre), black_box(&assignment)).is_ok())
     });
     c.bench_function("check_timing_incremental_sweep", |b| {
         b.iter(|| {
             let mut state = CheckState::new(&pre, assignment.clone());
-            for row in 0..pre.n_rows {
+            for row in 0..pre.n_rows() {
                 state.try_set_level(black_box(row), 0);
             }
             state.feasible()

@@ -72,7 +72,7 @@ fn bench_parallel_speedups(_c: &mut Criterion) {
     println!(
         "c5315, beta=0.05, C=4, {} worker threads ({} paths):",
         par::threads(),
-        pre.paths.len()
+        pre.constraint_count()
     );
     println!(
         "  heuristic solve     serial {:>10.0} ns  parallel {:>10.0} ns  ({heur_speedup:.2}x)",

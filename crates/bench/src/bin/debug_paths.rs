@@ -14,22 +14,17 @@ fn main() {
 
     let design = prepare_design(&name);
     let pre = design.preprocess(beta, c);
-    println!("{}: {} rows, {} levels, Dcrit {:.1} ps, M = {}", name, pre.n_rows, pre.levels, pre.dcrit_ps, pre.paths.len());
+    println!("{}: {} rows, {} levels, Dcrit {:.1} ps, M = {}", name, pre.n_rows(), pre.levels(), pre.dcrit_ps, pre.constraint_count());
 
     let mut span_hist = std::collections::BTreeMap::new();
-    for p in &pre.paths {
-        *span_hist.entry(p.rows.len()).or_insert(0usize) += 1;
+    for p in pre.paths() {
+        *span_hist.entry(p.rows().len()).or_insert(0usize) += 1;
     }
     println!("row-span histogram (rows-touched -> #paths): {span_hist:?}");
 
-    let mut row_hits = vec![0usize; pre.n_rows];
-    for p in &pre.paths {
-        for (r, _) in &p.rows {
-            row_hits[*r] += 1;
-        }
-    }
+    let row_hits: Vec<usize> = (0..pre.n_rows()).map(|r| pre.row_entries(r).len()).collect();
     println!("paths touching each row: {row_hits:?}");
-    let crit: Vec<String> = pre.row_criticality.iter().map(|c| format!("{c:.1}")).collect();
+    let crit: Vec<String> = pre.row_criticality().iter().map(|c| format!("{c:.1}")).collect();
     println!("row criticality: {crit:?}");
 
     let run = run_allocation(&pre, Some(std::time::Duration::from_secs(60)), true).unwrap();
@@ -57,6 +52,7 @@ fn main() {
         }
     }
     // Leakage distribution across rows at NBB.
-    let leak: Vec<String> = pre.row_leakage_nw.iter().map(|r| format!("{:.0}", r[0])).collect();
+    let leak: Vec<String> =
+        (0..pre.n_rows()).map(|r| format!("{:.0}", pre.row_leakage(r)[0])).collect();
     println!("row NBB leakage: {leak:?}");
 }

@@ -85,7 +85,7 @@ fn main() {
             format_row(
                 &[
                     label,
-                    pre.n_rows.to_string(),
+                    pre.n_rows().to_string(),
                     sol.clusters.to_string(),
                     format!("{:.2}", sol.savings_vs(&baseline)),
                     format!("{:.2}", area),

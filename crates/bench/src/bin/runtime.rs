@@ -60,7 +60,7 @@ fn main() {
             format_row(
                 &[
                     name.clone(),
-                    pre.n_rows.to_string(),
+                    pre.n_rows().to_string(),
                     format!("{heur_ms:.2}"),
                     format!("{ilp_ms:.1}"),
                     format!("{:.0}x", ilp_ms / heur_ms.max(1e-3)),

@@ -75,7 +75,7 @@ fn main() {
         };
         // True silicon check: speed up each gate by its row's bias level.
         let speedup: Vec<f64> =
-            (0..pre.levels).map(|j| design.characterization.speedup_fraction(j)).collect();
+            (0..pre.levels()).map(|j| design.characterization.speedup_fraction(j)).collect();
         let tuned: Vec<f64> = degraded
             .iter()
             .enumerate()

@@ -30,7 +30,7 @@ fn max_violation(model: &Model, x: &[f64]) -> f64 {
 fn disaggregated_linking_relaxation_of_c6288_solves_optimal() {
     let design = prepare_design("c6288");
     let pre = design.preprocess(0.10, 3);
-    let (n, p) = (pre.n_rows, pre.levels);
+    let (n, p) = (pre.n_rows(), pre.levels());
     let mut model = IlpAllocator::default().build_model(&pre).expect("well-formed model");
     let aggregated = solve_lp(&model).expect("aggregated relaxation solves");
     assert_eq!(aggregated.status, LpStatus::Optimal);
@@ -41,7 +41,7 @@ fn disaggregated_linking_relaxation_of_c6288_solves_optimal() {
             model.add_constraint(vec![(i * p + j, 1.0), (n * p + j, -1.0)], Sense::Le, 0.0).unwrap();
         }
     }
-    assert_eq!(model.constraint_count(), n + pre.paths.len() + p + 1 + n * p);
+    assert_eq!(model.constraint_count(), n + pre.constraint_count() + p + 1 + n * p);
 
     // The heuristic's assignment is an integer point of the strengthened
     // model, so it bounds the relaxation from above.

@@ -17,7 +17,7 @@ pub fn single_bb(pre: &Preprocessed) -> Result<ClusterSolution, FbbError> {
     let jopt = pass_one(pre).ok_or_else(|| FbbError::uncompensable(pre))?;
     Ok(ClusterSolution::from_assignment(
         pre,
-        vec![jopt; pre.n_rows],
+        vec![jopt; pre.n_rows()],
         "single-bb",
         clock.runtime(),
     ))

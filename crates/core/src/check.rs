@@ -12,27 +12,32 @@ use crate::Preprocessed;
 ///
 /// `Err(path_index)` identifies the first violated constraint.
 pub fn check_timing(pre: &Preprocessed, assignment: &[usize]) -> Result<(), usize> {
-    assert_eq!(assignment.len(), pre.n_rows, "one level per row required");
-    for (k, path) in pre.paths.iter().enumerate() {
-        if !path.satisfied(assignment) {
-            return Err(k);
-        }
+    assert_eq!(assignment.len(), pre.n_rows(), "one level per row required");
+    match pre.paths().position(|path| !path.satisfied(assignment)) {
+        Some(k) => Err(k),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Incremental timing checker: maintains per-path reductions so that moving
 /// one row between levels costs `O(paths touching that row)` instead of a
 /// full re-check — this is what makes the two-pass heuristic's inner loop
 /// linear in practice.
+///
+/// A move walks the row's entries through the index stored with the
+/// problem's tables ([`Preprocessed::row_entries`]), so a state builds no
+/// index of its own. Every path's running reduction follows one fixed
+/// sequence of `f64` operations, which keeps heuristic answers
+/// bit-reproducible: the initial sums run in each path's row order (as
+/// [`check_timing`] sums), a move adds `reds[level] − reds[old]`, and a
+/// rejected move adds the opposite delta rather than restoring a saved
+/// value.
 #[derive(Debug, Clone)]
 pub struct CheckState<'p> {
     pre: &'p Preprocessed,
     assignment: Vec<usize>,
     /// Current total reduction per path.
     reduction: Vec<f64>,
-    /// Paths touching each row.
-    row_paths: Vec<Vec<usize>>,
     /// Number of currently violated paths.
     violations: usize,
 }
@@ -42,23 +47,16 @@ impl<'p> CheckState<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if `assignment.len() != pre.n_rows`.
+    /// Panics if `assignment.len() != pre.n_rows()`.
     pub fn new(pre: &'p Preprocessed, assignment: Vec<usize>) -> Self {
-        assert_eq!(assignment.len(), pre.n_rows, "one level per row required");
-        let mut row_paths = vec![Vec::new(); pre.n_rows];
-        let mut reduction = Vec::with_capacity(pre.paths.len());
-        let mut violations = 0;
-        for (k, path) in pre.paths.iter().enumerate() {
-            let red = path.reduction(&assignment);
-            if red + 1e-9 < path.required_reduction_ps {
-                violations += 1;
-            }
-            reduction.push(red);
-            for (row, _) in &path.rows {
-                row_paths[*row].push(k);
-            }
-        }
-        CheckState { pre, assignment, reduction, row_paths, violations }
+        assert_eq!(assignment.len(), pre.n_rows(), "one level per row required");
+        let reduction: Vec<f64> = pre.paths().map(|path| path.reduction(&assignment)).collect();
+        let violations = pre
+            .paths()
+            .zip(&reduction)
+            .filter(|&(path, &red)| red + 1e-9 < path.required_reduction_ps())
+            .count();
+        CheckState { pre, assignment, reduction, violations }
     }
 
     /// Current assignment.
@@ -77,16 +75,12 @@ impl<'p> CheckState<'p> {
         if old == level {
             return;
         }
-        for &k in &self.row_paths[row] {
-            let path = &self.pre.paths[k];
-            let (_, reds) = path
-                .rows
-                .iter()
-                .find(|(r, _)| *r == row)
-                .expect("row_paths index is consistent");
-            let before_ok = self.reduction[k] + 1e-9 >= path.required_reduction_ps;
+        let pre = self.pre;
+        for (k, reds) in pre.row_entries(row) {
+            let required = pre.path(k).required_reduction_ps();
+            let before_ok = self.reduction[k] + 1e-9 >= required;
             self.reduction[k] += reds[level] - reds[old];
-            let after_ok = self.reduction[k] + 1e-9 >= path.required_reduction_ps;
+            let after_ok = self.reduction[k] + 1e-9 >= required;
             match (before_ok, after_ok) {
                 (true, false) => self.violations += 1,
                 (false, true) => self.violations -= 1,
@@ -135,9 +129,9 @@ mod tests {
     #[test]
     fn full_check_matches_path_predicate() {
         let pre = pre();
-        let nbb = vec![0usize; pre.n_rows];
+        let nbb = vec![0usize; pre.n_rows()];
         assert!(check_timing(&pre, &nbb).is_err());
-        let max = vec![pre.levels - 1; pre.n_rows];
+        let max = vec![pre.levels() - 1; pre.n_rows()];
         assert!(check_timing(&pre, &max).is_ok());
     }
 
@@ -147,10 +141,10 @@ mod tests {
         use rand_chacha::ChaCha8Rng;
         let pre = pre();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut state = CheckState::new(&pre, vec![pre.levels - 1; pre.n_rows]);
+        let mut state = CheckState::new(&pre, vec![pre.levels() - 1; pre.n_rows()]);
         for _ in 0..300 {
-            let row = rng.gen_range(0..pre.n_rows);
-            let level = rng.gen_range(0..pre.levels);
+            let row = rng.gen_range(0..pre.n_rows());
+            let level = rng.gen_range(0..pre.levels());
             state.set_level(row, level);
             assert_eq!(
                 state.feasible(),
@@ -164,11 +158,11 @@ mod tests {
     #[test]
     fn try_set_level_reverts_on_violation() {
         let pre = pre();
-        let mut state = CheckState::new(&pre, vec![pre.levels - 1; pre.n_rows]);
+        let mut state = CheckState::new(&pre, vec![pre.levels() - 1; pre.n_rows()]);
         assert!(state.feasible());
         // Find a row whose drop to NBB violates timing (the most critical
         // row usually does); if some row tolerates it, the move is kept.
-        for row in 0..pre.n_rows {
+        for row in 0..pre.n_rows() {
             let before = state.assignment()[row];
             let kept = state.try_set_level(row, 0);
             if kept {

@@ -22,7 +22,7 @@ pub enum FbbError {
     Uncompensable {
         /// The requested slowdown coefficient.
         beta: f64,
-        /// Index into [`Preprocessed::paths`] of the *worst* constraint —
+        /// Index ([`Preprocessed::path`]) of the *worst* constraint —
         /// the path with the largest residual shortfall when every row sits
         /// at the top of the bias ladder. `None` only for degenerate
         /// problems with an empty path set.
@@ -38,12 +38,12 @@ impl FbbError {
     /// `PassOne` failed: identifies the path that misses `Dcrit` by the
     /// widest margin with every row at the top ladder level.
     pub(crate) fn uncompensable(pre: &Preprocessed) -> Self {
-        let top = pre.levels.saturating_sub(1);
+        let top = pre.levels().saturating_sub(1);
         let mut worst_path = None;
         let mut shortfall_ps = 0.0f64;
-        for (k, path) in pre.paths.iter().enumerate() {
-            let reduction: f64 = path.rows.iter().map(|(_, reds)| reds[top]).sum();
-            let shortfall = path.required_reduction_ps - reduction;
+        for (k, path) in pre.paths().enumerate() {
+            let reduction: f64 = path.rows().map(|(_, reds)| reds[top]).sum();
+            let shortfall = path.required_reduction_ps() - reduction;
             if shortfall > shortfall_ps {
                 shortfall_ps = shortfall;
                 worst_path = Some(k);
@@ -133,32 +133,12 @@ mod tests {
 
     #[test]
     fn uncompensable_diagnosis_picks_the_worst_path() {
-        use crate::PathConstraint;
         // Two paths; at the top level (index 1) path 0 recovers 4 of 10 ps
         // (shortfall 6) and path 1 recovers 8 of 9 ps (shortfall 1).
-        let pre = Preprocessed {
-            n_rows: 1,
-            levels: 2,
-            beta: 0.2,
-            max_clusters: 1,
-            dcrit_ps: 100.0,
-            row_leakage_nw: vec![vec![1.0, 2.0]],
-            row_criticality: vec![1.0],
-            paths: vec![
-                PathConstraint {
-                    degraded_delay_ps: 110.0,
-                    required_reduction_ps: 10.0,
-                    nominal_delay_ps: 91.0,
-                    rows: vec![(0, vec![0.0, 4.0])],
-                },
-                PathConstraint {
-                    degraded_delay_ps: 109.0,
-                    required_reduction_ps: 9.0,
-                    nominal_delay_ps: 90.0,
-                    rows: vec![(0, vec![0.0, 8.0])],
-                },
-            ],
-        };
+        let mut builder = Preprocessed::builder(2, vec![1.0, 2.0], vec![1.0]).unwrap();
+        builder.push_path(110.0, 10.0, 91.0, &[0], &[0.0, 4.0]).unwrap();
+        builder.push_path(109.0, 9.0, 90.0, &[0], &[0.0, 8.0]).unwrap();
+        let pre = builder.into_problem(0.2, 1, 100.0);
         match FbbError::uncompensable(&pre) {
             FbbError::Uncompensable { worst_path, shortfall_ps, .. } => {
                 assert_eq!(worst_path, Some(0));

@@ -25,13 +25,13 @@ pub fn pass_one(pre: &Preprocessed) -> Option<usize> {
         // scan and the eager parallel scan, so `core_pass_one_probes` is
         // excluded from cross-`FBB_THREADS` determinism comparisons.
         fbb_telemetry::counter("core_pass_one_probes", 1);
-        let assignment = vec![j; pre.n_rows];
+        let assignment = vec![j; pre.n_rows()];
         check_timing(pre, &assignment).is_ok()
     };
-    if par::worker_count(pre.levels) <= 1 {
-        return (0..pre.levels).find(|&j| check(j));
+    if par::worker_count(pre.levels()) <= 1 {
+        return (0..pre.levels()).find(|&j| check(j));
     }
-    let feasible = par::parallel_gen(pre.levels, check);
+    let feasible = par::parallel_gen(pre.levels(), check);
     feasible.iter().position(|&ok| ok)
 }
 
@@ -39,10 +39,10 @@ pub fn pass_one(pre: &Preprocessed) -> Option<usize> {
 /// required): the lowest *allowed* uniform level meeting timing. Used when a
 /// shared central generator offers only some voltages to this block.
 pub fn pass_one_restricted(pre: &Preprocessed, allowed: &[usize]) -> Option<usize> {
-    let mut levels: Vec<usize> = allowed.iter().copied().filter(|&l| l < pre.levels).collect();
+    let mut levels: Vec<usize> = allowed.iter().copied().filter(|&l| l < pre.levels()).collect();
     levels.sort_unstable();
     let check = |j: usize| {
-        let assignment = vec![j; pre.n_rows];
+        let assignment = vec![j; pre.n_rows()];
         check_timing(pre, &assignment).is_ok()
     };
     if par::worker_count(levels.len()) <= 1 {
@@ -164,13 +164,14 @@ impl TwoPassHeuristic {
         let clock = Stopwatch::start();
         let jopt = pass_one_restricted(pre, allowed)
             .ok_or_else(|| FbbError::uncompensable(pre))?;
-        let assignment =
-            par::parallel_gen(pre.max_clusters, |k| max_drop_restricted(pre, jopt, k + 1, Some(allowed)))
-                .into_iter()
-                .min_by(|a, b| {
-                    pre.leakage_nw(a).partial_cmp(&pre.leakage_nw(b)).expect("leakage is finite")
-                })
-                .expect("at least one budget");
+        let assignment = par::parallel_gen(budget_count(pre, jopt), |k| {
+            max_drop_restricted(pre, jopt, k + 1, Some(allowed))
+        })
+        .into_iter()
+        .min_by(|a, b| {
+            pre.leakage_nw(a).partial_cmp(&pre.leakage_nw(b)).expect("leakage is finite")
+        })
+        .expect("at least one budget");
         Ok(ClusterSolution::from_assignment(
             pre,
             assignment,
@@ -182,8 +183,8 @@ impl TwoPassHeuristic {
     /// `PassTwo` from a given `jopt` (exposed for the cluster-sweep
     /// experiments).
     pub fn pass_two(&self, pre: &Preprocessed, jopt: usize) -> Vec<usize> {
-        if jopt == 0 || pre.n_rows == 0 {
-            return vec![jopt; pre.n_rows];
+        if jopt == 0 || pre.n_rows() == 0 {
+            return vec![jopt; pre.n_rows()];
         }
         match self.policy {
             DescentPolicy::MaxDrop => {
@@ -191,11 +192,12 @@ impl TwoPassHeuristic {
                 // intermediate level early that a smaller budget would have
                 // skipped, so the result is not monotone in C by
                 // construction; running every budget up to C and keeping the
-                // best restores monotonicity at O(C) extra linear passes.
-                // Each budget's descent is independent, so the candidates are
-                // ranked concurrently; the min-fold stays in budget order, so
-                // the winner matches the serial sweep exactly.
-                par::parallel_gen(pre.max_clusters, |k| max_drop(pre, jopt, k + 1))
+                // best restores monotonicity at O(C) extra linear passes
+                // (C capped at jopt + 1, see `budget_count`). Each budget's
+                // descent is independent, so the candidates are ranked
+                // concurrently; the min-fold stays in budget order, so the
+                // winner matches the serial sweep exactly.
+                par::parallel_gen(budget_count(pre, jopt), |k| max_drop(pre, jopt, k + 1))
                     .into_iter()
                     .min_by(|a, b| {
                         pre.leakage_nw(a)
@@ -210,13 +212,23 @@ impl TwoPassHeuristic {
     }
 }
 
+/// The cluster budgets `PassTwo` tries, `1..=` this count: `C`, capped at
+/// `jopt + 1`. A descent from `jopt` only ever opens levels `0..=jopt`, so
+/// a budget above `jopt + 1` never runs out and repeats the `jopt + 1`
+/// candidate, which the first-minimum fold already keeps. The cap also
+/// bounds the candidate list when `C` comes from a request.
+fn budget_count(pre: &Preprocessed, jopt: usize) -> usize {
+    pre.max_clusters.min(jopt + 1)
+}
+
 /// Rows in increasing timing criticality (least critical first), ties broken
 /// by index for determinism.
 fn ranked_rows(pre: &Preprocessed) -> Vec<usize> {
-    let mut ranked: Vec<usize> = (0..pre.n_rows).collect();
+    let criticality = pre.row_criticality();
+    let mut ranked: Vec<usize> = (0..pre.n_rows()).collect();
     ranked.sort_by(|&a, &b| {
-        pre.row_criticality[a]
-            .partial_cmp(&pre.row_criticality[b])
+        criticality[a]
+            .partial_cmp(&criticality[b])
             .expect("criticalities are finite")
             .then(a.cmp(&b))
     });
@@ -233,7 +245,7 @@ fn max_drop_restricted(
     c_max: usize,
     allowed: Option<&[usize]>,
 ) -> Vec<usize> {
-    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows]);
+    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows()]);
     debug_assert!(state.feasible(), "PassOne must hand over a feasible start");
 
     // Levels currently in use; jopt is always occupied by the most critical
@@ -278,10 +290,10 @@ fn max_drop_restricted(
 
 fn synchronous(pre: &Preprocessed, jopt: usize, block_descent: bool) -> Vec<usize> {
     let c_max = pre.max_clusters;
-    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows]);
+    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows()]);
     debug_assert!(state.feasible(), "PassOne must hand over a feasible start");
     let ranked = ranked_rows(pre);
-    let mut locked = vec![false; pre.n_rows];
+    let mut locked = vec![false; pre.n_rows()];
     let mut clusters = 1usize;
 
     // Descend one level per round: unlocked rows at level j try j-1.
@@ -365,7 +377,7 @@ mod tests {
         let jopt = pass_one(&pre).unwrap();
         assert!(jopt >= 1, "5% slowdown needs some bias");
         // jopt is minimal: one level below must fail.
-        let below = vec![jopt - 1; pre.n_rows];
+        let below = vec![jopt - 1; pre.n_rows()];
         assert!(check_timing(&pre, &below).is_err());
     }
 
@@ -410,7 +422,7 @@ mod tests {
     fn heuristic_saves_leakage_vs_uniform() {
         let pre = setup(0.05, 3);
         let jopt = pass_one(&pre).unwrap();
-        let uniform = pre.leakage_nw(&vec![jopt; pre.n_rows]);
+        let uniform = pre.leakage_nw(&vec![jopt; pre.n_rows()]);
         let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
         assert!(sol.leakage_nw < uniform, "{} !< {uniform}", sol.leakage_nw);
     }
@@ -419,7 +431,7 @@ mod tests {
     fn every_policy_beats_or_matches_single_bb() {
         for (beta, c) in [(0.05, 2), (0.10, 2), (0.10, 3)] {
             let pre = setup(beta, c);
-            let uniform = pre.leakage_nw(&vec![pass_one(&pre).unwrap(); pre.n_rows]);
+            let uniform = pre.leakage_nw(&vec![pass_one(&pre).unwrap(); pre.n_rows()]);
             for policy in
                 [DescentPolicy::MaxDrop, DescentPolicy::BlockSynchronous, DescentPolicy::Literal]
             {
@@ -459,11 +471,28 @@ mod tests {
     fn max_drop_sends_unconstrained_rows_to_nbb() {
         let pre = setup(0.05, 3);
         let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
-        for (row, &ct) in pre.row_criticality.iter().enumerate() {
+        for (row, &ct) in pre.row_criticality().iter().enumerate() {
             if ct == 0.0 {
                 assert_eq!(sol.assignment[row], 0, "unconstrained row {row} should be at NBB");
             }
         }
+    }
+
+    #[test]
+    fn budget_beyond_jopt_plus_one_changes_nothing() {
+        // A request-sized C (2^40) must neither size an allocation nor move
+        // the answer: budgets past jopt + 1 repeat the jopt + 1 candidate.
+        let mut pre = setup(0.10, 3);
+        let allowed: Vec<usize> = (0..pre.levels()).collect();
+        pre.max_clusters = pre.levels();
+        let at_p = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let restricted_at_p = TwoPassHeuristic::default().solve_restricted(&pre, &allowed).unwrap();
+        pre.max_clusters = 1usize << 40;
+        let huge = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let restricted_huge = TwoPassHeuristic::default().solve_restricted(&pre, &allowed).unwrap();
+        assert_eq!(huge.assignment, at_p.assignment);
+        assert_eq!(huge.leakage_nw.to_bits(), at_p.leakage_nw.to_bits());
+        assert_eq!(restricted_huge.assignment, restricted_at_p.assignment);
     }
 
     #[test]

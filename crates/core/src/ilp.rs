@@ -61,13 +61,13 @@ impl IlpAllocator {
     /// Propagates [`FbbError::Solver`] on malformed models (cannot happen
     /// for a well-formed [`Preprocessed`]).
     pub fn build_model(&self, pre: &Preprocessed) -> Result<Model, FbbError> {
-        let n = pre.n_rows;
-        let p = pre.levels;
+        let n = pre.n_rows();
+        let p = pre.levels();
         let mut model = Model::new();
 
         // x[i][j] with leakage objective (Eq. 1).
         let x: Vec<Vec<usize>> = (0..n)
-            .map(|i| (0..p).map(|j| model.add_binary(pre.row_leakage_nw[i][j])).collect())
+            .map(|i| pre.row_leakage(i).iter().map(|&l| model.add_binary(l)).collect())
             .collect();
         // y[j] cluster-open indicators, prioritized for branching.
         let y: Vec<usize> = (0..p).map(|_| model.add_binary(0.0)).collect();
@@ -85,12 +85,12 @@ impl IlpAllocator {
         // walks its whole row/level footprint, and paths are independent, so
         // the vectors are generated concurrently; constraints are then added
         // in path order to keep the model layout deterministic.
-        let path_terms = fbb_sta::par::parallel_map(&pre.paths, |_, path| {
+        let path_terms = fbb_sta::par::parallel_gen(pre.constraint_count(), |k| {
             let mut terms = Vec::new();
-            for (row, reds) in &path.rows {
+            for (row, reds) in pre.path(k).rows() {
                 for (j, &a) in reds.iter().enumerate() {
                     if a != 0.0 {
-                        terms.push((x[*row][j], a));
+                        terms.push((x[row][j], a));
                     }
                 }
             }
@@ -99,8 +99,8 @@ impl IlpAllocator {
             terms.sort_unstable_by_key(|&(v, _)| v);
             terms
         });
-        for (path, terms) in pre.paths.iter().zip(path_terms) {
-            model.add_constraint(terms, Sense::Ge, path.required_reduction_ps)?;
+        for (path, terms) in pre.paths().zip(path_terms) {
+            model.add_constraint(terms, Sense::Ge, path.required_reduction_ps())?;
         }
 
         // Eq. 4: linking and the cluster budget.
@@ -119,9 +119,9 @@ impl IlpAllocator {
     /// Eq. 3 one-hots first, then the Eq. 2 path rows, then the Eq. 4
     /// linking rows and budget row — for the `fbb-lp` cut separator.
     pub fn structure_hints(pre: &Preprocessed) -> StructureHints {
-        let n = pre.n_rows;
-        let p = pre.levels;
-        let n_paths = pre.paths.len();
+        let n = pre.n_rows();
+        let p = pre.levels();
+        let n_paths = pre.constraint_count();
         StructureHints {
             one_hot_rows: (0..n).collect(),
             linking_rows: (n + n_paths..n + n_paths + p).collect(),
@@ -138,9 +138,9 @@ impl IlpAllocator {
     /// generic numerical defects are covered by [`Model::audit`], which
     /// this calls first.
     pub fn audit_structure(pre: &Preprocessed, model: &Model) -> Vec<String> {
-        let n = pre.n_rows;
-        let p = pre.levels;
-        let n_paths = pre.paths.len();
+        let n = pre.n_rows();
+        let p = pre.levels();
+        let n_paths = pre.constraint_count();
         let mut issues: Vec<String> =
             model.audit().errors().map(|d| format!("model defect: {}", d.message)).collect();
 
@@ -322,8 +322,8 @@ impl IlpAllocator {
 
 /// Flattens an assignment into the model's variable vector (x then y).
 pub(crate) fn encode(pre: &Preprocessed, assignment: &[usize]) -> Vec<f64> {
-    let n = pre.n_rows;
-    let p = pre.levels;
+    let n = pre.n_rows();
+    let p = pre.levels();
     let mut x = vec![0.0; n * p + p];
     for (i, &j) in assignment.iter().enumerate() {
         x[i * p + j] = 1.0;
@@ -339,8 +339,8 @@ pub(crate) fn encode(pre: &Preprocessed, assignment: &[usize]) -> Vec<f64> {
 
 /// Reads the row assignment back out of a MIP point.
 pub(crate) fn decode(pre: &Preprocessed, x: &[f64]) -> Vec<usize> {
-    let p = pre.levels;
-    (0..pre.n_rows)
+    let p = pre.levels();
+    (0..pre.n_rows())
         .map(|i| {
             (0..p)
                 .max_by(|&a, &b| {
@@ -371,10 +371,10 @@ mod tests {
     fn model_dimensions_match_formulation() {
         let pre = pre(0.05, 3);
         let model = IlpAllocator::default().build_model(&pre).unwrap();
-        assert_eq!(model.var_count(), pre.n_rows * pre.levels + pre.levels);
+        assert_eq!(model.var_count(), pre.n_rows() * pre.levels() + pre.levels());
         assert_eq!(
             model.constraint_count(),
-            pre.n_rows + pre.paths.len() + pre.levels + 1
+            pre.n_rows() + pre.constraint_count() + pre.levels() + 1
         );
     }
 
@@ -394,9 +394,9 @@ mod tests {
     fn structure_audit_catches_planted_defects() {
         let pre = pre(0.05, 3);
         let reference = IlpAllocator::default().build_model(&pre).unwrap();
-        let n = pre.n_rows;
-        let p = pre.levels;
-        let n_paths = pre.paths.len();
+        let n = pre.n_rows();
+        let p = pre.levels();
+        let n_paths = pre.constraint_count();
 
         // Rebuilds the model with one deliberate defect each, checking the
         // audit names the planted problem.
@@ -413,10 +413,10 @@ mod tests {
                     // Drop x[0][0] from its assignment row: the binary
                     // dangles (appears in 0 one-hot rows).
                     let mut m = Model::new();
-                    let (n, p) = (pre.n_rows, pre.levels);
+                    let (n, p) = (pre.n_rows(), pre.levels());
                     for i in 0..n {
-                        for j in 0..p {
-                            m.add_binary(pre.row_leakage_nw[i][j]);
+                        for &l in pre.row_leakage(i) {
+                            m.add_binary(l);
                         }
                     }
                     for _ in 0..p {
@@ -443,10 +443,10 @@ mod tests {
             },
         ];
         fn pad_to_reference(pre: &Preprocessed, mut m: Model) -> Model {
-            let (n, p) = (pre.n_rows, pre.levels);
-            for path in &pre.paths {
+            let (n, p) = (pre.n_rows(), pre.levels());
+            for path in pre.paths() {
                 let mut terms = Vec::new();
-                for (row, reds) in &path.rows {
+                for (row, reds) in path.rows() {
                     for (j, &a) in reds.iter().enumerate() {
                         if a != 0.0 {
                             terms.push((row * p + j, a));
@@ -454,7 +454,7 @@ mod tests {
                     }
                 }
                 terms.sort_unstable_by_key(|&(v, _)| v);
-                m.add_constraint(terms, Sense::Ge, path.required_reduction_ps).unwrap();
+                m.add_constraint(terms, Sense::Ge, path.required_reduction_ps()).unwrap();
             }
             for j in 0..p {
                 let mut terms: Vec<(usize, f64)> =
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let pre = pre(0.05, 3);
-        let assignment: Vec<usize> = (0..pre.n_rows).map(|i| i % pre.levels).collect();
+        let assignment: Vec<usize> = (0..pre.n_rows()).map(|i| i % pre.levels()).collect();
         let x = encode(&pre, &assignment);
         assert_eq!(decode(&pre, &x), assignment);
     }

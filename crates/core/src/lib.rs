@@ -67,6 +67,6 @@ pub use check::{check_timing, CheckState};
 pub use error::FbbError;
 pub use heuristic::{pass_one, pass_one_restricted, DescentPolicy, TwoPassHeuristic};
 pub use ilp::{IlpAllocator, IlpOutcome};
-pub use problem::{FbbProblem, Granularity, PathConstraint, Preprocessed};
+pub use problem::{FbbProblem, Granularity, PathRef, Preprocessed, PreprocessedBuilder};
 pub use solution::ClusterSolution;
 pub use sweep::{run_sweep, SweepCell, SweepGrid, SweepOptions, SweepReport, SweepStatus};

@@ -1,5 +1,8 @@
 //! Problem definition and the pre-processing phase (§4.1).
 
+use std::fmt;
+use std::sync::Arc;
+
 use fbb_device::Characterization;
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
@@ -199,11 +202,11 @@ impl<'a> FbbProblem<'a> {
         };
         let dcrit = analysis.dcrit_ps();
 
-        // Per-group leakage at every level: L[i][j].
-        let mut row_leakage = vec![vec![0.0f64; levels]; n_rows];
+        // Per-group leakage at every level: L[i][j], row-major.
+        let mut row_leakage = vec![0.0f64; n_rows * levels];
         for (id, gate) in self.netlist.iter_gates() {
             let row = group_of[id.index()];
-            for (j, slot) in row_leakage[row].iter_mut().enumerate() {
+            for (j, slot) in row_leakage[row * levels..(row + 1) * levels].iter_mut().enumerate() {
                 *slot += chara.leakage_nw(gate.cell, j);
             }
         }
@@ -235,90 +238,366 @@ impl<'a> FbbProblem<'a> {
                 // Paper's criticality: ct_i = sum_k Q_{i,k} / slack_k.
                 row_criticality[row] += q as f64 / slack;
             }
-            let rows = per_row
-                .into_iter()
-                .map(|(row, delay_sum, _)| {
-                    let reductions = speedups.iter().map(|&s| delay_sum * s).collect();
-                    (row, reductions)
-                })
-                .collect();
-            paths.push(PathConstraint {
-                degraded_delay_ps: degraded,
-                required_reduction_ps: degraded - dcrit,
-                nominal_delay_ps: path.delay_ps,
-                rows,
-            });
+            paths.push((degraded, path.delay_ps, per_row));
         }
 
-        Ok(Preprocessed {
-            n_rows,
+        let mut builder = Preprocessed::builder(levels, row_leakage, row_criticality)?;
+        let (mut rows, mut reductions) = (Vec::new(), Vec::new());
+        for (degraded, nominal_delay, per_row) in paths {
+            rows.clear();
+            reductions.clear();
+            for (row, delay_sum, _) in per_row {
+                rows.push(row);
+                reductions.extend(speedups.iter().map(|&s| delay_sum * s));
+            }
+            builder.push_path(degraded, degraded - dcrit, nominal_delay, &rows, &reductions)?;
+        }
+        Ok(builder.into_problem(self.beta, self.max_clusters, dcrit))
+    }
+}
+
+/// The tables of one pre-processed problem, shared by every
+/// [`Preprocessed`] view over them.
+///
+/// Every table is stored once, at the full level count it was built with;
+/// views cut it to their own `P` on read. Each path entry — one path `k`
+/// crossing one row `i`, with its reductions `a[i][j][k]` for every level
+/// `j` — is stored once, and entries are grouped by row, so moving a row
+/// between levels ([`CheckState`](crate::CheckState)) reads one contiguous
+/// run. Each path keeps the ids of its entries in its own row order, so a
+/// path's sums run in the order it was built with.
+#[derive(Debug)]
+struct Tables {
+    /// Levels every table holds: the stride of `row_leakage_nw` and
+    /// `reductions`.
+    levels: usize,
+    /// `L[i][j]` in nanowatts at `i * levels + j`.
+    row_leakage_nw: Vec<f64>,
+    /// Row criticality coefficients `ct_i`, one per row.
+    row_criticality: Vec<f64>,
+    /// Per path: delay after the β slowdown.
+    degraded_delay_ps: Vec<f64>,
+    /// Per path: the reduction `b_k` needed to restore `Dcrit`.
+    required_reduction_ps: Vec<f64>,
+    /// Per path: nominal delay.
+    nominal_delay_ps: Vec<f64>,
+    /// Row `i`'s entries are `row_start[i]..row_start[i + 1]`.
+    row_start: Vec<usize>,
+    /// Per entry: the path it belongs to.
+    entry_path: Vec<usize>,
+    /// Per entry: `levels` reductions, entry `e`'s at `e * levels..`.
+    reductions: Vec<f64>,
+    /// Path `k`'s rows are `path_rows[path_start[k]..path_start[k + 1]]`,
+    /// and the matching slots of `path_entries` hold their entry ids.
+    path_start: Vec<usize>,
+    /// Rows of every path, path after path, each path in its own order.
+    path_rows: Vec<usize>,
+    /// Entry ids, parallel to `path_rows`.
+    path_entries: Vec<usize>,
+}
+
+/// Collects a problem's tables path by path; see [`Preprocessed::builder`].
+#[derive(Debug)]
+pub struct PreprocessedBuilder {
+    levels: usize,
+    row_leakage_nw: Vec<f64>,
+    row_criticality: Vec<f64>,
+    degraded_delay_ps: Vec<f64>,
+    required_reduction_ps: Vec<f64>,
+    nominal_delay_ps: Vec<f64>,
+    /// Path `k`'s rows are `rows[path_start[k]..path_start[k + 1]]`.
+    path_start: Vec<usize>,
+    /// Rows of every path, path after path.
+    rows: Vec<usize>,
+    /// `levels` reductions per entry of `rows`.
+    reductions: Vec<f64>,
+}
+
+impl PreprocessedBuilder {
+    /// Appends one path of Π. `rows` lists the rows it crosses, in its own
+    /// order; `reductions` holds `levels` values per listed row, the
+    /// reduction of `rows[r]` at level `j` at `r * levels + j` (the paper's
+    /// `a[i][j][k]`: what this path recovers when row `i` sits at level
+    /// `j`).
+    ///
+    /// A row listed twice is accepted here and rejected by
+    /// [`Preprocessed::validate`], as are non-finite values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FbbError::InvalidProblem`] if `reductions` does not hold
+    /// `levels` values per row or a row is out of range.
+    pub fn push_path(
+        &mut self,
+        degraded_delay_ps: f64,
+        required_reduction_ps: f64,
+        nominal_delay_ps: f64,
+        rows: &[usize],
+        reductions: &[f64],
+    ) -> Result<(), FbbError> {
+        let k = self.degraded_delay_ps.len();
+        if rows.len().checked_mul(self.levels) != Some(reductions.len()) {
+            return Err(FbbError::InvalidProblem(format!(
+                "path {k} lists {} rows but {} reductions at {} levels",
+                rows.len(),
+                reductions.len(),
+                self.levels
+            )));
+        }
+        let n_rows = self.row_criticality.len();
+        if let Some(row) = rows.iter().find(|&&row| row >= n_rows) {
+            return Err(FbbError::InvalidProblem(format!(
+                "path {k} references row {row}, but only {n_rows} exist"
+            )));
+        }
+        self.degraded_delay_ps.push(degraded_delay_ps);
+        self.required_reduction_ps.push(required_reduction_ps);
+        self.nominal_delay_ps.push(nominal_delay_ps);
+        self.rows.extend_from_slice(rows);
+        self.reductions.extend_from_slice(reductions);
+        self.path_start.push(self.rows.len());
+        Ok(())
+    }
+
+    /// Groups the entries by row and returns the full-level view over the
+    /// tables, with its scalar parameters: the slowdown β, the cluster
+    /// budget C and the critical delay `Dcrit`.
+    pub fn into_problem(self, beta: f64, max_clusters: usize, dcrit_ps: f64) -> Preprocessed {
+        let (n_rows, levels) = (self.row_criticality.len(), self.levels);
+        let n_entries = self.rows.len();
+        // Counting sort of the entries by row, stable in path order.
+        let mut row_start = vec![0usize; n_rows + 1];
+        for &row in &self.rows {
+            row_start[row + 1] += 1;
+        }
+        for i in 0..n_rows {
+            row_start[i + 1] += row_start[i];
+        }
+        let mut next = row_start.clone();
+        let mut entry_path = vec![0usize; n_entries];
+        let mut reductions = vec![0.0f64; n_entries * levels];
+        let mut path_entries = Vec::with_capacity(n_entries);
+        for (k, span) in self.path_start.windows(2).enumerate() {
+            for r in span[0]..span[1] {
+                let row = self.rows[r];
+                let e = next[row];
+                next[row] += 1;
+                entry_path[e] = k;
+                reductions[e * levels..(e + 1) * levels]
+                    .copy_from_slice(&self.reductions[r * levels..(r + 1) * levels]);
+                path_entries.push(e);
+            }
+        }
+        let tables = Tables {
             levels,
-            beta: self.beta,
-            max_clusters: self.max_clusters,
-            dcrit_ps: dcrit,
-            row_leakage_nw: row_leakage,
-            row_criticality,
-            paths,
-        })
-    }
-}
-
-/// One timing constraint: a path of Π whose degraded delay violates `Dcrit`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PathConstraint {
-    /// Path delay after the β slowdown (`pd · (1 + β)`).
-    pub degraded_delay_ps: f64,
-    /// Reduction needed to restore `Dcrit` (the magnitude of the paper's
-    /// `b_k`).
-    pub required_reduction_ps: f64,
-    /// Nominal (pre-slowdown) path delay.
-    pub nominal_delay_ps: f64,
-    /// Per-row delay-reduction table: `(row, reductions[level])` where
-    /// `reductions[j]` is the paper's `a[i][j][k]` — the total delay this
-    /// path recovers when row `i` sits at bias level `j`.
-    pub rows: Vec<(usize, Vec<f64>)>,
-}
-
-impl PathConstraint {
-    /// Total reduction this path receives under a row→level assignment.
-    pub fn reduction(&self, assignment: &[usize]) -> f64 {
-        self.rows.iter().map(|(row, reds)| reds[assignment[*row]]).sum()
-    }
-
-    /// Whether the path meets timing under the assignment.
-    pub fn satisfied(&self, assignment: &[usize]) -> bool {
-        self.reduction(assignment) + 1e-9 >= self.required_reduction_ps
+            row_leakage_nw: self.row_leakage_nw,
+            row_criticality: self.row_criticality,
+            degraded_delay_ps: self.degraded_delay_ps,
+            required_reduction_ps: self.required_reduction_ps,
+            nominal_delay_ps: self.nominal_delay_ps,
+            row_start,
+            entry_path,
+            reductions,
+            path_start: self.path_start,
+            path_rows: self.rows,
+            path_entries,
+        };
+        Preprocessed { tables: Arc::new(tables), levels, beta, max_clusters, dcrit_ps }
     }
 }
 
 /// The pre-processed allocation problem the algorithms operate on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A view: the scalar parameters below sit over tables shared by `Arc`, so
+/// `clone`, a cluster-budget override and [`Preprocessed::restrict_levels`]
+/// cost O(1). Equality compares the logical problem — every table as the
+/// view reads it — not the sharing.
+#[derive(Debug, Clone)]
 pub struct Preprocessed {
-    /// Number of rows `N`.
-    pub n_rows: usize,
-    /// Number of bias levels `P` (index 0 = no body bias).
-    pub levels: usize,
+    tables: Arc<Tables>,
+    /// Bias levels `P` this view reads (at most the tables' levels).
+    levels: usize,
     /// The slowdown coefficient β.
     pub beta: f64,
     /// Cluster budget `C` (distinct levels including NBB).
     pub max_clusters: usize,
     /// Nominal critical delay.
     pub dcrit_ps: f64,
-    /// Per-row leakage `L[i][j]` in nanowatts.
-    pub row_leakage_nw: Vec<Vec<f64>>,
-    /// Row timing-criticality coefficients `ct_i` for the heuristic ranking.
-    pub row_criticality: Vec<f64>,
-    /// Constrained path set (the paper's `M` = `paths.len()`).
-    pub paths: Vec<PathConstraint>,
+}
+
+/// One timing constraint of a [`Preprocessed`] view: a path of Π whose
+/// degraded delay violates `Dcrit`.
+#[derive(Clone, Copy)]
+pub struct PathRef<'a> {
+    tables: &'a Tables,
+    levels: usize,
+    k: usize,
+}
+
+impl<'a> PathRef<'a> {
+    /// Path delay after the β slowdown (`pd · (1 + β)`).
+    pub fn degraded_delay_ps(&self) -> f64 {
+        self.tables.degraded_delay_ps[self.k]
+    }
+
+    /// Reduction needed to restore `Dcrit` (the magnitude of the paper's
+    /// `b_k`).
+    pub fn required_reduction_ps(&self) -> f64 {
+        self.tables.required_reduction_ps[self.k]
+    }
+
+    /// Nominal (pre-slowdown) path delay.
+    pub fn nominal_delay_ps(&self) -> f64 {
+        self.tables.nominal_delay_ps[self.k]
+    }
+
+    /// The rows this path crosses, in its own order, each with its
+    /// reductions by level cut to the view's `P`: `reductions[j]` is the
+    /// paper's `a[i][j][k]`, the delay this path recovers when row `i`
+    /// sits at level `j`.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (usize, &'a [f64])> {
+        let (t, p) = (self.tables, self.levels);
+        let span = t.path_start[self.k]..t.path_start[self.k + 1];
+        t.path_rows[span.clone()]
+            .iter()
+            .zip(&t.path_entries[span])
+            .map(move |(&row, &e)| (row, &t.reductions[e * t.levels..e * t.levels + p]))
+    }
+
+    /// Total reduction this path receives under a row→level assignment,
+    /// summed in the path's row order.
+    pub fn reduction(&self, assignment: &[usize]) -> f64 {
+        self.rows().map(|(row, reds)| reds[assignment[row]]).sum()
+    }
+
+    /// Whether the path meets timing under the assignment.
+    pub fn satisfied(&self, assignment: &[usize]) -> bool {
+        self.reduction(assignment) + 1e-9 >= self.required_reduction_ps()
+    }
+}
+
+impl fmt::Debug for PathRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PathRef")
+            .field("path", &self.k)
+            .field("degraded_delay_ps", &self.degraded_delay_ps())
+            .field("required_reduction_ps", &self.required_reduction_ps())
+            .field("nominal_delay_ps", &self.nominal_delay_ps())
+            .field("rows", &self.rows().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl PartialEq for PathRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.degraded_delay_ps() == other.degraded_delay_ps()
+            && self.required_reduction_ps() == other.required_reduction_ps()
+            && self.nominal_delay_ps() == other.nominal_delay_ps()
+            && self.rows().eq(other.rows())
+    }
+}
+
+impl PartialEq for Preprocessed {
+    fn eq(&self, other: &Self) -> bool {
+        self.levels == other.levels
+            && self.beta == other.beta
+            && self.max_clusters == other.max_clusters
+            && self.dcrit_ps == other.dcrit_ps
+            && self.row_criticality() == other.row_criticality()
+            && (0..self.n_rows()).all(|i| self.row_leakage(i) == other.row_leakage(i))
+            && self.paths().eq(other.paths())
+    }
 }
 
 impl Preprocessed {
+    /// Starts a problem over `row_criticality.len()` rows and `levels` bias
+    /// levels: `row_leakage_nw` holds row `i`'s leakage at level `j`
+    /// (`L[i][j]`, nanowatts) at `i * levels + j`, and `row_criticality`
+    /// the rows' timing-criticality coefficients `ct_i`. Paths follow
+    /// through [`PreprocessedBuilder::push_path`]; this is the one way to
+    /// build a problem, and nothing beyond the table shapes is checked
+    /// until [`Preprocessed::validate`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FbbError::InvalidProblem`] if `levels` is zero or the
+    /// leakage table does not hold `levels` values per row.
+    pub fn builder(
+        levels: usize,
+        row_leakage_nw: Vec<f64>,
+        row_criticality: Vec<f64>,
+    ) -> Result<PreprocessedBuilder, FbbError> {
+        let n_rows = row_criticality.len();
+        if levels == 0 || n_rows.checked_mul(levels) != Some(row_leakage_nw.len()) {
+            return Err(FbbError::InvalidProblem(format!(
+                "leakage table holds {} values, expected {n_rows} rows x {levels} levels",
+                row_leakage_nw.len()
+            )));
+        }
+        Ok(PreprocessedBuilder {
+            levels,
+            row_leakage_nw,
+            row_criticality,
+            degraded_delay_ps: Vec::new(),
+            required_reduction_ps: Vec::new(),
+            nominal_delay_ps: Vec::new(),
+            path_start: vec![0],
+            rows: Vec::new(),
+            reductions: Vec::new(),
+        })
+    }
+
+    /// Number of rows `N`.
+    pub fn n_rows(&self) -> usize {
+        self.tables.row_criticality.len()
+    }
+
+    /// Number of bias levels `P` (index 0 = no body bias).
+    pub fn levels(&self) -> usize {
+        self.levels
+    }
+
+    /// Row `row`'s leakage `L[i][j]` in nanowatts, for each of the `P`
+    /// levels.
+    pub fn row_leakage(&self, row: usize) -> &[f64] {
+        let t = &*self.tables;
+        &t.row_leakage_nw[row * t.levels..row * t.levels + self.levels]
+    }
+
+    /// Row timing-criticality coefficients `ct_i` for the heuristic
+    /// ranking, one per row.
+    pub fn row_criticality(&self) -> &[f64] {
+        &self.tables.row_criticality
+    }
+
+    /// Path `k` of the constrained path set, `k < constraint_count()`.
+    pub fn path(&self, k: usize) -> PathRef<'_> {
+        PathRef { tables: &self.tables, levels: self.levels, k }
+    }
+
+    /// The constrained path set (the paper's `M` paths), in order.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = PathRef<'_>> {
+        (0..self.constraint_count()).map(|k| self.path(k))
+    }
+
+    /// The paths crossing `row`, in path order, each with its reductions
+    /// by level at this row cut to `P`. The entries sit contiguously, so
+    /// this is what moving a row between levels reads.
+    pub fn row_entries(&self, row: usize) -> impl ExactSizeIterator<Item = (usize, &[f64])> {
+        let (t, p) = (&*self.tables, self.levels);
+        let span = t.row_start[row]..t.row_start[row + 1];
+        t.entry_path[span.clone()]
+            .iter()
+            .zip(t.reductions[span.start * t.levels..span.end * t.levels].chunks_exact(t.levels))
+            .map(move |(&k, reds)| (k, &reds[..p]))
+    }
+
     /// Total leakage (nW) of an assignment.
     pub fn leakage_nw(&self, assignment: &[usize]) -> f64 {
         assignment
             .iter()
             .enumerate()
-            .map(|(row, &level)| self.row_leakage_nw[row][level])
+            .map(|(row, &level)| self.row_leakage(row)[level])
             .sum()
     }
 
@@ -332,10 +611,11 @@ impl Preprocessed {
 
     /// Number of timing constraints `M` (the paper's `No.Constr` column).
     pub fn constraint_count(&self) -> usize {
-        self.paths.len()
+        self.tables.degraded_delay_ps.len()
     }
 
-    /// A copy of this problem truncated to the first `levels` bias levels.
+    /// A view of this problem cut to the first `levels` bias levels,
+    /// sharing its tables.
     ///
     /// Level `j`'s leakage and delay-reduction entries do not depend on how
     /// many higher levels the characterization carries, so truncating a
@@ -357,17 +637,7 @@ impl Preprocessed {
                 self.levels
             )));
         }
-        let mut out = self.clone();
-        out.levels = levels;
-        for leak in &mut out.row_leakage_nw {
-            leak.truncate(levels);
-        }
-        for path in &mut out.paths {
-            for (_, reds) in &mut path.rows {
-                reds.truncate(levels);
-            }
-        }
-        Ok(out)
+        Ok(Preprocessed { levels, ..self.clone() })
     }
 
     /// Checks the internal consistency of a `Preprocessed` instance that
@@ -375,17 +645,18 @@ impl Preprocessed {
     /// from a persisted design database — so that corrupted tables error
     /// cleanly instead of panicking inside an allocator.
     ///
-    /// Verified: dimensions are non-degenerate, every table has the declared
-    /// `n_rows` × `levels` shape, every path row index is in range, and
-    /// every numeric entry is finite (leakage and criticality non-negative).
+    /// Verified: dimensions are non-degenerate, every numeric entry is
+    /// finite (leakage and criticality non-negative), and no path lists a
+    /// row twice. Table shapes and row ranges hold by construction.
     ///
     /// # Errors
     ///
     /// Returns [`FbbError::InvalidProblem`] naming the first violation.
     pub fn validate(&self) -> Result<(), FbbError> {
         let fail = |msg: String| Err(FbbError::InvalidProblem(msg));
-        if self.n_rows == 0 || self.levels == 0 {
-            return fail(format!("degenerate shape: {} rows x {} levels", self.n_rows, self.levels));
+        let (t, n_rows) = (&*self.tables, self.n_rows());
+        if n_rows == 0 || self.levels == 0 {
+            return fail(format!("degenerate shape: {n_rows} rows x {} levels", self.levels));
         }
         if self.max_clusters == 0 {
             return fail("cluster budget C must be at least 1".into());
@@ -396,50 +667,31 @@ impl Preprocessed {
         if !self.dcrit_ps.is_finite() || self.dcrit_ps <= 0.0 {
             return fail(format!("critical delay {} ps is not physical", self.dcrit_ps));
         }
-        if self.row_leakage_nw.len() != self.n_rows || self.row_criticality.len() != self.n_rows {
-            return fail(format!(
-                "leakage/criticality tables cover {}/{} rows, expected {}",
-                self.row_leakage_nw.len(),
-                self.row_criticality.len(),
-                self.n_rows
-            ));
-        }
-        for (row, leak) in self.row_leakage_nw.iter().enumerate() {
-            if leak.len() != self.levels {
-                return fail(format!(
-                    "row {row} leakage table has {} levels, expected {}",
-                    leak.len(),
-                    self.levels
-                ));
-            }
-            if leak.iter().any(|l| !l.is_finite() || *l < 0.0) {
+        for (row, leak) in t.row_leakage_nw.chunks_exact(t.levels).enumerate() {
+            if leak[..self.levels].iter().any(|l| !l.is_finite() || *l < 0.0) {
                 return fail(format!("row {row} leakage table has a non-physical entry"));
             }
         }
-        if self.row_criticality.iter().any(|c| !c.is_finite() || *c < 0.0) {
+        if t.row_criticality.iter().any(|c| !c.is_finite() || *c < 0.0) {
             return fail("criticality table has a non-physical entry".into());
         }
-        for (k, path) in self.paths.iter().enumerate() {
-            let finite = path.degraded_delay_ps.is_finite()
-                && path.required_reduction_ps.is_finite()
-                && path.nominal_delay_ps.is_finite();
+        // `last_path[i]` is the last path seen crossing row i, so a row a
+        // path lists twice shows as a row already stamped with that path.
+        let mut last_path = vec![usize::MAX; n_rows];
+        for (k, span) in t.path_start.windows(2).enumerate() {
+            let span = span[0]..span[1];
+            let finite = t.degraded_delay_ps[k].is_finite()
+                && t.required_reduction_ps[k].is_finite()
+                && t.nominal_delay_ps[k].is_finite();
             if !finite {
                 return fail(format!("path {k} carries a non-finite delay"));
             }
-            for (row, reds) in &path.rows {
-                if *row >= self.n_rows {
-                    return fail(format!(
-                        "path {k} references row {row}, but only {} exist",
-                        self.n_rows
-                    ));
+            for (&row, &e) in t.path_rows[span.clone()].iter().zip(&t.path_entries[span]) {
+                if last_path[row] == k {
+                    return fail(format!("path {k} lists row {row} twice"));
                 }
-                if reds.len() != self.levels {
-                    return fail(format!(
-                        "path {k} row {row} has {} reduction levels, expected {}",
-                        reds.len(),
-                        self.levels
-                    ));
-                }
+                last_path[row] = k;
+                let reds = &t.reductions[e * t.levels..e * t.levels + self.levels];
                 if reds.iter().any(|r| !r.is_finite()) {
                     return fail(format!("path {k} row {row} has a non-finite reduction"));
                 }
@@ -478,25 +730,26 @@ mod tests {
     fn preprocess_dimensions() {
         let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
-        assert_eq!(pre.n_rows, 6);
-        assert_eq!(pre.levels, 11);
+        assert_eq!(pre.n_rows(), 6);
+        assert_eq!(pre.levels(), 11);
         assert!(pre.dcrit_ps > 0.0);
-        assert!(!pre.paths.is_empty());
-        assert_eq!(pre.row_leakage_nw.len(), 6);
-        assert!(pre.row_leakage_nw.iter().all(|r| r.len() == 11));
+        assert!(pre.constraint_count() > 0);
+        assert_eq!(pre.row_criticality().len(), 6);
+        assert!((0..6).all(|i| pre.row_leakage(i).len() == 11));
     }
 
     #[test]
     fn leakage_grows_with_level() {
         let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
-        for row in &pre.row_leakage_nw {
+        for i in 0..pre.n_rows() {
+            let row = pre.row_leakage(i);
             for j in 1..row.len() {
                 assert!(row[j] > row[j - 1]);
             }
         }
-        let all_nbb = vec![0usize; pre.n_rows];
-        let all_max = vec![pre.levels - 1; pre.n_rows];
+        let all_nbb = vec![0usize; pre.n_rows()];
+        let all_max = vec![pre.levels() - 1; pre.n_rows()];
         assert!(pre.leakage_nw(&all_max) > 3.0 * pre.leakage_nw(&all_nbb));
     }
 
@@ -513,8 +766,8 @@ mod tests {
     fn reductions_are_monotone_in_level() {
         let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
-        for path in &pre.paths {
-            for (_, reds) in &path.rows {
+        for path in pre.paths() {
+            for (_, reds) in path.rows() {
                 assert_eq!(reds[0], 0.0, "NBB reduces nothing");
                 for j in 1..reds.len() {
                     assert!(reds[j] >= reds[j - 1]);
@@ -529,12 +782,66 @@ mod tests {
         // construction covers beta <= ~9.9% ... use beta = 5%.
         let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
-        let all_max = vec![pre.levels - 1; pre.n_rows];
-        for path in &pre.paths {
+        let all_max = vec![pre.levels() - 1; pre.n_rows()];
+        for path in pre.paths() {
             assert!(path.satisfied(&all_max));
         }
-        let all_nbb = vec![0usize; pre.n_rows];
-        assert!(pre.paths.iter().any(|p| !p.satisfied(&all_nbb)));
+        let all_nbb = vec![0usize; pre.n_rows()];
+        assert!(pre.paths().any(|p| !p.satisfied(&all_nbb)));
+    }
+
+    #[test]
+    fn row_entries_index_every_path_row_once() {
+        let (nl, p, c) = setup();
+        let pre = FbbProblem::new(&nl, &p, &c, 0.10, 3).unwrap().preprocess().unwrap();
+        let mut by_path: Vec<(usize, usize, Vec<f64>)> = (0..pre.n_rows())
+            .flat_map(|row| pre.row_entries(row).map(move |(k, reds)| (k, row, reds.to_vec())))
+            .collect();
+        let mut by_row: Vec<(usize, usize, Vec<f64>)> = pre
+            .paths()
+            .enumerate()
+            .flat_map(|(k, path)| path.rows().map(move |(row, reds)| (k, row, reds.to_vec())))
+            .collect();
+        by_path.sort_by_key(|&(k, row, _)| (k, row));
+        by_row.sort_by_key(|&(k, row, _)| (k, row));
+        assert_eq!(by_path, by_row);
+    }
+
+    #[test]
+    fn views_share_the_tables() {
+        let (nl, p, c) = setup();
+        let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
+        let restricted = pre.restrict_levels(4).unwrap();
+        let mut budget = pre.clone();
+        budget.max_clusters = 2;
+        assert!(Arc::ptr_eq(&pre.tables, &restricted.tables));
+        assert!(Arc::ptr_eq(&pre.tables, &budget.tables));
+        assert_eq!(restricted.levels(), 4);
+        assert!(restricted.paths().all(|path| path.rows().all(|(_, reds)| reds.len() == 4)));
+        assert_ne!(restricted, pre);
+        assert_ne!(budget, pre);
+    }
+
+    fn one_row_problem(rows: &[usize], reductions: &[f64]) -> Result<Preprocessed, FbbError> {
+        let mut builder = Preprocessed::builder(2, vec![1.0, 2.0, 1.0, 2.0], vec![1.0, 1.0])?;
+        builder.push_path(110.0, 10.0, 100.0, rows, reductions)?;
+        Ok(builder.into_problem(0.1, 2, 100.0))
+    }
+
+    #[test]
+    fn builder_rejects_misshapen_tables() {
+        assert!(Preprocessed::builder(2, vec![1.0; 3], vec![1.0, 1.0]).is_err());
+        assert!(Preprocessed::builder(0, vec![], vec![]).is_err());
+        assert!(one_row_problem(&[2], &[0.0, 4.0]).is_err(), "row out of range");
+        assert!(one_row_problem(&[0], &[0.0, 4.0, 8.0]).is_err(), "reduction count");
+        one_row_problem(&[0, 1], &[0.0, 4.0, 0.0, 8.0]).unwrap().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_a_path_listing_a_row_twice() {
+        let pre = one_row_problem(&[1, 0, 1], &[0.0, 4.0, 0.0, 1.0, 0.0, 8.0]).unwrap();
+        let err = pre.validate().unwrap_err().to_string();
+        assert!(err.contains("path 0 lists row 1 twice"), "{err}");
     }
 
     #[test]
@@ -549,8 +856,8 @@ mod tests {
         let (nl, p, c) = setup();
         let pre = FbbProblem::new(&nl, &p, &c, 0.05, 3).unwrap().preprocess().unwrap();
         let on_paths: std::collections::HashSet<usize> =
-            pre.paths.iter().flat_map(|p| p.rows.iter().map(|(r, _)| *r)).collect();
-        for (row, &ct) in pre.row_criticality.iter().enumerate() {
+            pre.paths().flat_map(|p| p.rows().map(|(r, _)| r)).collect();
+        for (row, &ct) in pre.row_criticality().iter().enumerate() {
             assert_eq!(ct > 0.0, on_paths.contains(&row), "row {row}");
         }
     }

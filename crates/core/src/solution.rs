@@ -71,7 +71,7 @@ impl ClusterSolution {
                 let (lo, own, hi) =
                     (self.assignment[r - 1], self.assignment[r], self.assignment[r + 1]);
                 if lo == hi && lo > own {
-                    let cost = pre.row_leakage_nw[r][lo] - pre.row_leakage_nw[r][own];
+                    let cost = pre.row_leakage(r)[lo] - pre.row_leakage(r)[own];
                     if spent + cost <= budget
                         && best.is_none_or(|(_, _, c)| cost < c)
                     {
@@ -124,20 +124,10 @@ mod tests {
     use super::*;
 
     fn dummy_pre() -> Preprocessed {
-        Preprocessed {
-            n_rows: 3,
-            levels: 3,
-            beta: 0.05,
-            max_clusters: 3,
-            dcrit_ps: 100.0,
-            row_leakage_nw: vec![
-                vec![1.0, 2.0, 4.0],
-                vec![1.0, 2.0, 4.0],
-                vec![1.0, 2.0, 4.0],
-            ],
-            row_criticality: vec![0.0, 1.0, 2.0],
-            paths: vec![],
-        }
+        let leakage = [1.0, 2.0, 4.0].repeat(3);
+        Preprocessed::builder(3, leakage, vec![0.0, 1.0, 2.0])
+            .unwrap()
+            .into_problem(0.05, 3, 100.0)
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   pre-process equals a per-cell one;
 //! * the P axis is defined by [`Preprocessed::restrict_levels`], applied
 //!   identically on the warm path (shared pre-process) and the cold path
-//!   (fresh pre-process);
+//!   (fresh pre-process); it returns a view over the same tables, so no
+//!   P step copies them;
 //! * one ILP model per (β, P) — `build_model` depends on C only through
 //!   the budget-row RHS, so patching it via [`Model::set_rhs`](fbb_lp::Model::set_rhs) yields a
 //!   model `PartialEq`-equal to a fresh build (pinned by a test below);
@@ -469,12 +470,12 @@ mod tests {
             .unwrap();
         let r = pre.restrict_levels(2).unwrap();
         r.validate().unwrap();
-        assert_eq!(r.levels, 2);
-        assert!(r.row_leakage_nw.iter().all(|l| l.len() == 2));
-        assert!(r.paths.iter().all(|p| p.rows.iter().all(|(_, reds)| reds.len() == 2)));
+        assert_eq!(r.levels(), 2);
+        assert!((0..r.n_rows()).all(|i| r.row_leakage(i).len() == 2));
+        assert!(r.paths().all(|p| p.rows().all(|(_, reds)| reds.len() == 2)));
         assert_eq!(r.dcrit_ps.to_bits(), pre.dcrit_ps.to_bits());
         assert!(pre.restrict_levels(0).is_err());
-        assert!(pre.restrict_levels(pre.levels + 1).is_err());
+        assert!(pre.restrict_levels(pre.levels() + 1).is_err());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn tune_blocks(blocks: &[BlockRequest]) -> Result<Vec<BlockTuning>, FbbError
             } else {
                 ClusterSolution::from_assignment(
                     &b.pre,
-                    vec![0; b.pre.n_rows],
+                    vec![0; b.pre.n_rows()],
                     "nbb",
                     std::time::Duration::ZERO,
                 )
@@ -114,7 +114,7 @@ pub fn tune_blocks_shared(
             } else {
                 ClusterSolution::from_assignment(
                     &b.pre,
-                    vec![0; b.pre.n_rows],
+                    vec![0; b.pre.n_rows()],
                     "nbb",
                     std::time::Duration::ZERO,
                 )

@@ -47,8 +47,8 @@ fn tiny_problem(seed: u64, rows: u32, beta: f64, c: usize) -> Preprocessed {
 /// Enumerates every assignment; returns the minimum leakage among feasible
 /// ones respecting the cluster budget.
 fn brute_force_optimum(pre: &Preprocessed) -> Option<f64> {
-    let n = pre.n_rows;
-    let p = pre.levels;
+    let n = pre.n_rows();
+    let p = pre.levels();
     let mut best: Option<f64> = None;
     let total = (p as u64).pow(n as u32);
     assert!(total <= 1 << 20, "enumeration too large");

@@ -87,9 +87,9 @@ proptest! {
         moves in proptest::collection::vec((0usize..6, 0usize..11), 1..40),
     ) {
         let pre = random_problem(seed, 120, 6, 0.05, 3);
-        let mut state = CheckState::new(&pre, vec![pre.levels - 1; pre.n_rows]);
+        let mut state = CheckState::new(&pre, vec![pre.levels() - 1; pre.n_rows()]);
         for (row, level) in moves {
-            state.set_level(row.min(pre.n_rows - 1), level.min(pre.levels - 1));
+            state.set_level(row.min(pre.n_rows() - 1), level.min(pre.levels() - 1));
             prop_assert_eq!(state.feasible(), check_timing(&pre, state.assignment()).is_ok());
         }
     }
@@ -103,14 +103,14 @@ proptest! {
         let Ok(base) = single_bb(&pre) else { return Ok(()); };
         let jopt = base.assignment[0];
         // Any uniform level above jopt is feasible but leaks more.
-        for j in jopt + 1..pre.levels {
-            let uniform = vec![j; pre.n_rows];
+        for j in jopt + 1..pre.levels() {
+            let uniform = vec![j; pre.n_rows()];
             prop_assert!(check_timing(&pre, &uniform).is_ok());
             prop_assert!(pre.leakage_nw(&uniform) > base.leakage_nw);
         }
         // Any uniform level below jopt is infeasible (PassOne minimality).
         for j in 0..jopt {
-            let uniform = vec![j; pre.n_rows];
+            let uniform = vec![j; pre.n_rows()];
             prop_assert!(check_timing(&pre, &uniform).is_err());
         }
     }

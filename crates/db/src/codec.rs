@@ -6,7 +6,7 @@
 //! freshly built one. Field order within each structure is fixed by
 //! `docs/FORMAT.md` §4–6 and must never change within a format version.
 
-use fbb_core::{Granularity, PathConstraint, Preprocessed};
+use fbb_core::{FbbError, Granularity, Preprocessed};
 use fbb_device::{
     BiasLadder, BiasVoltage, BodyBiasModel, BodyBiasParams, Cell, CellData, CellKind,
     Characterization, DriveStrength, Library,
@@ -439,27 +439,27 @@ fn granularity_from_tag(tag: u8) -> Result<Granularity, DbError> {
 
 fn encode_preprocessed(e: &mut Encoder, granularity: Granularity, pre: &Preprocessed) {
     e.u8(granularity_tag(granularity));
-    e.length(pre.n_rows);
-    e.length(pre.levels);
+    e.length(pre.n_rows());
+    e.length(pre.levels());
     e.f64(pre.beta);
     e.length(pre.max_clusters);
     e.f64(pre.dcrit_ps);
-    for row in &pre.row_leakage_nw {
-        for &l in row {
+    for row in 0..pre.n_rows() {
+        for &l in pre.row_leakage(row) {
             e.f64(l);
         }
     }
-    for &ct in &pre.row_criticality {
+    for &ct in pre.row_criticality() {
         e.f64(ct);
     }
-    e.length(pre.paths.len());
-    for path in &pre.paths {
-        e.f64(path.degraded_delay_ps);
-        e.f64(path.required_reduction_ps);
-        e.f64(path.nominal_delay_ps);
-        e.length(path.rows.len());
-        for (row, reds) in &path.rows {
-            e.varint(*row as u64);
+    e.length(pre.constraint_count());
+    for path in pre.paths() {
+        e.f64(path.degraded_delay_ps());
+        e.f64(path.required_reduction_ps());
+        e.f64(path.nominal_delay_ps());
+        e.length(path.rows().len());
+        for (row, reds) in path.rows() {
+            e.varint(row as u64);
             for &r in reds {
                 e.f64(r);
             }
@@ -483,65 +483,56 @@ fn decode_preprocessed(
         .checked_mul(levels)
         .filter(|&c| c.saturating_mul(8) <= d.remaining())
         .ok_or_else(|| malformed(format!("{n_rows} x {levels} tables exceed the section")))?;
-    let _ = cells;
     let beta = d.f64("beta")?;
     let max_clusters = d.length(0, "cluster budget")?;
     let dcrit_ps = d.f64("preprocessed dcrit")?;
-    let mut row_leakage_nw = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(levels);
-        for _ in 0..levels {
-            row.push(d.f64("row leakage")?);
-        }
-        row_leakage_nw.push(row);
+    let mut row_leakage_nw = Vec::with_capacity(cells);
+    for _ in 0..cells {
+        row_leakage_nw.push(d.f64("row leakage")?);
     }
     let mut row_criticality = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
         row_criticality.push(d.f64("row criticality")?);
     }
+    let prep = |e: FbbError| malformed(format!("preprocessed: {e}"));
+    let mut builder = Preprocessed::builder(levels, row_leakage_nw, row_criticality).map_err(prep)?;
     let n_paths = d.length(25, "constraint table")?;
-    let mut paths = Vec::with_capacity(n_paths);
-    for _ in 0..n_paths {
-        let degraded_delay_ps = d.f64("degraded delay")?;
-        let required_reduction_ps = d.f64("required reduction")?;
-        let nominal_delay_ps = d.f64("nominal delay")?;
+    // `last_path[row]` is 1 + the last path that listed `row`, so a row a
+    // path lists twice shows up as already stamped with that path.
+    let mut last_path = vec![0usize; n_rows];
+    let (mut rows, mut reductions) = (Vec::new(), Vec::new());
+    for k in 1..=n_paths {
+        let degraded = d.f64("degraded delay")?;
+        let required = d.f64("required reduction")?;
+        let nominal = d.f64("nominal delay")?;
         let n_path_rows = d.length(1 + 8 * levels, "constraint row list")?;
-        let mut rows = Vec::with_capacity(n_path_rows);
+        rows.clear();
+        reductions.clear();
         for _ in 0..n_path_rows {
             let row = d.length(0, "constraint row id")?;
-            // In-range row ids are checked at both verify levels: the
-            // compare is free next to the reads, and it keeps a decoded
-            // instance indexable even when full validation is skipped.
-            if row >= n_rows {
-                return Err(malformed(format!(
-                    "constraint references row {row}, but only {n_rows} exist"
-                )));
+            // In-range, once-per-path row ids are checked at both verify
+            // levels: the compares are free next to the reads, and they
+            // keep a decoded instance indexable even when full validation
+            // is skipped.
+            let stamp = last_path.get_mut(row).ok_or_else(|| {
+                malformed(format!("constraint references row {row}, but only {n_rows} exist"))
+            })?;
+            if *stamp == k {
+                return Err(malformed(format!("constraint lists row {row} twice")));
             }
-            let mut reds = Vec::with_capacity(levels);
+            *stamp = k;
+            rows.push(row);
             for _ in 0..levels {
-                reds.push(d.f64("reduction")?);
+                reductions.push(d.f64("reduction")?);
             }
-            rows.push((row, reds));
         }
-        paths.push(PathConstraint {
-            degraded_delay_ps,
-            required_reduction_ps,
-            nominal_delay_ps,
-            rows,
-        });
+        builder
+            .push_path(degraded, required, nominal, &rows, &reductions)
+            .map_err(prep)?;
     }
-    let pre = Preprocessed {
-        n_rows,
-        levels,
-        beta,
-        max_clusters,
-        dcrit_ps,
-        row_leakage_nw,
-        row_criticality,
-        paths,
-    };
+    let pre = builder.into_problem(beta, max_clusters, dcrit_ps);
     if verify == Verify::Full {
-        pre.validate().map_err(|e| malformed(format!("preprocessed: {e}")))?;
+        pre.validate().map_err(prep)?;
     }
     Ok((granularity, pre))
 }
@@ -682,6 +673,48 @@ mod tests {
         // Byte 0 is the entry count varint; byte 1 is the granularity tag.
         bytes[1] = 3; // no such granularity
         assert!(matches!(decode_prep(&bytes), Err(DbError::Malformed(_))));
+    }
+
+    /// A one-entry PREP section whose single path lists `rows`, each with
+    /// reductions `[0, 4]`: the builder accepts any in-range list, so the
+    /// encoder writes exactly what a crafted file would carry.
+    fn crafted_prep(rows: &[usize]) -> Vec<u8> {
+        let mut builder =
+            Preprocessed::builder(2, vec![1.0, 2.0, 1.0, 2.0], vec![1.0, 1.0]).unwrap();
+        let reductions = [0.0, 4.0].repeat(rows.len());
+        builder.push_path(110.0, 10.0, 100.0, rows, &reductions).unwrap();
+        encode_prep(&[(Granularity::Row, builder.into_problem(0.1, 2, 100.0))])
+    }
+
+    #[test]
+    fn prep_rejects_a_path_listing_a_row_twice_at_both_levels() {
+        for verify in [Verify::Full, Verify::Trusted] {
+            assert!(decode_prep_with(&crafted_prep(&[1, 0]), verify).is_ok(), "{verify:?}");
+            match decode_prep_with(&crafted_prep(&[1, 0, 1]), verify) {
+                Err(DbError::Malformed(msg)) => {
+                    assert!(msg.contains("lists row 1 twice"), "{verify:?}: {msg}");
+                }
+                other => panic!("{verify:?}: duplicate row accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn prep_rejects_an_out_of_range_row_at_both_levels() {
+        let mut bytes = crafted_prep(&[1]);
+        // The last path's one row id is the varint just before its two
+        // 8-byte reductions at the end of the section.
+        let at = bytes.len() - 17;
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 2;
+        for verify in [Verify::Full, Verify::Trusted] {
+            match decode_prep_with(&bytes, verify) {
+                Err(DbError::Malformed(msg)) => {
+                    assert!(msg.contains("references row 2"), "{verify:?}: {msg}");
+                }
+                other => panic!("{verify:?}: out-of-range row accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub struct TimingTables {
 /// One persisted pre-processed allocation problem.
 ///
 /// Entries are keyed by `(granularity, β)`; the cluster budget is *not*
-/// part of the key because pre-processing never reads it — solvers override
-/// `max_clusters` on a clone at load time ([`DesignDb::preprocessed_for`]).
+/// part of the key because pre-processing never reads it — solvers set
+/// `max_clusters` on a view at load time ([`DesignDb::preprocessed_for`]),
+/// which shares the entry's tables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedEntry {
     /// The clustering granularity this entry was pre-processed at.
@@ -64,13 +65,13 @@ pub struct DesignDb {
     pub entries: Vec<PreparedEntry>,
 }
 
-fn entry_key(e: &PreparedEntry) -> (u8, u64) {
-    let tag = match e.granularity {
+fn entry_key(granularity: Granularity, pre: &Preprocessed) -> (u8, u64) {
+    let tag = match granularity {
         Granularity::Block => 0u8,
         Granularity::Row => 1,
         Granularity::Gate => 2,
     };
-    (tag, e.pre.beta.to_bits())
+    (tag, pre.beta.to_bits())
 }
 
 impl DesignDb {
@@ -123,8 +124,8 @@ impl DesignDb {
             paths: analysis.critical_path_set(),
             delays_ps: delays,
         };
-        entries.sort_by_key(entry_key);
-        entries.dedup_by_key(|e| entry_key(e));
+        entries.sort_by_key(|e| entry_key(e.granularity, &e.pre));
+        entries.dedup_by_key(|e| entry_key(e.granularity, &e.pre));
         Ok(DesignDb {
             name: netlist.name().to_owned(),
             source: source.to_owned(),
@@ -249,21 +250,20 @@ impl DesignDb {
                 Granularity::Row => placement.row_count(),
                 Granularity::Gate => netlist.gate_count(),
             };
-            if pre.n_rows != expected_rows {
+            if pre.n_rows() != expected_rows {
                 return Err(DbError::Malformed(format!(
                     "prep entry {i} has {} rows, {granularity:?} granularity implies {expected_rows}",
-                    pre.n_rows
+                    pre.n_rows()
                 )));
             }
-            if pre.levels != characterization.level_count() {
+            if pre.levels() != characterization.level_count() {
                 return Err(DbError::Malformed(format!(
                     "prep entry {i} has {} levels, ladder has {}",
-                    pre.levels,
+                    pre.levels(),
                     characterization.level_count()
                 )));
             }
-            let entry = PreparedEntry { granularity: *granularity, pre: pre.clone() };
-            let key = entry_key(&entry);
+            let key = entry_key(*granularity, pre);
             if prev_key.is_some_and(|p| p >= key) {
                 return Err(DbError::Malformed(format!(
                     "prep entry {i} out of canonical (granularity, beta) order"
@@ -315,8 +315,10 @@ impl DesignDb {
 
     /// Returns a ready-to-solve [`Preprocessed`] for `(granularity, beta)`
     /// with the cluster budget overridden to `max_clusters`, or `None` when
-    /// no entry matches. Pre-processing never reads the cluster budget, so
-    /// the override is exact, not an approximation.
+    /// no entry matches or `max_clusters` is zero. Pre-processing never
+    /// reads the cluster budget, so the override is exact, not an
+    /// approximation. The result is a view sharing the entry's tables, so
+    /// the lookup copies no table, whatever the design's size.
     ///
     /// Records `db_cache_hits` / `db_cache_misses` telemetry counters.
     pub fn preprocessed_for(
@@ -409,6 +411,7 @@ mod tests {
         let pre = db.preprocessed_for(Granularity::Row, 0.05, 2).unwrap();
         assert_eq!(pre.max_clusters, 2);
         assert_eq!(pre.beta, 0.05);
+        assert!(db.preprocessed_for(Granularity::Row, 0.05, 0).is_none());
         assert!(db.preprocessed_for(Granularity::Row, 0.07, 2).is_none());
         assert!(db.preprocessed_for(Granularity::Block, 0.05, 2).is_none());
     }

@@ -652,6 +652,14 @@ fn solve_job(job: &Job) -> Response {
             format!("cluster budget {} exceeds the platform index space", req.clusters),
         );
     };
+    if clusters == 0 {
+        return error_response(
+            job.request_id,
+            code::ERROR,
+            "cluster budget C = 0: a solve needs C >= 1 (the no-bias level counts as one)"
+                .to_owned(),
+        );
+    }
     let Some(pre) = job.design.preprocessed_for(granularity, req.beta, clusters) else {
         return error_response(
             job.request_id,

@@ -250,7 +250,7 @@ pub fn check_cluster_instance(pre: &Preprocessed, greedy_gap_limit: f64) -> Resu
             if !ilp.proven_optimal {
                 return Err(format!(
                     "ilp failed to prove optimality on a {}-point instance (gap {})",
-                    pre.levels.pow(pre.n_rows as u32),
+                    pre.levels().pow(pre.n_rows() as u32),
                     ilp.gap
                 ));
             }

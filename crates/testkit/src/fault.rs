@@ -230,16 +230,9 @@ fn mip_time_limit() -> Result<(), String> {
 }
 
 fn zero_row_layout() -> Result<(), String> {
-    let pre = Preprocessed {
-        n_rows: 0,
-        levels: 3,
-        beta: 0.05,
-        max_clusters: 2,
-        dcrit_ps: 100.0,
-        row_leakage_nw: vec![],
-        row_criticality: vec![],
-        paths: vec![],
-    };
+    let pre = Preprocessed::builder(3, vec![], vec![])
+        .map_err(|e| format!("zero-row tables refused: {e}"))?
+        .into_problem(0.05, 2, 100.0);
     let sol = fbb_core::TwoPassHeuristic::default()
         .solve(&pre)
         .map_err(|e| format!("greedy must accept a zero-row layout, got {e}"))?;
@@ -258,28 +251,18 @@ fn single_row_layout(rng: &mut ChaCha8Rng) -> Result<(), String> {
     let reds: Vec<f64> = speedups.iter().map(|s| delay_sum * s).collect();
     let required = reds[2] * rng.gen_range(0.3..0.9);
     let base_leak: f64 = rng.gen_range(1.0..5.0);
-    let pre = Preprocessed {
-        n_rows: 1,
-        levels: 3,
-        beta: 0.05,
-        max_clusters: 1,
-        dcrit_ps: 100.0,
-        row_leakage_nw: vec![vec![base_leak, base_leak + 1.0, base_leak + 3.0]],
-        row_criticality: vec![1.0],
-        paths: vec![fbb_core::PathConstraint {
-            degraded_delay_ps: 100.0 + required,
-            required_reduction_ps: required,
-            nominal_delay_ps: (100.0 + required) / 1.05,
-            rows: vec![(0, reds)],
-        }],
-    };
-    diff::check_cluster_instance(&pre, 0.0)
+    let leakage = vec![base_leak, base_leak + 1.0, base_leak + 3.0];
+    let mut builder = Preprocessed::builder(3, leakage, vec![1.0])
+        .map_err(|e| format!("single-row tables refused: {e}"))?;
+    builder
+        .push_path(100.0 + required, required, (100.0 + required) / 1.05, &[0], &reds)
+        .map_err(|e| format!("single-row path refused: {e}"))?;
+    diff::check_cluster_instance(&builder.into_problem(0.05, 1, 100.0), 0.0)
 }
 
 fn duplicated_constraints(rng: &mut ChaCha8Rng) -> Result<(), String> {
     let pre = gen::random_cluster(rng);
-    let mut doubled = pre.clone();
-    doubled.paths.extend(pre.paths.iter().cloned());
+    let doubled = gen::rebuild(&pre, pre.levels(), pre.paths().chain(pre.paths()));
 
     let solve = |p: &Preprocessed| -> Result<(Option<f64>, Option<Vec<usize>>), String> {
         let ilp = fbb_core::IlpAllocator::default()
@@ -334,21 +317,12 @@ fn degenerate_lp(rng: &mut ChaCha8Rng) -> Result<(), String> {
 /// changes the leakage and breaks the cluster budget, so the oracle gate in
 /// `check_cluster_instance` must flag it.
 fn postsolve_map_swap() -> Result<(), String> {
-    let pre = Preprocessed {
-        n_rows: 2,
-        levels: 2,
-        beta: 0.05,
-        max_clusters: 1,
-        dcrit_ps: 100.0,
-        row_leakage_nw: vec![vec![1.0, 10.0], vec![1.0, 2.0]],
-        row_criticality: vec![1.0, 1.0],
-        paths: vec![fbb_core::PathConstraint {
-            degraded_delay_ps: 105.0,
-            required_reduction_ps: 5.0,
-            nominal_delay_ps: 100.0,
-            rows: vec![(0, vec![0.0, 10.0]), (1, vec![0.0, 10.0])],
-        }],
-    };
+    let mut builder = Preprocessed::builder(2, vec![1.0, 10.0, 1.0, 2.0], vec![1.0, 1.0])
+        .map_err(|e| format!("fixture tables refused: {e}"))?;
+    builder
+        .push_path(105.0, 5.0, 100.0, &[0, 1], &[0.0, 10.0, 0.0, 10.0])
+        .map_err(|e| format!("fixture path refused: {e}"))?;
+    let pre = builder.into_problem(0.05, 1, 100.0);
     // Healthy engines must clear the oracle gate on the fixture...
     diff::check_cluster_instance(&pre, 0.0)
         .map_err(|e| format!("clean run failed before arming the defect: {e}"))?;

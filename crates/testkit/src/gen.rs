@@ -5,7 +5,7 @@
 //! `(suite seed, case index)` so that any failing case can be replayed in
 //! isolation from its `(seed, case)` pair alone.
 
-use fbb_core::{PathConstraint, Preprocessed};
+use fbb_core::{PathRef, Preprocessed};
 use fbb_lp::{Model, Sense};
 use fbb_netlist::{generators, Netlist};
 use rand::prelude::*;
@@ -175,14 +175,14 @@ pub fn random_cluster(rng: &mut ChaCha8Rng) -> Preprocessed {
         speedups.push(prev + rng.gen_range(0.02..0.08));
     }
 
-    let mut row_leakage_nw = Vec::with_capacity(n_rows);
+    let mut row_leakage_nw = Vec::with_capacity(n_rows * levels);
     for _ in 0..n_rows {
-        let mut ladder = vec![rng.gen_range(1.0..10.0)];
+        let mut leakage = rng.gen_range(1.0..10.0);
+        row_leakage_nw.push(leakage);
         for _ in 1..levels {
-            let prev = *ladder.last().expect("non-empty");
-            ladder.push(prev + rng.gen_range(0.5..4.0));
+            leakage += rng.gen_range(0.5..4.0);
+            row_leakage_nw.push(leakage);
         }
-        row_leakage_nw.push(ladder);
     }
 
     let dcrit_ps = 100.0;
@@ -194,14 +194,12 @@ pub fn random_cluster(rng: &mut ChaCha8Rng) -> Preprocessed {
         if members.is_empty() {
             members.push(rng.gen_range(0..n_rows));
         }
-        let rows: Vec<(usize, Vec<f64>)> = members
-            .iter()
-            .map(|&row| {
-                let delay_sum: f64 = rng.gen_range(5.0..40.0);
-                (row, speedups.iter().map(|&s| delay_sum * s).collect())
-            })
-            .collect();
-        let max_reduction: f64 = rows.iter().map(|(_, reds)| reds[levels - 1]).sum();
+        let mut reductions = Vec::with_capacity(members.len() * levels);
+        for _ in &members {
+            let delay_sum: f64 = rng.gen_range(5.0..40.0);
+            reductions.extend(speedups.iter().map(|&s| delay_sum * s));
+        }
+        let max_reduction: f64 = reductions.chunks(levels).map(|reds| reds[levels - 1]).sum();
         let required_reduction_ps = if rng.gen_bool(0.1) {
             max_reduction * rng.gen_range(1.05..1.5) // uncompensable path
         } else {
@@ -210,24 +208,54 @@ pub fn random_cluster(rng: &mut ChaCha8Rng) -> Preprocessed {
         for &row in &members {
             row_criticality[row] += 1.0;
         }
-        paths.push(PathConstraint {
-            degraded_delay_ps: dcrit_ps + required_reduction_ps,
-            required_reduction_ps,
-            nominal_delay_ps: (dcrit_ps + required_reduction_ps) / 1.05,
-            rows,
-        });
+        paths.push((required_reduction_ps, members, reductions));
     }
 
-    Preprocessed {
-        n_rows,
-        levels,
-        beta: 0.05,
-        max_clusters,
-        dcrit_ps,
-        row_leakage_nw,
-        row_criticality,
-        paths,
+    let mut builder = Preprocessed::builder(levels, row_leakage_nw, row_criticality)
+        .expect("one leakage ladder per row");
+    for (required, rows, reductions) in paths {
+        let degraded = dcrit_ps + required;
+        builder
+            .push_path(degraded, required, degraded / 1.05, &rows, &reductions)
+            .expect("rows in range, one reduction ladder per row");
     }
+    builder.into_problem(0.05, max_clusters, dcrit_ps)
+}
+
+/// A fresh problem with its own tables: `pre`'s row tables and the given
+/// paths (read from `pre` or another view of its tables), in order, each
+/// table cut to the first `levels` levels here rather than by a view.
+///
+/// Rebuilding `pre.paths()` at a smaller `levels` is the "built directly
+/// at that P" reference for [`Preprocessed::restrict_levels`]; rebuilding
+/// a path list with repeats duplicates constraints.
+///
+/// # Panics
+///
+/// Panics if `levels` is zero or exceeds the levels `pre` reads.
+pub fn rebuild<'a>(
+    pre: &Preprocessed,
+    levels: usize,
+    paths: impl IntoIterator<Item = PathRef<'a>>,
+) -> Preprocessed {
+    let leakage = (0..pre.n_rows()).flat_map(|i| pre.row_leakage(i)[..levels].to_vec()).collect();
+    let mut builder = Preprocessed::builder(levels, leakage, pre.row_criticality().to_vec())
+        .expect("levels within the view");
+    for path in paths {
+        let rows: Vec<usize> = path.rows().map(|(row, _)| row).collect();
+        let reductions: Vec<f64> =
+            path.rows().flat_map(|(_, reds)| reds[..levels].to_vec()).collect();
+        builder
+            .push_path(
+                path.degraded_delay_ps(),
+                path.required_reduction_ps(),
+                path.nominal_delay_ps(),
+                &rows,
+                &reductions,
+            )
+            .expect("rows of a built problem");
+    }
+    builder.into_problem(pre.beta, pre.max_clusters, pre.dcrit_ps)
 }
 
 /// A random STA workload: a netlist, its initial per-gate delays, and a
@@ -295,11 +323,11 @@ mod tests {
     fn cluster_instances_are_monotone() {
         for case in 0..50 {
             let pre = random_cluster(&mut case_rng(11, case));
-            for ladder in &pre.row_leakage_nw {
-                assert!(ladder.windows(2).all(|w| w[1] > w[0]));
+            for row in 0..pre.n_rows() {
+                assert!(pre.row_leakage(row).windows(2).all(|w| w[1] > w[0]));
             }
-            for path in &pre.paths {
-                for (_, reds) in &path.rows {
+            for path in pre.paths() {
+                for (_, reds) in path.rows() {
                     assert_eq!(reds[0], 0.0);
                     assert!(reds.windows(2).all(|w| w[1] > w[0]));
                 }

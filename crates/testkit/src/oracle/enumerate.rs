@@ -4,7 +4,7 @@
 //! and keeps the cheapest feasible one. Feasibility, leakage, and cluster
 //! count are all recomputed here from the raw [`Preprocessed`] tables — the
 //! oracle deliberately does **not** call [`fbb_core::check_timing`],
-//! `PathConstraint::satisfied`, `Preprocessed::leakage_nw`, or
+//! `PathRef::satisfied`, `Preprocessed::leakage_nw`, or
 //! `Preprocessed::cluster_count`, so a bug in any of those shows up as a
 //! differential mismatch instead of being silently shared.
 
@@ -37,19 +37,16 @@ pub struct EnumerationResult {
 /// Panics when `levels^n_rows` exceeds an internal cap (~4M points) — the
 /// oracle is for *small* instances only.
 pub fn best_assignment(pre: &Preprocessed) -> Option<EnumerationResult> {
-    let points = (pre.levels.max(1) as u128).checked_pow(pre.n_rows as u32);
+    let points = (pre.levels().max(1) as u128).checked_pow(pre.n_rows() as u32);
     assert!(
         points.is_some_and(|p| p <= MAX_POINTS),
         "instance too large for brute-force enumeration ({} levels ^ {} rows)",
-        pre.levels,
-        pre.n_rows
+        pre.levels(),
+        pre.n_rows()
     );
-    if pre.n_rows == 0 {
+    if pre.n_rows() == 0 {
         // The empty assignment: feasible iff every path needs (about) nothing.
-        let feasible = pre
-            .paths
-            .iter()
-            .all(|p| p.required_reduction_ps <= FEAS_TOL_PS);
+        let feasible = pre.paths().all(|p| p.required_reduction_ps() <= FEAS_TOL_PS);
         return feasible.then(|| EnumerationResult {
             assignment: vec![],
             leakage_nw: 0.0,
@@ -57,7 +54,7 @@ pub fn best_assignment(pre: &Preprocessed) -> Option<EnumerationResult> {
         });
     }
 
-    let mut assignment = vec![0usize; pre.n_rows];
+    let mut assignment = vec![0usize; pre.n_rows()];
     let mut best: Option<EnumerationResult> = None;
     loop {
         if assignment_is_feasible(pre, &assignment) {
@@ -75,7 +72,7 @@ pub fn best_assignment(pre: &Preprocessed) -> Option<EnumerationResult> {
         let mut carry = true;
         for digit in assignment.iter_mut() {
             *digit += 1;
-            if *digit < pre.levels {
+            if *digit < pre.levels() {
                 carry = false;
                 break;
             }
@@ -91,17 +88,13 @@ pub fn best_assignment(pre: &Preprocessed) -> Option<EnumerationResult> {
 /// Independent feasibility check: every path's summed reduction covers its
 /// requirement AND the number of distinct levels stays within the budget.
 pub fn assignment_is_feasible(pre: &Preprocessed, assignment: &[usize]) -> bool {
-    assert_eq!(assignment.len(), pre.n_rows, "one level per row required");
+    assert_eq!(assignment.len(), pre.n_rows(), "one level per row required");
     if cluster_count(pre, assignment) > pre.max_clusters {
         return false;
     }
-    pre.paths.iter().all(|path| {
-        let reduction: f64 = path
-            .rows
-            .iter()
-            .map(|(row, reds)| reds[assignment[*row]])
-            .sum();
-        reduction + FEAS_TOL_PS >= path.required_reduction_ps
+    pre.paths().all(|path| {
+        let reduction: f64 = path.rows().map(|(row, reds)| reds[assignment[row]]).sum();
+        reduction + FEAS_TOL_PS >= path.required_reduction_ps()
     })
 }
 
@@ -110,13 +103,13 @@ pub fn leakage_nw(pre: &Preprocessed, assignment: &[usize]) -> f64 {
     assignment
         .iter()
         .enumerate()
-        .map(|(row, &level)| pre.row_leakage_nw[row][level])
+        .map(|(row, &level)| pre.row_leakage(row)[level])
         .sum()
 }
 
 /// Independent distinct-level count (the cluster count, including NBB).
 pub fn cluster_count(pre: &Preprocessed, assignment: &[usize]) -> usize {
-    let mut seen = vec![false; pre.levels];
+    let mut seen = vec![false; pre.levels()];
     let mut count = 0;
     for &level in assignment {
         if !seen[level] {
@@ -137,11 +130,11 @@ pub fn cluster_count(pre: &Preprocessed, assignment: &[usize]) -> usize {
 /// `FbbError::Uncompensable` — the end-to-end tests cross-check the engine's
 /// reported worst path against this function.
 pub fn uncompensable_reason(pre: &Preprocessed) -> Option<(usize, f64)> {
-    let top = pre.levels.saturating_sub(1);
+    let top = pre.levels().saturating_sub(1);
     let mut worst: Option<(usize, f64)> = None;
-    for (k, path) in pre.paths.iter().enumerate() {
-        let reduction: f64 = path.rows.iter().map(|(_, reds)| reds[top]).sum();
-        let shortfall = path.required_reduction_ps - reduction;
+    for (k, path) in pre.paths().enumerate() {
+        let reduction: f64 = path.rows().map(|(_, reds)| reds[top]).sum();
+        let shortfall = path.required_reduction_ps() - reduction;
         if shortfall > FEAS_TOL_PS && worst.is_none_or(|(_, s)| shortfall > s) {
             worst = Some((k, shortfall));
         }
@@ -152,25 +145,19 @@ pub fn uncompensable_reason(pre: &Preprocessed) -> Option<(usize, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbb_core::PathConstraint;
 
-    /// A 2-row, 3-level instance small enough to verify by hand.
+    /// A 2-row, 3-level instance small enough to verify by hand, whose one
+    /// path needs `required` ps.
+    fn tiny_requiring(required: f64) -> Preprocessed {
+        let leakage = vec![1.0, 3.0, 9.0, 2.0, 4.0, 10.0];
+        let mut builder = Preprocessed::builder(3, leakage, vec![1.0, 1.0]).unwrap();
+        let reductions = [0.0, 6.0, 12.0, 0.0, 5.0, 11.0];
+        builder.push_path(100.0 + required, required, 104.0, &[0, 1], &reductions).unwrap();
+        builder.into_problem(0.05, 2, 100.0)
+    }
+
     fn tiny() -> Preprocessed {
-        Preprocessed {
-            n_rows: 2,
-            levels: 3,
-            beta: 0.05,
-            max_clusters: 2,
-            dcrit_ps: 100.0,
-            row_leakage_nw: vec![vec![1.0, 3.0, 9.0], vec![2.0, 4.0, 10.0]],
-            row_criticality: vec![1.0, 1.0],
-            paths: vec![PathConstraint {
-                degraded_delay_ps: 110.0,
-                required_reduction_ps: 10.0,
-                nominal_delay_ps: 104.0,
-                rows: vec![(0, vec![0.0, 6.0, 12.0]), (1, vec![0.0, 5.0, 11.0])],
-            }],
-        }
+        tiny_requiring(10.0)
     }
 
     #[test]
@@ -195,8 +182,7 @@ mod tests {
 
     #[test]
     fn reports_infeasible_and_diagnoses_it() {
-        let mut pre = tiny();
-        pre.paths[0].required_reduction_ps = 50.0; // max achievable is 23.
+        let pre = tiny_requiring(50.0); // max achievable is 23.
         assert!(best_assignment(&pre).is_none());
         let (path, shortfall) = uncompensable_reason(&pre).unwrap();
         assert_eq!(path, 0);
@@ -205,11 +191,7 @@ mod tests {
 
     #[test]
     fn zero_rows_is_feasible_iff_nothing_is_required() {
-        let mut pre = tiny();
-        pre.n_rows = 0;
-        pre.row_leakage_nw.clear();
-        pre.row_criticality.clear();
-        pre.paths.clear();
+        let pre = Preprocessed::builder(3, vec![], vec![]).unwrap().into_problem(0.05, 2, 100.0);
         let best = best_assignment(&pre).unwrap();
         assert!(best.assignment.is_empty());
         assert_eq!(best.leakage_nw, 0.0);

@@ -28,7 +28,7 @@ const SAT_TOL: f64 = 1e-7;
 /// (an open-but-unused cluster is a legal integer point too — a cut that
 /// assumes minimal lifting would wrongly cut those off).
 fn feasible_integer_points(pre: &fbb_core::Preprocessed, model: &Model) -> Vec<Vec<f64>> {
-    let (n, p) = (pre.n_rows, pre.levels);
+    let (n, p) = (pre.n_rows(), pre.levels());
     let mut points = Vec::new();
     let mut assignment = vec![0usize; n];
     loop {
@@ -130,7 +130,7 @@ fn cuts_never_cut_off_the_enumerated_optimum() {
         if relax.status != LpStatus::Optimal {
             continue;
         }
-        let (n, p) = (pre.n_rows, pre.levels);
+        let (n, p) = (pre.n_rows(), pre.levels());
         let mut x = vec![0.0; model.var_count()];
         for (i, &level) in best.assignment.iter().enumerate() {
             x[i * p + level] = 1.0;

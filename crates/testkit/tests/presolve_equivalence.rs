@@ -74,8 +74,8 @@ fn assert_equivalent(case: u64, a: &MipOptions, b: &MipOptions, label: &str) -> 
                 sb.objective
             );
             assert_eq!(
-                decode_assignment(&sa.x, pre.n_rows, pre.levels),
-                decode_assignment(&sb.x, pre.n_rows, pre.levels),
+                decode_assignment(&sa.x, pre.n_rows(), pre.levels()),
+                decode_assignment(&sb.x, pre.n_rows(), pre.levels()),
                 "[{label} case {case}] decoded assignment diverged"
             );
             assert_eq!(
@@ -243,7 +243,7 @@ fn zero_time_budget_with_oracle_incumbent_stays_honest() {
 
         // Lift the oracle assignment into model space: x one-hot per row,
         // y up for every used level.
-        let (n, p) = (pre.n_rows, pre.levels);
+        let (n, p) = (pre.n_rows(), pre.levels());
         let mut x = vec![0.0; model.var_count()];
         for (i, &level) in best.assignment.iter().enumerate() {
             x[i * p + level] = 1.0;

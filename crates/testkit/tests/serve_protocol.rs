@@ -247,6 +247,54 @@ fn solve_before_load_is_a_clean_error_not_a_hangup() {
     server.stop();
 }
 
+/// A row SOLVE of the cached design `design_hash` at β = 0.05 with cluster
+/// budget `clusters`.
+fn row_solve(design_hash: u64, clusters: u64) -> SolveRequest {
+    SolveRequest { design_hash, granularity: 1, beta: 0.05, clusters, budget_ms: 0, flags: 0 }
+}
+
+#[test]
+fn huge_cluster_budget_answers_like_c_equals_p() {
+    // C = 2^40 once sized the heuristic's candidate list and aborted the
+    // daemon on a failed 26 TB allocation; a budget past P is vacuous.
+    let bytes = compiled_design(4);
+    let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
+    let levels = db.preprocessed_for(Granularity::Row, 0.05, 1).expect("compiled in").levels();
+    let pre = db.preprocessed_for(Granularity::Row, 0.05, levels).expect("compiled in");
+    let local = TwoPassHeuristic::default().solve(&pre).expect("adder is compensable");
+
+    let server = RunningServer::start(1);
+    let mut client = server.connect();
+    let info = client.load_bytes(&bytes).expect("design loads");
+    let reply = client.solve(row_solve(info.design_hash, 1 << 40)).expect("huge C answers OK");
+    assert_eq!(reply.leakage_nw.to_bits(), local.leakage_nw.to_bits());
+    assert_eq!(reply.clusters, local.clusters as u64);
+    assert_eq!(reply.assignment, local.assignment.iter().map(|&l| l as u64).collect::<Vec<_>>());
+    // The daemon is still serving.
+    client.ping().expect("connection still usable");
+    server.stop();
+}
+
+#[test]
+fn zero_cluster_budget_names_the_budget() {
+    let server = RunningServer::start(1);
+    let mut client = server.connect();
+    let info = client.load_bytes(&compiled_design(4)).expect("design loads");
+    match client.solve(row_solve(info.design_hash, 0)).expect_err("C = 0 must be refused") {
+        fbb_serve::ClientError::Remote { code: c, message } => {
+            assert_eq!(c, code::ERROR);
+            assert!(
+                message.contains("cluster budget C = 0") && message.contains("C >= 1"),
+                "message: {message}"
+            );
+            assert!(!message.contains("beta"), "C = 0 is not a beta problem: {message}");
+        }
+        other => panic!("expected a remote refusal, got {other}"),
+    }
+    client.ping().expect("connection still usable");
+    server.stop();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

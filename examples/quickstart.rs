@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Dcrit = {:.1} ps, {} timing constraints over {} rows",
         pre.dcrit_ps,
         pre.constraint_count(),
-        pre.n_rows
+        pre.n_rows()
     );
 
     // 5. Solve three ways.

@@ -777,7 +777,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
             pre
         }
         None => {
-            if let Some(db) = &design.db {
+            let missing = design.db.as_ref().filter(|db| db.entry(Granularity::Row, beta).is_none());
+            if let Some(db) = missing {
                 eprintln!(
                     "note: beta {beta} not compiled in (available: {:?}); pre-processing from stored artifacts",
                     db.betas(Granularity::Row)
