@@ -26,6 +26,10 @@
 #   - Table 1 heuristic lane: the `table1_heuristic` bin's two-pass
 #     heuristic answers for all 36 Table 1 cells match
 #     tests/golden/table1_heuristic.txt line for line
+#   - sweep golden lane: the `sweep_200k` bin's warm-sweep answers on the
+#     composed 200k-gate design (per-beta constraint counts, then status,
+#     leakage bits, cluster count and assignment of all 8 cells) match
+#     tests/golden/sweep_200k.txt line for line
 #   - sweep lane: BENCH_sweep.json regenerates on a composed >=50k-gate
 #     design and holds the warm-pipeline acceptance numbers (>= 2x over
 #     cold per-cell solves, bit-identical cells), plus an `fbb sweep`
@@ -198,6 +202,21 @@ if [ "$(echo "$table1_heuristic" | wc -l)" -ne 36 ]; then
     exit 1
 fi
 echo "table1 heuristic lane: 36 cells match the golden answers"
+# Sweep golden lane: the warm sweep's answers on the composed 200k-gate
+# design (the benchmark's sweep_200k grid: 2 constraint-count lines, then
+# 8 cells of status, leakage bits, cluster count and assignment) must match
+# the golden file line for line. The benchmark only compares a build's warm
+# sweep with its own cold sweep; this pins the answers across changes.
+sweep_200k=$(cargo run --release --quiet -p fbb-bench --bin sweep_200k)
+if ! diff <(echo "$sweep_200k") tests/golden/sweep_200k.txt >&2; then
+    echo "check.sh: composed sweep answers differ from tests/golden/sweep_200k.txt" >&2
+    exit 1
+fi
+if [ "$(echo "$sweep_200k" | wc -l)" -ne 10 ]; then
+    echo "check.sh: sweep golden lane expects 10 lines (2 betas + 8 cells)" >&2
+    exit 1
+fi
+echo "sweep golden lane: 8 composed-design cells match the golden answers"
 # Sweep lane: regenerate BENCH_sweep.json on the composed 200k-gate design
 # and hold the acceptance numbers — the warm pipeline at least 2x faster
 # than cold per-cell solves, every cell bit-identical between the two, on
