@@ -59,11 +59,7 @@ impl<'a> FbbProblem<'a> {
         beta: f64,
         max_clusters: usize,
     ) -> Result<Self, FbbError> {
-        if !(0.0..=1.0).contains(&beta) {
-            return Err(FbbError::InvalidProblem(format!(
-                "slowdown coefficient beta = {beta} outside [0, 1]"
-            )));
-        }
+        check_beta(beta)?;
         if max_clusters == 0 {
             return Err(FbbError::InvalidProblem("cluster budget C must be at least 1".into()));
         }
@@ -157,7 +153,8 @@ impl<'a> FbbProblem<'a> {
     /// The nominal analysis, `TimingGraph::new(netlist)` analyzed on
     /// [`FbbProblem::nominal_delays`], reads neither β, the cluster budget
     /// nor the granularity, so one analysis serves every problem over the
-    /// same design; the result is identical to `preprocess_at`.
+    /// same design; the result is identical to `preprocess_at`. This is
+    /// the one-β case of [`FbbProblem::preprocess_betas_on`].
     ///
     /// # Errors
     ///
@@ -171,6 +168,48 @@ impl<'a> FbbProblem<'a> {
         granularity: Granularity,
     ) -> Result<Preprocessed, FbbError> {
         let _span = fbb_telemetry::span("core_preprocess");
+        let nominal = self.nominal_tables(analysis, granularity)?;
+        self.preprocess_beta(&nominal, self.beta)
+    }
+
+    /// Pre-processes this problem at each of `betas` on one nominal
+    /// analysis, in order: element `k` equals [`FbbProblem::preprocess_on`]
+    /// of the same problem built at `betas[k]`.
+    ///
+    /// The β-independent half — the analysis check, the gate→row map and
+    /// the per-row leakage table — runs once for all of them, so a caller
+    /// that needs several β over one design (a sweep, a design database)
+    /// passes them here together rather than pre-processing once per β.
+    ///
+    /// # Errors
+    ///
+    /// As [`FbbProblem::preprocess_on`], and [`FbbError::InvalidProblem`]
+    /// for a β outside `[0, 1]`.
+    pub fn preprocess_betas_on(
+        &self,
+        analysis: &TimingAnalysis<'_, '_>,
+        granularity: Granularity,
+        betas: &[f64],
+    ) -> Result<Vec<Preprocessed>, FbbError> {
+        let _span = fbb_telemetry::span("core_preprocess");
+        let nominal = self.nominal_tables(analysis, granularity)?;
+        betas
+            .iter()
+            .map(|&beta| {
+                check_beta(beta)?;
+                self.preprocess_beta(&nominal, beta)
+            })
+            .collect()
+    }
+
+    /// The β-independent half of pre-processing: checks that `analysis` is
+    /// this problem's nominal analysis, then maps gates to rows and sums
+    /// the per-row leakage at every level.
+    fn nominal_tables<'t>(
+        &self,
+        analysis: &'t TimingAnalysis<'_, '_>,
+        granularity: Granularity,
+    ) -> Result<NominalTables<'t>, FbbError> {
         if !std::ptr::eq(analysis.graph().netlist(), self.netlist) {
             return Err(FbbError::InvalidProblem(
                 "timing analysis ran on a different netlist".into(),
@@ -200,7 +239,6 @@ impl<'a> FbbProblem<'a> {
             Granularity::Row => self.placement.row_count(),
             Granularity::Gate => self.netlist.gate_count(),
         };
-        let dcrit = analysis.dcrit_ps();
 
         // Per-group leakage at every level: L[i][j], row-major.
         let mut row_leakage = vec![0.0f64; n_rows * levels];
@@ -210,21 +248,36 @@ impl<'a> FbbProblem<'a> {
                 *slot += chara.leakage_nw(gate.cell, j);
             }
         }
+        Ok(NominalTables { analysis, group_of, n_rows, row_leakage })
+    }
+
+    /// The β-dependent half of pre-processing: the constrained path set at
+    /// `beta`, its per-row reductions and the row criticalities.
+    fn preprocess_beta(
+        &self,
+        nominal_tables: &NominalTables<'_>,
+        beta: f64,
+    ) -> Result<Preprocessed, FbbError> {
+        let NominalTables { analysis, group_of, n_rows, row_leakage } = nominal_tables;
+        let nominal = analysis.delays();
+        let chara = self.characterization;
+        let levels = chara.level_count();
+        let dcrit = analysis.dcrit_ps();
 
         // The pruned path set Π, filtered to the constrained subset
         // (degraded delay above Dcrit): the paper's `No.Constr`.
         let speedups: Vec<f64> = (0..levels).map(|j| chara.speedup_fraction(j)).collect();
         let mut paths = Vec::new();
-        let mut row_criticality = vec![0.0f64; n_rows];
+        let mut row_criticality = vec![0.0f64; *n_rows];
         let slack_floor = (dcrit * 1e-3).max(1e-6);
-        for path in analysis.constrained_path_set(self.beta) {
-            let degraded = path.delay_ps * (1.0 + self.beta);
+        for path in analysis.constrained_path_set(beta) {
+            let degraded = path.delay_ps * (1.0 + beta);
             // Group the path's gates by row; reduction of row i at level j is
             // sum over its gates of degraded_gate_delay * speedup_j.
             let mut per_row: Vec<(usize, f64, usize)> = Vec::new(); // (row, delay sum, gate count)
             for &g in &path.gates {
                 let row = group_of[g.index()];
-                let d = nominal[g.index()] * (1.0 + self.beta);
+                let d = nominal[g.index()] * (1.0 + beta);
                 match per_row.iter_mut().find(|(r, _, _)| *r == row) {
                     Some((_, sum, q)) => {
                         *sum += d;
@@ -241,7 +294,7 @@ impl<'a> FbbProblem<'a> {
             paths.push((degraded, path.delay_ps, per_row));
         }
 
-        let mut builder = Preprocessed::builder(levels, row_leakage, row_criticality)?;
+        let mut builder = Preprocessed::builder(levels, row_leakage.clone(), row_criticality)?;
         let (mut rows, mut reductions) = (Vec::new(), Vec::new());
         for (degraded, nominal_delay, per_row) in paths {
             rows.clear();
@@ -252,8 +305,27 @@ impl<'a> FbbProblem<'a> {
             }
             builder.push_path(degraded, degraded - dcrit, nominal_delay, &rows, &reductions)?;
         }
-        Ok(builder.into_problem(self.beta, self.max_clusters, dcrit))
+        Ok(builder.into_problem(beta, self.max_clusters, dcrit))
     }
+}
+
+/// Rejects a slowdown coefficient outside `[0, 1]`.
+fn check_beta(beta: f64) -> Result<(), FbbError> {
+    if (0.0..=1.0).contains(&beta) {
+        Ok(())
+    } else {
+        Err(FbbError::InvalidProblem(format!("slowdown coefficient beta = {beta} outside [0, 1]")))
+    }
+}
+
+/// What pre-processing reads from one nominal analysis at one granularity,
+/// whatever β: the checked analysis, each gate's row, and the row leakage
+/// `L[i][j]` (nanowatts, at `i * levels + j`).
+struct NominalTables<'t> {
+    analysis: &'t TimingAnalysis<'t, 't>,
+    group_of: Vec<usize>,
+    n_rows: usize,
+    row_leakage: Vec<f64>,
 }
 
 /// The tables of one pre-processed problem, shared by every
@@ -874,6 +946,30 @@ mod tests {
                 let shared = problem.preprocess_on(&analysis, g).unwrap();
                 assert_eq!(shared, problem.preprocess_at(g).unwrap(), "beta {beta}, {g:?}");
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_over_several_betas_equals_one_problem_per_beta() {
+        let (nl, p, c) = setup();
+        let first = FbbProblem::new(&nl, &p, &c, 0.03, 3).unwrap();
+        let graph = TimingGraph::new(&nl).unwrap();
+        let analysis = graph.analyze(&first.nominal_delays());
+        let betas = [0.10, 0.0, 0.05, 0.05];
+        for g in [Granularity::Block, Granularity::Row, Granularity::Gate] {
+            let all = first.preprocess_betas_on(&analysis, g, &betas).unwrap();
+            assert_eq!(all.len(), betas.len());
+            for (pre, &beta) in all.iter().zip(&betas) {
+                let single = FbbProblem::new(&nl, &p, &c, beta, 3).unwrap().preprocess_at(g).unwrap();
+                assert_eq!(*pre, single, "beta {beta}, {g:?}");
+            }
+        }
+        assert!(first.preprocess_betas_on(&analysis, Granularity::Row, &[]).unwrap().is_empty());
+        for bad in [-0.1, 1.5, f64::NAN] {
+            assert!(matches!(
+                first.preprocess_betas_on(&analysis, Granularity::Row, &[0.05, bad]),
+                Err(FbbError::InvalidProblem(_))
+            ));
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! | axis step | invalidates                              | kept            |
 //! |-----------|------------------------------------------|-----------------|
-//! | β         | constrained path set, tables             | nominal STA     |
+//! | β         | constrained path set, path tables        | nominal STA, row map + leakage |
 //! | P         | level-indexed tables, ILP model          | pre-process     |
 //! | C         | budget-row RHS, incumbent, search tree   | pre-process + model |
 //!
@@ -22,8 +22,11 @@
 //! * one timing graph and one nominal analysis per sweep — the nominal
 //!   delays read no grid axis, and [`FbbProblem::preprocess_on`] over that
 //!   analysis is exactly the pre-process a cold cell runs after its own STA;
-//! * one [`Preprocessed`] per β — `preprocess` reads
-//!   the cluster budget only to copy it into the output, so a shared
+//! * one [`Preprocessed`] per β, all built by one
+//!   [`FbbProblem::preprocess_betas_on`] pass — its β-independent half (the
+//!   analysis check, gate→row map and row leakage) runs once, and each
+//!   element equals `preprocess_on` at its β. `preprocess` reads the
+//!   cluster budget only to copy it into the output, so a shared
 //!   pre-process equals a per-cell one;
 //! * the P axis is defined by [`Preprocessed::restrict_levels`], applied
 //!   identically on the warm path (shared pre-process) and the cold path
@@ -200,33 +203,31 @@ pub fn run_sweep(
         pruned: 0,
     };
 
-    // Warm: one timing graph and one nominal analysis for the whole grid;
-    // neither reads β, C or P. β and the placement are checked before the
-    // STA runs, as the first β's pre-process would.
-    let nominal = if options.cold {
+    // Warm: one timing graph, one nominal analysis and one pre-process pass
+    // for the whole grid; the graph and the analysis read no grid axis,
+    // and the pass builds every β's problem on their shared β-independent
+    // tables. β and the placement are checked before the STA runs, as the
+    // first β's pre-process would. The graph and the analysis are dropped
+    // before the first solve.
+    let shared: Option<Vec<Preprocessed>> = if options.cold {
         None
     } else {
         let problem = FbbProblem::new(netlist, placement, chara, grid.betas[0], cmax)?;
-        Some((TimingGraph::new(netlist)?, problem.nominal_delays()))
+        let graph = TimingGraph::new(netlist)?;
+        let analysis = graph.analyze(&problem.nominal_delays());
+        report.preprocess_count += grid.betas.len();
+        Some(problem.preprocess_betas_on(&analysis, Granularity::Row, &grid.betas)?)
     };
-    let analysis = nominal.as_ref().map(|(graph, delays)| graph.analyze(delays));
 
-    for &beta in &grid.betas {
+    for (b, &beta) in grid.betas.iter().enumerate() {
         // Warm: one pre-process per β, shared by every (C, P) cell. The
         // budget argument is only copied into `max_clusters`, which each
         // cell overwrites below, so sharing is value-exact.
-        let shared = match &analysis {
-            Some(analysis) => {
-                report.preprocess_count += 1;
-                let problem = FbbProblem::new(netlist, placement, chara, beta, cmax)?;
-                Some(problem.preprocess_on(analysis, Granularity::Row)?)
-            }
-            None => None,
-        };
+        let shared = shared.as_ref().map(|pres| &pres[b]);
 
         for &p in &grid.levels {
             // Warm: one model per (β, P); only its budget RHS varies with C.
-            let mut warm: Option<(Preprocessed, fbb_lp::Model, usize)> = match &shared {
+            let mut warm: Option<(Preprocessed, fbb_lp::Model, usize)> = match shared {
                 Some(pre) => {
                     let restricted = pre.restrict_levels(p)?;
                     let model = IlpAllocator::default().build_model(&restricted)?;

@@ -103,19 +103,17 @@ impl DesignDb {
         if granularities.is_empty() {
             return Err(FbbError::InvalidProblem("at least one granularity is required".into()));
         }
-        let problem_at =
-            |beta| FbbProblem::new(netlist, placement, characterization, beta, max_clusters);
         // The nominal analysis is β-independent: run it once, after the
         // first problem has checked β and the placement, and pre-process
-        // every entry on it.
-        let delays = problem_at(first_beta)?.nominal_delays();
+        // every entry on it, all β of a granularity in one pass.
+        let problem =
+            FbbProblem::new(netlist, placement, characterization, first_beta, max_clusters)?;
+        let delays = problem.nominal_delays();
         let graph = TimingGraph::new(netlist).map_err(FbbError::Netlist)?;
         let analysis = graph.analyze(&delays);
         let mut entries = Vec::with_capacity(betas.len() * granularities.len());
-        for &beta in betas {
-            let problem = problem_at(beta)?;
-            for &granularity in granularities {
-                let pre = problem.preprocess_on(&analysis, granularity)?;
+        for &granularity in granularities {
+            for pre in problem.preprocess_betas_on(&analysis, granularity, betas)? {
                 entries.push(PreparedEntry { granularity, pre });
             }
         }

@@ -101,7 +101,7 @@ impl<'g, 'nl> TimingAnalysis<'g, 'nl> {
         let _span = fbb_telemetry::span("sta_path_set");
         let nl = self.graph.netlist;
         self.graph
-            .topo
+            .topo()
             .iter()
             .copied()
             .filter(|&g| match self.pred[g.index()] {
@@ -141,22 +141,22 @@ mod tests {
         let n = nl.gate_count();
         // Longest arrival ending at gate (inclusive).
         let mut arr = vec![0.0f64; n];
-        for &id in &graph.topo {
+        for &id in graph.topo() {
             let i = id.index();
             let mut best = 0.0f64;
-            for &p in &graph.comb_fanin[i] {
+            for &p in graph.comb_fanin(i) {
                 best = best.max(arr[p.index()]);
             }
-            for &ff in &graph.seq_fanin[i] {
+            for &ff in graph.seq_fanin(i) {
                 best = best.max(delays[ff.index()]);
             }
             arr[i] = best + delays[i];
         }
         let mut tail = vec![0.0f64; n];
-        for &id in graph.topo.iter().rev() {
+        for &id in graph.topo().iter().rev() {
             let i = id.index();
             let mut best = 0.0f64;
-            for &s in &graph.comb_fanout[i] {
+            for &s in graph.comb_fanout(i) {
                 best = best.max(tail[s.index()]);
             }
             tail[i] = best + delays[i];

@@ -4,26 +4,65 @@ use fbb_netlist::{GateId, Netlist, NetlistError};
 
 use crate::analysis::TimingAnalysis;
 
+/// One per-gate adjacency table in compressed sparse row form: gate `i`'s
+/// list is `items[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<GateId>,
+}
+
+impl Csr {
+    fn with_capacity(gates: usize, items: usize) -> Self {
+        let mut start = Vec::with_capacity(gates + 1);
+        start.push(0);
+        Csr { start, items: Vec::with_capacity(items) }
+    }
+
+    /// Gate `i`'s list.
+    fn row(&self, i: usize) -> &[GateId] {
+        &self.items[self.start[i]..self.start[i + 1]]
+    }
+
+    /// The list being filled: everything pushed since the last `close_row`.
+    fn open_row(&self) -> &[GateId] {
+        &self.items[self.start[self.start.len() - 1]..]
+    }
+
+    /// Ends the list being filled; it becomes the next gate's row.
+    fn close_row(&mut self) {
+        self.start.push(self.items.len());
+    }
+}
+
 /// A levelized timing graph over one netlist.
 ///
 /// Flip-flops are timing boundaries: their Q output is a startpoint whose
 /// arrival is the clk→Q delay of the flop, and their D input is an endpoint.
 /// Primary inputs arrive at time 0; primary outputs are endpoints.
+///
+/// The per-gate tables are flat (one offset array plus one item array
+/// each), and every list keeps the order `analyze` breaks ties in: fanin
+/// lists hold a gate's distinct drivers in pin order, fanout lists a
+/// combinational gate's distinct combinational sinks in gate-id order, and
+/// `topo` is exactly [`Netlist::topo_order`] (DESIGN.md §5c).
 #[derive(Debug, Clone)]
 pub struct TimingGraph<'nl> {
     pub(crate) netlist: &'nl Netlist,
     /// Topological order of the combinational gates.
-    pub(crate) topo: Vec<GateId>,
-    /// Combinational fanin gates per gate (drivers of its input nets that
-    /// are combinational), deduplicated.
-    pub(crate) comb_fanin: Vec<Vec<GateId>>,
-    /// Sequential (DFF) drivers feeding each gate, deduplicated.
-    pub(crate) seq_fanin: Vec<Vec<GateId>>,
-    /// Combinational fanout gates per gate, deduplicated.
-    pub(crate) comb_fanout: Vec<Vec<GateId>>,
+    topo: Vec<GateId>,
+    /// Combinational drivers of each gate's input nets, distinct, in pin
+    /// order.
+    comb_fanin: Csr,
+    /// Sequential (DFF) drivers of each gate's input nets, distinct, in pin
+    /// order.
+    seq_fanin: Csr,
+    /// Distinct combinational sinks of each combinational gate, in gate-id
+    /// order (empty for flip-flops).
+    comb_fanout: Csr,
     /// Whether the gate's output is a timing endpoint (drives a PO or a DFF
     /// D pin). Sequential gates are never marked (their Q is a startpoint).
-    pub(crate) is_endpoint: Vec<bool>,
+    is_endpoint: Vec<bool>,
 }
 
 impl<'nl> TimingGraph<'nl> {
@@ -31,48 +70,80 @@ impl<'nl> TimingGraph<'nl> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
+    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists,
+    /// with the same counts [`Netlist::topo_order`] reports.
     pub fn new(netlist: &'nl Netlist) -> Result<Self, NetlistError> {
-        let topo = netlist.topo_order()?;
-        let n = netlist.gate_count();
-        let mut comb_fanin = vec![Vec::new(); n];
-        let mut seq_fanin = vec![Vec::new(); n];
-        let mut comb_fanout = vec![Vec::new(); n];
+        let _span = fbb_telemetry::span("sta_graph_build");
+        let (gates, nets) = (netlist.gates(), netlist.nets());
+        let n = gates.len();
+        let seq: Vec<bool> = gates.iter().map(|g| g.cell.kind.is_sequential()).collect();
+        let pins = gates.iter().map(|g| g.inputs.len()).sum();
+        let mut comb_fanin = Csr::with_capacity(n, pins);
+        let mut seq_fanin = Csr::with_capacity(n, 0);
+        // Per combinational gate: input pins driven by a combinational gate
+        // (the Kahn pending count, one per pin as `topo_order` counts).
+        let mut pending = vec![0u32; n];
+        // Per gate: combinational sinks it gains below, as fanout row length.
+        let mut fanout_len = vec![0usize; n];
         let mut is_endpoint = vec![false; n];
+        // Per combinational gate: the combinational sinks of its output
+        // net, in `Net::sinks` order, one entry per occurrence.
+        let mut release = Csr::with_capacity(n, pins);
 
-        for (id, gate) in netlist.iter_gates() {
+        // One pass over the netlist: fanin lists, pending counts, release
+        // lists, fanout sizes, and the DFF-D endpoints.
+        for (i, gate) in gates.iter().enumerate() {
             for &input in &gate.inputs {
-                if let Some(driver) = netlist.net(input).driver {
-                    if netlist.gate(driver).cell.kind.is_sequential() {
-                        if !seq_fanin[id.index()].contains(&driver) {
-                            seq_fanin[id.index()].push(driver);
-                        }
-                    } else {
-                        if !comb_fanin[id.index()].contains(&driver) {
-                            comb_fanin[id.index()].push(driver);
-                        }
-                        if !gate.cell.kind.is_sequential()
-                            && !comb_fanout[driver.index()].contains(&id)
-                        {
-                            comb_fanout[driver.index()].push(id);
-                        }
+                let Some(driver) = nets[input.index()].driver else { continue };
+                let d = driver.index();
+                if seq[d] {
+                    if !seq_fanin.open_row().contains(&driver) {
+                        seq_fanin.items.push(driver);
+                    }
+                } else if seq[i] {
+                    // A combinational gate driving a DFF's D pin ends a
+                    // path there.
+                    is_endpoint[d] = true;
+                    if !comb_fanin.open_row().contains(&driver) {
+                        comb_fanin.items.push(driver);
+                    }
+                } else {
+                    pending[i] += 1;
+                    if !comb_fanin.open_row().contains(&driver) {
+                        comb_fanin.items.push(driver);
+                        fanout_len[d] += 1;
                     }
                 }
             }
-            // A combinational gate driving a DFF's D pin ends a path there.
-            if gate.cell.kind.is_sequential() {
-                for &input in &gate.inputs {
-                    if let Some(driver) = netlist.net(input).driver {
-                        if !netlist.gate(driver).cell.kind.is_sequential() {
-                            is_endpoint[driver.index()] = true;
-                        }
-                    }
-                }
+            if !seq[i] {
+                release.items.extend(
+                    nets[gate.output.index()].sinks.iter().filter(|s| !seq[s.index()]),
+                );
+            }
+            comb_fanin.close_row();
+            seq_fanin.close_row();
+            release.close_row();
+        }
+
+        // Fanout rows, filled sink by sink in gate-id order.
+        let mut comb_fanout = Csr::with_capacity(n, 0);
+        let mut end = 0;
+        for &len in &fanout_len {
+            end += len;
+            comb_fanout.start.push(end);
+        }
+        let mut next = comb_fanout.start[..n].to_vec();
+        comb_fanout.items = vec![GateId::from_index(0); end];
+        for (id, _) in netlist.iter_gates().filter(|&(id, _)| !seq[id.index()]) {
+            for &driver in comb_fanin.row(id.index()) {
+                comb_fanout.items[next[driver.index()]] = id;
+                next[driver.index()] += 1;
             }
         }
+
         for &out in netlist.outputs() {
-            if let Some(driver) = netlist.net(out).driver {
-                if !netlist.gate(driver).cell.kind.is_sequential() {
+            if let Some(driver) = nets[out.index()].driver {
+                if !seq[driver.index()] {
                     is_endpoint[driver.index()] = true;
                 }
             }
@@ -80,13 +151,64 @@ impl<'nl> TimingGraph<'nl> {
         // A combinational gate with no combinational fanout also terminates
         // its paths (dangling cones still carry cells that leak and can be
         // biased, so they participate in timing bookkeeping).
-        for (id, gate) in netlist.iter_gates() {
-            if !gate.cell.kind.is_sequential() && comb_fanout[id.index()].is_empty() {
-                is_endpoint[id.index()] = true;
+        for i in 0..n {
+            if !seq[i] && fanout_len[i] == 0 {
+                is_endpoint[i] = true;
             }
         }
 
+        // FIFO Kahn, exactly as `Netlist::topo_order`: seeded in gate-id
+        // order; a placed gate releases the sinks of its output net in
+        // `Net::sinks` order, one decrement per occurrence. FIFO pops in
+        // push order, so `topo` itself is the queue.
+        let comb_count = seq.iter().filter(|&&s| !s).count();
+        let mut topo = Vec::with_capacity(comb_count);
+        topo.extend(netlist.iter_gates().map(|(id, _)| id).filter(|id| {
+            let i = id.index();
+            !seq[i] && pending[i] == 0
+        }));
+        let mut head = 0;
+        while let Some(&id) = topo.get(head) {
+            head += 1;
+            for &sink in release.row(id.index()) {
+                let s = sink.index();
+                pending[s] -= 1;
+                if pending[s] == 0 {
+                    topo.push(sink);
+                }
+            }
+        }
+        if topo.len() != comb_count {
+            return Err(NetlistError::CombinationalCycle { reached: topo.len(), total: comb_count });
+        }
+
         Ok(TimingGraph { netlist, topo, comb_fanin, seq_fanin, comb_fanout, is_endpoint })
+    }
+
+    /// Topological order of the combinational gates.
+    pub(crate) fn topo(&self) -> &[GateId] {
+        &self.topo
+    }
+
+    /// Gate `i`'s distinct combinational drivers, in pin order.
+    pub(crate) fn comb_fanin(&self, i: usize) -> &[GateId] {
+        self.comb_fanin.row(i)
+    }
+
+    /// Gate `i`'s distinct sequential (DFF) drivers, in pin order.
+    pub(crate) fn seq_fanin(&self, i: usize) -> &[GateId] {
+        self.seq_fanin.row(i)
+    }
+
+    /// Combinational gate `i`'s distinct combinational sinks, in gate-id
+    /// order.
+    pub(crate) fn comb_fanout(&self, i: usize) -> &[GateId] {
+        self.comb_fanout.row(i)
+    }
+
+    /// Whether gate `i`'s output is a timing endpoint.
+    pub(crate) fn is_endpoint(&self, i: usize) -> bool {
+        self.is_endpoint[i]
     }
 
     /// The underlying netlist.
@@ -130,6 +252,7 @@ impl<'nl> TimingGraph<'nl> {
     /// Panics if `delays.len() != self.gate_count()`.
     pub fn analyze(&self, delays: &[f64]) -> TimingAnalysis<'_, 'nl> {
         assert_eq!(delays.len(), self.gate_count(), "one delay per gate required");
+        let _span = fbb_telemetry::span("sta_analyze");
         // Counter only (no float observation): analyze() also runs on
         // `par` worker threads, where only order-independent integer sums
         // stay deterministic.
@@ -141,17 +264,17 @@ impl<'nl> TimingGraph<'nl> {
         let mut succ: Vec<Option<GateId>> = vec![None; n];
 
         // Forward pass: arrival at each combinational gate's output.
-        for &id in &self.topo {
+        for &id in self.topo() {
             let i = id.index();
             let mut best = 0.0f64;
             let mut best_pred = None;
-            for &p in &self.comb_fanin[i] {
+            for &p in self.comb_fanin(i) {
                 if arrival[p.index()] > best {
                     best = arrival[p.index()];
                     best_pred = Some(p);
                 }
             }
-            for &ff in &self.seq_fanin[i] {
+            for &ff in self.seq_fanin(i) {
                 // DFF startpoint: clk->Q delay.
                 if delays[ff.index()] > best {
                     best = delays[ff.index()];
@@ -163,11 +286,11 @@ impl<'nl> TimingGraph<'nl> {
         }
 
         // Backward pass: tail = own delay + worst downstream tail.
-        for &id in self.topo.iter().rev() {
+        for &id in self.topo().iter().rev() {
             let i = id.index();
             let mut best = 0.0f64;
             let mut best_succ = None;
-            for &s in &self.comb_fanout[i] {
+            for &s in self.comb_fanout(i) {
                 if tail[s.index()] > best {
                     best = tail[s.index()];
                     best_succ = Some(s);
@@ -196,9 +319,9 @@ impl<'nl> TimingGraph<'nl> {
         }
 
         let dcrit = self
-            .topo
+            .topo()
             .iter()
-            .filter(|&&id| self.is_endpoint[id.index()])
+            .filter(|&&id| self.is_endpoint(id.index()))
             .map(|&id| arrival[id.index()])
             .fold(0.0f64, f64::max);
 
@@ -232,13 +355,13 @@ mod tests {
         let nl = b.finish().unwrap();
         let g = TimingGraph::new(&nl).unwrap();
         // gate 1 (second inv) drives the DFF's D: endpoint.
-        assert!(g.is_endpoint[1]);
+        assert!(g.is_endpoint(1));
         // gate 0 has comb fanout: not an endpoint.
-        assert!(!g.is_endpoint[0]);
+        assert!(!g.is_endpoint(0));
         // gate 3 drives the PO: endpoint.
-        assert!(g.is_endpoint[3]);
+        assert!(g.is_endpoint(3));
         // the DFF itself is not an endpoint.
-        assert!(!g.is_endpoint[2]);
+        assert!(!g.is_endpoint(2));
     }
 
     #[test]

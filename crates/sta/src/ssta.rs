@@ -164,15 +164,15 @@ impl TimingGraph<'_> {
         let n = self.gate_count();
         let mut arrival = vec![CanonicalDelay::zero(); n];
 
-        for &id in &self.topo {
+        for &id in self.topo() {
             let i = id.index();
             let mut best = CanonicalDelay::zero();
             let mut first = true;
-            for &p in &self.comb_fanin[i] {
+            for &p in self.comb_fanin(i) {
                 best = if first { arrival[p.index()] } else { best.max(&arrival[p.index()]) };
                 first = false;
             }
-            for &ff in &self.seq_fanin[i] {
+            for &ff in self.seq_fanin(i) {
                 let launch = delays[ff.index()];
                 best = if first { launch } else { best.max(&launch) };
                 first = false;
@@ -182,8 +182,8 @@ impl TimingGraph<'_> {
 
         let mut dcrit = CanonicalDelay::zero();
         let mut first = true;
-        for &id in &self.topo {
-            if self.is_endpoint[id.index()] {
+        for &id in self.topo() {
+            if self.is_endpoint(id.index()) {
                 let a = arrival[id.index()];
                 dcrit = if first { a } else { dcrit.max(&a) };
                 first = false;
