@@ -960,8 +960,8 @@ mod tests {
             let all = first.preprocess_betas_on(&analysis, g, &betas).unwrap();
             assert_eq!(all.len(), betas.len());
             for (pre, &beta) in all.iter().zip(&betas) {
-                let single = FbbProblem::new(&nl, &p, &c, beta, 3).unwrap().preprocess_at(g).unwrap();
-                assert_eq!(*pre, single, "beta {beta}, {g:?}");
+                let problem = FbbProblem::new(&nl, &p, &c, beta, 3).unwrap();
+                assert_eq!(*pre, problem.preprocess_at(g).unwrap(), "beta {beta}, {g:?}");
             }
         }
         assert!(first.preprocess_betas_on(&analysis, Granularity::Row, &[]).unwrap().is_empty());

@@ -340,8 +340,8 @@ impl<'nl> TimingGraph<'nl> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbb_device::{CellKind, DriveStrength};
-    use fbb_netlist::NetlistBuilder;
+    use fbb_device::{Cell, CellKind, DriveStrength};
+    use fbb_netlist::{Gate, Net, NetId, NetlistBuilder};
 
     #[test]
     fn endpoint_marking() {
@@ -414,6 +414,122 @@ mod tests {
         assert!((slow.dcrit_ps() - 60.0).abs() < 1e-9);
         assert!((slow.arrival_ps(GateId::from_index(2)) - 60.0).abs() < 1e-9);
         assert!((slow.tail_ps(GateId::from_index(1)) - 60.0).abs() < 1e-9);
+    }
+
+    fn net(name: &str, driver: Option<usize>, sinks: &[usize]) -> Net {
+        Net {
+            name: name.into(),
+            driver: driver.map(GateId::from_index),
+            sinks: sinks.iter().map(|&g| GateId::from_index(g)).collect(),
+        }
+    }
+
+    fn inv(input: usize, output: usize) -> Gate {
+        Gate {
+            cell: Cell::new(CellKind::Inv, DriveStrength::X1),
+            inputs: vec![NetId::from_index(input)],
+            output: NetId::from_index(output),
+        }
+    }
+
+    /// The graph's order is `Netlist::topo_order`'s, gate for gate: it
+    /// decides the order of Π, and pinning it pins the tie-breaks too.
+    fn assert_topo_matches(nl: &Netlist) {
+        let graph = TimingGraph::new(nl).unwrap();
+        assert_eq!(graph.topo(), nl.topo_order().unwrap().as_slice(), "{}", nl.name());
+    }
+
+    #[test]
+    fn topo_is_the_netlist_order_on_every_netlist_shape() {
+        // Flip-flops: sequential sinks are skipped, Q pins are sources.
+        let registered = fbb_netlist::generators::random_logic(
+            "reg",
+            &fbb_netlist::generators::RandomLogicOptions {
+                target_gates: 300,
+                n_inputs: 10,
+                seed: 4,
+                registered: true,
+                locality_window: 16,
+            },
+        )
+        .unwrap();
+        assert!(registered.dff_count() > 0);
+        assert_topo_matches(&registered);
+
+        // A composition: merged blocks with remapped gate ids, stitched.
+        let composed = fbb_netlist::compose(
+            "composed",
+            &fbb_netlist::ComposeOptions::with_target(3_000),
+        )
+        .unwrap()
+        .netlist;
+        assert_topo_matches(&composed);
+
+        // A netlist parsed from ISCAS `.bench` text.
+        let c3540 = fbb_netlist::suite::generate("c3540").unwrap();
+        let text = fbb_netlist::bench_fmt::to_bench_string(&c3540);
+        assert_topo_matches(&fbb_netlist::bench_fmt::from_bench_str(&text).unwrap());
+
+        // One gate reading one net on two pins: two pending pins, released
+        // by two occurrences in the net's sink list.
+        let mut b = NetlistBuilder::new("twice");
+        let a = b.input("a");
+        let w = b.gate(CellKind::Inv, DriveStrength::X1, &[a]).unwrap();
+        let y = b.gate(CellKind::And2, DriveStrength::X1, &[w, w]).unwrap();
+        let z = b.gate(CellKind::Inv, DriveStrength::X1, &[a]).unwrap();
+        b.output(y, "y");
+        b.output(z, "z");
+        let twice = b.finish().unwrap();
+        assert_topo_matches(&twice);
+        let g = TimingGraph::new(&twice).unwrap();
+        assert_eq!(g.comb_fanin(1), [GateId::from_index(0)]);
+        assert_eq!(g.comb_fanout(0), [GateId::from_index(1)]);
+    }
+
+    #[test]
+    fn topo_releases_sinks_in_net_order_not_gate_order() {
+        // g0 = INV(a) drives w, read by g1 and g2; w lists g2 before g1, as
+        // a remapped netlist may. The release follows the sink list, the
+        // fanout table stays in gate-id order.
+        let gates = vec![inv(0, 1), inv(1, 2), inv(1, 3)];
+        let nets = vec![
+            net("a", None, &[0]),
+            net("w", Some(0), &[2, 1]),
+            net("x", Some(1), &[]),
+            net("y", Some(2), &[]),
+        ];
+        let outputs = vec![NetId::from_index(2), NetId::from_index(3)];
+        let nl =
+            Netlist::from_parts("perm".into(), gates, nets, vec![NetId::from_index(0)], outputs)
+                .unwrap();
+        assert_topo_matches(&nl);
+        let g = TimingGraph::new(&nl).unwrap();
+        let ids = |ix: &[usize]| ix.iter().map(|&i| GateId::from_index(i)).collect::<Vec<_>>();
+        assert_eq!(g.topo(), ids(&[0, 2, 1]));
+        assert_eq!(g.comb_fanout(0), ids(&[1, 2]));
+    }
+
+    #[test]
+    fn cyclic_netlist_reports_the_netlist_error() {
+        // g0 = INV(y) and g1 = INV(x) form a loop; g2 = INV(a) is reachable.
+        let gates = vec![inv(2, 1), inv(1, 2), inv(0, 3)];
+        let nets = vec![
+            net("a", None, &[2]),
+            net("x", Some(0), &[1]),
+            net("y", Some(1), &[0]),
+            net("z", Some(2), &[]),
+        ];
+        let nl = Netlist::from_parts_trusted(
+            "loop".into(),
+            gates,
+            nets,
+            vec![NetId::from_index(0)],
+            vec![NetId::from_index(3)],
+        )
+        .unwrap();
+        let expected = nl.topo_order().unwrap_err();
+        assert_eq!(expected, NetlistError::CombinationalCycle { reached: 1, total: 3 });
+        assert_eq!(TimingGraph::new(&nl).unwrap_err(), expected);
     }
 
     #[test]

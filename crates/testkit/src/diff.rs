@@ -13,7 +13,7 @@
 //!   the heuristic's diagnosed worst path must match the oracle's;
 //! * **STA** — `TimingGraph::analyze` must stay *bit-identical* (per
 //!   `f64::to_bits`) to the naive queue-based oracle before and after every
-//!   delay flip;
+//!   delay flip, down to each gate's longest path and the order of Π;
 //! * **fault** — a deterministic [`FaultPlan`] forces the
 //!   degraded exits and asserts they are labeled honestly.
 //!
@@ -331,7 +331,8 @@ pub fn check_cluster_instance(pre: &Preprocessed, greedy_gap_limit: f64) -> Resu
 }
 
 /// STA layer: `analyze` vs. the naive queue oracle, compared bit-for-bit
-/// on the initial delays and after each flip.
+/// on the initial delays and after each flip: `Dcrit`, every arrival and
+/// tail, every gate's longest path (gates and delay), and Π in order.
 pub fn check_sta_case(seed: u64, case: u64) -> Result<(), String> {
     let mut rng = gen::case_rng(seed ^ 0x3, case);
     let sta_case = gen::random_sta(&mut rng);
@@ -362,6 +363,7 @@ fn compare_sta(
             truth.dcrit_ps
         ));
     }
+    let gates = |path: &[fbb_netlist::GateId]| path.iter().map(|g| g.index()).collect::<Vec<_>>();
     for i in 0..nl.gate_count() {
         let id = fbb_netlist::GateId::from_index(i);
         if full.arrival_ps(id).to_bits() != truth.arrival_ps[i].to_bits() {
@@ -369,6 +371,39 @@ fn compare_sta(
                 "{label}: full arrival[{i}] {} != naive {}",
                 full.arrival_ps(id),
                 truth.arrival_ps[i]
+            ));
+        }
+        if full.tail_ps(id).to_bits() != truth.tail_ps[i].to_bits() {
+            return Err(format!(
+                "{label}: full tail[{i}] {} != naive {}",
+                full.tail_ps(id),
+                truth.tail_ps[i]
+            ));
+        }
+        // The path's gates follow the critical links, so this pins the
+        // first-strict-maximum tie-breaks of `pred` and `succ`.
+        let path = full.longest_path_through(id);
+        let expected = truth.path_through(i);
+        let delay = truth.longest_through_ps(delays, i);
+        if gates(&path.gates) != expected || path.delay_ps.to_bits() != delay.to_bits() {
+            return Err(format!(
+                "{label}: path through {i} is {:?} ({} ps), naive {expected:?} ({delay} ps)",
+                gates(&path.gates),
+                path.delay_ps
+            ));
+        }
+    }
+    let pi = full.critical_path_set();
+    let expected = truth.critical_path_set(nl, delays);
+    if pi.len() != expected.len() {
+        return Err(format!("{label}: Π holds {} paths, naive {}", pi.len(), expected.len()));
+    }
+    for (k, (path, (naive_gates, naive_delay))) in pi.iter().zip(&expected).enumerate() {
+        if gates(&path.gates) != *naive_gates || path.delay_ps.to_bits() != naive_delay.to_bits() {
+            return Err(format!(
+                "{label}: Π path {k} is {:?} ({} ps), naive {naive_gates:?} ({naive_delay} ps)",
+                gates(&path.gates),
+                path.delay_ps
             ));
         }
     }
