@@ -111,6 +111,22 @@ fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// Reads a time budget in seconds from `flag`, `None` when the flag is
+/// absent. A value that is not a number of seconds a `Duration` can hold
+/// (negative, NaN, or too large) is a usage error naming the flag, never a
+/// panic.
+fn arg_seconds(args: &[String], flag: &str) -> Result<Option<Duration>, CliError> {
+    let Some(raw) = arg_value(args, flag) else {
+        return Ok(None);
+    };
+    let secs: f64 = raw
+        .parse()
+        .map_err(|_| CliError::Failure(format!("bad {flag} {raw:?}: not a number of seconds")))?;
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|e| CliError::Failure(format!("bad {flag} {raw:?}: {e}")))
+}
+
 /// Parses netlist text by the path's extension: ISCAS `.bench`, else the
 /// native text format. Errors read `"{path}: {reason}"`.
 fn parse_netlist(path: &str, text: &str) -> Result<Netlist, String> {
@@ -339,6 +355,8 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
 /// heuristic whenever it proves optimality. Any disagreement exits 4, same
 /// as the random-case harness.
 fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
+    let ilp_limit =
+        arg_seconds(args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(30));
     let bytes = read_design_bytes(path)?;
     // The oracle run keeps the fully verified decode on purpose: difftest
     // exists to catch corruption, so it must not trust the CRCs alone.
@@ -346,9 +364,6 @@ fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
         .map_err(|e| format!("cannot load design {path}: {e}"))?;
     println!("{}", db.stats());
     let run_ilp = arg_flag(args, "--ilp");
-    let ilp_limit = arg_value(args, "--ilp-time-limit")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30.0);
     let mut mismatches = Vec::new();
     for entry in &db.entries {
         let pre = &entry.pre;
@@ -378,7 +393,7 @@ fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
         }
         let mut ilp_note = String::new();
         if run_ilp {
-            let out = IlpAllocator::with_time_limit(Duration::from_secs_f64(ilp_limit))
+            let out = IlpAllocator::with_time_limit(ilp_limit)
                 .solve(pre)
                 .map_err(|e| CliError::Failure(format!("{tag}: {e}")))?;
             if let (Some(exact), true) = (&out.solution, out.proven_optimal) {
@@ -758,6 +773,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
     let clusters: usize =
         arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let ilp_limit = arg_seconds(args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(120));
     let design = load_design(args, &path)?;
     let (nl, placement, chara) = (&design.netlist, &design.placement, &design.chara);
     let ladder = chara.ladder().clone();
@@ -816,11 +832,12 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         sol.savings_vs(&baseline)
     );
 
+    // The answer this command reports: the heuristic's, or the ILP's when
+    // `--ilp` finds one. The listing, the layout, the telemetry and the
+    // verification below all describe it.
+    let mut answer = sol;
     if arg_flag(args, "--ilp") {
-        let limit = arg_value(args, "--ilp-time-limit")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120.0);
-        let out = IlpAllocator::with_time_limit(Duration::from_secs_f64(limit))
+        let out = IlpAllocator::with_time_limit(ilp_limit)
             .solve(&pre)
             .map_err(classify_fbb_error)?;
         // Status wording is part of the CLI contract: the word "optimal"
@@ -847,7 +864,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         }
         if arg_flag(args, "--require-optimal") && !out.proven_optimal {
             return Err(CliError::BudgetExpired(format!(
-                "deadline: ILP budget ({limit}s) expired without an optimality proof (gap {})",
+                "deadline: ILP budget ({}s) expired without an optimality proof (gap {})",
+                ilp_limit.as_secs_f64(),
                 if out.gap.is_finite() {
                     format!("{:.2}%", out.gap * 100.0)
                 } else {
@@ -855,10 +873,13 @@ fn solve(args: &[String]) -> Result<(), CliError> {
                 }
             )));
         }
+        if let Some(exact) = out.solution {
+            answer = exact;
+        }
     }
 
     print!("\nrow biases: ");
-    for (row, &level) in sol.assignment.iter().enumerate() {
+    for (row, &level) in answer.assignment.iter().enumerate() {
         if row % 8 == 0 {
             print!("\n  ");
         }
@@ -867,22 +888,28 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     println!();
 
     if arg_flag(args, "--layout") {
-        let art = layout::render_ascii(placement, &ladder, &sol.assignment, &LayoutOptions::default())
+        let art =
+            layout::render_ascii(placement, &ladder, &answer.assignment, &LayoutOptions::default())
             .map_err(|e| e.to_string())?;
         println!("\n{art}");
     }
 
-    fbb::telemetry::record("cli_solution_leakage_nw", sol.leakage_nw);
-    fbb::telemetry::record("cli_solution_savings_pct", sol.savings_vs(&baseline));
+    fbb::telemetry::record("cli_solution_leakage_nw", answer.leakage_nw);
+    fbb::telemetry::record("cli_solution_savings_pct", answer.savings_vs(&baseline));
 
-    // Independent verification: apply the biases to the degraded die and
-    // re-time the whole netlist once (the allocators only checked Π).
+    // Independent verification: apply the answer's biases to the degraded
+    // die and re-time the whole netlist once (the allocators only checked
+    // Π). The delays are the nominal ones the allocators solved on, per-
+    // instance jitter included, the same input `Dcrit` was computed from.
+    let nominal = FbbProblem::new(nl, placement, chara, beta, clusters)
+        .map_err(|e| e.to_string())?
+        .nominal_delays();
     let graph = TimingGraph::new(nl).map_err(|e| e.to_string())?;
     let tuned: Vec<f64> = nl
         .iter_gates()
-        .map(|(id, g)| {
-            let level = sol.assignment[placement.row_of(id).index()];
-            chara.delay_ps(g.cell, 0) * (1.0 + beta) * (1.0 - chara.speedup_fraction(level))
+        .map(|(id, _)| {
+            let level = answer.assignment[placement.row_of(id).index()];
+            nominal[id.index()] * (1.0 + beta) * (1.0 - chara.speedup_fraction(level))
         })
         .collect();
     let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
@@ -970,6 +997,16 @@ fn arg_list<T: std::str::FromStr + Clone>(
 /// `fbb sweep` — run the β × C × P grid over one design as a warm
 /// pipeline (see `fbb::core::sweep`), streaming one line per cell.
 fn sweep(args: &[String]) -> Result<(), CliError> {
+    let grid = fbb::core::SweepGrid {
+        betas: arg_list(args, "--betas", &[0.03, 0.05])?,
+        clusters: arg_list(args, "--clusters", &[2, 3])?,
+        levels: arg_list(args, "--levels", &[6, 11])?,
+    };
+    let options = fbb::core::SweepOptions {
+        time_limit: arg_seconds(args, "--time-limit")?,
+        node_limit: arg_value(args, "--node-limit").and_then(|v| v.parse().ok()),
+        cold: arg_flag(args, "--cold"),
+    };
     let rows: u32 = arg_value(args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(64);
     let (netlist, placement, chara);
     if let Some(gates) = arg_value(args, "--compose") {
@@ -1012,18 +1049,6 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         return Err("missing --design, --netlist, or --compose".into());
     }
 
-    let grid = fbb::core::SweepGrid {
-        betas: arg_list(args, "--betas", &[0.03, 0.05])?,
-        clusters: arg_list(args, "--clusters", &[2, 3])?,
-        levels: arg_list(args, "--levels", &[6, 11])?,
-    };
-    let options = fbb::core::SweepOptions {
-        time_limit: arg_value(args, "--time-limit")
-            .and_then(|v| v.parse::<f64>().ok())
-            .map(Duration::from_secs_f64),
-        node_limit: arg_value(args, "--node-limit").and_then(|v| v.parse().ok()),
-        cold: arg_flag(args, "--cold"),
-    };
     println!(
         "sweeping {} cells over {} ({} rows, {} mode)",
         grid.cell_count(),

@@ -99,22 +99,36 @@ fn proven_ilp_solve_exits_0_and_says_proven() {
 #[test]
 fn verification_line_agrees_with_its_own_numbers() {
     let nl = adder_netlist("verify");
-    let out =
-        fbb(&["solve", "--netlist", nl.to_str().expect("utf8"), "--rows", "9", "--beta", "0.05"]);
-    let stdout = text(&out.stdout);
-    assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
-    let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("verification:")).collect();
-    assert_eq!(lines.len(), 1, "stdout: {stdout}");
-    let numbers = lines[0]
-        .strip_prefix("verification: biased degraded Dcrit = ")
-        .and_then(|rest| rest.strip_suffix(" ps (met)"))
-        .unwrap_or_else(|| panic!("unexpected verification line: {}", lines[0]));
-    let (dcrit, target) = numbers.split_once(" ps vs target ").expect("Dcrit and target");
-    let dcrit: f64 = dcrit.parse().expect("Dcrit is a number");
-    let target: f64 = target.parse().expect("target is a number");
-    // `met` means Dcrit <= target * 1.002; both print to 0.1 ps, so each
-    // printed value may be off by up to 0.05 ps.
-    assert!(dcrit - 0.05 <= (target + 0.05) * 1.002, "{dcrit} ps vs target {target} ps");
+    let path = nl.to_str().expect("utf8");
+    // The heuristic's answer, and under `--ilp` the exact answer the CLI
+    // then reports: each is listed and re-timed on the full graph.
+    let mut listings = Vec::new();
+    for extra in [&[][..], &["--ilp"][..]] {
+        let mut args = vec!["solve", "--netlist", path, "--rows", "9", "--beta", "0.05"];
+        args.extend_from_slice(extra);
+        let out = fbb(&args);
+        let stdout = text(&out.stdout);
+        assert_eq!(code(&out), 0, "args {args:?}: stderr: {}", text(&out.stderr));
+        let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with("verification:")).collect();
+        assert_eq!(lines.len(), 1, "stdout: {stdout}");
+        let numbers = lines[0]
+            .strip_prefix("verification: biased degraded Dcrit = ")
+            .and_then(|rest| rest.strip_suffix(" ps (met)"))
+            .unwrap_or_else(|| panic!("unexpected verification line: {}", lines[0]));
+        let (dcrit, target) = numbers.split_once(" ps vs target ").expect("Dcrit and target");
+        let dcrit: f64 = dcrit.parse().expect("Dcrit is a number");
+        let target: f64 = target.parse().expect("target is a number");
+        // `met` means Dcrit <= target * 1.002; both print to 0.1 ps, so each
+        // printed value may be off by up to 0.05 ps.
+        assert!(dcrit - 0.05 <= (target + 0.05) * 1.002, "{dcrit} ps vs target {target} ps");
+        let listing: Vec<String> =
+            stdout.lines().filter(|l| l.starts_with("  r")).map(str::to_owned).collect();
+        assert!(!listing.is_empty(), "stdout: {stdout}");
+        listings.push(listing);
+    }
+    // On this instance the exact optimum leaks less than the heuristic's
+    // answer, so the two row assignments the CLI lists differ.
+    assert_ne!(listings[0], listings[1], "--ilp still lists the heuristic's rows");
     let _ = std::fs::remove_file(nl);
 }
 
@@ -240,4 +254,44 @@ fn difftest_db_rejects_corruption_that_solve_would_trust() {
     }
     let _ = std::fs::remove_file(&db_path);
     let _ = std::fs::remove_file(&nl);
+}
+
+// Time budgets: a value no `Duration` can hold is a usage error naming the
+// flag (exit 1), never a panic (exit 101) — on every flag that takes one.
+
+/// Runs `args` followed by `flag VALUE` for each unrepresentable budget and
+/// checks the exit code and the message.
+fn rejects_unrepresentable_budgets(args: &[&str], flag: &str) {
+    for value in ["-1", "1e300", "nan"] {
+        let mut full = args.to_vec();
+        full.extend([flag, value]);
+        let out = fbb(&full);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {full:?}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("bad {flag} \"{value}\"")), "args {full:?}: {stderr}");
+    }
+}
+
+#[test]
+fn solve_rejects_unrepresentable_ilp_time_limits() {
+    let nl = adder_netlist("budget_flag");
+    rejects_unrepresentable_budgets(
+        &["solve", "--netlist", nl.to_str().expect("utf8"), "--rows", "9", "--ilp"],
+        "--ilp-time-limit",
+    );
+    let _ = std::fs::remove_file(nl);
+}
+
+#[test]
+fn difftest_db_rejects_unrepresentable_ilp_time_limits() {
+    let db = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/adder8.fbb");
+    rejects_unrepresentable_budgets(&["difftest", "--db", db, "--ilp"], "--ilp-time-limit");
+}
+
+#[test]
+fn sweep_rejects_unrepresentable_time_limits() {
+    rejects_unrepresentable_budgets(
+        &["sweep", "--compose", "500", "--betas", "0.05", "--clusters", "2", "--levels", "3"],
+        "--time-limit",
+    );
 }
