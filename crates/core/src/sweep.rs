@@ -209,7 +209,7 @@ pub fn run_sweep(
     // tables. β and the placement are checked before the STA runs, as the
     // first β's pre-process would. The graph and the analysis are dropped
     // before the first solve.
-    let shared: Option<Vec<Preprocessed>> = if options.cold {
+    let per_beta: Option<Vec<Preprocessed>> = if options.cold {
         None
     } else {
         let problem = FbbProblem::new(netlist, placement, chara, grid.betas[0], cmax)?;
@@ -223,7 +223,7 @@ pub fn run_sweep(
         // Warm: one pre-process per β, shared by every (C, P) cell. The
         // budget argument is only copied into `max_clusters`, which each
         // cell overwrites below, so sharing is value-exact.
-        let shared = shared.as_ref().map(|pres| &pres[b]);
+        let shared = per_beta.as_ref().map(|pres| &pres[b]);
 
         for &p in &grid.levels {
             // Warm: one model per (β, P); only its budget RHS varies with C.
