@@ -890,7 +890,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     if arg_flag(args, "--layout") {
         let art =
             layout::render_ascii(placement, &ladder, &answer.assignment, &LayoutOptions::default())
-            .map_err(|e| e.to_string())?;
+                .map_err(|e| e.to_string())?;
         println!("\n{art}");
     }
 
@@ -899,8 +899,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 
     // Independent verification: apply the answer's biases to the degraded
     // die and re-time the whole netlist once (the allocators only checked
-    // Π). The delays are the nominal ones the allocators solved on, per-
-    // instance jitter included, the same input `Dcrit` was computed from.
+    // Π). It starts from the jittered nominal delays the allocators solved
+    // on, the same input `Dcrit` was computed from.
     let nominal = FbbProblem::new(nl, placement, chara, beta, clusters)
         .map_err(|e| e.to_string())?
         .nominal_delays();
