@@ -433,7 +433,7 @@ mod tests {
     }
 
     /// The graph's order is `Netlist::topo_order`'s, gate for gate: it
-    /// decides the order of Π, and pinning it pins the tie-breaks too.
+    /// decides the order of Π, which is the order of the ILP's rows.
     fn assert_topo_matches(nl: &Netlist) {
         let graph = TimingGraph::new(nl).unwrap();
         assert_eq!(graph.topo(), nl.topo_order().unwrap().as_slice(), "{}", nl.name());
