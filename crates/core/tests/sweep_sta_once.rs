@@ -19,6 +19,9 @@ static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
 /// Sweeps a 2-β grid under telemetry and returns the report and snapshot.
 fn sweep_telemetry(options: &SweepOptions) -> (SweepReport, Snapshot) {
+    // Held from the start: the timing-driven placer runs full analyses of
+    // its own, which another test's enabled sink would count.
+    let _guard = TELEMETRY_LOCK.lock().expect("telemetry lock poisoned");
     let netlist = generators::ripple_adder("a24", 24, false).expect("valid generator");
     let library = Library::date09_45nm();
     let placement = Placer::new(PlacerOptions::with_target_rows(6))
@@ -30,7 +33,6 @@ fn sweep_telemetry(options: &SweepOptions) -> (SweepReport, Snapshot) {
     );
     let grid = SweepGrid { betas: vec![0.03, 0.05], clusters: vec![2, 3], levels: vec![3] };
 
-    let _guard = TELEMETRY_LOCK.lock().expect("telemetry lock poisoned");
     fbb_telemetry::enable();
     fbb_telemetry::reset();
     let report = run_sweep(&netlist, &placement, &chara, &grid, options, |_| {})
