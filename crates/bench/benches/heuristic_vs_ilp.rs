@@ -1,8 +1,8 @@
 //! The paper's runtime claim (§5): the two-pass heuristic is linear-time and
 //! orders of magnitude faster than the exact ILP. One benchmark pair per
 //! Table 1 size class that Criterion can finish quickly, plus the
-//! serial-vs-parallel speedups of the worker-pool integration (PassTwo
-//! candidate ranking, ILP constraint generation), merged into
+//! serial-vs-parallel speedups of the worker-pool integration (PassOne
+//! level scan, ILP constraint generation), merged into
 //! `BENCH_sta.json` (see EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -46,8 +46,8 @@ fn bench_allocators(c: &mut Criterion) {
 }
 
 /// Serial-vs-parallel speedups of the worker-pool hot loops: the heuristic's
-/// PassOne level scan + PassTwo budget sweep, and the ILP's per-path
-/// constraint generation.
+/// PassOne level scan (its one-descent PassTwo is serial), and the ILP's
+/// per-path constraint generation.
 fn bench_parallel_speedups(_c: &mut Criterion) {
     let design = prepare_design("c5315");
     let pre = design.preprocess(0.05, 4);

@@ -1,4 +1,12 @@
 //! The two-pass linear-time heuristic (paper Fig. 5).
+//!
+//! `PassOne` finds the lowest uniform bias level `jopt` that meets timing;
+//! `PassTwo` moves rows below it under the cluster budget. The default
+//! [`DescentPolicy::MaxDrop`] keeps the best candidate of every budget
+//! `1..=C`, and takes all of them from one serial descent that forks a copy
+//! of its state where each budget runs out (`max_drop`): the budgets share
+//! their common moves instead of each descending on its own, serially or on
+//! the worker pool.
 
 use fbb_lp::deadline::Stopwatch;
 
@@ -104,9 +112,11 @@ impl TwoPassHeuristic {
         Self::with_policy(DescentPolicy::Literal)
     }
 
-    /// Runs both passes. `PassOne`'s level scan and `PassTwo`'s per-budget
-    /// candidate ranking run on the [`fbb_sta::par`] worker pool when more
-    /// than one thread is available; the result is identical either way.
+    /// Runs both passes. `PassOne`'s level scan runs on the
+    /// [`fbb_sta::par`] worker pool when more than one thread is available;
+    /// the result is identical either way. `PassTwo` (`MaxDrop`) ranks every
+    /// cluster budget's candidate from one descent (see
+    /// [`TwoPassHeuristic::pass_two`]).
     ///
     /// # Example
     ///
@@ -164,14 +174,7 @@ impl TwoPassHeuristic {
         let clock = Stopwatch::start();
         let jopt = pass_one_restricted(pre, allowed)
             .ok_or_else(|| FbbError::uncompensable(pre))?;
-        let assignment = par::parallel_gen(budget_count(pre, jopt), |k| {
-            max_drop_restricted(pre, jopt, k + 1, Some(allowed))
-        })
-        .into_iter()
-        .min_by(|a, b| {
-            pre.leakage_nw(a).partial_cmp(&pre.leakage_nw(b)).expect("leakage is finite")
-        })
-        .expect("at least one budget");
+        let assignment = least_leakage(pre, max_drop(pre, jopt, Some(allowed)));
         Ok(ClusterSolution::from_assignment(
             pre,
             assignment,
@@ -182,30 +185,22 @@ impl TwoPassHeuristic {
 
     /// `PassTwo` from a given `jopt` (exposed for the cluster-sweep
     /// experiments).
+    ///
+    /// Under `MaxDrop`, a larger budget can tempt the greedy into opening an
+    /// intermediate level early that a smaller budget would have skipped, so
+    /// the result is not monotone in C by construction. `PassTwo` therefore
+    /// keeps the best of the budgets `1..=C` (C capped at `jopt + 1`, see
+    /// `budget_count`), taking every budget's candidate from one descent:
+    /// budget 1's is the uniform `jopt`, and each larger budget is finished
+    /// on an exact copy of the descent state where its budget runs out
+    /// (`max_drop`). The first minimum in budget order wins, so the answer
+    /// is the one a separate descent per budget gives, bit for bit.
     pub fn pass_two(&self, pre: &Preprocessed, jopt: usize) -> Vec<usize> {
         if jopt == 0 || pre.n_rows() == 0 {
             return vec![jopt; pre.n_rows()];
         }
         match self.policy {
-            DescentPolicy::MaxDrop => {
-                // A larger budget can tempt the greedy into opening an
-                // intermediate level early that a smaller budget would have
-                // skipped, so the result is not monotone in C by
-                // construction; running every budget up to C and keeping the
-                // best restores monotonicity at O(C) extra linear passes
-                // (C capped at jopt + 1, see `budget_count`). Each budget's
-                // descent is independent, so the candidates are ranked
-                // concurrently; the min-fold stays in budget order, so the
-                // winner matches the serial sweep exactly.
-                par::parallel_gen(budget_count(pre, jopt), |k| max_drop(pre, jopt, k + 1))
-                    .into_iter()
-                    .min_by(|a, b| {
-                        pre.leakage_nw(a)
-                            .partial_cmp(&pre.leakage_nw(b))
-                            .expect("leakage is finite")
-                    })
-                    .expect("at least one budget")
-            }
+            DescentPolicy::MaxDrop => least_leakage(pre, max_drop(pre, jopt, None)),
             DescentPolicy::BlockSynchronous => synchronous(pre, jopt, true),
             DescentPolicy::Literal => synchronous(pre, jopt, false),
         }
@@ -235,57 +230,106 @@ fn ranked_rows(pre: &Preprocessed) -> Vec<usize> {
     ranked
 }
 
-fn max_drop(pre: &Preprocessed, jopt: usize, c_max: usize) -> Vec<usize> {
-    max_drop_restricted(pre, jopt, c_max, None)
+/// The first candidate of least leakage: ties go to the smaller budget.
+fn least_leakage(pre: &Preprocessed, candidates: Vec<Vec<usize>>) -> Vec<usize> {
+    candidates
+        .into_iter()
+        .min_by(|a, b| {
+            pre.leakage_nw(a).partial_cmp(&pre.leakage_nw(b)).expect("leakage is finite")
+        })
+        .expect("at least one budget")
 }
 
-fn max_drop_restricted(
-    pre: &Preprocessed,
-    jopt: usize,
-    c_max: usize,
-    allowed: Option<&[usize]>,
-) -> Vec<usize> {
-    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows()]);
-    debug_assert!(state.feasible(), "PassOne must hand over a feasible start");
+/// `MaxDrop`'s candidate for every cluster budget `1..=budget_count`, in
+/// budget order, from one descent of the largest budget B.
+///
+/// Each row, least critical first, moves to its lowest feasible level; a
+/// level not yet open is opened while the budget allows, and otherwise the
+/// row settles on the lowest feasible open level. With one open level a row
+/// always settles back at `jopt`, so budget 1's candidate is the uniform
+/// `jopt` and runs no descent. Budget k (1 < k < B) makes B's moves until
+/// B is about to open level k + 1 with k levels open: at that row the
+/// descent is cloned (an exact `f64` copy of the [`CheckState`]) and budget
+/// k finishes on the copy with its budget exhausted. Every budget therefore
+/// applies the `f64` operations of its own descent, in the same order. A
+/// budget whose fork point never comes ends where B's descent ends.
+fn max_drop(pre: &Preprocessed, jopt: usize, allowed: Option<&[usize]>) -> Vec<Vec<usize>> {
+    let budgets = budget_count(pre, jopt);
+    let mut candidates = vec![vec![jopt; pre.n_rows()]];
+    if budgets < 2 {
+        return candidates;
+    }
+    let ranked = ranked_rows(pre);
+    let mut descent = Descent::new(pre, jopt, allowed);
+    for (pos, &row) in ranked.iter().enumerate() {
+        let Some(level) = descent.drop_row(row) else { continue };
+        if descent.open.len() == budgets {
+            descent.settle(row, level);
+            continue;
+        }
+        if descent.open.len() > 1 {
+            // Budget `open.len()` runs out at this row.
+            let mut fork = descent.clone();
+            fork.settle(row, level);
+            fork.finish(&ranked[pos + 1..]);
+            candidates.push(fork.state.assignment().to_vec());
+        }
+        descent.open.push(level);
+    }
+    candidates.resize(budgets, descent.state.assignment().to_vec());
+    candidates
+}
 
-    // Levels currently in use; jopt is always occupied by the most critical
-    // rows, which never move.
-    let mut open_levels: Vec<usize> = vec![jopt];
-    for &row in &ranked_rows(pre) {
-        // Find the lowest feasible level for this row (feasibility is
-        // monotone in the level because reductions are).
-        let mut target = None;
-        for level in 0..jopt {
-            if let Some(allowed) = allowed {
-                if !allowed.contains(&level) {
-                    continue;
-                }
-            }
-            if state.try_set_level(row, level) {
-                target = Some(level);
+/// One `MaxDrop` descent in progress.
+#[derive(Clone)]
+struct Descent<'p> {
+    state: CheckState<'p>,
+    /// Levels in use; `jopt` is always occupied by the most critical rows,
+    /// which never move.
+    open: Vec<usize>,
+    jopt: usize,
+    allowed: Option<&'p [usize]>,
+}
+
+impl<'p> Descent<'p> {
+    fn new(pre: &'p Preprocessed, jopt: usize, allowed: Option<&'p [usize]>) -> Self {
+        let state = CheckState::new(pre, vec![jopt; pre.n_rows()]);
+        debug_assert!(state.feasible(), "PassOne must hand over a feasible start");
+        Descent { state, open: vec![jopt], jopt, allowed }
+    }
+
+    /// Moves `row` to its lowest feasible (allowed) level below `jopt`, if
+    /// any (feasibility is monotone in the level because reductions are),
+    /// and returns that level when it is not open yet.
+    fn drop_row(&mut self, row: usize) -> Option<usize> {
+        let level = (0..self.jopt)
+            .filter(|level| self.allowed.is_none_or(|allowed| allowed.contains(level)))
+            .find(|&level| self.state.try_set_level(row, level))?;
+        (!self.open.contains(&level)).then_some(level)
+    }
+
+    /// Budget exhausted: `row`, which found `level` closed, settles for the
+    /// lowest feasible *open* level instead (`jopt` itself always works).
+    fn settle(&mut self, row: usize, level: usize) {
+        let mut candidates: Vec<usize> =
+            self.open.iter().copied().filter(|&l| l > level).collect();
+        candidates.sort_unstable();
+        self.state.set_level(row, self.jopt);
+        for l in candidates {
+            if self.state.try_set_level(row, l) {
                 break;
             }
         }
-        let Some(level) = target else { continue };
-        if !open_levels.contains(&level) {
-            if open_levels.len() < c_max {
-                open_levels.push(level);
-            } else {
-                // Budget exhausted: settle for the lowest feasible *open*
-                // level instead (jopt itself always works).
-                let mut candidates: Vec<usize> =
-                    open_levels.iter().copied().filter(|&l| l > level).collect();
-                candidates.sort_unstable();
-                state.set_level(row, jopt);
-                for l in candidates {
-                    if state.try_set_level(row, l) {
-                        break;
-                    }
-                }
+    }
+
+    /// Descends `rows` with no level left to open.
+    fn finish(&mut self, rows: &[usize]) {
+        for &row in rows {
+            if let Some(level) = self.drop_row(row) {
+                self.settle(row, level);
             }
         }
     }
-    state.assignment().to_vec()
 }
 
 fn synchronous(pre: &Preprocessed, jopt: usize, block_descent: bool) -> Vec<usize> {

@@ -20,10 +20,10 @@
 //!   column is measured against;
 //! * [`tuning`] — the multi-block tuning architecture of Fig. 2.
 //!
-//! The allocator hot loops (PassOne's level scan, PassTwo's per-budget
-//! candidate ranking, and ILP constraint generation) run on the std-only
-//! worker pool in [`fbb_sta::par`]; results are independent of thread count
-//! (set `FBB_THREADS=1` to force serial execution).
+//! The allocator hot loops (PassOne's level scan and ILP constraint
+//! generation) run on the std-only worker pool in [`fbb_sta::par`]; results
+//! are independent of thread count (set `FBB_THREADS=1` to force serial
+//! execution). PassTwo ranks every cluster budget from one serial descent.
 //!
 //! # Example
 //!

@@ -12,8 +12,13 @@
 //!   cluster counting recomputed from the raw tables;
 //! * [`naive_sta`] — a queue-based (Kahn) topological STA built directly on
 //!   the `fbb_netlist` public API, sharing nothing with `fbb_sta`'s
-//!   levelized graph.
+//!   levelized graph;
+//! * [`pass_two`] — the two-pass heuristic's `MaxDrop` `PassTwo` by its
+//!   definition, one descent per cluster budget on the public
+//!   `CheckState`, which the heuristic's single forking descent must match
+//!   bit for bit.
 
 pub mod dense_simplex;
 pub mod enumerate;
 pub mod naive_sta;
+pub mod pass_two;
