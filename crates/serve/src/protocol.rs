@@ -143,7 +143,8 @@ pub struct SolveRequest {
     pub beta: f64,
     /// Cluster budget C (overrides the compiled-in budget exactly).
     pub clusters: u64,
-    /// Wall-clock budget in milliseconds measured from enqueue, `0` = none.
+    /// Wall-clock budget in milliseconds measured from the moment the
+    /// server decoded the request, `0` = none.
     pub budget_ms: u64,
     /// [`flag`] bits.
     pub flags: u8,
@@ -202,7 +203,9 @@ pub struct SolveReply {
 // ---------------------------------------------------------------------------
 // Framing
 
-/// Writes one frame: `u32` LE length prefix + payload.
+/// Writes one frame: `u32` LE length prefix + payload, in one `write_all`
+/// call, so a small frame leaves a `TCP_NODELAY` socket as one segment
+/// rather than a 4-byte header segment followed by the payload.
 ///
 /// # Errors
 ///
@@ -213,8 +216,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
     if len > MAX_FRAME_LEN {
         return Err(ProtoError::Oversized(len));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -532,6 +537,24 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).expect("frame 1"), Some(b"hello".to_vec()));
         assert_eq!(read_frame(&mut cursor).expect("frame 2"), Some(Vec::new()));
         assert_eq!(read_frame(&mut cursor).expect("clean eof"), None);
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records every `write` call's bytes.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, b"hello").expect("write");
+        assert_eq!(w.0, vec![b"\x05\0\0\0hello".to_vec()]);
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //!
 //! One nonblocking accept loop (the thread that called [`Server::run`])
 //! spawns a reader thread per connection. Readers parse frames and answer
-//! cheap requests (PING, STATS, LOAD, SHUTDOWN) inline; SOLVE requests are
-//! pushed onto a bounded queue serviced by `workers` long-lived solver
-//! threads. Pushing blocks when the queue is full — backpressure reaches
-//! the client as unread frames in the socket buffer, never as unbounded
-//! server memory.
+//! cheap requests (PING, STATS, LOAD, SHUTDOWN) themselves. A heuristic
+//! SOLVE is answered by its reader too when nothing would wait for it: the
+//! queue is empty, a solver slot is free, and the reader's buffer holds no
+//! further bytes from the caller. So a caller with one request in flight
+//! never waits for a worker to wake up. Every other SOLVE — an ILP solve
+//! (seconds long; the reader keeps answering PING, STATS and SHUTDOWN
+//! meanwhile), one that arrives behind queued work or while every slot is
+//! busy, or one of a pipelined burst — is pushed onto a bounded queue
+//! serviced by `workers` long-lived solver threads. Pushing blocks when the
+//! queue is full — backpressure reaches the client as unread frames in the
+//! socket buffer, never as unbounded server memory.
 //!
 //! Each connection has one writer handle (`Arc<Mutex<TcpStream>>`) shared
 //! between its reader and the workers, so pipelined responses interleave
@@ -18,33 +24,39 @@
 //!
 //! # Worker budget
 //!
-//! The number of solver threads is fixed at startup: `--workers N`, or the
+//! The solver-slot count is fixed at startup: `--workers N`, or the
 //! `fbb_sta::par::threads` default when unset, resolved once in
-//! [`ServeConfig::resolved_workers`]; the pool never grows or shrinks. The
-//! parallel loops *inside* each solve are sized per call by
+//! [`ServeConfig::resolved_workers`]; it never grows or shrinks. That many
+//! worker threads run, and that many slots live under the queue's mutex. A
+//! solve runs only while it holds a slot — a worker takes one together
+//! with its job, a reader takes one for an inline solve — so at most
+//! `workers` solves run at once, whichever threads run them. The parallel
+//! loops *inside* each solve are sized per call by
 //! `fbb_sta::par::worker_count`, which reads `FBB_THREADS` every time (run
 //! the daemon with `FBB_THREADS=1` to keep each solve serial).
 //!
 //! # Clocks
 //!
 //! Every per-request deadline runs through
-//! [`fbb_lp::deadline::Stopwatch`], started when the request is enqueued;
-//! queue wait counts against the client's budget. There is no other clock
-//! in this crate (audit rule FA003 covers `crates/serve/src`).
+//! [`fbb_lp::deadline::Stopwatch`], started when the request frame is
+//! decoded, on both paths; queue wait counts against the client's budget.
+//! There is no other clock in this crate (audit rule FA003 covers
+//! `crates/serve/src`).
 //!
 //! # Shutdown
 //!
 //! A SHUTDOWN frame or a termination signal (see
 //! [`install_signal_handlers`]) sets one atomic flag. The accept loop
-//! stops, readers stop consuming frames, workers drain the queue, and
-//! [`Server::run`] returns once every queued solve has been answered —
+//! stops, readers stop consuming frames once they finish the request in
+//! hand (an inline solve included), workers drain the queue, and
+//! [`Server::run`] returns once every accepted solve has been answered —
 //! the "graceful drain" contract `scripts/check.sh` exercises.
 
 use std::collections::VecDeque;
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use fbb_core::{FbbError, Granularity, IlpAllocator, TwoPassHeuristic};
@@ -154,72 +166,123 @@ struct ServerStats {
     solve_error: AtomicU64,
 }
 
-/// Bounded MPMC queue of solve jobs with shutdown-aware blocking.
-struct JobQueue {
+/// Bounded MPMC queue of solve jobs with shutdown-aware blocking, and the
+/// solver slots that bound how many solves run at once. Both live under one
+/// mutex, so taking a slot and checking the queue is one atomic decision.
+/// No code that can panic runs under that lock, so a poisoned lock still
+/// guards a consistent state and is recovered rather than propagated.
+struct JobQueue<J> {
     depth: usize,
-    jobs: Mutex<VecDeque<Job>>,
-    not_empty: Condvar,
+    state: Mutex<QueueState<J>>,
+    /// Signalled when a waiting job may have become startable: a job was
+    /// pushed, a slot came back while jobs wait, or shutdown began.
+    startable: Condvar,
     not_full: Condvar,
 }
 
-impl JobQueue {
-    fn new(depth: usize) -> Self {
+struct QueueState<J> {
+    jobs: VecDeque<J>,
+    /// Slots not held by a worker or an inline reader.
+    free_slots: usize,
+}
+
+/// A solver slot, held while one solve runs and its reply is written.
+/// Dropping it returns the slot — on unwind too, so a panicking solve
+/// cannot strand the queue — and wakes a worker if a job is waiting.
+struct Slot<'q, J> {
+    queue: &'q JobQueue<J>,
+}
+
+impl<J> Drop for Slot<'_, J> {
+    fn drop(&mut self) {
+        let mut state = self.queue.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.free_slots += 1;
+        let waiting = !state.jobs.is_empty();
+        drop(state);
+        if waiting {
+            self.queue.startable.notify_one();
+        }
+    }
+}
+
+impl<J> JobQueue<J> {
+    fn new(depth: usize, slots: usize) -> Self {
         JobQueue {
             depth: depth.max(1),
-            jobs: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
+            state: Mutex::new(QueueState { jobs: VecDeque::new(), free_slots: slots }),
+            startable: Condvar::new(),
             not_full: Condvar::new(),
         }
     }
 
-    /// Blocks while the queue is full (backpressure). Returns `false` —
-    /// job handed back — if shutdown began while waiting.
-    fn push(&self, job: Job, shutdown: &AtomicBool) -> Result<(), Job> {
-        let mut jobs = self.jobs.lock().expect("queue lock poisoned");
-        while jobs.len() >= self.depth {
+    /// Blocks while the queue is full (backpressure). Hands the job back if
+    /// shutdown has begun: checked under the lock, so a job is never queued
+    /// after the workers decided the queue was drained.
+    fn push(&self, job: J, shutdown: &AtomicBool) -> Result<(), J> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
             if shutdown.load(Ordering::SeqCst) {
                 return Err(job);
             }
+            if state.jobs.len() < self.depth {
+                break;
+            }
             let (guard, _) = self
                 .not_full
-                .wait_timeout(jobs, POLL_INTERVAL)
-                .expect("queue lock poisoned");
-            jobs = guard;
+                .wait_timeout(state, POLL_INTERVAL)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
         }
-        jobs.push_back(job);
-        drop(jobs);
-        self.not_empty.notify_one();
+        state.jobs.push_back(job);
+        drop(state);
+        self.startable.notify_one();
         Ok(())
     }
 
-    /// Blocks until a job is available. Returns `None` once shutdown is
-    /// set **and** the queue is empty — the drain guarantee.
-    fn pop(&self, shutdown: &AtomicBool) -> Option<Job> {
-        let mut jobs = self.jobs.lock().expect("queue lock poisoned");
+    /// Blocks until a job and a free slot are both available and takes
+    /// them together. Returns `None` once shutdown is set **and** the queue
+    /// is empty — the drain guarantee.
+    fn pop(&self, shutdown: &AtomicBool) -> Option<(J, Slot<'_, J>)> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(job) = jobs.pop_front() {
-                drop(jobs);
-                self.not_full.notify_one();
-                return Some(job);
+            if state.free_slots > 0 {
+                if let Some(job) = state.jobs.pop_front() {
+                    state.free_slots -= 1;
+                    drop(state);
+                    self.not_full.notify_one();
+                    return Some((job, Slot { queue: self }));
+                }
             }
-            if shutdown.load(Ordering::SeqCst) {
+            if shutdown.load(Ordering::SeqCst) && state.jobs.is_empty() {
                 return None;
             }
             let (guard, _) = self
-                .not_empty
-                .wait_timeout(jobs, POLL_INTERVAL)
-                .expect("queue lock poisoned");
-            jobs = guard;
+                .startable
+                .wait_timeout(state, POLL_INTERVAL)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
         }
     }
 
+    /// A slot for a solve run outside the queue, if one is free and no job
+    /// is waiting (an inline solve never overtakes a queued one).
+    fn try_slot(&self) -> Option<Slot<'_, J>> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if !state.jobs.is_empty() || state.free_slots == 0 {
+            return None;
+        }
+        state.free_slots -= 1;
+        Some(Slot { queue: self })
+    }
+
     fn depth_now(&self) -> u64 {
-        self.jobs.lock().expect("queue lock poisoned").len() as u64
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).jobs.len() as u64
     }
 }
 
-/// A queued solve: everything a worker needs, including the stopwatch
-/// started at enqueue (queue wait burns the client's budget).
+/// A SOLVE to run: everything a solver needs, including the stopwatch
+/// started when its frame was decoded (queue wait burns the client's
+/// budget).
 struct Job {
     request_id: u64,
     req: SolveRequest,
@@ -231,7 +294,7 @@ struct Job {
 /// State shared by the accept loop, readers, and workers.
 struct Shared {
     cache: DesignCache,
-    queue: JobQueue,
+    queue: JobQueue<Job>,
     stats: ServerStats,
     shutdown: AtomicBool,
     workers: usize,
@@ -242,7 +305,7 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         // Wake every parked worker/reader promptly (they would also notice
         // via their poll timeout).
-        self.queue.not_empty.notify_all();
+        self.queue.startable.notify_all();
         self.queue.not_full.notify_all();
     }
 
@@ -282,7 +345,7 @@ impl Server {
             local_addr,
             shared: Arc::new(Shared {
                 cache: DesignCache::new(cache_designs),
-                queue: JobQueue::new(queue_depth),
+                queue: JobQueue::new(queue_depth, workers),
                 stats: ServerStats::default(),
                 shutdown: AtomicBool::new(false),
                 workers,
@@ -304,8 +367,8 @@ impl Server {
 
     /// Serves until drained: accepts connections, answers requests, and
     /// returns once a shutdown (opcode, signal, or
-    /// [`ShutdownHandle::shutdown`]) has been requested *and* every queued
-    /// solve has been answered.
+    /// [`ShutdownHandle::shutdown`]) has been requested *and* every
+    /// accepted solve, queued or answered by its reader, has been answered.
     ///
     /// # Errors
     ///
@@ -341,8 +404,9 @@ impl Server {
             }
             Ok(())
         })
-        // Scope exit = accept loop stopped, readers noticed the flag,
-        // workers drained the queue: the drain is complete here.
+        // Scope exit = accept loop stopped, readers finished their last
+        // request and noticed the flag, workers drained the queue: the
+        // drain is complete here.
     }
 }
 
@@ -364,7 +428,7 @@ impl ShutdownHandle {
 /// Reads one frame payload, polling the shutdown flag across read
 /// timeouts. Returns `None` on clean EOF, client disconnect mid-frame, or
 /// shutdown — all of which end the reader.
-fn read_frame_polling(stream: &mut TcpStream, shared: &Shared) -> Result<Option<Vec<u8>>, ProtoError> {
+fn read_frame_polling(stream: &mut impl Read, shared: &Shared) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut header = [0u8; 4];
     let mut got = 0usize;
     // Phase 1: the length prefix. A timeout with zero bytes read is the
@@ -441,7 +505,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         Ok(clone) => Arc::new(Mutex::new(clone)),
         Err(_) => return,
     };
-    let mut reader = stream;
+    // Buffered, so a frame costs one read syscall and the reader can see
+    // whether the caller has sent more (a pipelined burst goes to the queue).
+    let mut reader = BufReader::new(stream);
     fbb_telemetry::counter("serve_connections", 1);
 
     loop {
@@ -462,6 +528,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 return;
             }
         };
+        let sw = Stopwatch::start();
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         fbb_telemetry::counter("serve_requests", 1);
         match req {
@@ -518,14 +585,16 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                     );
                     continue;
                 };
-                let job = Job {
-                    request_id,
-                    req: sreq,
-                    design,
-                    writer: Arc::clone(&writer),
-                    sw: Stopwatch::start(),
-                };
-                if let Err(job) = shared.queue.push(job, &shared.shutdown) {
+                // Answer here only when nothing waits for this thread: not
+                // an ILP solve, and no further bytes from the caller.
+                let inline = sreq.flags & flag::ILP == 0 && reader.buffer().is_empty();
+                let slot = if inline { shared.queue.try_slot() } else { None };
+                let job = Job { request_id, req: sreq, design, writer: Arc::clone(&writer), sw };
+                if let Some(slot) = slot {
+                    fbb_telemetry::counter("serve_solves_inline", 1);
+                    answer(shared, &job);
+                    drop(slot);
+                } else if let Err(job) = shared.queue.push(job, &shared.shutdown) {
                     send_response(
                         &writer,
                         &error_response(
@@ -605,18 +674,24 @@ fn stats_response(shared: &Shared, request_id: u64) -> Response {
 // Solver workers
 
 fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.queue.pop(&shared.shutdown) {
-        let resp = solve_job(&job);
-        let counter = match resp.code {
-            code::OK => &shared.stats.solve_ok,
-            code::INFEASIBLE => &shared.stats.solve_infeasible,
-            code::BUDGET_EXPIRED => &shared.stats.solve_budget_expired,
-            _ => &shared.stats.solve_error,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        fbb_telemetry::counter("serve_solves", 1);
-        send_response(&job.writer, &resp);
+    while let Some((job, slot)) = shared.queue.pop(&shared.shutdown) {
+        answer(shared, &job);
+        drop(slot);
     }
+}
+
+/// Solves `job`, counts its outcome and writes the reply.
+fn answer(shared: &Shared, job: &Job) {
+    let resp = solve_job(job);
+    let counter = match resp.code {
+        code::OK => &shared.stats.solve_ok,
+        code::INFEASIBLE => &shared.stats.solve_infeasible,
+        code::BUDGET_EXPIRED => &shared.stats.solve_budget_expired,
+        _ => &shared.stats.solve_error,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    fbb_telemetry::counter("serve_solves", 1);
+    send_response(&job.writer, &resp);
 }
 
 /// Executes one solve with the CLI's semantics: the same lookup
@@ -630,7 +705,7 @@ fn solve_job(job: &Job) -> Response {
         return error_response(
             job.request_id,
             code::BUDGET_EXPIRED,
-            format!("deadline: {} ms budget expired while queued", req.budget_ms),
+            format!("deadline: {} ms budget expired before the solve started", req.budget_ms),
         );
     }
     let granularity = match req.granularity {
@@ -737,5 +812,123 @@ fn fbb_error_response(request_id: u64, e: &FbbError) -> Response {
             error_response(request_id, code::INFEASIBLE, format!("infeasible: {e}"))
         }
         other => error_response(request_id, code::ERROR, other.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_queued_job_waits_for_the_slot_a_reader_holds() {
+        let queue = JobQueue::new(4, 1);
+        let shutdown = AtomicBool::new(false);
+        let inline = queue.try_slot().expect("the only slot is free");
+        assert!(queue.try_slot().is_none(), "one slot, and it is out");
+        queue.push(7u32, &shutdown).expect("room in the queue");
+        std::thread::scope(|s| {
+            let (queue, shutdown) = (&queue, &shutdown);
+            let (entered, entered_rx) = mpsc::channel();
+            let (took, took_rx) = mpsc::channel();
+            s.spawn(move || {
+                entered.send(()).expect("test alive");
+                let (job, slot) = queue.pop(shutdown).expect("a job before shutdown");
+                took.send(job).expect("test alive");
+                drop(slot);
+            });
+            entered_rx.recv().expect("worker started");
+            // The worker is in `pop`, but no slot is free: the job waits.
+            assert!(took_rx.recv_timeout(4 * POLL_INTERVAL).is_err(), "job taken without a slot");
+            assert_eq!(queue.depth_now(), 1);
+            // Returning the slot wakes the worker, which takes the job.
+            drop(inline);
+            assert_eq!(took_rx.recv_timeout(Duration::from_secs(30)), Ok(7));
+        });
+        assert_eq!(queue.depth_now(), 0);
+        let back = queue.try_slot();
+        assert!(back.is_some(), "the worker returned its slot");
+    }
+
+    #[test]
+    fn an_inline_slot_never_overtakes_a_queued_job() {
+        let queue = JobQueue::new(4, 2);
+        let shutdown = AtomicBool::new(false);
+        queue.push(1u32, &shutdown).expect("room in the queue");
+        assert!(queue.try_slot().is_none(), "a job is waiting, though both slots are free");
+        let (job, slot) = queue.pop(&shutdown).expect("job and slot");
+        assert_eq!(job, 1);
+        let inline = queue.try_slot();
+        assert!(inline.is_some(), "queue empty, one slot free");
+        assert!(queue.try_slot().is_none(), "both slots out");
+        drop(slot);
+        drop(inline);
+        let all: Vec<_> = (0..2).map(|_| queue.try_slot()).collect();
+        assert!(all.iter().all(Option::is_some), "both slots came back");
+    }
+
+    #[test]
+    fn slots_out_never_exceed_the_worker_count() {
+        const WORKERS: usize = 2;
+        const READERS: usize = 4;
+        const SOLVES: usize = 300;
+        let queue = JobQueue::new(8, WORKERS);
+        let shutdown = AtomicBool::new(false);
+        let (out, peak, answered) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+        // Counted after a slot is taken and before it is returned, so
+        // `out` never exceeds the slots actually held.
+        let solve = |slot: Slot<'_, usize>| {
+            let now = out.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::yield_now();
+            out.fetch_sub(1, Ordering::SeqCst);
+            answered.fetch_add(1, Ordering::SeqCst);
+            drop(slot);
+        };
+        std::thread::scope(|s| {
+            let (queue, shutdown, solve) = (&queue, &shutdown, &solve);
+            for _ in 0..WORKERS {
+                s.spawn(move || {
+                    while let Some((_, slot)) = queue.pop(shutdown) {
+                        solve(slot);
+                    }
+                });
+            }
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    s.spawn(move || {
+                        for i in 0..SOLVES {
+                            match queue.try_slot() {
+                                Some(slot) => solve(slot),
+                                None => queue.push(i, shutdown).expect("no shutdown yet"),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for reader in readers {
+                reader.join().expect("reader finished");
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            queue.startable.notify_all();
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=WORKERS).contains(&peak), "{peak} slots out at once");
+        assert_eq!(answered.load(Ordering::SeqCst), READERS * SOLVES, "every job ran once");
+        assert_eq!(queue.depth_now(), 0);
+    }
+
+    #[test]
+    fn shutdown_drains_queued_jobs_and_refuses_new_ones() {
+        let queue = JobQueue::new(4, 1);
+        let shutdown = AtomicBool::new(false);
+        queue.push(1u32, &shutdown).expect("room in the queue");
+        shutdown.store(true, Ordering::SeqCst);
+        assert_eq!(queue.push(2, &shutdown), Err(2), "no job queued once draining");
+        let (job, slot) = queue.pop(&shutdown).expect("a job queued before the drain runs");
+        assert_eq!(job, 1);
+        drop(slot);
+        assert!(queue.pop(&shutdown).is_none(), "drained");
     }
 }

@@ -295,6 +295,73 @@ fn zero_cluster_budget_names_the_budget() {
     server.stop();
 }
 
+/// The value of the STATS counter `name` on `client`'s daemon.
+fn stat(client: &mut Client, name: &str) -> u64 {
+    let pairs = client.stats().expect("stats answer");
+    pairs.iter().find(|(key, _)| key == name).map(|&(_, value)| value).expect("counter listed")
+}
+
+#[test]
+fn shutdown_during_an_inline_solve_still_answers_it() {
+    // A 16x16 array multiplier over 48 rows: its heuristic solve takes
+    // milliseconds in a test build, so the SHUTDOWN below usually lands
+    // while the reader solves. The assertions hold however the threads are
+    // scheduled: an accepted SOLVE is answered, and the drain completes.
+    let netlist = generators::array_multiplier("serve:mult:16", 16).expect("valid generator");
+    let library = Library::date09_45nm();
+    let placement = Placer::new(PlacerOptions::with_target_rows(48))
+        .place(&netlist, &library)
+        .expect("placeable");
+    let chara = library.characterize(
+        &BodyBiasModel::date09_45nm(),
+        &BiasLadder::date09().expect("valid ladder"),
+    );
+    let bytes = DesignDb::build(
+        "serve:mult:16",
+        &netlist,
+        &placement,
+        &chara,
+        &[0.05],
+        &[Granularity::Row],
+        3,
+    )
+    .expect("compilable")
+    .encode_to_vec();
+    let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
+    let pre = db.preprocessed_for(Granularity::Row, 0.05, 3).expect("compiled in");
+    let local = TwoPassHeuristic::default().solve(&pre).expect("multiplier is compensable");
+
+    // One slot, so nothing else can run the SOLVE: with the queue empty
+    // and nothing more from its caller, its reader answers it.
+    let server = RunningServer::start(1);
+    let mut solver = server.connect();
+    let mut control = server.connect();
+    let info = solver.load_bytes(&bytes).expect("design loads");
+    let hits = stat(&mut control, "cache_hits");
+    solver.send(&Request::Solve(row_solve(info.design_hash, 3))).expect("send");
+    // The reader looks the design up after its draining check, so once the
+    // cache hit shows, the SOLVE is accepted and its reader is solving it.
+    while stat(&mut control, "cache_hits") == hits {
+        std::thread::yield_now();
+    }
+    control.shutdown().expect("shutdown acknowledged");
+
+    let resp = solver.recv().expect("the accepted SOLVE is answered");
+    assert_eq!(resp.code, code::OK, "body: {:?}", resp.body);
+    match resp.body {
+        ResponseBody::Solved(reply) => {
+            assert_eq!(reply.leakage_nw.to_bits(), local.leakage_nw.to_bits());
+            assert_eq!(
+                reply.assignment,
+                local.assignment.iter().map(|&l| l as u64).collect::<Vec<_>>()
+            );
+        }
+        other => panic!("SOLVE answered {other:?}"),
+    }
+    // `run()` returns Ok once the inline solve is answered.
+    server.stop();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

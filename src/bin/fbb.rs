@@ -234,7 +234,7 @@ fn usage() -> &'static str {
      clients load a compiled design once into the in-memory cache, then\n\
      solve against it repeatedly. Response codes reuse the exit codes\n\
      below (0 ok, 1 error, 2 infeasible, 3 budget expired). SIGTERM or\n\
-     the SHUTDOWN opcode drains queued work before exiting.\n\
+     the SHUTDOWN opcode answers every accepted solve before exiting.\n\
      `fbb bench-serve` drives a daemon (spawning an in-process one unless\n\
      --addr is given) and merges latency percentiles plus the cache\n\
      hit/miss split into BENCH_serve.json.\n\n\
@@ -949,7 +949,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 /// Prints one `fbb-serve listening on ADDR` line to stdout (flushed before
 /// serving) so scripts can discover an ephemeral port, then blocks in the
 /// accept loop. SIGTERM/SIGINT or a SHUTDOWN frame trigger a graceful
-/// drain: queued solves are answered, then the process exits 0.
+/// drain: every accepted solve is answered, then the process exits 0.
 fn serve(args: &[String]) -> Result<(), CliError> {
     let config = ServeConfig {
         addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7117".to_owned()),
