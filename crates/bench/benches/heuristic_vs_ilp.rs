@@ -1,8 +1,8 @@
 //! The paper's runtime claim (§5): the two-pass heuristic is linear-time and
 //! orders of magnitude faster than the exact ILP. One benchmark pair per
 //! Table 1 size class that Criterion can finish quickly, plus the
-//! serial-vs-parallel speedups of the worker-pool integration (PassOne
-//! level scan, ILP constraint generation), merged into
+//! serial-vs-parallel speedup of the worker pool's allocator consumer (ILP
+//! constraint generation; the heuristic is serial), merged into
 //! `BENCH_sta.json` (see EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -45,38 +45,26 @@ fn bench_allocators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial-vs-parallel speedups of the worker-pool hot loops: the heuristic's
-/// PassOne level scan (its one-descent PassTwo is serial), and the ILP's
-/// per-path constraint generation.
+/// Serial-vs-parallel speedup of the allocators' worker-pool hot loop: the
+/// ILP's per-path constraint generation.
 fn bench_parallel_speedups(_c: &mut Criterion) {
     let design = prepare_design("c5315");
     let pre = design.preprocess(0.05, 4);
 
     std::env::set_var("FBB_THREADS", "1");
-    let heur_serial = measure(9, 25, || {
-        black_box(TwoPassHeuristic::default().solve(&pre).expect("feasible"));
-    });
     let ilp_serial = measure(9, 25, || {
         black_box(IlpAllocator::default().build_model(&pre).expect("well-formed"));
     });
     std::env::remove_var("FBB_THREADS");
-    let heur_parallel = measure(9, 25, || {
-        black_box(TwoPassHeuristic::default().solve(&pre).expect("feasible"));
-    });
     let ilp_parallel = measure(9, 25, || {
         black_box(IlpAllocator::default().build_model(&pre).expect("well-formed"));
     });
 
-    let heur_speedup = heur_parallel.speedup_over(&heur_serial);
     let ilp_speedup = ilp_parallel.speedup_over(&ilp_serial);
     println!(
         "c5315, beta=0.05, C=4, {} worker threads ({} paths):",
         par::threads(),
         pre.constraint_count()
-    );
-    println!(
-        "  heuristic solve     serial {:>10.0} ns  parallel {:>10.0} ns  ({heur_speedup:.2}x)",
-        heur_serial.median_ns, heur_parallel.median_ns
     );
     println!(
         "  ilp constraint gen  serial {:>10.0} ns  parallel {:>10.0} ns  ({ilp_speedup:.2}x)",
@@ -85,9 +73,6 @@ fn bench_parallel_speedups(_c: &mut Criterion) {
 
     let path = workspace_file("BENCH_sta.json");
     let mut report = BenchReport::load(&path);
-    report.set("heuristic_serial_ns", heur_serial.median_ns);
-    report.set("heuristic_parallel_ns", heur_parallel.median_ns);
-    report.set("heuristic_parallel_speedup", heur_speedup);
     report.set("ilp_build_serial_ns", ilp_serial.median_ns);
     report.set("ilp_build_parallel_ns", ilp_parallel.median_ns);
     report.set("ilp_build_parallel_speedup", ilp_speedup);

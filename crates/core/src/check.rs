@@ -30,8 +30,8 @@ pub fn check_timing(pre: &Preprocessed, assignment: &[usize]) -> Result<(), usiz
 /// sequence of `f64` operations, which keeps heuristic answers
 /// bit-reproducible: the initial sums run in each path's row order (as
 /// [`check_timing`] sums), a move adds `reds[level] − reds[old]`, and a
-/// rejected move adds the opposite delta rather than restoring a saved
-/// value.
+/// move [`CheckState::try_set_level`] rejects writes nothing, so it leaves
+/// every sum as it was.
 #[derive(Debug, Clone)]
 pub struct CheckState<'p> {
     pre: &'p Preprocessed,
@@ -90,23 +90,51 @@ impl<'p> CheckState<'p> {
         self.assignment[row] = level;
     }
 
-    /// Moves `row` to `level` and reports feasibility; reverts the move if
-    /// it breaks timing. Returns whether the move was kept.
+    /// Moves `row` to `level` if every constraint holds afterwards, and
+    /// returns whether the move was kept; otherwise nothing is written.
     ///
-    /// Telemetry: every call counts as a `core_demotion_attempts`; reverted
+    /// The verdict is the one [`CheckState::set_level`] followed by
+    /// [`CheckState::feasible`] would give: it is read first, from the same
+    /// `f64` expressions `set_level` would store, and only a kept move is
+    /// then made through `set_level`.
+    ///
+    /// Telemetry: every call counts as a `core_demotion_attempts`; rejected
     /// moves additionally count as `core_demotion_rollbacks` (PassTwo's
-    /// failure rate). Integer counters only — this runs on the worker pool.
+    /// failure rate; nothing is rolled back, but the name is part of the
+    /// telemetry interface).
     pub fn try_set_level(&mut self, row: usize, level: usize) -> bool {
         fbb_telemetry::counter("core_demotion_attempts", 1);
-        let old = self.assignment[row];
-        self.set_level(row, level);
-        if self.feasible() {
-            true
+        let kept = self.keeps(row, level);
+        if kept {
+            self.set_level(row, level);
         } else {
-            self.set_level(row, old);
             fbb_telemetry::counter("core_demotion_rollbacks", 1);
-            false
         }
+        kept
+    }
+
+    /// Whether moving `row` to `level` leaves no path violated, without
+    /// writing. Each path crossing the row gets the value `set_level` would
+    /// store, `reduction[k] + (reds[level] − reds[old])`; the first path
+    /// the move breaks decides, and otherwise the move is kept iff the
+    /// paths it repairs are all the current violations. Each path crosses
+    /// a row at most once ([`Preprocessed::validate`]), so one entry per
+    /// path decides that path.
+    fn keeps(&self, row: usize, level: usize) -> bool {
+        let old = self.assignment[row];
+        let pre = self.pre;
+        let mut repaired = 0;
+        for (k, reds) in pre.row_entries(row) {
+            let required = pre.path(k).required_reduction_ps();
+            let before_ok = self.reduction[k] + 1e-9 >= required;
+            let after_ok = self.reduction[k] + (reds[level] - reds[old]) + 1e-9 >= required;
+            match (before_ok, after_ok) {
+                (true, false) => return false,
+                (false, true) => repaired += 1,
+                _ => {}
+            }
+        }
+        repaired == self.violations
     }
 }
 
@@ -155,8 +183,16 @@ mod tests {
         }
     }
 
+    /// A state's assignment, reductions (as bits) and violation count.
+    fn bits(state: &CheckState<'_>) -> (Vec<usize>, Vec<u64>, usize) {
+        let reduction = state.reduction.iter().map(|r| r.to_bits()).collect();
+        (state.assignment.clone(), reduction, state.violations)
+    }
+
     #[test]
     fn try_set_level_reverts_on_violation() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
         let pre = pre();
         let mut state = CheckState::new(&pre, vec![pre.levels() - 1; pre.n_rows()]);
         assert!(state.feasible());
@@ -173,5 +209,33 @@ mod tests {
             }
             assert!(state.feasible());
         }
+
+        // Random moves from feasible and infeasible states. The verdict is
+        // `set_level` + `feasible` on a clone; a kept move leaves the
+        // clone's state, and a rejected one leaves the state untouched, to
+        // the bit. Between probes the state wanders: down at random while
+        // feasible, back up to the top level while not.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut seen = [[0usize; 2]; 2]; // [started feasible][kept]
+        for _ in 0..4000 {
+            let (row, level) = (rng.gen_range(0..pre.n_rows()), rng.gen_range(0..pre.levels()));
+            let started_feasible = state.feasible();
+            let before = bits(&state);
+            let mut reference = state.clone();
+            reference.set_level(row, level);
+            let kept = state.try_set_level(row, level);
+            assert_eq!(kept, reference.feasible(), "verdict of row {row} -> level {level}");
+            if kept {
+                assert_eq!(bits(&state), bits(&reference), "kept move of row {row} -> {level}");
+            } else {
+                assert_eq!(bits(&state), before, "rejected move of row {row} -> {level} wrote");
+            }
+            seen[usize::from(started_feasible)][usize::from(kept)] += 1;
+            let row = rng.gen_range(0..pre.n_rows());
+            let level =
+                if state.feasible() { rng.gen_range(0..pre.levels()) } else { pre.levels() - 1 };
+            state.set_level(row, level);
+        }
+        assert!(seen.iter().flatten().all(|&n| n > 0), "some kind of move never ran: {seen:?}");
     }
 }

@@ -5,12 +5,10 @@
 //! [`DescentPolicy::MaxDrop`] keeps the best candidate of every budget
 //! `1..=C`, and takes all of them from one serial descent that forks a copy
 //! of its state where each budget runs out (`max_drop`): the budgets share
-//! their common moves instead of each descending on its own, serially or on
-//! the worker pool.
+//! their common moves instead of each descending on its own. Both passes
+//! run serially on the calling thread; neither uses the worker pool.
 
 use fbb_lp::deadline::Stopwatch;
-
-use fbb_sta::par;
 use serde::{Deserialize, Serialize};
 
 use crate::{check_timing, CheckState, ClusterSolution, FbbError, Preprocessed};
@@ -18,29 +16,17 @@ use crate::{check_timing, CheckState, ClusterSolution, FbbError, Preprocessed};
 /// `PassOne`: find the lowest uniform bias level `jopt` at which every
 /// constraint holds with *all* rows biased to it.
 ///
-/// With more than one worker available, all ladder levels are checked
-/// speculatively in parallel (the ladder is short, each check is a full
-/// constraint sweep, and feasibility is monotone in the level, so wall-clock
-/// collapses to one check). On a single worker the scan stays lazy and
-/// stops at the first feasible level, exactly as the paper's pseudocode.
+/// The scan is serial and lazy, as the paper's pseudocode: it checks levels
+/// upwards and stops at the first feasible one.
 ///
 /// Returns `None` when even the top of the ladder cannot compensate β —
 /// the paper's `FALSE` outcome.
 pub fn pass_one(pre: &Preprocessed) -> Option<usize> {
     fbb_telemetry::counter("core_pass_one_scans", 1);
-    let check = |j: usize| {
-        // NOTE: probe counts legitimately differ between the lazy serial
-        // scan and the eager parallel scan, so `core_pass_one_probes` is
-        // excluded from cross-`FBB_THREADS` determinism comparisons.
+    (0..pre.levels()).find(|&j| {
         fbb_telemetry::counter("core_pass_one_probes", 1);
-        let assignment = vec![j; pre.n_rows()];
-        check_timing(pre, &assignment).is_ok()
-    };
-    if par::worker_count(pre.levels()) <= 1 {
-        return (0..pre.levels()).find(|&j| check(j));
-    }
-    let feasible = par::parallel_gen(pre.levels(), check);
-    feasible.iter().position(|&ok| ok)
+        uniform_meets_timing(pre, j)
+    })
 }
 
 /// `PassOne` restricted to a subset of ladder levels (ascending order not
@@ -49,15 +35,12 @@ pub fn pass_one(pre: &Preprocessed) -> Option<usize> {
 pub fn pass_one_restricted(pre: &Preprocessed, allowed: &[usize]) -> Option<usize> {
     let mut levels: Vec<usize> = allowed.iter().copied().filter(|&l| l < pre.levels()).collect();
     levels.sort_unstable();
-    let check = |j: usize| {
-        let assignment = vec![j; pre.n_rows()];
-        check_timing(pre, &assignment).is_ok()
-    };
-    if par::worker_count(levels.len()) <= 1 {
-        return levels.into_iter().find(|&j| check(j));
-    }
-    let feasible = par::parallel_map(&levels, |_, &j| check(j));
-    levels.iter().zip(&feasible).find(|&(_, &ok)| ok).map(|(&j, _)| j)
+    levels.into_iter().find(|&j| uniform_meets_timing(pre, j))
+}
+
+/// Whether every constraint holds with all rows at level `j`.
+fn uniform_meets_timing(pre: &Preprocessed, j: usize) -> bool {
+    check_timing(pre, &vec![j; pre.n_rows()]).is_ok()
 }
 
 /// How `PassTwo` moves rows below `jopt`.
@@ -112,11 +95,10 @@ impl TwoPassHeuristic {
         Self::with_policy(DescentPolicy::Literal)
     }
 
-    /// Runs both passes. `PassOne`'s level scan runs on the
-    /// [`fbb_sta::par`] worker pool when more than one thread is available;
-    /// the result is identical either way. `PassTwo` (`MaxDrop`) ranks every
-    /// cluster budget's candidate from one descent (see
-    /// [`TwoPassHeuristic::pass_two`]).
+    /// Runs both passes, serially: `PassOne`'s lazy level scan, then
+    /// `PassTwo`, which (`MaxDrop`) ranks every cluster budget's candidate
+    /// from one descent (see [`TwoPassHeuristic::pass_two`]). Each pass is
+    /// timed as a telemetry span, `core_pass_one` and `core_pass_two`.
     ///
     /// # Example
     ///
@@ -146,8 +128,9 @@ impl TwoPassHeuristic {
     /// Returns [`FbbError::Uncompensable`] when `PassOne` fails.
     pub fn solve(&self, pre: &Preprocessed) -> Result<ClusterSolution, FbbError> {
         let clock = Stopwatch::start();
-        let jopt = pass_one(pre).ok_or_else(|| FbbError::uncompensable(pre))?;
-        let assignment = self.pass_two(pre, jopt);
+        let jopt = fbb_telemetry::time("core_pass_one", || pass_one(pre))
+            .ok_or_else(|| FbbError::uncompensable(pre))?;
+        let assignment = fbb_telemetry::time("core_pass_two", || self.pass_two(pre, jopt));
         let algorithm = match self.policy {
             DescentPolicy::MaxDrop => "heuristic",
             DescentPolicy::BlockSynchronous => "heuristic-block",
@@ -161,6 +144,7 @@ impl TwoPassHeuristic {
     /// scenario where a central generator distributes a fixed voltage menu
     /// to many blocks. Uses the `MaxDrop` policy regardless of
     /// `self.policy` (the synchronous variants assume a contiguous ladder).
+    /// The passes are timed as in [`TwoPassHeuristic::solve`].
     ///
     /// # Errors
     ///
@@ -172,9 +156,11 @@ impl TwoPassHeuristic {
         allowed: &[usize],
     ) -> Result<ClusterSolution, FbbError> {
         let clock = Stopwatch::start();
-        let jopt = pass_one_restricted(pre, allowed)
+        let jopt = fbb_telemetry::time("core_pass_one", || pass_one_restricted(pre, allowed))
             .ok_or_else(|| FbbError::uncompensable(pre))?;
-        let assignment = least_leakage(pre, max_drop(pre, jopt, Some(allowed)));
+        let assignment = fbb_telemetry::time("core_pass_two", || {
+            least_leakage(pre, max_drop(pre, jopt, Some(allowed)))
+        });
         Ok(ClusterSolution::from_assignment(
             pre,
             assignment,

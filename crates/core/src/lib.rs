@@ -20,10 +20,11 @@
 //!   column is measured against;
 //! * [`tuning`] — the multi-block tuning architecture of Fig. 2.
 //!
-//! The allocator hot loops (PassOne's level scan and ILP constraint
-//! generation) run on the std-only worker pool in [`fbb_sta::par`]; results
-//! are independent of thread count (set `FBB_THREADS=1` to force serial
-//! execution). PassTwo ranks every cluster budget from one serial descent.
+//! ILP constraint generation runs on the std-only worker pool in
+//! [`fbb_sta::par`]; results are independent of thread count (set
+//! `FBB_THREADS=1` to force serial execution). The heuristic is serial:
+//! PassOne scans levels lazily, as the paper's pseudocode, and PassTwo
+//! ranks every cluster budget from one descent.
 //!
 //! # Example
 //!

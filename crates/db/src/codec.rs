@@ -124,6 +124,14 @@ fn id_u32(raw: u64, what: &str) -> Result<u32, DbError> {
     u32::try_from(raw).map_err(|_| malformed(format!("{what} {raw} exceeds the u32 id space")))
 }
 
+/// Reads a varint that is an id or a budget, not an element count, so it
+/// gets none of [`Decoder::length`]'s byte-count plausibility check; its
+/// reader checks it against its own limit.
+fn varint_usize(d: &mut Decoder<'_>, context: &'static str) -> Result<usize, DbError> {
+    let raw = d.varint(context)?;
+    usize::try_from(raw).map_err(|_| malformed(format!("{context} {raw} overflows usize")))
+}
+
 /// Decodes the netlist section, rebuilding through
 /// [`Netlist::from_parts`]'s full cross-reference validation.
 pub fn decode_netlist(bytes: &[u8]) -> Result<Netlist, DbError> {
@@ -484,7 +492,7 @@ fn decode_preprocessed(
         .filter(|&c| c.saturating_mul(8) <= d.remaining())
         .ok_or_else(|| malformed(format!("{n_rows} x {levels} tables exceed the section")))?;
     let beta = d.f64("beta")?;
-    let max_clusters = d.length(0, "cluster budget")?;
+    let max_clusters = varint_usize(d, "cluster budget")?;
     let dcrit_ps = d.f64("preprocessed dcrit")?;
     let mut row_leakage_nw = Vec::with_capacity(cells);
     for _ in 0..cells {
@@ -509,7 +517,7 @@ fn decode_preprocessed(
         rows.clear();
         reductions.clear();
         for _ in 0..n_path_rows {
-            let row = d.length(0, "constraint row id")?;
+            let row = varint_usize(d, "constraint row id")?;
             // In-range, once-per-path row ids are checked at both verify
             // levels: the compares are free next to the reads, and they
             // keep a decoded instance indexable even when full validation

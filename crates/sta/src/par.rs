@@ -1,11 +1,11 @@
 //! Std-only scoped-thread worker pool for embarrassingly parallel loops.
 //!
-//! The allocators and the Monte Carlo sweep all share the same shape of hot
-//! loop: evaluate N independent candidates (bias assignments, budgets,
-//! samples, paths) and collect the results in order. [`parallel_map`] and
-//! [`parallel_gen`] run such loops across `std::thread::scope` workers
-//! without any external dependency, falling back to a plain serial loop when
-//! only one worker is available or the job is trivially small.
+//! The ILP's constraint generation and the Monte Carlo sweep share the same
+//! shape of hot loop: evaluate N independent jobs (paths, samples) and
+//! collect the results in order. [`parallel_gen`] runs such loops across
+//! `std::thread::scope` workers without any external dependency, falling
+//! back to a plain serial loop when only one worker is available or the job
+//! is trivially small.
 //!
 //! # Determinism
 //!
@@ -145,23 +145,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` across the worker pool, preserving input order.
-///
-/// `f` receives `(index, &item)` so callers can derive per-item seeds or
-/// labels without capturing extra state.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_gen(items.len(), |i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,16 +153,6 @@ mod tests {
     fn gen_matches_serial_map() {
         let expect: Vec<usize> = (0..257).map(|i| i * i).collect();
         assert_eq!(parallel_gen(257, |i| i * i), expect);
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let items: Vec<i64> = (0..500).rev().collect();
-        let got = parallel_map(&items, |i, &x| (i as i64, x * 2));
-        for (i, &(idx, doubled)) in got.iter().enumerate() {
-            assert_eq!(idx, i as i64);
-            assert_eq!(doubled, items[i] * 2);
-        }
     }
 
     #[test]

@@ -52,13 +52,12 @@ fn instrumented_pipeline(threads: &str) -> Snapshot {
 }
 
 /// Counters that legitimately depend on the worker-pool width: the pool
-/// bookkeeping itself, and PassOne's probe count (the serial path scans
-/// ranks lazily, the parallel path eagerly). Everything else must be
-/// invariant under `FBB_THREADS`.
+/// bookkeeping itself. Everything else must be invariant under
+/// `FBB_THREADS`.
 fn thread_invariant(counters: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     counters
         .iter()
-        .filter(|(name, _)| !name.starts_with("par_") && *name != "core_pass_one_probes")
+        .filter(|(name, _)| !name.starts_with("par_"))
         .map(|(name, &v)| (name.clone(), v))
         .collect()
 }
@@ -86,6 +85,12 @@ fn snapshots_are_deterministic() {
         );
     }
     assert_eq!(base.counter("mc_samples"), Some(16));
+    // The heuristic's two passes are timed, once each per solve (the
+    // heuristic's own and the ILP's warm start).
+    let pass_one = base.span("core_pass_one").expect("PassOne span recorded");
+    let pass_two = base.span("core_pass_two").expect("PassTwo span recorded");
+    assert!(pass_one.count > 0);
+    assert_eq!(pass_one.count, pass_two.count, "one PassTwo per feasible PassOne");
     let dcrit = base.stat("mc_die_dcrit_ps").expect("per-die stats recorded");
     assert_eq!(dcrit.count, 16);
 
