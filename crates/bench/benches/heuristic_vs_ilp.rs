@@ -1,15 +1,11 @@
 //! The paper's runtime claim (§5): the two-pass heuristic is linear-time and
 //! orders of magnitude faster than the exact ILP. One benchmark pair per
-//! Table 1 size class that Criterion can finish quickly, plus the
-//! serial-vs-parallel speedup of the worker pool's allocator consumer (ILP
-//! constraint generation; the heuristic is serial), merged into
-//! `BENCH_sta.json` (see EXPERIMENTS.md).
+//! Table 1 size class that Criterion can finish quickly. Both allocators
+//! are serial, so there is no serial-vs-parallel pair to time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_bench::prepare_design;
 use fbb_core::{IlpAllocator, TwoPassHeuristic};
-use fbb_sta::par;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -45,40 +41,5 @@ fn bench_allocators(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial-vs-parallel speedup of the allocators' worker-pool hot loop: the
-/// ILP's per-path constraint generation.
-fn bench_parallel_speedups(_c: &mut Criterion) {
-    let design = prepare_design("c5315");
-    let pre = design.preprocess(0.05, 4);
-
-    std::env::set_var("FBB_THREADS", "1");
-    let ilp_serial = measure(9, 25, || {
-        black_box(IlpAllocator::default().build_model(&pre).expect("well-formed"));
-    });
-    std::env::remove_var("FBB_THREADS");
-    let ilp_parallel = measure(9, 25, || {
-        black_box(IlpAllocator::default().build_model(&pre).expect("well-formed"));
-    });
-
-    let ilp_speedup = ilp_parallel.speedup_over(&ilp_serial);
-    println!(
-        "c5315, beta=0.05, C=4, {} worker threads ({} paths):",
-        par::threads(),
-        pre.constraint_count()
-    );
-    println!(
-        "  ilp constraint gen  serial {:>10.0} ns  parallel {:>10.0} ns  ({ilp_speedup:.2}x)",
-        ilp_serial.median_ns, ilp_parallel.median_ns
-    );
-
-    let path = workspace_file("BENCH_sta.json");
-    let mut report = BenchReport::load(&path);
-    report.set("ilp_build_serial_ns", ilp_serial.median_ns);
-    report.set("ilp_build_parallel_ns", ilp_parallel.median_ns);
-    report.set("ilp_build_parallel_speedup", ilp_speedup);
-    report.save(&path).expect("snapshot writable");
-    println!("snapshot merged into {}", path.display());
-}
-
-criterion_group!(benches, bench_allocators, bench_parallel_speedups);
+criterion_group!(benches, bench_allocators);
 criterion_main!(benches);

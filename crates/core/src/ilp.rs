@@ -81,25 +81,20 @@ impl IlpAllocator {
             model.add_constraint(terms, Sense::Eq, 1.0)?;
         }
 
-        // Eq. 2: path speed-up requirements. Building a path's term vector
-        // walks its whole row/level footprint, and paths are independent, so
-        // the vectors are generated concurrently; constraints are then added
-        // in path order to keep the model layout deterministic.
-        let path_terms = fbb_sta::par::parallel_gen(pre.constraint_count(), |k| {
+        // Eq. 2: path speed-up requirements, one row per path in path order.
+        // Serial: on the Table 1 models, spawning the worker pool's threads
+        // cost more than the loop they would share.
+        for path in pre.paths() {
             let mut terms = Vec::new();
-            for (row, reds) in pre.path(k).rows() {
+            for (row, reds) in path.rows() {
                 for (j, &a) in reds.iter().enumerate() {
                     if a != 0.0 {
                         terms.push((x[row][j], a));
                     }
                 }
             }
-            // Strictly increasing indices hit the model's sorted fast path,
-            // and sorting here runs on the worker pool rather than serially.
+            // Strictly increasing indices hit the model's sorted fast path.
             terms.sort_unstable_by_key(|&(v, _)| v);
-            terms
-        });
-        for (path, terms) in pre.paths().zip(path_terms) {
             model.add_constraint(terms, Sense::Ge, path.required_reduction_ps())?;
         }
 
@@ -241,9 +236,8 @@ impl IlpAllocator {
         issues
     }
 
-    /// Solves the ILP: builds the model (constraint generation runs on the
-    /// [`fbb_sta::par`] worker pool), warm-starts from the heuristic unless
-    /// [`IlpAllocator::cold_start`] is set, and runs branch & bound.
+    /// Solves the ILP: builds the model, warm-starts from the heuristic
+    /// unless [`IlpAllocator::cold_start`] is set, and runs branch & bound.
     ///
     /// # Example
     ///

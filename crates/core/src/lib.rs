@@ -20,11 +20,10 @@
 //!   column is measured against;
 //! * [`tuning`] — the multi-block tuning architecture of Fig. 2.
 //!
-//! ILP constraint generation runs on the std-only worker pool in
-//! [`fbb_sta::par`]; results are independent of thread count (set
-//! `FBB_THREADS=1` to force serial execution). The heuristic is serial:
-//! PassOne scans levels lazily, as the paper's pseudocode, and PassTwo
-//! ranks every cluster budget from one descent.
+//! Allocation is serial: ILP constraint generation adds the Eq. 2 rows in
+//! path order, PassOne scans levels lazily, as the paper's pseudocode, and
+//! PassTwo ranks every cluster budget from one descent. The std-only worker
+//! pool in [`fbb_sta::par`] serves Monte-Carlo sampling.
 //!
 //! # Example
 //!

@@ -30,6 +30,13 @@
 //! relaxation point and fall back cold on a violation (which the shared
 //! matrix makes impossible in practice — the re-check is the §5j safety
 //! net, counted as `bnb_cut_child_rechecks`).
+//!
+//! Once an incumbent exists, a warm node re-solve carries the post-solve
+//! prune's threshold ([`prune_threshold`]) as an objective cutoff: the dual
+//! simplex stops as soon as its bound provably reaches the threshold, and
+//! the node closes as pruned (`bnb_nodes_cut_off`) without a primal finish
+//! pass, a basis snapshot or a pseudocost observation. Root cut rounds,
+//! strong-branch probes and cold solves run without one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -73,10 +80,12 @@ pub struct MipOptions {
     pub int_tol: f64,
     /// Re-optimize by dual simplex from a known basis: root cut rounds after
     /// the first from the previous round's, the root node from the last
-    /// round's, and every other node from its parent's. On by default;
+    /// round's, and every other node from its parent's. Once there is an
+    /// incumbent, a warm node re-solve also stops early when its bound
+    /// reaches the incumbent, closing the node as pruned. On by default;
     /// turning it off forces a cold two-phase solve per root round and per
-    /// node, which the equivalence tests and the benchmark use as the
-    /// comparison baseline.
+    /// node, with no early stop, which the equivalence tests and the
+    /// benchmark use as the comparison baseline.
     pub warm_start: bool,
     /// Run the transforming presolve on integer models before the tree
     /// (fixed/free column elimination, redundant/duplicate row drops,
@@ -369,12 +378,14 @@ fn branch_and_bound(
                 }
                 let deadline = clock.deadline_after(options.time_limit);
                 let warm = if options.warm_start { root_basis.as_ref() } else { None };
+                // No cutoff: separation needs the round's optimal point.
                 let (outcome, _) = solve_relaxation(
                     &mut SparseEngine::new(&strengthened),
                     &root_lower,
                     &root_upper,
                     deadline,
                     warm,
+                    None,
                     &mut tel_warm,
                 )?;
                 if outcome.solution.status != LpStatus::Optimal {
@@ -436,6 +447,7 @@ fn branch_and_bound(
     let mut gap_proven = false;
     let mut root_unbounded = false;
     let mut tel_pruned = 0u64;
+    let mut tel_cut_off = 0u64;
     let mut tel_infeasible = 0u64;
     let mut tel_branches = 0u64;
     let mut tel_incumbents = 0u64;
@@ -485,6 +497,7 @@ fn branch_and_bound(
             &upper,
             deadline,
             warm_basis,
+            prune_threshold(best_obj),
             &mut tel_warm,
         )?;
         if was_warm && !root_cuts.is_empty() && outcome.solution.status == LpStatus::Optimal {
@@ -499,6 +512,14 @@ fn branch_and_bound(
         }
         if fbb_telemetry::is_enabled() {
             fbb_telemetry::record("bnb_node_simplex_iterations", outcome.iterations as f64);
+        }
+        if outcome.cut_off {
+            // The warm dual simplex proved the node's bound reaches the
+            // prune threshold: dominated, as the post-solve prune below
+            // would have found, with no pseudocost observation.
+            tel_pruned += 1;
+            tel_cut_off += 1;
+            continue;
         }
         let SolveOutcome { solution: relax, basis: relax_basis, .. } = outcome;
         match relax.status {
@@ -527,7 +548,7 @@ fn branch_and_bound(
         if let Some(b) = &node.branch {
             pc.observe(b.var, b.up, b.dist, relax.objective - b.parent_obj);
         }
-        if best_obj.is_finite() && relax.objective >= best_obj - 1e-9 {
+        if prune_threshold(best_obj).is_some_and(|t| relax.objective >= t) {
             tel_pruned += 1;
             continue; // dominated
         }
@@ -556,11 +577,13 @@ fn branch_and_bound(
                     }
                 }
                 tel_pc_branches += 1;
+                let scorer = pc.scorer();
                 cands
                     .iter()
                     .copied()
                     .max_by(|a, b| {
-                        pc.score(a.0, a.1).total_cmp(&pc.score(b.0, b.1)).then(b.0.cmp(&a.0))
+                        let (sa, sb) = (scorer.score(a.0, a.1), scorer.score(b.0, b.1));
+                        sa.total_cmp(&sb).then(b.0.cmp(&a.0))
                     })
                     .map(|(j, _)| j)
             }
@@ -675,6 +698,7 @@ fn branch_and_bound(
         fbb_telemetry::counter("bnb_solves", 1);
         fbb_telemetry::counter("bnb_nodes_explored", nodes as u64);
         fbb_telemetry::counter("bnb_nodes_pruned", tel_pruned);
+        fbb_telemetry::counter("bnb_nodes_cut_off", tel_cut_off);
         fbb_telemetry::counter("bnb_nodes_infeasible", tel_infeasible);
         fbb_telemetry::counter("bnb_branches", tel_branches);
         fbb_telemetry::counter("bnb_incumbent_updates", tel_incumbents);
@@ -700,20 +724,29 @@ struct WarmTally {
     fallbacks: u64,
 }
 
+/// The objective at or above which a relaxation is dominated by the
+/// incumbent objective `best_obj`; `None` while there is no incumbent. The
+/// post-solve prune and the warm node re-solve's cutoff both read it.
+fn prune_threshold(best_obj: f64) -> Option<f64> {
+    best_obj.is_finite().then_some(best_obj - 1e-9)
+}
+
 /// Solves one relaxation: warm from `basis` when there is one, cold
 /// otherwise; a warm-path bailout (`Ok(None)`) re-solves the same
-/// relaxation cold. The flag says whether the answer came from the warm
-/// path.
+/// relaxation cold. `cutoff` reaches the warm solve only, so a cold solve
+/// always runs to its verdict. The flag says whether the answer came from
+/// the warm path.
 fn solve_relaxation(
     engine: &mut SparseEngine,
     lower: &[f64],
     upper: &[f64],
     deadline: Option<std::time::Instant>,
     basis: Option<&Basis>,
+    cutoff: Option<f64>,
     tally: &mut WarmTally,
 ) -> Result<(SolveOutcome, bool), LpError> {
     if let Some(basis) = basis {
-        if let Some(out) = engine.solve_warm(lower, upper, deadline, basis)? {
+        if let Some(out) = engine.solve_warm(lower, upper, deadline, basis, cutoff)? {
             tally.starts += 1;
             return Ok((out, true));
         }
@@ -768,7 +801,10 @@ fn strong_branch_probes(
     tel_probes: &mut u64,
 ) -> Result<(), LpError> {
     let mut order: Vec<(usize, f64)> = cands.to_vec();
-    order.sort_by(|a, b| pc.score(b.0, b.1).total_cmp(&pc.score(a.0, a.1)).then(a.0.cmp(&b.0)));
+    let scorer = pc.scorer();
+    order.sort_by(|a, b| {
+        scorer.score(b.0, b.1).total_cmp(&scorer.score(a.0, a.1)).then(a.0.cmp(&b.0))
+    });
     for &(j, frac) in order.iter().take(STRONG_BRANCH_CANDIDATES) {
         if pc.reliable(j) {
             continue;
@@ -781,7 +817,7 @@ fn strong_branch_probes(
         let mut upper = node_upper.to_vec();
         upper[j] = xv.floor();
         *tel_probes += 1;
-        if let Some(out) = engine.solve_warm(node_lower, &upper, probe_deadline, basis)? {
+        if let Some(out) = engine.solve_warm(node_lower, &upper, probe_deadline, basis, None)? {
             match out.solution.status {
                 LpStatus::Optimal => pc.observe(j, false, frac, out.solution.objective - parent_obj),
                 LpStatus::Infeasible => pc.observe(j, false, frac, STRONG_INFEASIBLE_DEGRADATION),
@@ -791,7 +827,7 @@ fn strong_branch_probes(
         let mut lower = node_lower.to_vec();
         lower[j] = xv.ceil();
         *tel_probes += 1;
-        if let Some(out) = engine.solve_warm(&lower, node_upper, probe_deadline, basis)? {
+        if let Some(out) = engine.solve_warm(&lower, node_upper, probe_deadline, basis, None)? {
             match out.solution.status {
                 LpStatus::Optimal => pc.observe(j, true, 1.0 - frac, out.solution.objective - parent_obj),
                 LpStatus::Infeasible => pc.observe(j, true, 1.0 - frac, STRONG_INFEASIBLE_DEGRADATION),

@@ -69,6 +69,39 @@ impl Pseudocosts {
         self.up_count[var] > 0 && self.down_count[var] > 0
     }
 
+    /// A scorer for one branching decision: it averages each direction
+    /// over the whole table once, so scoring every candidate (twice per
+    /// comparison in a sort or `max_by`) does not re-sum the table. Take a
+    /// new one after the table is observed.
+    pub(crate) fn scorer(&self) -> Scorer<'_> {
+        Scorer {
+            table: self,
+            up_average: average(&self.up_sum, &self.up_count),
+            down_average: average(&self.down_sum, &self.down_count),
+        }
+    }
+}
+
+/// Average per-unit degradation over every observation of one direction,
+/// or 1.0 when there is none.
+fn average(sums: &[f64], counts: &[u32]) -> f64 {
+    let total: u32 = counts.iter().sum();
+    if total > 0 {
+        sums.iter().sum::<f64>() / f64::from(total)
+    } else {
+        1.0
+    }
+}
+
+/// [`Pseudocosts`] with both directions' table-wide averages computed, from
+/// [`Pseudocosts::scorer`].
+pub(crate) struct Scorer<'a> {
+    table: &'a Pseudocosts,
+    up_average: f64,
+    down_average: f64,
+}
+
+impl Scorer<'_> {
     /// Product-rule score of branching on `var` at fractional value `frac`
     /// (`frac ∈ (0,1)` is the distance to `floor`). Directions without
     /// observations for `var` fall back to the global average pseudocost
@@ -81,19 +114,16 @@ impl Pseudocosts {
     }
 
     fn estimate(&self, var: usize, up: bool) -> f64 {
-        let (sum, count, all_sum, all_count) = if up {
-            (self.up_sum[var], self.up_count[var], &self.up_sum, &self.up_count)
+        let t = self.table;
+        let (sum, count, fallback) = if up {
+            (t.up_sum[var], t.up_count[var], self.up_average)
         } else {
-            (self.down_sum[var], self.down_count[var], &self.down_sum, &self.down_count)
+            (t.down_sum[var], t.down_count[var], self.down_average)
         };
         if count > 0 {
-            return sum / f64::from(count);
-        }
-        let total: u32 = all_count.iter().sum();
-        if total > 0 {
-            all_sum.iter().sum::<f64>() / f64::from(total)
+            sum / f64::from(count)
         } else {
-            1.0
+            fallback
         }
     }
 }
@@ -106,8 +136,8 @@ mod tests {
     fn unobserved_table_degrades_to_most_fractional() {
         let pc = Pseudocosts::new(3);
         // score = frac * (1 - frac): maximized at 0.5.
-        assert!(pc.score(0, 0.5) > pc.score(1, 0.1));
-        assert!(pc.score(0, 0.5) > pc.score(2, 0.9));
+        assert!(pc.scorer().score(0, 0.5) > pc.scorer().score(1, 0.1));
+        assert!(pc.scorer().score(0, 0.5) > pc.scorer().score(2, 0.9));
         assert!(!pc.reliable(0));
     }
 
@@ -120,7 +150,7 @@ mod tests {
         pc.observe(1, true, 0.5, 0.1);
         pc.observe(1, false, 0.5, 0.1);
         assert!(pc.reliable(0) && pc.reliable(1));
-        assert!(pc.score(0, 0.5) > pc.score(1, 0.5));
+        assert!(pc.scorer().score(0, 0.5) > pc.scorer().score(1, 0.5));
     }
 
     #[test]
@@ -130,7 +160,7 @@ mod tests {
         pc.observe(0, true, 0.5, 1.0); // 2.0 per unit
         pc.observe(0, false, 0.5, 3.0); // 6.0 per unit
         // up estimate 3.0, down estimate 6.0; frac 0.5 halves both.
-        let score = pc.score(0, 0.5);
+        let score = pc.scorer().score(0, 0.5);
         assert!((score - 3.0 * 0.5 * 6.0f64.mul_add(0.5, 0.0)).abs() < 1e-9);
     }
 
@@ -141,7 +171,7 @@ mod tests {
         assert!(!pc.reliable(0));
         // Variable 1 has no up observations: borrows 8.0; its down side
         // borrows... nothing exists, so 1.0.
-        let s = pc.score(1, 0.5);
+        let s = pc.scorer().score(1, 0.5);
         assert!((s - (1.0 * 0.5) * (8.0 * 0.5)).abs() < 1e-9);
     }
 

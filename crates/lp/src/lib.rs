@@ -16,7 +16,9 @@
 //!   (time-limited solves report the residual MIP gap, which is how the
 //!   harness reproduces the paper's "ILP did not converge" entries), and
 //!   dual-simplex warm starts: each child node re-optimizes from its
-//!   parent's basis instead of running two-phase from scratch. On top of
+//!   parent's basis instead of running two-phase from scratch, and once
+//!   there is an incumbent it stops as soon as its bound passes it, so a
+//!   dominated node closes without finishing its relaxation. On top of
 //!   the tree sit a transforming [`presolve`](mod@presolve) with a
 //!   bit-exact [`PostsolveMap`], root cutting planes from the FBB ILP
 //!   structure ([`cuts`]), and pseudocost branching seeded by strong-branch

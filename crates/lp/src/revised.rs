@@ -31,6 +31,13 @@
 //! (the pivot row), one FTRAN (the entering column) and one pass over the
 //! nonbasic columns. The pivot row `α_r = ρᵀA` is formed row-wise from a
 //! CSR copy of the matrix, visiting only the rows where `ρ` is nonzero.
+//!
+//! A warm solve may carry an objective *cutoff*. The objective of the basic
+//! solution of a dual feasible basis is a lower bound on the optimum, and
+//! it never falls during a dual simplex, so once it reaches the cutoff the
+//! loop confirms dual feasibility from fresh duals and stops: the optimum
+//! cannot come in under the cutoff. A failed confirmation is not priced
+//! again before the next refactorization.
 
 use std::time::Instant;
 
@@ -106,6 +113,11 @@ pub(crate) struct SolveOutcome {
     pub basis: Option<Basis>,
     /// Simplex iterations spent on this solve (all phases).
     pub iterations: usize,
+    /// The warm dual loop stopped at its objective cutoff: the relaxation's
+    /// optimum is at or above the cutoff, up to the optimality tolerance.
+    /// `solution` then carries no point and reads [`LpStatus::Infeasible`],
+    /// the verdict on the relaxation with the row `c·x < cutoff` added.
+    pub cut_off: bool,
 }
 
 /// Verdict of the dual-simplex loop.
@@ -114,6 +126,9 @@ enum DualEnd {
     Feasible,
     /// A violated row admits no entering column: primal infeasible.
     Infeasible,
+    /// The basic solution's objective reached the cutoff on a basis that
+    /// prices dual feasible from fresh duals.
+    CutOff,
 }
 
 /// Per-solve telemetry tallies, kept in plain fields so the hot loop never
@@ -130,6 +145,9 @@ struct Stats {
     eta_appends: usize,
     lu_kernel_columns: usize,
     lu_nnz: usize,
+    /// Objective cutoffs reached on a basis that failed the fresh
+    /// dual-feasibility check.
+    cutoff_rejections: usize,
 }
 
 /// Sparse revised simplex engine, reusable across many solves of the same
@@ -231,6 +249,13 @@ impl SparseEngine {
     /// prices from fresh duals, so the optimality it certifies does not
     /// rest on the update.
     ///
+    /// With a `cutoff`, the dual loop stops as soon as the objective of its
+    /// basic solution reaches it on a basis that prices dual feasible from
+    /// fresh duals, and the outcome is [`SolveOutcome::cut_off`], with no
+    /// primal finish pass and no basis snapshot. Without one, or when the
+    /// objective never reaches it, the solve is the one without a cutoff,
+    /// bit for bit.
+    ///
     /// # Errors
     ///
     /// Same classes as [`Self::solve_cold`], though iteration-limit
@@ -242,10 +267,11 @@ impl SparseEngine {
         var_upper: &[f64],
         deadline: Option<Instant>,
         warm: &Basis,
+        cutoff: Option<f64>,
     ) -> Result<Option<SolveOutcome>, LpError> {
         let _lp_span = fbb_telemetry::span("lp_solve");
         self.stats = Stats::default();
-        let res = self.warm_inner(var_lower, var_upper, deadline, warm);
+        let res = self.warm_inner(var_lower, var_upper, deadline, warm, cutoff);
         self.flush_stats();
         res
     }
@@ -265,6 +291,7 @@ impl SparseEngine {
         fbb_telemetry::counter("lp_eta_appends", s.eta_appends as u64);
         fbb_telemetry::counter("lp_lu_kernel_columns", s.lu_kernel_columns as u64);
         fbb_telemetry::counter("lp_lu_nnz", s.lu_nnz as u64);
+        fbb_telemetry::counter("lp_cutoff_rejections", s.cutoff_rejections as u64);
     }
 
     fn iter_limit(&self) -> usize {
@@ -393,6 +420,7 @@ impl SparseEngine {
         var_upper: &[f64],
         deadline: Option<Instant>,
         warm: &Basis,
+        cutoff: Option<f64>,
     ) -> Result<Option<SolveOutcome>, LpError> {
         if let Some(out) = self.install_bounds(var_lower, var_upper) {
             return Ok(Some(out));
@@ -403,9 +431,16 @@ impl SparseEngine {
 
         let iter_limit = self.iter_limit();
         let c2 = self.phase2_cost();
-        match self.dual(&c2, iter_limit, deadline) {
+        match self.dual(&c2, iter_limit, deadline, cutoff) {
             Ok(DualEnd::Feasible) => {}
             Ok(DualEnd::Infeasible) => return Ok(Some(Self::bare(LpStatus::Infeasible))),
+            Ok(DualEnd::CutOff) => {
+                return Ok(Some(SolveOutcome {
+                    cut_off: true,
+                    iterations: self.stats.iterations,
+                    ..Self::bare(LpStatus::Infeasible)
+                }))
+            }
             Err(LpError::DeadlineExceeded) => {
                 return Ok(Some(Self::bare(LpStatus::DeadlineExceeded)))
             }
@@ -486,6 +521,7 @@ impl SparseEngine {
             solution: LpSolution { status, x: vec![], objective: 0.0 },
             basis: None,
             iterations: 0,
+            cut_off: false,
         }
     }
 
@@ -502,6 +538,7 @@ impl SparseEngine {
                 status: self.status.iter().map(|&s| Stored::from(s)).collect(),
             }),
             iterations: self.stats.iterations,
+            cut_off: false,
         }
     }
 
@@ -586,6 +623,32 @@ impl SparseEngine {
         }
     }
 
+    /// Objective of the current basic solution under `c`: the basics at
+    /// their values, primal infeasible ones included, and every other
+    /// column at its bound. On a dual feasible basis it is the dual
+    /// objective, a lower bound on the optimum.
+    fn basic_objective(&self, c: &[f64]) -> f64 {
+        (0..self.n).map(|j| c[j] * self.value_of(j)).sum()
+    }
+
+    /// Whether every nonbasic, non-fixed column prices dual feasible from
+    /// fresh duals, by the test [`Self::price`] applies before the primal
+    /// loop declares optimality. Leaves the maintained reduced costs as
+    /// they are, so a failed check changes nothing the loop reads.
+    fn dual_feasible(&mut self, c: &[f64]) -> bool {
+        let (y, _) = self.duals(c);
+        self.rows.scatter_transpose(&y, &mut self.row_acc);
+        let mut feasible = true;
+        for (j, &cj) in c.iter().enumerate() {
+            // Drain every entry: the accumulator must stay all zero.
+            let aty = std::mem::take(&mut self.row_acc[j]);
+            if feasible && !matches!(self.status[j], VarStatus::Basic(_)) && !self.is_fixed(j) {
+                feasible = violation(self.status[j], cj - aty).0 <= TOL;
+            }
+        }
+        feasible
+    }
+
     /// Books the basis change `position r <- column e` whose FTRAN image is
     /// `w`, then refactorizes if the eta file is full (or, in the rare case
     /// the eta pivot is unusable, immediately). Returns whether it
@@ -642,13 +705,7 @@ impl SparseEngine {
             if matches!(self.status[j], VarStatus::Basic(_)) || self.is_fixed(j) {
                 continue;
             }
-            let d = self.reduced_cost(j, c, y, y_nonzero);
-            let (viol, dir) = match self.status[j] {
-                VarStatus::AtLower => (-d, 1.0),
-                VarStatus::AtUpper => (d, -1.0),
-                VarStatus::Free => (d.abs(), if d > 0.0 { -1.0 } else { 1.0 }),
-                VarStatus::Basic(_) => unreachable!(),
-            };
+            let (viol, dir) = violation(self.status[j], self.reduced_cost(j, c, y, y_nonzero));
             if viol > TOL {
                 if bland {
                     return Some((j, dir));
@@ -793,11 +850,18 @@ impl SparseEngine {
     /// infeasibility certificate for the row, independent of the costs.
     /// Reduced costs are priced on entry and after every refactorization and
     /// updated from the pivot row in between.
+    ///
+    /// With a `cutoff`, every pivot ends by evaluating the basic solution's
+    /// objective; once it reaches the cutoff, fresh pricing confirms dual
+    /// feasibility and the loop ends [`DualEnd::CutOff`]. A failed check
+    /// disarms the cutoff until the next refactorization, so the check
+    /// prices at most once per factorization.
     fn dual(
         &mut self,
         c: &[f64],
         iter_limit: usize,
         deadline: Option<Instant>,
+        cutoff: Option<f64>,
     ) -> Result<DualEnd, LpError> {
         let mut rho = vec![0.0f64; self.m];
         let mut w = vec![0.0f64; self.m];
@@ -805,6 +869,7 @@ impl SparseEngine {
         // non-fixed columns.
         let mut row: Vec<(usize, f64)> = Vec::new();
         self.refresh_reduced_costs(c);
+        let mut armed = cutoff;
         loop {
             self.tick(iter_limit, deadline)?;
 
@@ -883,6 +948,7 @@ impl SparseEngine {
                         self.stats.refactorizations += 1;
                         self.recompute_xb();
                         self.refresh_reduced_costs(c);
+                        armed = cutoff;
                         continue;
                     }
                     Err(_) => return Err(LpError::NumericallySingular),
@@ -916,6 +982,16 @@ impl SparseEngine {
 
             if self.install_pivot(r, e, &w)? {
                 self.refresh_reduced_costs(c);
+                armed = cutoff;
+            }
+            if let Some(limit) = armed {
+                if self.basic_objective(c) >= limit {
+                    if self.dual_feasible(c) {
+                        return Ok(DualEnd::CutOff);
+                    }
+                    self.stats.cutoff_rejections += 1;
+                    armed = None;
+                }
             }
         }
     }
@@ -958,6 +1034,18 @@ impl SparseEngine {
             }
         }
         Ok(())
+    }
+}
+
+/// How far a nonbasic column with reduced cost `d` is from dual
+/// feasibility at its `status`, and the direction it would enter in. A
+/// violation above [`TOL`] makes the column a primal entering candidate.
+fn violation(status: VarStatus, d: f64) -> (f64, f64) {
+    match status {
+        VarStatus::AtLower => (-d, 1.0),
+        VarStatus::AtUpper => (d, -1.0),
+        VarStatus::Free => (d.abs(), if d > 0.0 { -1.0 } else { 1.0 }),
+        VarStatus::Basic(_) => unreachable!(),
     }
 }
 
@@ -1077,7 +1165,7 @@ mod tests {
 
         let child_lo = vec![1.0, 0.0, 0.0];
         let warm = engine
-            .solve_warm(&child_lo, &up, None, &basis)
+            .solve_warm(&child_lo, &up, None, &basis, None)
             .unwrap()
             .expect("warm path should handle a single bound change");
         let cold = engine.solve_cold(&child_lo, &up, None).unwrap();
@@ -1094,7 +1182,7 @@ mod tests {
         let parent = engine.solve_cold(&lo, &up, None).unwrap();
         let basis = parent.basis.unwrap();
         let warm = engine
-            .solve_warm(&lo, &[0.0, 0.0], None, &basis)
+            .solve_warm(&lo, &[0.0, 0.0], None, &basis, None)
             .unwrap()
             .expect("dual simplex certifies infeasibility without fallback");
         assert_eq!(warm.solution.status, LpStatus::Infeasible);
@@ -1168,7 +1256,7 @@ mod tests {
 
         let mut engine = SparseEngine::new(&cut);
         let warm = engine
-            .solve_warm(&lo, &up, None, &warm_basis)
+            .solve_warm(&lo, &up, None, &warm_basis, None)
             .unwrap()
             .expect("the restated basis re-optimizes without a fallback");
         let fresh = SparseEngine::new(&cut).solve_cold(&lo, &up, None).unwrap();
@@ -1187,7 +1275,7 @@ mod tests {
         let mut cut = m.clone();
         cut.add_constraint(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Sense::Ge, 3.5).unwrap();
         let warm = SparseEngine::new(&cut)
-            .solve_warm(&lo, &up, None, &root.basis.unwrap().with_rows(1))
+            .solve_warm(&lo, &up, None, &root.basis.unwrap().with_rows(1), None)
             .unwrap()
             .expect("the dual simplex certifies infeasibility without a fallback");
         assert_eq!(warm.solution.status, LpStatus::Infeasible);
@@ -1208,13 +1296,55 @@ mod tests {
         assert!(engine.install_basis(basis));
         let c = engine.phase2_cost();
         let limit = engine.iter_limit();
-        engine.dual(&c, limit, None).unwrap();
+        engine.dual(&c, limit, None, None).unwrap();
         let (y, y_nonzero) = engine.duals(&c);
         let drift = (0..engine.ntot)
             .filter(|&j| !matches!(engine.status[j], VarStatus::Basic(_)) && !engine.is_fixed(j))
             .map(|j| (engine.d[j] - engine.reduced_cost(j, &c, &y, y_nonzero)).abs())
             .fold(0.0, f64::max);
         (drift, engine.stats.pivots)
+    }
+
+    /// One box per variable and direction: the variable's bound pushed 0.5
+    /// past its value in `x` (a root optimum), down and then up.
+    fn nudged_boxes(lo: &[f64], up: &[f64], x: &[f64]) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut boxes = Vec::new();
+        for (j, &xj) in x.iter().enumerate() {
+            let mut down = up.to_vec();
+            down[j] = (xj - 0.5).max(lo[j]);
+            let mut upward = lo.to_vec();
+            upward[j] = (xj + 0.5).min(up[j]);
+            boxes.push((lo.to_vec(), down));
+            boxes.push((upward, up.to_vec()));
+        }
+        boxes
+    }
+
+    /// `count` seeded random boxes inside `lo`/`up`: up to 12 bounds move at
+    /// once, so the dual takes long runs of pivots across refactorizations.
+    fn random_boxes(lo: &[f64], up: &[f64], count: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |k: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % k
+        };
+        (0..count)
+            .map(|_| {
+                let (mut l, mut u) = (lo.to_vec(), up.to_vec());
+                for _ in 0..1 + next(12) {
+                    let j = next(lo.len());
+                    let cut = next(11) as f64 * 0.3;
+                    if next(2) == 0 {
+                        u[j] = cut.min(u[j]).max(l[j]);
+                    } else {
+                        l[j] = cut.max(l[j]).min(u[j]);
+                    }
+                }
+                (l, u)
+            })
+            .collect()
     }
 
     #[test]
@@ -1226,49 +1356,136 @@ mod tests {
             let mut engine = SparseEngine::new(&model);
             let root = engine.solve_cold(&lo, &up, None).unwrap();
             let basis = root.basis.unwrap();
-            for (j, &xj) in root.solution.x.iter().enumerate() {
-                let mut down = up.clone();
-                down[j] = (xj - 0.5).max(lo[j]);
-                let mut upward = lo.clone();
-                upward[j] = (xj + 0.5).min(up[j]);
-                for (l, u) in [(&lo, &down), (&upward, &up)] {
-                    let (drift, taken) = dual_reduced_cost_drift(&mut engine, l, u, &basis);
-                    assert!(drift <= 1e-9, "var {j}: reduced-cost drift {drift}");
-                    pivots += taken;
-                }
+            for (k, (l, u)) in nudged_boxes(&lo, &up, &root.solution.x).iter().enumerate() {
+                let (drift, taken) = dual_reduced_cost_drift(&mut engine, l, u, &basis);
+                assert!(drift <= 1e-9, "box {k}: reduced-cost drift {drift}");
+                pivots += taken;
             }
         }
 
-        // Seeded random boxes on the chain model: several bounds move at
-        // once, so the dual takes long runs of pivots across
-        // refactorizations.
+        // Seeded random boxes on the chain model.
         let model = chain_model(80);
         let (lo, up) = bounds_of(&model);
         let mut engine = SparseEngine::new(&model);
         let basis = engine.solve_cold(&lo, &up, None).unwrap().basis.unwrap();
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |k: usize| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) as usize % k
-        };
-        for _ in 0..200 {
-            let (mut l, mut u) = (lo.clone(), up.clone());
-            for _ in 0..1 + next(12) {
-                let j = next(80);
-                let cut = next(11) as f64 * 0.3;
-                if next(2) == 0 {
-                    u[j] = cut.min(u[j]).max(l[j]);
-                } else {
-                    l[j] = cut.max(l[j]).min(u[j]);
-                }
-            }
+        for (l, u) in random_boxes(&lo, &up, 200) {
             let (drift, taken) = dual_reduced_cost_drift(&mut engine, &l, &u, &basis);
             assert!(drift <= 1e-9, "reduced-cost drift {drift}");
             pivots += taken;
         }
         assert!(pivots > 100, "the dual must actually pivot ({pivots} pivots)");
+    }
+
+    /// Bit-level equality of two warm solves: verdict, cutoff flag,
+    /// objective and point bits, and basis.
+    fn same_outcome(a: &Option<SolveOutcome>, b: &Option<SolveOutcome>) -> bool {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (None, None) => true,
+            (Some(a), Some(b)) => {
+                a.solution.status == b.solution.status
+                    && a.cut_off == b.cut_off
+                    && a.solution.objective.to_bits() == b.solution.objective.to_bits()
+                    && bits(&a.solution.x) == bits(&b.solution.x)
+                    && a.basis == b.basis
+            }
+            _ => false,
+        }
+    }
+
+    /// Counts of [`check_cutoffs`]: solves of boxes with an optimum that
+    /// the cutoff stopped, and cutoffs reached on a basis that failed the
+    /// dual-feasibility check.
+    #[derive(Default)]
+    struct CutoffTally {
+        cut_offs: usize,
+        rejections: usize,
+    }
+
+    /// Solves every box warm from `basis` three ways: with no cutoff, with
+    /// one just above the uncut optimum and with one just below it (an
+    /// infeasible or abandoned box takes `reference`, the root optimum, in
+    /// its place). A cutoff may change a solve only into a cut-off verdict,
+    /// and only when the uncut optimum (+∞ for an infeasible box) is at
+    /// least the cutoff − 1e-7; so the cutoff above must change nothing.
+    fn check_cutoffs(
+        engine: &mut SparseEngine,
+        boxes: &[(Vec<f64>, Vec<f64>)],
+        basis: &Basis,
+        reference: f64,
+        tally: &mut CutoffTally,
+    ) {
+        for (k, (l, u)) in boxes.iter().enumerate() {
+            let plain = engine.solve_warm(l, u, None, basis, None).unwrap();
+            let optimum = match &plain {
+                Some(out) if out.solution.status == LpStatus::Optimal => out.solution.objective,
+                Some(out) if out.solution.status == LpStatus::Infeasible => f64::INFINITY,
+                _ => f64::NAN,
+            };
+            let center = if optimum.is_finite() { optimum } else { reference };
+            let margin = 1e-6 * (1.0 + center.abs());
+            for cutoff in [center + margin, center - margin] {
+                let cut = engine.solve_warm(l, u, None, basis, Some(cutoff)).unwrap();
+                tally.rejections += engine.stats.cutoff_rejections;
+                if same_outcome(&cut, &plain) {
+                    continue;
+                }
+                let stopped = cut.as_ref().is_some_and(|out| out.cut_off);
+                assert!(
+                    stopped && optimum >= cutoff - 1e-7,
+                    "box {k}, cutoff {cutoff}: uncut optimum {optimum}, got {:?}",
+                    cut.map(|out| (out.solution.status, out.solution.objective, out.cut_off))
+                );
+                assert!(
+                    cut.is_some_and(|out| out.solution.x.is_empty() && out.basis.is_none()),
+                    "a cut-off solve reports no point and no basis"
+                );
+                tally.cut_offs += usize::from(optimum.is_finite());
+            }
+        }
+    }
+
+    /// `model` with its objective coefficients in reverse variable order:
+    /// the same matrix, so its optimal basis fits `model`'s engine, where
+    /// it is primal feasible at the root and, in general, not dual feasible.
+    fn reversed(model: &Model) -> Model {
+        let mut m = model.clone();
+        let costs: Vec<f64> = m.vars.iter().rev().map(|v| v.objective).collect();
+        for (v, c) in m.vars.iter_mut().zip(costs) {
+            v.objective = c;
+        }
+        m
+    }
+
+    #[test]
+    fn objective_cutoff_stops_only_solves_that_reach_it() {
+        let mut tally = CutoffTally::default();
+        let models = [
+            (textbook_lp(), 0),
+            (covering_lp(), 0),
+            (knapsack_relaxation(), 0),
+            (chain_model(80), 200),
+        ];
+        for (model, random) in models {
+            let (lo, up) = bounds_of(&model);
+            let mut engine = SparseEngine::new(&model);
+            let root = engine.solve_cold(&lo, &up, None).unwrap();
+            let mut boxes = nudged_boxes(&lo, &up, &root.solution.x);
+            boxes.extend(random_boxes(&lo, &up, random));
+            let reference = root.solution.objective;
+            // From the root's optimal basis the dual stays dual feasible,
+            // so every cutoff it reaches is a sound stop.
+            let basis = root.basis.unwrap();
+            check_cutoffs(&mut engine, &boxes, &basis, reference, &mut tally);
+            // From the reversed objective's optimum the dual starts dual
+            // infeasible, and its basic solution's objective can pass the
+            // optimum: only the fresh dual-feasibility check keeps the
+            // cutoff from stopping there.
+            let other = SparseEngine::new(&reversed(&model)).solve_cold(&lo, &up, None).unwrap();
+            check_cutoffs(&mut engine, &boxes, &other.basis.unwrap(), reference, &mut tally);
+        }
+        assert!(tally.cut_offs > 0, "no cutoff ever stopped a solve with an optimum");
+        assert!(tally.rejections > 0, "no cutoff was ever reached on a dual infeasible basis");
     }
 
     #[test]

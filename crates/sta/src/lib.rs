@@ -20,8 +20,7 @@
 //! and Monte-Carlo sampling changes every gate of every die, so each die
 //! costs one full pass. Beside it sit [`ssta`] (first-order statistical
 //! timing with Clark's max) and [`par`], a std-only scoped-thread worker
-//! pool ([`par::parallel_gen`]) used for ILP constraint generation and
-//! Monte Carlo sampling.
+//! pool ([`par::parallel_gen`]) used for Monte Carlo sampling.
 //!
 //! # Example
 //!

@@ -1,11 +1,11 @@
 //! Std-only scoped-thread worker pool for embarrassingly parallel loops.
 //!
-//! The ILP's constraint generation and the Monte Carlo sweep share the same
-//! shape of hot loop: evaluate N independent jobs (paths, samples) and
-//! collect the results in order. [`parallel_gen`] runs such loops across
-//! `std::thread::scope` workers without any external dependency, falling
-//! back to a plain serial loop when only one worker is available or the job
-//! is trivially small.
+//! The Monte Carlo sweep is the pool's one user: it evaluates N independent
+//! dies and collects the results in order. The allocators run serially:
+//! spawning threads on every call cost them more than their loops.
+//! [`parallel_gen`] runs such loops across `std::thread::scope` workers
+//! without any external dependency, falling back to a plain serial loop
+//! when only one worker is available or the job is trivially small.
 //!
 //! # Determinism
 //!

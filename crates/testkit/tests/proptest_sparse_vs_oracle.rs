@@ -197,6 +197,36 @@ fn mip_model(bp: &MipBlueprint) -> Model {
     m
 }
 
+/// The best integer point of `model` whose objective is worse than
+/// `optimum` by more than 1e-6, found by enumerating the blueprint's box (at
+/// most 4⁵ points): a feasible, non-optimal incumbent close enough to the
+/// optimum that warm node re-solves reach it as a cutoff.
+fn runner_up(bp: &MipBlueprint, model: &Model, optimum: f64) -> Option<(f64, Vec<f64>)> {
+    let mut best: Option<(f64, Vec<f64>)> = None;
+    let mut point: Vec<f64> = bp.bounds.iter().map(|&(lo, _)| f64::from(lo)).collect();
+    loop {
+        if model.is_feasible(&point, 1e-9) {
+            let obj = model.objective_value(&point);
+            if obj > optimum + 1e-6 && best.as_ref().is_none_or(|(b, _)| obj < *b) {
+                best = Some((obj, point.clone()));
+            }
+        }
+        // Next point, the first variable moving fastest.
+        let mut k = 0;
+        loop {
+            let Some(&(lo, w)) = bp.bounds.get(k) else {
+                return best;
+            };
+            if point[k] < f64::from(lo + w) {
+                point[k] += 1.0;
+                break;
+            }
+            point[k] = f64::from(lo);
+            k += 1;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -221,6 +251,19 @@ proptest! {
             // bound ≤ objective).
             prop_assert!(warm.best_bound <= warm.objective + 1e-6);
             prop_assert!(cold.best_bound <= cold.objective + 1e-6);
+        }
+        // Seeded with a feasible, non-optimal incumbent, warm node re-solves
+        // stop at its objective as a cutoff; the cold tree never cuts off.
+        if cold.status == MipStatus::Optimal {
+            if let Some(seed) = runner_up(&bp, &model, cold.objective) {
+                let seeded = solve_mip(&model, &MipOptions::default(), Some(seed))
+                    .expect("seeded warm run terminates");
+                prop_assert_eq!(seeded.status, cold.status);
+                prop_assert!(
+                    (seeded.objective - cold.objective).abs() < 1e-6,
+                    "seeded warm {} vs cold {}", seeded.objective, cold.objective
+                );
+            }
         }
     }
 }
