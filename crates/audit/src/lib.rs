@@ -315,6 +315,17 @@ fn f() {
     }
 
     #[test]
+    fn fa006_flags_criterion_but_not_proptest() {
+        let fa006 = |src: &str| {
+            let (findings, _) =
+                audit_source("crates/bench/benches/x.rs", FileClass::TestLike, false, src);
+            findings.iter().filter(|f| f.rule == "FA006").count()
+        };
+        assert_eq!(fa006("use criterion::Criterion;\n"), 1, "no shims/criterion crate exists");
+        assert_eq!(fa006("use proptest::prelude::*;\n"), 0, "shims/proptest exists");
+    }
+
+    #[test]
     fn fa000_cannot_be_waived() {
         let src = "\
 // fbb-audit: allow(FA000) trying to waive the waiver rule

@@ -116,7 +116,7 @@ pub const RULES: [RuleInfo; 12] = [
         id: "FA006",
         title: "import of a non-shimmed external crate",
         hint: "the offline build only provides std and the shims/ crates (rand, rand_chacha, \
-               serde, proptest, criterion); add a shim or gate the dependency",
+               serde, proptest); add a shim or gate the dependency",
         doc: "The workspace builds fully offline: no crates.io access exists at build time, \
               so any `use` of a crate without a local shim under shims/ breaks the build \
               for everyone else. The allowed roots are std/core/alloc, the workspace's \
@@ -228,7 +228,7 @@ const TELEMETRY_PREFIXES: [(&str, &[&str]); 9] = [
 ];
 
 /// Crates importable without a shim: std + the workspace's offline shims.
-const ALLOWED_IMPORT_ROOTS: [&str; 13] = [
+const ALLOWED_IMPORT_ROOTS: [&str; 12] = [
     "std",
     "core",
     "alloc",
@@ -241,7 +241,6 @@ const ALLOWED_IMPORT_ROOTS: [&str; 13] = [
     "serde",
     "serde_derive",
     "proptest",
-    "criterion",
 ];
 
 /// Runs every rule over an analyzed file; returns raw findings (waivers not

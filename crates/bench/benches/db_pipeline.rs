@@ -1,11 +1,10 @@
-//! Design-database benchmarks: the compile-once workflow against the cold
-//! pipeline. Criterion micro-benches cover encode and decode in isolation;
-//! the wall-clock comparison times "generate → place → characterize → STA →
-//! path extraction → pre-process" against "decode `.fbb` → look up the
-//! pre-processed instance" on Table 1 designs and merges the headline
-//! numbers into `BENCH_db.json` at the workspace root (see EXPERIMENTS.md).
+//! Design-database benchmark: the compile-once workflow against the cold
+//! pipeline. The wall-clock comparison times "generate → place →
+//! characterize → STA → path extraction → pre-process" against "decode
+//! `.fbb` → look up the pre-processed instance" on Table 1 designs and
+//! merges the headline numbers into `BENCH_db.json` at the workspace root
+//! (see EXPERIMENTS.md).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::prepare_design;
 use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_core::Granularity;
@@ -27,30 +26,8 @@ fn compile(name: &str) -> DesignDb {
     .expect("Table 1 designs compile")
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let db = compile("c1355");
-    let bytes = db.encode_to_vec();
-
-    c.bench_function("db_encode_c1355", |b| {
-        b.iter(|| black_box(db.encode_to_vec()).len())
-    });
-    c.bench_function("db_decode_verified_c1355", |b| {
-        b.iter(|| {
-            DesignDb::decode_verified(black_box(&bytes))
-                .expect("round trip")
-                .netlist
-                .gate_count()
-        })
-    });
-    c.bench_function("db_decode_fast_c1355", |b| {
-        b.iter(|| {
-            DesignDb::decode_fast(black_box(&bytes)).expect("round trip").netlist.gate_count()
-        })
-    });
-}
-
 /// Compile-once vs cold wall clock, recorded per design into BENCH_db.json.
-fn bench_compile_once(_c: &mut Criterion) {
+fn main() {
     let path = workspace_file("BENCH_db.json");
     let mut report = BenchReport::load(&path);
 
@@ -96,6 +73,3 @@ fn bench_compile_once(_c: &mut Criterion) {
     report.save(&path).expect("snapshot writable");
     println!("snapshot merged into {}", path.display());
 }
-
-criterion_group!(benches, bench_codec, bench_compile_once);
-criterion_main!(benches);

@@ -1,10 +1,9 @@
-//! Solver benchmarks: LP relaxations and MIP solves of FBB-shaped models,
-//! plus the sparse LP timings and warm-vs-cold headline numbers merged into
-//! `BENCH_lp.json` at the workspace root (see EXPERIMENTS.md). The snapshot
-//! uses the same flat `{"key": number}` format as `BENCH_sta.json`, so the
-//! two files stay merge-compatible.
+//! Solver benchmarks on FBB-shaped models: sparse LP relaxation timings,
+//! branch & bound throughput, warm-vs-cold per-node iterations and the §5j
+//! node reductions, merged into `BENCH_lp.json` at the workspace root (see
+//! EXPERIMENTS.md). The snapshot uses the same flat `{"key": number}`
+//! format as `BENCH_sta.json`, so the two files stay merge-compatible.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_lp::{solve_lp, solve_mip, MipOptions, MipStatus, Model, Sense};
 use std::hint::black_box;
@@ -103,26 +102,10 @@ fn fbb_clustered_mip(rows: usize, levels: usize, paths: usize, max_clusters: usi
     m
 }
 
-fn bench_lp(c: &mut Criterion) {
-    let small = fbb_like_model(13, 11, 30);
-    c.bench_function("lp_relaxation_13x11", |b| {
-        b.iter(|| solve_lp(black_box(&small)).expect("solves"))
-    });
-
-    c.bench_function("mip_13x11_30paths", |b| {
-        b.iter(|| solve_mip(black_box(&small), &MipOptions::default(), None).expect("solves"))
-    });
-
-    let medium = fbb_like_model(28, 11, 60);
-    c.bench_function("lp_relaxation_28x11", |b| {
-        b.iter(|| solve_lp(black_box(&medium)).expect("solves"))
-    });
-}
-
 /// Sparse-revised LP relaxation at three FBB sizes, B&B throughput, and
 /// warm-vs-cold per-node simplex iterations. Snapshot goes to
 /// `BENCH_lp.json`.
-fn bench_lp_report(_c: &mut Criterion) {
+fn main() {
     let path = workspace_file("BENCH_lp.json");
     let mut report = BenchReport::load(&path);
 
@@ -236,6 +219,3 @@ fn bench_lp_report(_c: &mut Criterion) {
     report.save(&path).expect("snapshot writable");
     println!("snapshot merged into {}", path.display());
 }
-
-criterion_group!(benches, bench_lp, bench_lp_report);
-criterion_main!(benches);

@@ -1,43 +1,23 @@
-//! STA engine benchmarks: graph build, full analysis, path extraction, and
-//! serial-vs-parallel Monte Carlo sampling. The summary numbers are merged
-//! into `BENCH_sta.json` at the workspace root (see EXPERIMENTS.md).
+//! STA engine benchmarks: a full analysis and serial-vs-parallel Monte
+//! Carlo sampling on a Table 1 design, then a full analysis and path
+//! extraction on the composed 200k-gate design. The summary numbers are
+//! merged into `BENCH_sta.json` at the workspace root (see EXPERIMENTS.md).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_bench::prepare_design;
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
-use fbb_netlist::generators;
 use fbb_sta::{par, TimingGraph};
 use fbb_variation::{MonteCarloYield, ProcessVariation};
 use std::hint::black_box;
 
-fn bench_sta(c: &mut Criterion) {
-    let nl = generators::array_multiplier("m16", 16).expect("valid generator");
-    let library = Library::date09_45nm();
-    let chara = library.characterize(
-        &BodyBiasModel::date09_45nm(),
-        &BiasLadder::date09().expect("valid ladder"),
-    );
-    let delays: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
-
-    c.bench_function("timing_graph_build_2400_gates", |b| {
-        b.iter(|| TimingGraph::new(black_box(&nl)).expect("acyclic"))
-    });
-
-    let graph = TimingGraph::new(&nl).expect("acyclic");
-    c.bench_function("sta_analyze_2400_gates", |b| {
-        b.iter(|| graph.analyze(black_box(&delays)).dcrit_ps())
-    });
-
-    let analysis = graph.analyze(&delays);
-    c.bench_function("critical_path_set_extraction", |b| {
-        b.iter(|| analysis.critical_path_set().len())
-    });
+fn main() {
+    bench_speedups();
+    bench_composed();
 }
 
 /// One full analysis, and serial-vs-parallel Monte Carlo, on a placed
 /// Table 1 design.
-fn bench_speedups(_c: &mut Criterion) {
+fn bench_speedups() {
     let design = prepare_design("c3540");
     let nl = &design.netlist;
     let chara = &design.characterization;
@@ -95,7 +75,7 @@ fn bench_speedups(_c: &mut Criterion) {
 /// design the sweep bench uses, so `BENCH_sta.json` records how the engine
 /// holds up at the scaled workload axis (200k+ gates vs the 748-gate
 /// Table 1 row).
-fn bench_composed(_c: &mut Criterion) {
+fn bench_composed() {
     let composed = fbb_netlist::compose("soc200k", &fbb_netlist::ComposeOptions::with_target(200_000))
         .expect("palette composes");
     let nl = &composed.netlist;
@@ -142,6 +122,3 @@ fn bench_composed(_c: &mut Criterion) {
     report.save(&path).expect("snapshot writable");
     println!("snapshot merged into {}", path.display());
 }
-
-criterion_group!(benches, bench_sta, bench_speedups, bench_composed);
-criterion_main!(benches);

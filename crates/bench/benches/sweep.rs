@@ -18,7 +18,6 @@
 //! design makes the ILP's LP relaxation maximally fractional and the branch
 //! & bound cost swamps the preprocessing the warm path saves.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fbb_bench::report::{measure, workspace_file, BenchReport};
 use fbb_core::{run_sweep, SweepCell, SweepGrid, SweepOptions, SweepReport};
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
@@ -27,7 +26,7 @@ use fbb_placement::tile;
 use fbb_sta::par;
 use std::hint::black_box;
 
-fn bench_sweep(_c: &mut Criterion) {
+fn main() {
     let design =
         compose("soc200k", &ComposeOptions::with_target(200_000)).expect("palette composes");
     let nl = &design.netlist;
@@ -115,6 +114,3 @@ fn bench_sweep(_c: &mut Criterion) {
     report.save(&path).expect("snapshot writable");
     println!("snapshot merged into {}", path.display());
 }
-
-criterion_group!(benches, bench_sweep);
-criterion_main!(benches);

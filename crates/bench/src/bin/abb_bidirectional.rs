@@ -68,7 +68,7 @@ fn main() {
             .expect("valid")
             .preprocess()
             .expect("acyclic");
-            if let Ok(sol) = TwoPassHeuristic::default().solve(&pre) {
+            if let Ok(sol) = TwoPassHeuristic.solve(&pre) {
                 fbb_leak += sol.leakage_nw;
             } else {
                 fbb_leak += nominal_leak; // beyond the envelope: ship at NBB

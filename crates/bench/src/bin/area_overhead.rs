@@ -53,7 +53,7 @@ fn main() {
         for beta in [0.05, 0.10] {
             let pre = design.preprocess(beta, 3);
             let Ok(_baseline) = single_bb(&pre) else { continue };
-            let mut sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+            let mut sol = TwoPassHeuristic.solve(&pre).expect("feasible");
             if let Some(pct) = cleanup {
                 sol.reduce_well_separations(&pre, pct);
             }

@@ -30,7 +30,7 @@ fn main() {
     for c in 2..=11 {
         let pre = design.preprocess(beta, c);
         let baseline = single_bb(&pre).expect("compensable");
-        let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+        let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
         let savings = sol.savings_vs(&baseline);
         let base = *first.get_or_insert(savings);
         println!(

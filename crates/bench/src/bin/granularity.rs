@@ -50,7 +50,7 @@ fn main() {
         .expect("valid parameters");
         let pre = problem.preprocess_at(granularity).expect("acyclic");
         let baseline = single_bb(&pre).expect("compensable");
-        let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+        let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
         assert!(sol.meets_timing);
 
         let (label, area, seps) = match granularity {

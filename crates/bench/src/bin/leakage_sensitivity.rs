@@ -52,7 +52,7 @@ fn main() {
             .preprocess()
             .expect("acyclic");
         let baseline = single_bb(&pre).expect("compensable");
-        let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+        let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
         println!(
             "{}",
             format_row(

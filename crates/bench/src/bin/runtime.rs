@@ -49,7 +49,7 @@ fn main() {
         let pre = design.preprocess(beta, c);
         // Time the heuristic alone (run_allocation also runs the baseline).
         let t0 = Instant::now();
-        let heur = fbb_core::TwoPassHeuristic::default().solve(&pre).expect("feasible");
+        let heur = fbb_core::TwoPassHeuristic.solve(&pre).expect("feasible");
         let heur_ms = t0.elapsed().as_secs_f64() * 1e3;
         let run = run_allocation(&pre, Some(limit), true).expect("feasible");
         let ilp = run.ilp.expect("ilp requested");

@@ -94,7 +94,7 @@ fn main() {
         .expect("valid")
         .preprocess()
         .expect("acyclic");
-        if let Ok(sol) = TwoPassHeuristic::default().solve(&pre) {
+        if let Ok(sol) = TwoPassHeuristic.solve(&pre) {
             // Verify on the true per-gate degradation.
             let tuned: Vec<f64> = degraded
                 .iter()

@@ -14,7 +14,7 @@ use fbb_core::TwoPassHeuristic;
 use fbb_netlist::suite;
 
 fn main() {
-    let heuristic = TwoPassHeuristic::default();
+    let heuristic = TwoPassHeuristic;
     for stats in suite::PAPER_TABLE1 {
         let name = stats.name;
         let design = prepare_design(name);

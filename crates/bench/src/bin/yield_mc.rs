@@ -67,8 +67,7 @@ fn main() {
             Err(_) => continue,
         };
         let pre = problem.preprocess().expect("acyclic");
-        let (Ok(sol), Ok(baseline)) =
-            (TwoPassHeuristic::default().solve(&pre), fbb_core::single_bb(&pre))
+        let (Ok(sol), Ok(baseline)) = (TwoPassHeuristic.solve(&pre), fbb_core::single_bb(&pre))
         else {
             uncompensable += 1;
             continue;

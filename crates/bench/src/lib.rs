@@ -110,7 +110,7 @@ pub fn run_allocation(
     run_ilp: bool,
 ) -> Result<AllocationRun, FbbError> {
     let baseline = single_bb(pre)?;
-    let heuristic = TwoPassHeuristic::default().solve(pre)?;
+    let heuristic = TwoPassHeuristic.solve(pre)?;
     let ilp = if run_ilp {
         let allocator = IlpAllocator { time_limit: ilp_time_limit, ..IlpAllocator::default() };
         Some(allocator.solve(pre)?)

@@ -1,10 +1,11 @@
 //! Benchmark measurement and flat-JSON snapshot support.
 //!
-//! The speedup benches (`sta_engine`, `heuristic_vs_ilp`) record their
-//! headline numbers into `BENCH_sta.json` at the workspace root so the
-//! performance trajectory is visible across PRs. The snapshot is a flat
-//! `{"key": number}` object; [`BenchReport`] merges new keys into an
-//! existing file so the two benches can update it independently.
+//! The four benches (`sta_engine`, `lp_solver`, `db_pipeline`, `sweep`)
+//! time with [`measure`] and record their headline numbers into
+//! `BENCH_sta.json`, `BENCH_lp.json`, `BENCH_db.json` and `BENCH_sweep.json`
+//! at the workspace root, so the performance trajectory is visible across
+//! PRs. Each snapshot is a flat `{"key": number}` object; [`BenchReport`]
+//! merges new keys into an existing file, keeping the keys it already has.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,8 +57,8 @@ pub fn measure<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> Measuremen
 /// Ordered key→number map serialized as a flat JSON object.
 ///
 /// Loading an existing snapshot and re-saving preserves keys the current
-/// bench did not touch, so `sta_engine` and `heuristic_vs_ilp` can both
-/// contribute to one file.
+/// bench did not touch, so several writers (the two halves of
+/// `sta_engine`, a telemetry snapshot) can contribute to one file.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     entries: Vec<(String, f64)>,
@@ -179,12 +180,14 @@ mod tests {
         // The telemetry flat-JSON format must stay mergeable into
         // BENCH_sta.json: every key a Snapshot emits has to survive a
         // BenchReport::load round trip.
-        let sink = fbb_telemetry::MemorySink::new();
-        use fbb_telemetry::Sink as _;
-        sink.add("lp_simplex_solves", 7);
-        sink.record("mc_die_dcrit_ps", 12.5);
-        sink.span_ns("ilp_solve", 1_000);
-        let snap = sink.snapshot();
+        let mut snap = fbb_telemetry::Snapshot::default();
+        snap.counters.insert("lp_simplex_solves".into(), 7);
+        let mut stat = fbb_telemetry::StatSummary::default();
+        stat.observe(12.5);
+        snap.stats.insert("mc_die_dcrit_ps".into(), stat);
+        let mut span = fbb_telemetry::SpanSummary::default();
+        span.observe(1_000);
+        snap.spans.insert("ilp_solve".into(), span);
 
         let dir = std::env::temp_dir().join("fbb_bench_report_test");
         std::fs::create_dir_all(&dir).unwrap();

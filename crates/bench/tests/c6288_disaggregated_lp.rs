@@ -45,7 +45,7 @@ fn disaggregated_linking_relaxation_of_c6288_solves_optimal() {
 
     // The heuristic's assignment is an integer point of the strengthened
     // model, so it bounds the relaxation from above.
-    let heuristic = TwoPassHeuristic::default().solve(&pre).expect("compensable");
+    let heuristic = TwoPassHeuristic.solve(&pre).expect("compensable");
     let mut point = vec![0.0; n * p + p];
     for (i, &j) in heuristic.assignment.iter().enumerate() {
         point[i * p + j] = 1.0;

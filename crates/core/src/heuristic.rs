@@ -1,15 +1,14 @@
 //! The two-pass linear-time heuristic (paper Fig. 5).
 //!
 //! `PassOne` finds the lowest uniform bias level `jopt` that meets timing;
-//! `PassTwo` moves rows below it under the cluster budget. The default
-//! [`DescentPolicy::MaxDrop`] keeps the best candidate of every budget
-//! `1..=C`, and takes all of them from one serial descent that forks a copy
-//! of its state where each budget runs out (`max_drop`): the budgets share
-//! their common moves instead of each descending on its own. Both passes
-//! run serially on the calling thread; neither uses the worker pool.
+//! `PassTwo` moves rows below it under the cluster budget, each row as far
+//! down as it can go (`MaxDrop`). It keeps the best candidate of every
+//! budget `1..=C`, and takes all of them from one serial descent that forks
+//! a copy of its state where each budget runs out (`max_drop`): the budgets
+//! share their common moves instead of each descending on its own. Both
+//! passes run serially on the calling thread; neither uses the worker pool.
 
 use fbb_lp::deadline::Stopwatch;
-use serde::{Deserialize, Serialize};
 
 use crate::{check_timing, CheckState, ClusterSolution, FbbError, Preprocessed};
 
@@ -43,61 +42,25 @@ fn uniform_meets_timing(pre: &Preprocessed, j: usize) -> bool {
     check_timing(pre, &vec![j; pre.n_rows()]).is_ok()
 }
 
-/// How `PassTwo` moves rows below `jopt`.
-///
-/// The paper's pseudocode (Fig. 5) is ambiguous about how far a row
-/// descends before the next row is tried; all three readings are provided
-/// (and compared in the `ablations` bench):
-///
-/// * [`DescentPolicy::MaxDrop`] — each row, in ascending criticality,
-///   descends to the *lowest* timing-feasible level, restricted to levels
-///   that keep the cluster count within `C`. Strongest, and the only
-///   reading that reproduces the paper's C = 2 savings magnitudes.
-/// * [`DescentPolicy::BlockSynchronous`] — rows descend one level per
-///   round; once the cluster budget is exhausted the remaining rows move
-///   only en bloc.
-/// * [`DescentPolicy::Literal`] — like `BlockSynchronous` but stops
-///   outright when the budget is exhausted, exactly as the pseudocode's
-///   `break` does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DescentPolicy {
-    /// Per-row maximal descent under the cluster budget (default).
-    #[default]
-    MaxDrop,
-    /// Level-synchronous rounds with final-block descent.
-    BlockSynchronous,
-    /// Level-synchronous rounds, stopping when the budget is exhausted.
-    Literal,
-}
-
 /// The two-pass greedy FBB allocator.
 ///
 /// `PassOne` finds the timing-feasible uniform voltage `jopt` (this is also
 /// the block-level single-BB baseline). `PassTwo` ranks rows by the timing
 /// criticality `ct_i = Σ_k Q_{i,k}/slack_k` and moves non-critical rows to
-/// lower bias voltages under the cluster budget `C`, per the configured
-/// [`DescentPolicy`]. Runtime is `O(P · N)` timing-check updates — linear in
-/// the number of rows, as the paper reports.
+/// lower bias voltages under the cluster budget `C`: each row, least
+/// critical first, descends to its lowest timing-feasible level among the
+/// levels that keep the cluster count within `C` (`MaxDrop`). The paper's
+/// pseudocode (Fig. 5) leaves open how far a row descends; DESIGN.md §5
+/// records why this reading is the one implemented. Runtime is `O(P · N)`
+/// timing-check updates — linear in the number of rows, as the paper
+/// reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TwoPassHeuristic {
-    /// Descent policy for `PassTwo`.
-    pub policy: DescentPolicy,
-}
+pub struct TwoPassHeuristic;
 
 impl TwoPassHeuristic {
-    /// Heuristic with the given descent policy.
-    pub fn with_policy(policy: DescentPolicy) -> Self {
-        TwoPassHeuristic { policy }
-    }
-
-    /// The strictly literal pseudocode variant.
-    pub fn literal_paper() -> Self {
-        Self::with_policy(DescentPolicy::Literal)
-    }
-
     /// Runs both passes, serially: `PassOne`'s lazy level scan, then
-    /// `PassTwo`, which (`MaxDrop`) ranks every cluster budget's candidate
-    /// from one descent (see [`TwoPassHeuristic::pass_two`]). Each pass is
+    /// `PassTwo`, which ranks every cluster budget's candidate from one
+    /// descent (see [`TwoPassHeuristic::pass_two`]). Each pass is
     /// timed as a telemetry span, `core_pass_one` and `core_pass_two`.
     ///
     /// # Example
@@ -116,7 +79,7 @@ impl TwoPassHeuristic {
     /// let chara = library.characterize(&BodyBiasModel::date09_45nm(), &BiasLadder::date09()?);
     /// let pre = FbbProblem::new(&netlist, &placement, &chara, 0.05, 2)?.preprocess()?;
     ///
-    /// let solution = TwoPassHeuristic::default().solve(&pre)?;
+    /// let solution = TwoPassHeuristic.solve(&pre)?;
     /// assert!(solution.meets_timing);
     /// assert!(solution.clusters <= 2);
     /// # Ok(())
@@ -131,20 +94,14 @@ impl TwoPassHeuristic {
         let jopt = fbb_telemetry::time("core_pass_one", || pass_one(pre))
             .ok_or_else(|| FbbError::uncompensable(pre))?;
         let assignment = fbb_telemetry::time("core_pass_two", || self.pass_two(pre, jopt));
-        let algorithm = match self.policy {
-            DescentPolicy::MaxDrop => "heuristic",
-            DescentPolicy::BlockSynchronous => "heuristic-block",
-            DescentPolicy::Literal => "heuristic-literal",
-        };
-        Ok(ClusterSolution::from_assignment(pre, assignment, algorithm, clock.runtime()))
+        Ok(ClusterSolution::from_assignment(pre, assignment, "heuristic", clock.runtime()))
     }
 
     /// Like [`TwoPassHeuristic::solve`], but only levels in `allowed` (plus
     /// level 0 if present in `allowed`) may be assigned — the shared-ladder
     /// scenario where a central generator distributes a fixed voltage menu
-    /// to many blocks. Uses the `MaxDrop` policy regardless of
-    /// `self.policy` (the synchronous variants assume a contiguous ladder).
-    /// The passes are timed as in [`TwoPassHeuristic::solve`].
+    /// to many blocks. The passes are timed as in
+    /// [`TwoPassHeuristic::solve`].
     ///
     /// # Errors
     ///
@@ -172,7 +129,7 @@ impl TwoPassHeuristic {
     /// `PassTwo` from a given `jopt` (exposed for the cluster-sweep
     /// experiments).
     ///
-    /// Under `MaxDrop`, a larger budget can tempt the greedy into opening an
+    /// A larger budget can tempt the greedy into opening an
     /// intermediate level early that a smaller budget would have skipped, so
     /// the result is not monotone in C by construction. `PassTwo` therefore
     /// keeps the best of the budgets `1..=C` (C capped at `jopt + 1`, see
@@ -185,11 +142,7 @@ impl TwoPassHeuristic {
         if jopt == 0 || pre.n_rows() == 0 {
             return vec![jopt; pre.n_rows()];
         }
-        match self.policy {
-            DescentPolicy::MaxDrop => least_leakage(pre, max_drop(pre, jopt, None)),
-            DescentPolicy::BlockSynchronous => synchronous(pre, jopt, true),
-            DescentPolicy::Literal => synchronous(pre, jopt, false),
-        }
+        least_leakage(pre, max_drop(pre, jopt, None))
     }
 }
 
@@ -318,67 +271,6 @@ impl<'p> Descent<'p> {
     }
 }
 
-fn synchronous(pre: &Preprocessed, jopt: usize, block_descent: bool) -> Vec<usize> {
-    let c_max = pre.max_clusters;
-    let mut state = CheckState::new(pre, vec![jopt; pre.n_rows()]);
-    debug_assert!(state.feasible(), "PassOne must hand over a feasible start");
-    let ranked = ranked_rows(pre);
-    let mut locked = vec![false; pre.n_rows()];
-    let mut clusters = 1usize;
-
-    // Descend one level per round: unlocked rows at level j try j-1.
-    let mut j = jopt;
-    while j >= 1 {
-        let unlocked: Vec<usize> = ranked
-            .iter()
-            .copied()
-            .filter(|&r| !locked[r] && state.assignment()[r] == j)
-            .collect();
-        if unlocked.is_empty() {
-            break;
-        }
-        if clusters < c_max {
-            // Row-by-row descent; a failing row locks itself and every
-            // more-critical row at level j, closing a cluster.
-            let mut moved_any = false;
-            let mut violated_at = None;
-            for (pos, &row) in unlocked.iter().enumerate() {
-                if state.try_set_level(row, j - 1) {
-                    moved_any = true;
-                } else {
-                    violated_at = Some(pos);
-                    break;
-                }
-            }
-            if let Some(pos) = violated_at {
-                if !moved_any {
-                    break; // even the least critical row cannot descend
-                }
-                for &row in &unlocked[pos..] {
-                    locked[row] = true;
-                }
-                clusters += 1;
-            }
-        } else {
-            // Budget exhausted: all-or-nothing block move.
-            if !block_descent {
-                break;
-            }
-            for &row in &unlocked {
-                state.set_level(row, j - 1);
-            }
-            if !state.feasible() {
-                for &row in &unlocked {
-                    state.set_level(row, j);
-                }
-                break;
-            }
-        }
-        j -= 1;
-    }
-    state.assignment().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,28 +314,17 @@ mod tests {
         // 20% slowdown is beyond the ~11% speed-up of the 0.5 V ladder.
         let pre = setup(0.20, 3);
         assert_eq!(pass_one(&pre), None);
-        assert!(matches!(
-            TwoPassHeuristic::default().solve(&pre),
-            Err(FbbError::Uncompensable { .. })
-        ));
+        assert!(matches!(TwoPassHeuristic.solve(&pre), Err(FbbError::Uncompensable { .. })));
     }
 
     #[test]
-    fn all_policies_meet_timing_and_budget() {
-        for policy in
-            [DescentPolicy::MaxDrop, DescentPolicy::BlockSynchronous, DescentPolicy::Literal]
-        {
-            for beta in [0.05, 0.10] {
-                for c in [1, 2, 3] {
-                    let pre = setup(beta, c);
-                    let sol = TwoPassHeuristic::with_policy(policy).solve(&pre).unwrap();
-                    assert!(sol.meets_timing, "{policy:?} beta={beta} C={c}");
-                    assert!(
-                        sol.clusters <= c,
-                        "{policy:?} beta={beta} C={c}: {} clusters",
-                        sol.clusters
-                    );
-                }
+    fn meets_timing_and_budget() {
+        for beta in [0.05, 0.10] {
+            for c in [1, 2, 3] {
+                let pre = setup(beta, c);
+                let sol = TwoPassHeuristic.solve(&pre).unwrap();
+                assert!(sol.meets_timing, "beta={beta} C={c}");
+                assert!(sol.clusters <= c, "beta={beta} C={c}: {} clusters", sol.clusters);
             }
         }
     }
@@ -453,25 +334,21 @@ mod tests {
         let pre = setup(0.05, 3);
         let jopt = pass_one(&pre).unwrap();
         let uniform = pre.leakage_nw(&vec![jopt; pre.n_rows()]);
-        let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let sol = TwoPassHeuristic.solve(&pre).unwrap();
         assert!(sol.leakage_nw < uniform, "{} !< {uniform}", sol.leakage_nw);
     }
 
     #[test]
-    fn every_policy_beats_or_matches_single_bb() {
+    fn beats_or_matches_single_bb() {
         for (beta, c) in [(0.05, 2), (0.10, 2), (0.10, 3)] {
             let pre = setup(beta, c);
             let uniform = pre.leakage_nw(&vec![pass_one(&pre).unwrap(); pre.n_rows()]);
-            for policy in
-                [DescentPolicy::MaxDrop, DescentPolicy::BlockSynchronous, DescentPolicy::Literal]
-            {
-                let sol = TwoPassHeuristic::with_policy(policy).solve(&pre).unwrap();
-                assert!(
-                    sol.leakage_nw <= uniform + 1e-9,
-                    "{policy:?} beta={beta} C={c}: {} > uniform {uniform}",
-                    sol.leakage_nw
-                );
-            }
+            let sol = TwoPassHeuristic.solve(&pre).unwrap();
+            assert!(
+                sol.leakage_nw <= uniform + 1e-9,
+                "beta={beta} C={c}: {} > uniform {uniform}",
+                sol.leakage_nw
+            );
         }
     }
 
@@ -483,7 +360,7 @@ mod tests {
         let mut last = f64::INFINITY;
         for c in 1..=4 {
             let pre = setup_design(&nl, &p, 0.05, c);
-            let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
+            let sol = TwoPassHeuristic.solve(&pre).unwrap();
             assert!(sol.leakage_nw <= last + 1e-9, "C={c}");
             last = sol.leakage_nw;
         }
@@ -492,15 +369,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let pre = setup(0.05, 3);
-        let a = TwoPassHeuristic::default().solve(&pre).unwrap();
-        let b = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let a = TwoPassHeuristic.solve(&pre).unwrap();
+        let b = TwoPassHeuristic.solve(&pre).unwrap();
         assert_eq!(a.assignment, b.assignment);
     }
 
     #[test]
     fn max_drop_sends_unconstrained_rows_to_nbb() {
         let pre = setup(0.05, 3);
-        let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let sol = TwoPassHeuristic.solve(&pre).unwrap();
         for (row, &ct) in pre.row_criticality().iter().enumerate() {
             if ct == 0.0 {
                 assert_eq!(sol.assignment[row], 0, "unconstrained row {row} should be at NBB");
@@ -515,11 +392,11 @@ mod tests {
         let mut pre = setup(0.10, 3);
         let allowed: Vec<usize> = (0..pre.levels()).collect();
         pre.max_clusters = pre.levels();
-        let at_p = TwoPassHeuristic::default().solve(&pre).unwrap();
-        let restricted_at_p = TwoPassHeuristic::default().solve_restricted(&pre, &allowed).unwrap();
+        let at_p = TwoPassHeuristic.solve(&pre).unwrap();
+        let restricted_at_p = TwoPassHeuristic.solve_restricted(&pre, &allowed).unwrap();
         pre.max_clusters = 1usize << 40;
-        let huge = TwoPassHeuristic::default().solve(&pre).unwrap();
-        let restricted_huge = TwoPassHeuristic::default().solve_restricted(&pre, &allowed).unwrap();
+        let huge = TwoPassHeuristic.solve(&pre).unwrap();
+        let restricted_huge = TwoPassHeuristic.solve_restricted(&pre, &allowed).unwrap();
         assert_eq!(huge.assignment, at_p.assignment);
         assert_eq!(huge.leakage_nw.to_bits(), at_p.leakage_nw.to_bits());
         assert_eq!(restricted_huge.assignment, restricted_at_p.assignment);
@@ -528,7 +405,7 @@ mod tests {
     #[test]
     fn c_equals_one_is_single_bb() {
         let pre = setup(0.10, 1);
-        let sol = TwoPassHeuristic::default().solve(&pre).unwrap();
+        let sol = TwoPassHeuristic.solve(&pre).unwrap();
         assert_eq!(sol.clusters, 1);
         let jopt = pass_one(&pre).unwrap();
         assert!(sol.assignment.iter().all(|&l| l == jopt));

@@ -2,7 +2,9 @@
 
 use std::time::Duration;
 
-use fbb_lp::{solve_mip, MipOptions, MipStatus, Model, Sense, StructureHints, VarKind};
+use fbb_lp::{
+    solve_mip, MipOptions, MipSolution, MipStatus, Model, Sense, StructureHints, VarKind,
+};
 
 use crate::{ClusterSolution, FbbError, Preprocessed, TwoPassHeuristic};
 
@@ -29,8 +31,6 @@ pub struct IlpAllocator {
     pub time_limit: Option<Duration>,
     /// Node budget for the branch & bound.
     pub node_limit: Option<usize>,
-    /// Skip the heuristic warm start (ablation).
-    pub cold_start: bool,
 }
 
 /// Result of an exact solve.
@@ -236,8 +236,8 @@ impl IlpAllocator {
         issues
     }
 
-    /// Solves the ILP: builds the model, warm-starts from the heuristic
-    /// unless [`IlpAllocator::cold_start`] is set, and runs branch & bound.
+    /// Solves the ILP: builds the model, warm-starts from the heuristic,
+    /// and runs branch & bound.
     ///
     /// # Example
     ///
@@ -275,26 +275,7 @@ impl IlpAllocator {
             fbb_telemetry::counter("ilp_variables", model.var_count() as u64);
             fbb_telemetry::counter("ilp_constraints", model.constraint_count() as u64);
         }
-
-        let incumbent = if self.cold_start {
-            None
-        } else {
-            TwoPassHeuristic::default().solve(pre).ok().map(|sol| {
-                let x = encode(pre, &sol.assignment);
-                (sol.leakage_nw, x)
-            })
-        };
-
-        let options = MipOptions {
-            time_limit: self.time_limit,
-            node_limit: self.node_limit,
-            // The builder knows which rows are Eq. 3 one-hots, Eq. 4
-            // linking, and the budget; the cut separator shape-verifies
-            // each hint rather than trusting the indices.
-            hints: Some(Self::structure_hints(pre)),
-            ..MipOptions::default()
-        };
-        let mip = solve_mip(&model, &options, incumbent)?;
+        let mip = self.solve_model(pre, &model)?;
         let runtime = clock.runtime();
 
         let solution = match mip.status {
@@ -311,6 +292,32 @@ impl IlpAllocator {
             runtime,
             solution,
         })
+    }
+
+    /// Runs branch & bound on `model`, the [`IlpAllocator::build_model`]
+    /// model of `pre` (the warm sweep patches its budget row to
+    /// `pre.max_clusters`), within this allocator's limits, warm-started
+    /// from the heuristic's answer. [`IlpAllocator::solve`] and the sweep
+    /// both solve through here, so a sweep cell solves as `solve` would.
+    pub(crate) fn solve_model(
+        &self,
+        pre: &Preprocessed,
+        model: &Model,
+    ) -> Result<MipSolution, FbbError> {
+        let incumbent = TwoPassHeuristic
+            .solve(pre)
+            .ok()
+            .map(|sol| (sol.leakage_nw, encode(pre, &sol.assignment)));
+        let options = MipOptions {
+            time_limit: self.time_limit,
+            node_limit: self.node_limit,
+            // The builder knows which rows are Eq. 3 one-hots, Eq. 4
+            // linking, and the budget; the cut separator shape-verifies
+            // each hint rather than trusting the indices.
+            hints: Some(Self::structure_hints(pre)),
+            ..MipOptions::default()
+        };
+        Ok(solve_mip(model, &options, incumbent)?)
     }
 }
 
@@ -485,7 +492,7 @@ mod tests {
     fn ilp_meets_timing_and_budget_and_beats_heuristic() {
         for (beta, c) in [(0.05, 2), (0.05, 3), (0.10, 2)] {
             let pre = pre(beta, c);
-            let heur = TwoPassHeuristic::default().solve(&pre).unwrap();
+            let heur = TwoPassHeuristic.solve(&pre).unwrap();
             let out = IlpAllocator::default().solve(&pre).unwrap();
             let sol = out.solution.expect("feasible");
             assert!(out.proven_optimal, "beta={beta} C={c}");
@@ -521,9 +528,15 @@ mod tests {
     fn cold_start_matches_warm_start_objective() {
         let pre = pre(0.05, 2);
         let warm = IlpAllocator::default().solve(&pre).unwrap();
-        let cold = IlpAllocator { cold_start: true, ..Default::default() }.solve(&pre).unwrap();
-        let (w, c) = (warm.solution.unwrap(), cold.solution.unwrap());
-        assert!((w.leakage_nw - c.leakage_nw).abs() < 1e-6);
+        let model = IlpAllocator::default().build_model(&pre).unwrap();
+        let options = MipOptions {
+            hints: Some(IlpAllocator::structure_hints(&pre)),
+            ..MipOptions::default()
+        };
+        let cold = solve_mip(&model, &options, None).unwrap();
+        assert_eq!(cold.status, MipStatus::Optimal);
+        let cold_leakage = pre.leakage_nw(&decode(&pre, &cold.x));
+        assert!((warm.solution.unwrap().leakage_nw - cold_leakage).abs() < 1e-6);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! let problem = FbbProblem::new(&netlist, &placement, &chara, 0.05, 3)?;
 //! let pre = problem.preprocess()?;
 //! let baseline = single_bb(&pre).expect("compensable at some uniform voltage");
-//! let clustered = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+//! let clustered = TwoPassHeuristic.solve(&pre).expect("feasible");
 //! assert!(clustered.leakage_nw <= baseline.leakage_nw);
 //! assert!(clustered.savings_vs(&baseline) >= 0.0);
 //! # Ok(())
@@ -65,7 +65,7 @@ pub mod tuning;
 pub use baseline::single_bb;
 pub use check::{check_timing, CheckState};
 pub use error::FbbError;
-pub use heuristic::{pass_one, pass_one_restricted, DescentPolicy, TwoPassHeuristic};
+pub use heuristic::{pass_one, pass_one_restricted, TwoPassHeuristic};
 pub use ilp::{IlpAllocator, IlpOutcome};
 pub use problem::{FbbProblem, Granularity, PathRef, Preprocessed, PreprocessedBuilder};
 pub use solution::ClusterSolution;

@@ -56,14 +56,14 @@
 use std::time::Duration;
 
 use fbb_device::Characterization;
-use fbb_lp::{solve_mip, MipOptions, MipStatus};
+use fbb_lp::MipStatus;
 use fbb_netlist::Netlist;
 use fbb_placement::Placement;
 use fbb_sta::TimingGraph;
 use serde::{Deserialize, Serialize};
 
-use crate::ilp::{decode, encode};
-use crate::{FbbError, FbbProblem, Granularity, IlpAllocator, Preprocessed, TwoPassHeuristic};
+use crate::ilp::decode;
+use crate::{FbbError, FbbProblem, Granularity, IlpAllocator, Preprocessed};
 
 /// The β × C × P grid to sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -194,6 +194,8 @@ pub fn run_sweep(
     clusters.reverse();
     let may_prune = options.time_limit.is_none() && options.node_limit.is_none();
     let cmax = clusters[0];
+    // Every cell solves as `IlpAllocator::solve` would under these limits.
+    let allocator = IlpAllocator { time_limit: options.time_limit, node_limit: options.node_limit };
 
     let mut report = SweepReport {
         cells: Vec::with_capacity(grid.betas.len() * grid.levels.len() * clusters.len()),
@@ -230,7 +232,7 @@ pub fn run_sweep(
             let mut warm: Option<(Preprocessed, fbb_lp::Model, usize)> = match shared {
                 Some(pre) => {
                     let restricted = pre.restrict_levels(p)?;
-                    let model = IlpAllocator::default().build_model(&restricted)?;
+                    let model = allocator.build_model(&restricted)?;
                     report.model_builds += 1;
                     let budget_row = IlpAllocator::structure_hints(&restricted)
                         .budget_row
@@ -264,7 +266,7 @@ pub fn run_sweep(
                     Some((pre, model, budget_row)) => {
                         pre.max_clusters = c;
                         model.set_rhs(*budget_row, c as f64).map_err(FbbError::Solver)?;
-                        let mip = solve_cell(pre, model, options)?;
+                        let mip = allocator.solve_model(pre, model)?;
                         let a = decode_point(pre, &mip);
                         (mip, a)
                     }
@@ -274,8 +276,8 @@ pub fn run_sweep(
                         let pre = FbbProblem::new(netlist, placement, chara, beta, c)?
                             .preprocess()?
                             .restrict_levels(p)?;
-                        let model = IlpAllocator::default().build_model(&pre)?;
-                        let mip = solve_cell(&pre, &model, options)?;
+                        let model = allocator.build_model(&pre)?;
+                        let mip = allocator.solve_model(&pre, &model)?;
                         let a = decode_point(&pre, &mip);
                         (mip, a)
                     }
@@ -320,26 +322,6 @@ pub fn run_sweep(
 fn decode_point(pre: &Preprocessed, mip: &fbb_lp::MipSolution) -> Option<Vec<usize>> {
     matches!(mip.status, MipStatus::Optimal | MipStatus::Feasible)
         .then(|| decode(pre, &mip.x))
-}
-
-/// Solves one cell: heuristic incumbent + MIP, exactly as
-/// [`IlpAllocator::solve`] would on the same `Preprocessed`.
-fn solve_cell(
-    pre: &Preprocessed,
-    model: &fbb_lp::Model,
-    options: &SweepOptions,
-) -> Result<fbb_lp::MipSolution, FbbError> {
-    let incumbent = TwoPassHeuristic::default()
-        .solve(pre)
-        .ok()
-        .map(|sol| (sol.leakage_nw, encode(pre, &sol.assignment)));
-    let mip_options = MipOptions {
-        time_limit: options.time_limit,
-        node_limit: options.node_limit,
-        hints: Some(IlpAllocator::structure_hints(pre)),
-        ..MipOptions::default()
-    };
-    solve_mip(model, &mip_options, incumbent).map_err(FbbError::Solver)
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub struct BlockTuning {
 /// Returns [`FbbError::Uncompensable`] if a flagged block cannot be rescued
 /// at its measured β.
 pub fn tune_blocks(blocks: &[BlockRequest]) -> Result<Vec<BlockTuning>, FbbError> {
-    let heuristic = TwoPassHeuristic::default();
+    let heuristic = TwoPassHeuristic;
     blocks
         .iter()
         .map(|b| {
@@ -93,7 +93,7 @@ pub fn tune_blocks_shared(
     blocks: &[BlockRequest],
     max_global_voltages: usize,
 ) -> Result<SharedTuning, FbbError> {
-    let heuristic = TwoPassHeuristic::default();
+    let heuristic = TwoPassHeuristic;
     // Start from independent solutions to harvest candidate levels.
     let independent = tune_blocks(blocks)?;
     let mut menu: Vec<usize> = independent

@@ -2,8 +2,8 @@
 //! problem parameters — the allocators must uphold their invariants.
 
 use fbb_core::{
-    check_timing, pass_one, single_bb, CheckState, DescentPolicy, FbbProblem, Granularity,
-    IlpAllocator, Preprocessed, TwoPassHeuristic,
+    check_timing, pass_one, single_bb, CheckState, FbbProblem, Granularity, IlpAllocator,
+    Preprocessed, TwoPassHeuristic,
 };
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
 use fbb_netlist::generators::{random_logic, RandomLogicOptions};
@@ -50,17 +50,15 @@ proptest! {
         c in 1usize..=4,
     ) {
         let pre = random_problem(seed, 180, 6, beta, c);
-        for policy in [DescentPolicy::MaxDrop, DescentPolicy::BlockSynchronous, DescentPolicy::Literal] {
-            match TwoPassHeuristic::with_policy(policy).solve(&pre) {
-                Ok(sol) => {
-                    prop_assert!(sol.meets_timing, "{policy:?}");
-                    prop_assert!(sol.clusters <= c, "{policy:?}");
-                    prop_assert!(check_timing(&pre, &sol.assignment).is_ok());
-                }
-                Err(_) => {
-                    // Uncompensable must mean even full bias fails PassOne.
-                    prop_assert!(pass_one(&pre).is_none());
-                }
+        match TwoPassHeuristic.solve(&pre) {
+            Ok(sol) => {
+                prop_assert!(sol.meets_timing);
+                prop_assert!(sol.clusters <= c);
+                prop_assert!(check_timing(&pre, &sol.assignment).is_ok());
+            }
+            Err(_) => {
+                // Uncompensable must mean even full bias fails PassOne.
+                prop_assert!(pass_one(&pre).is_none());
             }
         }
     }
@@ -71,7 +69,7 @@ proptest! {
         beta in 0.03f64..0.08,
     ) {
         let pre = random_problem(seed, 120, 5, beta, 2);
-        let Ok(heur) = TwoPassHeuristic::default().solve(&pre) else { return Ok(()); };
+        let Ok(heur) = TwoPassHeuristic.solve(&pre) else { return Ok(()); };
         let out = IlpAllocator::default().solve(&pre).expect("solver runs");
         let sol = out.solution.expect("heuristic feasible implies ILP feasible");
         prop_assert!(out.proven_optimal);
@@ -145,7 +143,7 @@ proptest! {
         let mut leak = Vec::new();
         for g in [Granularity::Block, Granularity::Row, Granularity::Gate] {
             let pre = problem.preprocess_at(g).expect("acyclic");
-            let Ok(sol) = TwoPassHeuristic::default().solve(&pre) else { return Ok(()); };
+            let Ok(sol) = TwoPassHeuristic.solve(&pre) else { return Ok(()); };
             prop_assert!(sol.meets_timing);
             leak.push(sol.leakage_nw);
         }

@@ -111,7 +111,9 @@ pub(crate) struct SolveOutcome {
     /// Basis snapshot for warm-starting children; `Some` only for
     /// [`LpStatus::Optimal`].
     pub basis: Option<Basis>,
-    /// Simplex iterations spent on this solve (all phases).
+    /// Simplex iterations spent on this solve (all phases), stamped on
+    /// every verdict by [`SparseEngine::solve_cold`] and
+    /// [`SparseEngine::solve_warm`].
     pub iterations: usize,
     /// The warm dual loop stopped at its objective cutoff: the relaxation's
     /// optimum is at or above the cutoff, up to the optimality tolerance.
@@ -232,7 +234,7 @@ impl SparseEngine {
     ) -> Result<SolveOutcome, LpError> {
         let _lp_span = fbb_telemetry::span("lp_solve");
         self.stats = Stats::default();
-        let res = self.cold_inner(var_lower, var_upper, deadline);
+        let res = self.cold_inner(var_lower, var_upper, deadline).map(|out| self.counted(out));
         self.flush_stats();
         if fbb_telemetry::is_enabled() {
             fbb_telemetry::counter("lp_simplex_cold_solves", 1);
@@ -271,9 +273,18 @@ impl SparseEngine {
     ) -> Result<Option<SolveOutcome>, LpError> {
         let _lp_span = fbb_telemetry::span("lp_solve");
         self.stats = Stats::default();
-        let res = self.warm_inner(var_lower, var_upper, deadline, warm, cutoff);
+        let res = self
+            .warm_inner(var_lower, var_upper, deadline, warm, cutoff)
+            .map(|out| out.map(|out| self.counted(out)));
         self.flush_stats();
         res
+    }
+
+    /// Stamps an outcome with the iterations this solve spent, whatever its
+    /// verdict: a node proved infeasible by dual pivots or by phase 1 costs
+    /// what it pivoted, not 0.
+    fn counted(&self, out: SolveOutcome) -> SolveOutcome {
+        SolveOutcome { iterations: self.stats.iterations, ..out }
     }
 
     fn flush_stats(&self) {
@@ -435,11 +446,7 @@ impl SparseEngine {
             Ok(DualEnd::Feasible) => {}
             Ok(DualEnd::Infeasible) => return Ok(Some(Self::bare(LpStatus::Infeasible))),
             Ok(DualEnd::CutOff) => {
-                return Ok(Some(SolveOutcome {
-                    cut_off: true,
-                    iterations: self.stats.iterations,
-                    ..Self::bare(LpStatus::Infeasible)
-                }))
+                return Ok(Some(SolveOutcome { cut_off: true, ..Self::bare(LpStatus::Infeasible) }))
             }
             Err(LpError::DeadlineExceeded) => {
                 return Ok(Some(Self::bare(LpStatus::DeadlineExceeded)))
@@ -537,7 +544,7 @@ impl SparseEngine {
                 cols: self.basis.iter().map(|&j| j as u32).collect(),
                 status: self.status.iter().map(|&s| Stored::from(s)).collect(),
             }),
-            iterations: self.stats.iterations,
+            iterations: 0,
             cut_off: false,
         }
     }
@@ -1175,17 +1182,28 @@ mod tests {
 
     #[test]
     fn warm_solve_detects_child_infeasibility() {
-        // x + y >= 1.5 with both branched to [0, 0] is empty.
+        // x + y >= 1.5 with both branched to [0, 0] is empty. Every verdict
+        // reports the iterations its solve spent, infeasible ones included.
         let m = covering_lp();
         let (lo, up) = bounds_of(&m);
         let mut engine = SparseEngine::new(&m);
         let parent = engine.solve_cold(&lo, &up, None).unwrap();
+        assert_eq!(parent.iterations, engine.stats.iterations);
         let basis = parent.basis.unwrap();
         let warm = engine
             .solve_warm(&lo, &[0.0, 0.0], None, &basis, None)
             .unwrap()
             .expect("dual simplex certifies infeasibility without fallback");
         assert_eq!(warm.solution.status, LpStatus::Infeasible);
+        assert!(engine.stats.iterations > 0, "the dual loop pivots before its verdict");
+        assert_eq!(warm.iterations, engine.stats.iterations);
+
+        // Cold, with both capped at 0.5: phase 1 moves both before it
+        // finds the residual it cannot close.
+        let cold = engine.solve_cold(&lo, &[0.5, 0.5], None).unwrap();
+        assert_eq!(cold.solution.status, LpStatus::Infeasible);
+        assert!(engine.stats.iterations > 0, "phase 1 pivots before its verdict");
+        assert_eq!(cold.iterations, engine.stats.iterations);
     }
 
     #[test]

@@ -788,7 +788,7 @@ fn solve_job(job: &Job) -> Response {
             ),
         }
     } else {
-        match TwoPassHeuristic::default().solve(&pre) {
+        match TwoPassHeuristic.solve(&pre) {
             Ok(sol) => Response {
                 code: code::OK,
                 request_id: job.request_id,

@@ -1,6 +1,6 @@
 //! Lightweight, std-only telemetry for the clustered-FBB stack: monotonic
-//! counters, value distributions, and span-style timers, aggregated in a
-//! process-global [`MemorySink`] and exported as a flat JSON snapshot or a
+//! counters, value distributions, and span-style timers, aggregated in one
+//! process-global sink and exported as a flat JSON snapshot or a
 //! human-readable summary table.
 //!
 //! # Zero cost when disabled
@@ -8,8 +8,7 @@
 //! Telemetry is **off by default**. Every recording entry point
 //! ([`counter`], [`record`], [`span`], [`time`]) begins with one relaxed
 //! atomic load; while disabled nothing else executes — no allocation, no
-//! locking, no clock read — and dispatch targets a [`NoopSink`] behind a
-//! `&dyn Sink` trait object. Instrumented hot paths therefore pay a single
+//! locking, no clock read. Instrumented hot paths therefore pay a single
 //! predictable branch. Code that aggregates many increments locally (the
 //! simplex counts pivots in plain integer fields and flushes once per solve)
 //! pays even that branch only once.
@@ -46,32 +45,18 @@
 mod sink;
 mod snapshot;
 
-pub use sink::{MemorySink, NoopSink, Sink, MAX_TRACE_EVENTS};
-pub use snapshot::{Snapshot, SpanSummary, StatSummary, TraceEvent};
+pub use snapshot::{Snapshot, SpanSummary, StatSummary};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
+use sink::MemorySink;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static NOOP: NoopSink = NoopSink;
 
 /// The process-global aggregation sink (lives for the whole process; its
 /// contents are governed by [`enable`]/[`reset`]).
-fn memory() -> &'static MemorySink {
-    static MEMORY: OnceLock<MemorySink> = OnceLock::new();
-    MEMORY.get_or_init(MemorySink::new)
-}
-
-/// The currently active sink as a trait object: the global [`MemorySink`]
-/// when enabled, a [`NoopSink`] otherwise.
-fn active() -> &'static dyn Sink {
-    if is_enabled() {
-        memory()
-    } else {
-        &NOOP
-    }
-}
+static SINK: MemorySink = MemorySink::new();
 
 /// Whether telemetry is currently recording.
 #[inline]
@@ -82,7 +67,6 @@ pub fn is_enabled() -> bool {
 /// Turns recording on (process-wide). Previously accumulated aggregates are
 /// kept; call [`reset`] first for a clean slate.
 pub fn enable() {
-    memory(); // materialize the sink (and its span epoch) eagerly
     ENABLED.store(true, Ordering::Relaxed);
 }
 
@@ -91,9 +75,9 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Clears all aggregates and restarts the span epoch.
+/// Clears all aggregates.
 pub fn reset() {
-    memory().reset();
+    SINK.reset();
 }
 
 /// Adds `delta` to the named monotonic counter. No-op while disabled.
@@ -102,7 +86,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    active().add(name, delta);
+    SINK.add(name, delta);
 }
 
 /// Records one observation of a named value distribution (count/sum/min/max
@@ -113,7 +97,7 @@ pub fn record(name: &'static str, value: f64) {
     if !is_enabled() || !value.is_finite() {
         return;
     }
-    active().record(name, value);
+    SINK.record(name, value);
 }
 
 /// Starts a span timer; the elapsed time is recorded under `name` when the
@@ -159,7 +143,7 @@ pub fn time_counter_ns<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 /// Snapshot of the global sink's aggregates (works while disabled too, e.g.
 /// to export after a run has been stopped).
 pub fn snapshot() -> Snapshot {
-    memory().snapshot()
+    SINK.snapshot()
 }
 
 /// Guard returned by [`span`]; records the elapsed time on drop.
@@ -179,7 +163,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start.take() {
             if is_enabled() {
-                active().span_ns(self.name, start.elapsed().as_nanos() as u64);
+                SINK.span_ns(self.name, start.elapsed().as_nanos() as u64);
             }
         }
     }

@@ -1,62 +1,20 @@
-//! Sink trait and the two built-in implementations.
+//! The process-global aggregation sink behind the crate's free functions.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::snapshot::{Snapshot, SpanSummary, StatSummary, TraceEvent};
-
-/// Upper bound on retained trace events; further spans still aggregate into
-/// their [`SpanSummary`] but are dropped from the event log (the drop count
-/// is reported in the snapshot).
-pub const MAX_TRACE_EVENTS: usize = 4096;
-
-/// Destination of telemetry signals.
-///
-/// The crate dispatches through `&dyn Sink`: [`NoopSink`] when telemetry is
-/// disabled (after a single relaxed atomic load on the fast path, nothing
-/// else runs), [`MemorySink`] when enabled. Embedders forwarding telemetry
-/// elsewhere (a metrics socket, a log file) can implement the trait and wrap
-/// the calls around a [`MemorySink`] of their own.
-pub trait Sink: Send + Sync {
-    /// Adds `delta` to the named monotonic counter.
-    fn add(&self, name: &'static str, delta: u64);
-    /// Records one observation of a named value distribution.
-    fn record(&self, name: &'static str, value: f64);
-    /// Records one completed span of `dur_ns` nanoseconds ending now.
-    fn span_ns(&self, name: &'static str, dur_ns: u64);
-}
-
-/// Sink that discards everything — the disabled-telemetry target.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn add(&self, _name: &'static str, _delta: u64) {}
-    fn record(&self, _name: &'static str, _value: f64) {}
-    fn span_ns(&self, _name: &'static str, _dur_ns: u64) {}
-}
+use crate::snapshot::{Snapshot, SpanSummary, StatSummary};
 
 #[derive(Debug)]
 struct State {
     counters: BTreeMap<&'static str, u64>,
     stats: BTreeMap<&'static str, StatSummary>,
     spans: BTreeMap<&'static str, SpanSummary>,
-    events: Vec<TraceEvent>,
-    dropped_events: u64,
-    epoch: Instant,
 }
 
 impl State {
-    fn new() -> Self {
-        State {
-            counters: BTreeMap::new(),
-            stats: BTreeMap::new(),
-            spans: BTreeMap::new(),
-            events: Vec::new(),
-            dropped_events: 0,
-            epoch: Instant::now(),
-        }
+    const fn new() -> Self {
+        State { counters: BTreeMap::new(), stats: BTreeMap::new(), spans: BTreeMap::new() }
     }
 }
 
@@ -70,19 +28,13 @@ impl State {
 /// collect already returns results in input order) rather than from inside
 /// workers.
 #[derive(Debug)]
-pub struct MemorySink {
+pub(crate) struct MemorySink {
     state: Mutex<State>,
 }
 
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MemorySink {
-    /// Empty sink; the span epoch starts now.
-    pub fn new() -> Self {
+    /// Empty sink; `const`, so the global sink is a plain `static`.
+    pub(crate) const fn new() -> Self {
         MemorySink { state: Mutex::new(State::new()) }
     }
 
@@ -90,47 +42,34 @@ impl MemorySink {
         self.state.lock().expect("telemetry state poisoned")
     }
 
-    /// Clears every counter, stat, span, and trace event and restarts the
-    /// span epoch.
-    pub fn reset(&self) {
+    /// Clears every counter, stat and span.
+    pub(crate) fn reset(&self) {
         *self.lock() = State::new();
     }
 
     /// Copies the current aggregates into an owned [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
+    pub(crate) fn snapshot(&self) -> Snapshot {
         let state = self.lock();
         Snapshot {
             counters: state.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
             stats: state.stats.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
             spans: state.spans.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
-            events: state.events.clone(),
-            dropped_events: state.dropped_events,
         }
     }
-}
 
-impl Sink for MemorySink {
-    fn add(&self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named monotonic counter.
+    pub(crate) fn add(&self, name: &'static str, delta: u64) {
         *self.lock().counters.entry(name).or_insert(0) += delta;
     }
 
-    fn record(&self, name: &'static str, value: f64) {
+    /// Records one observation of a named value distribution.
+    pub(crate) fn record(&self, name: &'static str, value: f64) {
         self.lock().stats.entry(name).or_default().observe(value);
     }
 
-    fn span_ns(&self, name: &'static str, dur_ns: u64) {
-        let mut state = self.lock();
-        state.spans.entry(name).or_default().observe(dur_ns);
-        let end_ns = state.epoch.elapsed().as_nanos() as u64;
-        if state.events.len() < MAX_TRACE_EVENTS {
-            state.events.push(TraceEvent {
-                name: name.to_string(),
-                start_ns: end_ns.saturating_sub(dur_ns),
-                dur_ns,
-            });
-        } else {
-            state.dropped_events += 1;
-        }
+    /// Records one completed span of `dur_ns` nanoseconds.
+    pub(crate) fn span_ns(&self, name: &'static str, dur_ns: u64) {
+        self.lock().spans.entry(name).or_default().observe(dur_ns);
     }
 }
 
@@ -165,7 +104,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_aggregate_and_log_events() {
+    fn spans_aggregate() {
         let sink = MemorySink::new();
         sink.span_ns("solve", 1_000);
         sink.span_ns("solve", 3_000);
@@ -175,20 +114,6 @@ mod tests {
         assert_eq!(span.total_ns, 4_000);
         assert_eq!(span.min_ns, 1_000);
         assert_eq!(span.max_ns, 3_000);
-        assert_eq!(snap.events.len(), 2);
-        assert_eq!(snap.dropped_events, 0);
-    }
-
-    #[test]
-    fn event_log_is_bounded() {
-        let sink = MemorySink::new();
-        for _ in 0..MAX_TRACE_EVENTS + 10 {
-            sink.span_ns("s", 1);
-        }
-        let snap = sink.snapshot();
-        assert_eq!(snap.events.len(), MAX_TRACE_EVENTS);
-        assert_eq!(snap.dropped_events, 10);
-        assert_eq!(snap.span("s").expect("recorded").count as usize, MAX_TRACE_EVENTS + 10);
     }
 
     #[test]
@@ -202,15 +127,6 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.stats.is_empty());
         assert!(snap.spans.is_empty());
-        assert!(snap.events.is_empty());
-    }
-
-    #[test]
-    fn noop_discards() {
-        let sink = NoopSink;
-        sink.add("a", 1);
-        sink.record("x", 1.0);
-        sink.span_ns("s", 1);
     }
 
     #[test]

@@ -72,21 +72,8 @@ impl SpanSummary {
     }
 }
 
-/// One completed span occurrence, timestamped against the sink's epoch
-/// (enable/reset time). The event log is bounded; see
-/// [`MAX_TRACE_EVENTS`](crate::MAX_TRACE_EVENTS).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Span name.
-    pub name: String,
-    /// Start offset from the epoch, nanoseconds.
-    pub start_ns: u64,
-    /// Duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Point-in-time copy of every aggregate held by a
-/// [`MemorySink`](crate::MemorySink).
+/// Point-in-time copy of every telemetry aggregate (see
+/// [`snapshot`](crate::snapshot)).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// Monotonic counters by name.
@@ -95,10 +82,6 @@ pub struct Snapshot {
     pub stats: BTreeMap<String, StatSummary>,
     /// Span aggregates by name.
     pub spans: BTreeMap<String, SpanSummary>,
-    /// Recent span occurrences (bounded).
-    pub events: Vec<TraceEvent>,
-    /// Spans whose events were dropped once the log filled up.
-    pub dropped_events: u64,
 }
 
 impl Snapshot {
@@ -132,11 +115,7 @@ impl Snapshot {
     /// * each stat `s` expands to `s_count`, `s_sum`, `s_min`, `s_max`,
     ///   `s_mean` (bounds omitted while empty);
     /// * each span `p` expands to `p_calls`, `p_total_ns`, `p_min_ns`,
-    ///   `p_max_ns`;
-    /// * `telemetry_dropped_events` appears when the trace log overflowed.
-    ///
-    /// Trace events are deliberately excluded: the flat form is for merge
-    /// and diffing, the event log is for the human summary.
+    ///   `p_max_ns`.
     pub fn to_flat_json(&self) -> String {
         let mut entries: Vec<(String, String)> = Vec::new();
         for (name, &value) in &self.counters {
@@ -158,9 +137,6 @@ impl Snapshot {
                 entries.push((format!("{name}_min_ns"), format!("{}", span.min_ns)));
                 entries.push((format!("{name}_max_ns"), format!("{}", span.max_ns)));
             }
-        }
-        if self.dropped_events > 0 {
-            entries.push(("telemetry_dropped_events".into(), format!("{}", self.dropped_events)));
         }
         entries.sort();
         let mut out = String::from("{\n");
@@ -222,9 +198,6 @@ impl Snapshot {
                     s.max_ns as f64 / 1e3,
                 );
             }
-        }
-        if self.dropped_events > 0 {
-            let _ = writeln!(out, "  ({} trace events dropped)", self.dropped_events);
         }
         out
     }

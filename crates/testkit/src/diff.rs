@@ -242,7 +242,7 @@ pub fn check_cluster_instance(pre: &Preprocessed, greedy_gap_limit: f64) -> Resu
     let ilp = fbb_core::IlpAllocator::default()
         .solve(&pre)
         .map_err(|e| format!("ilp hard error: {e}"))?;
-    let greedy = fbb_core::TwoPassHeuristic::default().solve(&pre);
+    let greedy = fbb_core::TwoPassHeuristic.solve(&pre);
 
     match truth {
         Some(best) => {

@@ -233,7 +233,7 @@ fn zero_row_layout() -> Result<(), String> {
     let pre = Preprocessed::builder(3, vec![], vec![])
         .map_err(|e| format!("zero-row tables refused: {e}"))?
         .into_problem(0.05, 2, 100.0);
-    let sol = fbb_core::TwoPassHeuristic::default()
+    let sol = fbb_core::TwoPassHeuristic
         .solve(&pre)
         .map_err(|e| format!("greedy must accept a zero-row layout, got {e}"))?;
     if !sol.assignment.is_empty() || sol.leakage_nw != 0.0 || !sol.meets_timing {
@@ -268,7 +268,7 @@ fn duplicated_constraints(rng: &mut ChaCha8Rng) -> Result<(), String> {
         let ilp = fbb_core::IlpAllocator::default()
             .solve(p)
             .map_err(|e| format!("ilp hard error: {e}"))?;
-        let greedy = fbb_core::TwoPassHeuristic::default().solve(p).ok();
+        let greedy = fbb_core::TwoPassHeuristic.solve(p).ok();
         Ok((ilp.solution.map(|s| s.leakage_nw), greedy.map(|s| s.assignment)))
     };
     let (ilp_a, greedy_a) = solve(&pre)?;

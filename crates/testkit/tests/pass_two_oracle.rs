@@ -65,7 +65,7 @@ proptest! {
         let menu: Vec<usize> = (0..=pre.levels()).filter(|&l| menu_bits >> l & 1 == 1).collect();
         for c in 1..=pre.levels() + 1 {
             pre.max_clusters = c;
-            let heuristic = TwoPassHeuristic::default();
+            let heuristic = TwoPassHeuristic;
             assert_matches_reference(&pre, None, heuristic.solve(&pre))?;
             assert_matches_reference(&pre, Some(&menu), heuristic.solve_restricted(&pre, &menu))?;
         }
@@ -98,7 +98,7 @@ fn pass_two_matches_the_per_budget_reference_on_placed_designs() {
                     .unwrap();
                 for c in 1..=pre.levels() {
                     pre.max_clusters = c;
-                    let heuristic = TwoPassHeuristic::default();
+                    let heuristic = TwoPassHeuristic;
                     assert_matches_reference(&pre, None, heuristic.solve(&pre)).unwrap();
                     assert_matches_reference(
                         &pre,

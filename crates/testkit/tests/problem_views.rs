@@ -59,7 +59,7 @@ proptest! {
                 direct.max_clusters = c;
                 prop_assert_eq!(&view, &direct);
 
-                let heuristic = TwoPassHeuristic::default();
+                let heuristic = TwoPassHeuristic;
                 match (heuristic.solve(&view), heuristic.solve(&direct)) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(a.assignment, b.assignment);

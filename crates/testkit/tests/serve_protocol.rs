@@ -261,7 +261,7 @@ fn huge_cluster_budget_answers_like_c_equals_p() {
     let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
     let levels = db.preprocessed_for(Granularity::Row, 0.05, 1).expect("compiled in").levels();
     let pre = db.preprocessed_for(Granularity::Row, 0.05, levels).expect("compiled in");
-    let local = TwoPassHeuristic::default().solve(&pre).expect("adder is compensable");
+    let local = TwoPassHeuristic.solve(&pre).expect("adder is compensable");
 
     let server = RunningServer::start(1);
     let mut client = server.connect();
@@ -329,7 +329,7 @@ fn shutdown_during_an_inline_solve_still_answers_it() {
     .encode_to_vec();
     let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
     let pre = db.preprocessed_for(Granularity::Row, 0.05, 3).expect("compiled in");
-    let local = TwoPassHeuristic::default().solve(&pre).expect("multiplier is compensable");
+    let local = TwoPassHeuristic.solve(&pre).expect("multiplier is compensable");
 
     // One slot, so nothing else can run the SOLVE: with the queue empty
     // and nothing more from its caller, its reader answers it.
@@ -382,7 +382,7 @@ proptest! {
         let pre = db
             .preprocessed_for(Granularity::Row, 0.05, clusters as usize)
             .expect("beta 0.05 compiled in");
-        let local = TwoPassHeuristic::default().solve(&pre).expect("adder is compensable");
+        let local = TwoPassHeuristic.solve(&pre).expect("adder is compensable");
 
         // The same request through the daemon.
         let server = RunningServer::start(2);

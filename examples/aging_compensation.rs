@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             continue;
         }
         let baseline = single_bb(&pre)?;
-        let sol = TwoPassHeuristic::default().solve(&pre)?;
+        let sol = TwoPassHeuristic.solve(&pre)?;
         println!(
             "{years:>5.1}  {:>8.1}  {:>5.2}  {:>8}  {:>8.1}  {:>11.1}%  {}",
             nbti.vth_shift_mv(years),

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             let pre = FbbProblem::new(&netlist, &placement, &chara, sensed, 3)?
                 .preprocess()?;
-            match TwoPassHeuristic::default().solve(&pre) {
+            match TwoPassHeuristic.solve(&pre) {
                 Ok(sol) => {
                     active = Some((sensed, sol));
                     retunes += 1;

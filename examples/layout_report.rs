@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = FbbProblem::new(&netlist, &placement, &characterization, 0.10, 3)?;
     let pre = problem.preprocess()?;
     let baseline = single_bb(&pre)?;
-    let solution = TwoPassHeuristic::default().solve(&pre)?;
+    let solution = TwoPassHeuristic.solve(&pre)?;
     println!(
         "allocation at beta = 10%: {} clusters, {:.1}% leakage below block-level FBB\n",
         solution.clusters,

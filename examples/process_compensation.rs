@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = FbbProblem::new(&netlist, &placement, &characterization, beta, 3)?;
     let pre = problem.preprocess()?;
     let baseline = single_bb(&pre)?;
-    let solution = TwoPassHeuristic::default().solve(&pre)?;
+    let solution = TwoPassHeuristic.solve(&pre)?;
     println!(
         "allocation: {} clusters, leakage {:.1} nW ({:.1}% below block-level FBB)",
         solution.clusters,

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Solve three ways.
     let baseline = single_bb(&pre)?;
-    let heuristic = TwoPassHeuristic::default().solve(&pre)?;
+    let heuristic = TwoPassHeuristic.solve(&pre)?;
     let ilp = IlpAllocator::default().solve(&pre)?;
     let exact = ilp.solution.expect("small problem solves to optimality");
 

@@ -17,6 +17,9 @@
 #   - lp bench smoke: BENCH_lp.json regenerates and holds the warm-start
 #     iteration-reduction and presolve+cuts node-count reduction (>= 1.3x
 #     on the largest shape) acceptance numbers
+#   - sta/db bench lanes: the sta_engine and db_pipeline benches run and
+#     write every key of BENCH_sta.json and BENCH_db.json, starting from
+#     no file
 #   - MIP-root lane: the `runtime` bin proves c6288 at beta 10%, C = 2
 #     optimal within its 60 s ILP budget (a cell whose root once never
 #     finished its cut rounds)
@@ -50,8 +53,23 @@
 #   - serve lane: a real daemon on an ephemeral port, a 100-request
 #     bench-serve smoke (>=1 cache hit, warm p50 beating the cold CLI),
 #     and a graceful SIGTERM drain (exit 0 + "drained cleanly")
+# The bench lanes and bench-serve rewrite the committed BENCH_*.json
+# snapshots in place; on exit they are put back as the run found them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# One EXIT trap for every lane: scratch files go, a daemon still running is
+# stopped, and the BENCH_*.json snapshots are restored.
+bench_backup=$(mktemp -d /tmp/fbb_bench_backup.XXXXXX)
+cp BENCH_*.json "$bench_backup/"
+tel_json="" sweep_json="" db_dir="" serve_log="" serve_pid=""
+cleanup() {
+    cp "$bench_backup"/BENCH_*.json .
+    rm -rf "$bench_backup" "$db_dir"
+    rm -f "$tel_json" "$sweep_json" "$serve_log"
+    if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
+}
+trap cleanup EXIT
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -133,7 +151,6 @@ fi
 echo "release-safe lane: clean build green, contradictory build rejected"
 
 tel_json=$(mktemp /tmp/fbb_telemetry_smoke.XXXXXX.json)
-trap 'rm -f "$tel_json"' EXIT
 FBB_TELEMETRY="$tel_json" cargo run --release --example quickstart > /dev/null
 python3 - "$tel_json" <<'EOF'
 import json, sys
@@ -159,6 +176,33 @@ nodes = snap["bnb_node_reduction_large"]
 assert nodes >= 1.3, f"presolve+cuts node reduction {nodes} below the 1.3x floor"
 print(f"lp bench smoke: warm iter reduction {reduction:.2f}x, "
       f"node reduction {nodes:.1f}x")
+EOF
+# STA and design-database bench lanes: each bench starts from no snapshot
+# and must write every key of it, so a key it stopped writing shows up here
+# instead of surviving from the committed copy (restored on exit).
+rm -f BENCH_sta.json BENCH_db.json
+cargo bench -p fbb-bench --bench sta_engine > /dev/null
+cargo bench -p fbb-bench --bench db_pipeline > /dev/null
+python3 - <<'EOF'
+import json
+expected = {
+    "BENCH_sta.json": [
+        "sta_gate_count", "sta_full_analyze_ns", "mc_serial_ns", "mc_parallel_ns",
+        "mc_parallel_speedup", "mc_workers_used", "threads", "sta_composed_gate_count",
+        "sta_composed_blocks", "sta_composed_full_analyze_ns", "sta_composed_path_set_ns",
+        "sta_composed_constrained_path_set_ns",
+    ],
+    "BENCH_db.json": [
+        f"db_{design}_{key}" for design in ("c1355", "c3540")
+        for key in ("cold_pipeline_ns", "compile_ns", "warm_solve_ns", "warm_speedup", "bytes")
+    ],
+}
+for path, keys in expected.items():
+    with open(path) as f:
+        snap = json.load(f)
+    assert sorted(snap) == sorted(keys), f"{path} holds {sorted(snap)}, expected {sorted(keys)}"
+    assert all(v > 0 for v in snap.values()), f"{path} has a non-positive value"
+print(f"sta/db bench lanes: {sum(map(len, expected.values()))} keys written")
 EOF
 # MIP-root lane: c6288 at beta 10%, C = 2 is the Table 1 cell whose root
 # cut rounds once stalled in cold re-solves and never reached node 1. The
@@ -237,7 +281,6 @@ EOF
 # CLI smoke: a composed-design sweep must complete warm and write a report
 # whose cells all carry hex objective bits (the difftest currency).
 sweep_json=$(mktemp /tmp/fbb_sweep_check.XXXXXX.json)
-trap 'rm -f "$tel_json" "$sweep_json"' EXIT
 cargo run --release --quiet -- sweep --compose 60000 --betas 0.05 \
     --clusters 2,3 --levels 6 --report "$sweep_json" > /dev/null
 python3 - "$sweep_json" <<'EOF'
@@ -253,7 +296,6 @@ EOF
 # Design-database lane: compile-once -> solve round trip on two Table 1
 # designs, golden-fixture byte comparison, and corrupt-input smoke.
 db_dir=$(mktemp -d /tmp/fbb_db_check.XXXXXX)
-trap 'rm -f "$tel_json" "$sweep_json"; rm -rf "$db_dir"' EXIT
 for design in c1355 c3540; do
     cargo run --release --quiet -- compile --design "$design" \
         -o "$db_dir/$design.fbb" --betas 0.05,0.10 --clusters 3 > /dev/null
@@ -285,8 +327,6 @@ echo "db lane: compile/solve round trips green, goldens decode, truncation rejec
 # reaches the daemon itself), parse its ephemeral port, hammer it with a
 # 100-request bench-serve, then check the graceful-drain contract.
 serve_log=$(mktemp /tmp/fbb_serve_check.XXXXXX.log)
-serve_pid=""
-trap 'rm -f "$tel_json" "$sweep_json" "$serve_log"; rm -rf "$db_dir"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null' EXIT
 ./target/release/fbb serve --addr 127.0.0.1:0 --workers 2 > "$serve_log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do

@@ -368,7 +368,7 @@ fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
     for entry in &db.entries {
         let pre = &entry.pre;
         let tag = format!("{:?} beta={:.4}", entry.granularity, pre.beta);
-        let sol = match TwoPassHeuristic::default().solve(pre) {
+        let sol = match TwoPassHeuristic.solve(pre) {
             Ok(sol) => sol,
             Err(FbbError::Uncompensable { .. }) => {
                 println!("  {tag:<24} uncompensable (oracle skipped)");
@@ -819,7 +819,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         baseline.assignment[0], baseline.leakage_nw
     );
 
-    let mut sol = TwoPassHeuristic::default().solve(&pre).map_err(classify_fbb_error)?;
+    let mut sol = TwoPassHeuristic.solve(&pre).map_err(classify_fbb_error)?;
     if let Some(pct) = arg_value(args, "--cleanup").and_then(|v| v.parse::<f64>().ok()) {
         let raised = sol.reduce_well_separations(&pre, pct);
         eprintln!("cleanup raised {raised} rows (budget {pct}%)");

@@ -34,8 +34,8 @@ fn assert_design_equivalent(name: &str, betas: &[f64]) {
             .unwrap_or_else(|| panic!("{name}: beta {beta} missing from database"));
         assert_eq!(warm, cold, "{name} beta {beta}: pre-processed instances differ");
 
-        let cold_sol = TwoPassHeuristic::default().solve(&cold);
-        let warm_sol = TwoPassHeuristic::default().solve(&warm);
+        let cold_sol = TwoPassHeuristic.solve(&cold);
+        let warm_sol = TwoPassHeuristic.solve(&warm);
         match (cold_sol, warm_sol) {
             (Ok(c), Ok(w)) => {
                 assert_eq!(c.assignment, w.assignment, "{name} beta {beta}: assignments differ");

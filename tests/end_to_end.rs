@@ -36,7 +36,7 @@ fn all_allocators_agree_on_feasibility_and_ordering() {
                 .preprocess()
                 .expect("acyclic");
             let base = single_bb(&pre).expect("compensable");
-            let heur = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+            let heur = TwoPassHeuristic.solve(&pre).expect("feasible");
             let ilp = IlpAllocator::default().solve(&pre).expect("solves");
             let exact = ilp.solution.expect("feasible");
 
@@ -64,7 +64,7 @@ fn solutions_hold_up_under_independent_sta() {
     let beta = 0.08;
     let problem = FbbProblem::new(&nl, &placement, &chara, beta, 3).expect("valid");
     let pre = problem.preprocess().expect("acyclic");
-    let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+    let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
 
     let graph = TimingGraph::new(&nl).expect("acyclic");
     // Note: preprocess() applies a deterministic per-instance jitter; the
@@ -75,7 +75,7 @@ fn solutions_hold_up_under_independent_sta() {
         .with_instance_jitter(0.0)
         .preprocess()
         .expect("acyclic");
-    let sol2 = TwoPassHeuristic::default().solve(&pre_nojitter).expect("feasible");
+    let sol2 = TwoPassHeuristic.solve(&pre_nojitter).expect("feasible");
     let nominal: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
     let dcrit = graph.analyze(&nominal).dcrit_ps();
     let tuned: Vec<f64> = nominal
@@ -110,7 +110,7 @@ fn uncompensable_slowdown_is_reported_not_mis_solved() {
     let (oracle_path, oracle_shortfall) = enumerate::uncompensable_reason(&pre)
         .expect("beta=0.25 exceeds what the ladder can recover on the adder");
 
-    for result in [single_bb(&pre), TwoPassHeuristic::default().solve(&pre)] {
+    for result in [single_bb(&pre), TwoPassHeuristic.solve(&pre)] {
         match result {
             Ok(sol) => panic!("uncompensable design mis-solved by {}", sol.algorithm),
             Err(FbbError::Uncompensable { beta, worst_path, shortfall_ps }) => {
@@ -139,7 +139,7 @@ fn layout_analysis_accepts_all_solutions() {
         .expect("valid")
         .preprocess()
         .expect("acyclic");
-    let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+    let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
     let analysis =
         layout::analyze(&placement, chara.ladder(), &sol.assignment, &LayoutOptions::default())
             .expect("C<=3 solutions satisfy the 2-voltage layout rule");

@@ -34,7 +34,7 @@ fn savings(nl: &Netlist, p: &Placement, chara: &Characterization, beta: f64, c: 
         .preprocess()
         .expect("acyclic");
     let base = single_bb(&pre).expect("compensable");
-    let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+    let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
     assert!(sol.meets_timing);
     sol.savings_vs(&base)
 }
@@ -109,7 +109,7 @@ fn golden_snapshot(name: &str) -> String {
         .preprocess()
         .expect("acyclic");
     let base = single_bb(&pre).expect("compensable");
-    let sol = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+    let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
     assert!(sol.meets_timing);
     format!(
         "{{\n  \"design\": \"{name}\",\n  \"beta\": 0.05,\n  \"max_clusters\": 3,\n  \

@@ -35,7 +35,7 @@ fn instrumented_pipeline(threads: &str) -> Snapshot {
         .expect("valid")
         .preprocess()
         .expect("acyclic");
-    let heur = TwoPassHeuristic::default().solve(&pre).expect("feasible");
+    let heur = TwoPassHeuristic.solve(&pre).expect("feasible");
     let ilp = IlpAllocator::default().solve(&pre).expect("solves");
     let exact = ilp.solution.expect("feasible");
     assert!(exact.leakage_nw <= heur.leakage_nw + 1e-6);
