@@ -137,6 +137,26 @@ pub fn workspace_file(name: &str) -> PathBuf {
 mod tests {
     use super::*;
 
+    /// A directory of one test's own, named from the process id and the
+    /// test name, so checkouts testing at once never share one; removed
+    /// with everything in it when the guard drops, failed tests included.
+    struct ScratchDir(PathBuf);
+
+    impl ScratchDir {
+        fn new(test: &str) -> ScratchDir {
+            let dir = std::env::temp_dir()
+                .join(format!("fbb_bench_report_test_{}_{test}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            ScratchDir(dir)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
     #[test]
     fn set_get_roundtrip_and_overwrite() {
         let mut r = BenchReport::new();
@@ -150,9 +170,8 @@ mod tests {
 
     #[test]
     fn json_save_load_merges() {
-        let dir = std::env::temp_dir().join("fbb_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
+        let dir = ScratchDir::new("json_save_load_merges");
+        let path = dir.0.join("snap.json");
         let mut first = BenchReport::new();
         first.set("full_ns", 1234.5);
         first.set("inc_ns", 100.125);
@@ -166,7 +185,6 @@ mod tests {
         let third = BenchReport::load(&path);
         assert!(third.get("inc_ns").is_some(), "untouched key survives merge");
         assert_eq!(third.get("speedup"), Some(12.0));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -189,9 +207,8 @@ mod tests {
         span.observe(1_000);
         snap.spans.insert("ilp_solve".into(), span);
 
-        let dir = std::env::temp_dir().join("fbb_bench_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("telemetry_compat.json");
+        let dir = ScratchDir::new("telemetry_snapshot_parses_as_bench_report");
+        let path = dir.0.join("telemetry_compat.json");
         snap.save_flat_json(&path).unwrap();
 
         let report = BenchReport::load(&path);
@@ -209,7 +226,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

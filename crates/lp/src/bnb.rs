@@ -37,6 +37,19 @@
 //! the node closes as pruned (`bnb_nodes_cut_off`) without a primal finish
 //! pass, a basis snapshot or a pseudocost observation. Root cut rounds,
 //! strong-branch probes and cold solves run without one.
+//!
+//! Reduced-cost fixing (DESIGN.md §5f) pins the integer columns the
+//! incumbent already rules out. An integer column nonbasic at a bound of an
+//! optimal relaxation with objective `z` and reduced cost `d_j` cannot move
+//! off that bound without raising the objective to `z + |d_j|`; once that
+//! reaches the prune threshold plus [`FIX_MARGIN`], the column is pinned at
+//! its bound for every node that relaxation covers. Node 1's objective and
+//! reduced costs are kept, and pin the root box once node 1 has solved and
+//! again at the first pop after every incumbent improvement
+//! (`bnb_vars_fixed_root`). Every other branching node
+//! pins its own box before strong branching and hands the pins to both
+//! children (`bnb_vars_fixed_node`). Node changes intersect the root box,
+//! so a root pin also binds nodes queued before it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,7 +63,7 @@ use crate::cuts::{self, Cut, CutKind, StructureHints};
 use crate::model::VarKind;
 use crate::presolve::{self, Presolved};
 use crate::revised::{Basis, SolveOutcome, SparseEngine};
-use crate::simplex::LpStatus;
+use crate::simplex::{LpStatus, VarStatus};
 use crate::{LpError, Model};
 
 /// Separation rounds at the root before the tree starts.
@@ -186,9 +199,10 @@ struct BranchInfo {
 
 struct Node {
     bound: f64,
-    /// Branching bound changes from the root, oldest first, as
-    /// `(var, lower, upper)`; a later change of the same variable overrides
-    /// an earlier one.
+    /// Bound changes from the root as `(var, lower, upper)`: branching
+    /// steps and reduced-cost pins. The tree intersects each with the root
+    /// box (the larger lower, the smaller upper), so no change loosens a
+    /// bound, a root pin made after the node was queued included.
     changes: Vec<(usize, f64, f64)>,
     /// Parent's optimal basis, shared by both siblings; at the root, the
     /// last root cut round's. `None` when there is none (no cut round ran,
@@ -351,8 +365,10 @@ fn branch_and_bound(
         }
     }
 
-    let root_lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
-    let root_upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
+    // The root box: the model's bounds, narrowed by root reduced-cost pins
+    // once node 1 has solved.
+    let mut root_lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
+    let mut root_upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
 
     let mut tel_warm = WarmTally::default();
 
@@ -454,6 +470,11 @@ fn branch_and_bound(
     let mut tel_cut_rechecks = 0u64;
     let mut tel_probes = 0u64;
     let mut tel_pc_branches = 0u64;
+    let mut tel_fixed_root = 0u64;
+    let mut tel_fixed_node = 0u64;
+    // Node 1's objective and fixable columns, kept to pin the root box
+    // again whenever the incumbent improves.
+    let mut root_fixing: Option<Fixing> = None;
 
     while let Some(node) = heap.pop() {
         if best_obj.is_finite() && node.bound.is_finite() {
@@ -482,11 +503,15 @@ fn branch_and_bound(
             }
         }
         nodes += 1;
+        if let Some(root) = root_fixing.as_mut() {
+            // A no-op unless the incumbent improved since the last pop.
+            tel_fixed_root += root.pin(best_obj, &mut root_lower, &mut root_upper).len() as u64;
+        }
         lower.copy_from_slice(&root_lower);
         upper.copy_from_slice(&root_upper);
         for &(j, lo, up) in &node.changes {
-            lower[j] = lo;
-            upper[j] = up;
+            lower[j] = lower[j].max(lo);
+            upper[j] = upper[j].min(up);
         }
 
         let deadline = clock.deadline_after(options.time_limit);
@@ -553,109 +578,126 @@ fn branch_and_bound(
             continue; // dominated
         }
 
-        // Fractional integer variables.
-        let frac_var = if options.pseudocost {
-            let cands = fractional_candidates(model, &int_vars, &relax.x, options.int_tol);
-            if cands.is_empty() {
-                None
-            } else {
-                if nodes <= STRONG_BRANCH_NODES && options.warm_start {
-                    if let Some(basis) = relax_basis.as_ref() {
-                        strong_branch_probes(
-                            &mut engine,
-                            &mut pc,
-                            &cands,
-                            &relax.x,
-                            relax.objective,
-                            &lower,
-                            &upper,
-                            clock,
-                            options.time_limit,
-                            basis,
-                            &mut tel_probes,
-                        )?;
-                    }
-                }
-                tel_pc_branches += 1;
-                let scorer = pc.scorer();
-                cands
-                    .iter()
-                    .copied()
-                    .max_by(|a, b| {
-                        let (sa, sb) = (scorer.score(a.0, a.1), scorer.score(b.0, b.1));
-                        sa.total_cmp(&sb).then(b.0.cmp(&a.0))
-                    })
-                    .map(|(j, _)| j)
+        // Fractional integer variables of the top branching-priority class.
+        let cands = fractional_candidates(model, &int_vars, &relax.x, options.int_tol);
+        if cands.is_empty() {
+            // Integer feasible.
+            let mut x = relax.x.clone();
+            for &j in &int_vars {
+                x[j] = x[j].round();
             }
-        } else {
-            pick_branch_var(model, &int_vars, &relax.x, options.int_tol)
-        };
-        match frac_var {
-            None => {
-                // Integer feasible.
-                let mut x = relax.x.clone();
-                for &j in &int_vars {
-                    x[j] = x[j].round();
+            let obj = model.objective_value(&x);
+            if obj < best_obj {
+                best_obj = obj;
+                best_x = Some(x);
+                tel_incumbents += 1;
+            }
+            continue;
+        }
+
+        // Reduced-cost fixing (DESIGN.md §5f), before strong branching so
+        // that its probes see the pinned box. Node 1's pins go into the
+        // root box, which every later node starts from; another node's go
+        // into its own box and both children's changes.
+        let mut node_pins: Vec<(usize, f64, f64)> = Vec::new();
+        if nodes == 1 || best_obj.is_finite() {
+            let fixable = fixable_columns(&int_vars, &engine.reduced_costs(), &lower, &upper);
+            let mut fixing = Fixing::new(relax.objective, fixable);
+            if nodes == 1 {
+                tel_fixed_root +=
+                    fixing.pin(best_obj, &mut root_lower, &mut root_upper).len() as u64;
+                lower.copy_from_slice(&root_lower);
+                upper.copy_from_slice(&root_upper);
+                root_fixing = Some(fixing);
+            } else {
+                let pinned = fixing.pin(best_obj, &mut lower, &mut upper);
+                node_pins.extend(pinned.iter().map(|f| (f.var, f.value, f.value)));
+                tel_fixed_node += node_pins.len() as u64;
+            }
+        }
+
+        let j = if options.pseudocost {
+            if nodes <= STRONG_BRANCH_NODES && options.warm_start {
+                if let Some(basis) = relax_basis.as_ref() {
+                    strong_branch_probes(
+                        &mut engine,
+                        &mut pc,
+                        &cands,
+                        &relax.x,
+                        relax.objective,
+                        &lower,
+                        &upper,
+                        clock,
+                        options.time_limit,
+                        basis,
+                        &mut tel_probes,
+                    )?;
                 }
-                let obj = model.objective_value(&x);
+            }
+            tel_pc_branches += 1;
+            let scorer = pc.scorer();
+            cands
+                .iter()
+                .copied()
+                .max_by(|a, b| {
+                    let (sa, sb) = (scorer.score(a.0, a.1), scorer.score(b.0, b.1));
+                    sa.total_cmp(&sb).then(b.0.cmp(&a.0))
+                })
+                .map_or(cands[0].0, |(j, _)| j)
+        } else {
+            most_fractional(&cands, &relax.x)
+        };
+        // Rounding probe: cheap chance at an incumbent.
+        if best_x.is_none() {
+            let mut probe = relax.x.clone();
+            for &k in &int_vars {
+                probe[k] = probe[k].round().clamp(lower[k], upper[k]);
+            }
+            if model.is_feasible(&probe, 1e-6) {
+                let obj = model.objective_value(&probe);
                 if obj < best_obj {
                     best_obj = obj;
-                    best_x = Some(x);
+                    best_x = Some(probe);
                     tel_incumbents += 1;
                 }
             }
-            Some(j) => {
-                // Rounding probe: cheap chance at an incumbent.
-                if best_x.is_none() {
-                    let mut probe = relax.x.clone();
-                    for &k in &int_vars {
-                        probe[k] = probe[k].round().clamp(lower[k], upper[k]);
-                    }
-                    if model.is_feasible(&probe, 1e-6) {
-                        let obj = model.objective_value(&probe);
-                        if obj < best_obj {
-                            best_obj = obj;
-                            best_x = Some(probe);
-                            tel_incumbents += 1;
-                        }
-                    }
-                }
-                tel_branches += 1;
-                let xv = relax.x[j];
-                let frac = xv - xv.floor();
-                let inherited = relax_basis.map(Rc::new);
-                let child_changes = |change: (usize, f64, f64)| {
-                    let mut changes = Vec::with_capacity(node.changes.len() + 1);
-                    changes.extend_from_slice(&node.changes);
-                    changes.push(change);
-                    changes
-                };
-                let down = Node {
-                    bound: relax.objective,
-                    changes: child_changes((j, lower[j], xv.floor())),
-                    basis: inherited.clone(),
-                    branch: Some(BranchInfo {
-                        var: j,
-                        up: false,
-                        dist: frac,
-                        parent_obj: relax.objective,
-                    }),
-                };
-                let up = Node {
-                    bound: relax.objective,
-                    changes: child_changes((j, xv.ceil(), upper[j])),
-                    basis: inherited,
-                    branch: Some(BranchInfo {
-                        var: j,
-                        up: true,
-                        dist: 1.0 - frac,
-                        parent_obj: relax.objective,
-                    }),
-                };
-                heap.push(down);
-                heap.push(up);
-            }
         }
+        tel_branches += 1;
+        let xv = relax.x[j];
+        let frac = xv - xv.floor();
+        let inherited = relax_basis.map(Rc::new);
+        let child_changes = |change: (usize, f64, f64)| {
+            let mut changes =
+                Vec::with_capacity(node.changes.len() + node_pins.len() + 1);
+            changes.extend_from_slice(&node.changes);
+            changes.extend_from_slice(&node_pins);
+            changes.push(change);
+            changes
+        };
+        let down = Node {
+            bound: relax.objective,
+            changes: child_changes((j, lower[j], xv.floor())),
+            basis: inherited.clone(),
+            branch: Some(BranchInfo {
+                var: j,
+                up: false,
+                dist: frac,
+                parent_obj: relax.objective,
+            }),
+        };
+        let up = Node {
+            bound: relax.objective,
+            changes: child_changes((j, xv.ceil(), upper[j])),
+            basis: inherited,
+            branch: Some(BranchInfo {
+                var: j,
+                up: true,
+                dist: 1.0 - frac,
+                parent_obj: relax.objective,
+            }),
+        };
+        heap.push(down);
+        heap.push(up);
     }
 
     // Final bound bookkeeping. A proven finish pins the bound to the
@@ -710,6 +752,8 @@ fn branch_and_bound(
         fbb_telemetry::counter("bnb_cut_child_rechecks", tel_cut_rechecks);
         fbb_telemetry::counter("bnb_strong_branch_probes", tel_probes);
         fbb_telemetry::counter("bnb_pseudocost_branches", tel_pc_branches);
+        fbb_telemetry::counter("bnb_vars_fixed_root", tel_fixed_root);
+        fbb_telemetry::counter("bnb_vars_fixed_node", tel_fixed_node);
         fbb_telemetry::record("bnb_open_nodes", heap.len() as f64);
         fbb_telemetry::record("bnb_gap", solution.gap());
     }
@@ -838,24 +882,103 @@ fn strong_branch_probes(
     Ok(())
 }
 
-/// Chooses the branching variable: highest priority class first, then most
-/// fractional. The pre-pseudocost rule, kept as the `pseudocost: false`
-/// baseline.
-fn pick_branch_var(model: &Model, int_vars: &[usize], x: &[f64], tol: f64) -> Option<usize> {
-    let mut best: Option<(i32, f64, usize)> = None;
-    for &j in int_vars {
-        let frac = (x[j] - x[j].round()).abs();
-        if frac <= tol {
-            continue;
-        }
+/// Chooses the branching variable among the top-priority fractional
+/// candidates (`cands` is non-empty): the most fractional, the first on a
+/// tie. The pre-pseudocost rule, kept as the `pseudocost: false` baseline.
+fn most_fractional(cands: &[(usize, f64)], x: &[f64]) -> usize {
+    let mut best: Option<(f64, usize)> = None;
+    for &(j, _) in cands {
         let dist = 0.5 - (x[j].fract().abs() - 0.5).abs(); // closeness to .5
-        let prio = model.vars[j].priority;
         match best {
-            Some((bp, bd, _)) if (prio, dist) <= (bp, bd) => {}
-            _ => best = Some((prio, dist, j)),
+            Some((bd, _)) if dist <= bd => {}
+            _ => best = Some((dist, j)),
         }
     }
-    best.map(|(_, _, j)| j)
+    best.map_or(cands[0].0, |(_, j)| j)
+}
+
+/// How far above the prune threshold `z + |d_j|` must reach before
+/// reduced-cost fixing pins column `j` (objective units: nW in the FBB
+/// model).
+const FIX_MARGIN: f64 = 1e-6;
+
+/// An integer column that sits nonbasic at an integral bound of a node's
+/// box in the node's optimal relaxation, with a reduced cost that prices
+/// moving it off that bound.
+struct Fixable {
+    /// `|d_j|`: moving the column off its bound (by at least 1, as it is
+    /// integer) raises the objective of every point of the relaxation by
+    /// at least this much.
+    gain: f64,
+    var: usize,
+    /// The bound it sits at, where a pin holds it.
+    value: f64,
+}
+
+/// The integer columns of `costs` ([`SparseEngine::reduced_costs`] after an
+/// optimal solve over the box `lower`/`upper`) that are not yet fixed and
+/// sit at their lower bound with `d_j > 0` or at their upper bound with
+/// `d_j < 0`.
+fn fixable_columns(
+    int_vars: &[usize],
+    costs: &[(VarStatus, f64)],
+    lower: &[f64],
+    upper: &[f64],
+) -> Vec<Fixable> {
+    let mut out = Vec::new();
+    for &j in int_vars {
+        if lower[j] >= upper[j] {
+            continue;
+        }
+        let (status, d) = costs[j];
+        let value = match status {
+            VarStatus::AtLower if d > 0.0 => lower[j],
+            VarStatus::AtUpper if d < 0.0 => upper[j],
+            _ => continue,
+        };
+        if value.is_finite() && value == value.round() {
+            out.push(Fixable { gain: d.abs(), var: j, value });
+        }
+    }
+    out
+}
+
+/// One optimal relaxation's objective and fixable columns, largest gain
+/// first, with the box they pin: the root box for node 1 (kept for the
+/// whole tree), a node's own box otherwise. The incumbent only improves,
+/// so the columns that qualify only grow, always from the front of the
+/// list.
+struct Fixing {
+    objective: f64,
+    cols: Vec<Fixable>,
+    /// Columns at the front of `cols` already pinned.
+    pinned: usize,
+}
+
+impl Fixing {
+    fn new(objective: f64, mut cols: Vec<Fixable>) -> Fixing {
+        cols.sort_by(|a, b| b.gain.total_cmp(&a.gain).then(a.var.cmp(&b.var)));
+        Fixing { objective, cols, pinned: 0 }
+    }
+
+    /// Pins, in `lower`/`upper`, every column whose gain lifts the
+    /// relaxation's objective to the prune threshold of `best_obj` plus
+    /// [`FIX_MARGIN`], and returns the columns it newly pinned. Nothing
+    /// qualifies without an incumbent.
+    fn pin(&mut self, best_obj: f64, lower: &mut [f64], upper: &mut [f64]) -> &[Fixable] {
+        let start = self.pinned;
+        if let Some(t) = prune_threshold(best_obj) {
+            while let Some(f) = self.cols.get(self.pinned) {
+                if self.objective + f.gain < t + FIX_MARGIN {
+                    break;
+                }
+                lower[f.var] = f.value;
+                upper[f.var] = f.value;
+                self.pinned += 1;
+            }
+        }
+        &self.cols[start..self.pinned]
+    }
 }
 
 #[cfg(test)]

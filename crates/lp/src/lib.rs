@@ -18,7 +18,9 @@
 //!   dual-simplex warm starts: each child node re-optimizes from its
 //!   parent's basis instead of running two-phase from scratch, and once
 //!   there is an incumbent it stops as soon as its bound passes it, so a
-//!   dominated node closes without finishing its relaxation. On top of
+//!   dominated node closes without finishing its relaxation, and
+//!   reduced-cost fixing pins the integer columns whose move off their
+//!   bound the incumbent already rules out. On top of
 //!   the tree sit a transforming [`presolve`](mod@presolve) with a
 //!   bit-exact [`PostsolveMap`], root cutting planes from the FBB ILP
 //!   structure ([`cuts`]), and pseudocost branching seeded by strong-branch

@@ -630,6 +630,29 @@ impl SparseEngine {
         }
     }
 
+    /// Each structural column's status and reduced cost `c_j − a_jᵀy` in
+    /// the basis the last solve left, priced from fresh duals under the
+    /// phase-2 costs: one BTRAN and one row-wise `Aᵀy` pass, as
+    /// [`Self::refresh_reduced_costs`] prices. Read right after an
+    /// [`LpStatus::Optimal`] solve, every nonbasic, non-fixed column
+    /// carries its dual-feasible sign within [`TOL`]: `d_j ≥ −TOL` at its
+    /// lower bound, `d_j ≤ TOL` at its upper bound. Reduced-cost fixing in
+    /// branch & bound reads it; no solve path calls it.
+    pub fn reduced_costs(&mut self) -> Vec<(VarStatus, f64)> {
+        let c = self.phase2_cost();
+        let (y, _) = self.duals(&c);
+        self.rows.scatter_transpose(&y, &mut self.row_acc);
+        let mut out = Vec::with_capacity(self.n);
+        for (j, &cj) in c.iter().enumerate() {
+            // Drain every entry: the accumulator must stay all zero.
+            let aty = std::mem::take(&mut self.row_acc[j]);
+            if j < self.n {
+                out.push((self.status[j], cj - aty));
+            }
+        }
+        out
+    }
+
     /// Objective of the current basic solution under `c`: the basics at
     /// their values, primal infeasible ones included, and every other
     /// column at its bound. On a dual feasible basis it is the dual
@@ -1392,6 +1415,72 @@ mod tests {
             pivots += taken;
         }
         assert!(pivots > 100, "the dual must actually pivot ({pivots} pivots)");
+    }
+
+    /// Checks [`SparseEngine::reduced_costs`] right after an optimal solve:
+    /// one entry per structural column, its status the engine's, its
+    /// reduced cost the bits of a fresh column-wise `c_j − a_j·y`, and every
+    /// nonbasic, non-fixed column dual feasible at its bound within `TOL`.
+    /// Returns how many nonbasic columns priced strictly away from zero.
+    fn check_reduced_costs(engine: &mut SparseEngine) -> usize {
+        let reported = engine.reduced_costs();
+        assert_eq!(reported.len(), engine.n);
+        let c = engine.phase2_cost();
+        let (y, y_nonzero) = engine.duals(&c);
+        let mut priced = 0;
+        for (j, &(status, d)) in reported.iter().enumerate() {
+            assert_eq!(status, engine.status[j], "column {j}");
+            let fresh = engine.reduced_cost(j, &c, &y, y_nonzero);
+            assert_eq!(d.to_bits(), fresh.to_bits(), "column {j}: {d} vs fresh {fresh}");
+            if matches!(status, VarStatus::Basic(_)) || engine.is_fixed(j) {
+                continue;
+            }
+            let feasible = match status {
+                VarStatus::AtLower => d >= -TOL,
+                VarStatus::AtUpper => d <= TOL,
+                _ => d.abs() <= TOL,
+            };
+            assert!(feasible, "column {j} at {status:?} prices {d}");
+            priced += usize::from(d.abs() > TOL);
+        }
+        priced
+    }
+
+    #[test]
+    fn reported_reduced_costs_are_fresh_and_dual_feasible() {
+        // Every unit model at its root optimum, then each box solved warm
+        // from the root basis and cold: the nudged boxes everywhere, plus
+        // seeded random boxes on the chain model.
+        let (mut solves, mut priced) = (0, 0);
+        let models = [
+            (textbook_lp(), 0),
+            (covering_lp(), 0),
+            (knapsack_relaxation(), 0),
+            (chain_model(80), 200),
+        ];
+        for (model, random) in models {
+            let (lo, up) = bounds_of(&model);
+            let mut engine = SparseEngine::new(&model);
+            let root = engine.solve_cold(&lo, &up, None).unwrap();
+            assert_eq!(root.solution.status, LpStatus::Optimal);
+            priced += check_reduced_costs(&mut engine);
+            let basis = root.basis.unwrap();
+            let mut boxes = nudged_boxes(&lo, &up, &root.solution.x);
+            boxes.extend(random_boxes(&lo, &up, random));
+            for (l, u) in &boxes {
+                let warm = engine.solve_warm(l, u, None, &basis, None).unwrap();
+                if warm.is_some_and(|out| out.solution.status == LpStatus::Optimal) {
+                    priced += check_reduced_costs(&mut engine);
+                    solves += 1;
+                }
+                if engine.solve_cold(l, u, None).unwrap().solution.status == LpStatus::Optimal {
+                    priced += check_reduced_costs(&mut engine);
+                    solves += 1;
+                }
+            }
+        }
+        assert!(solves > 400, "only {solves} optimal box solves were checked");
+        assert!(priced > 0, "no nonbasic column priced away from zero");
     }
 
     /// Bit-level equality of two warm solves: verdict, cutoff flag,

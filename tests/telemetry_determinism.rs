@@ -71,6 +71,8 @@ fn snapshots_are_deterministic() {
         "lp_simplex_solves",
         "lp_simplex_iterations",
         "bnb_nodes_explored",
+        "bnb_vars_fixed_root",
+        "bnb_vars_fixed_node",
         "ilp_solves",
         "ilp_constraints",
         "core_pass_one_scans",
