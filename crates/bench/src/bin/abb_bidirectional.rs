@@ -8,17 +8,17 @@
 //! cargo run -p fbb-bench --release --bin abb_bidirectional [-- --design c3540 --dies 60]
 //! ```
 
-use fbb_bench::{arg_value, prepare_design};
+use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_device::rbb::RbbModel;
 use fbb_netlist::GateId;
 use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let dies: usize = arg_value(&args, "--dies").and_then(|v| v.parse().ok()).unwrap_or(60);
+    let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(60);
 
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
@@ -104,4 +104,5 @@ fn main() {
         "\nRBB is capped at its BTBT optimum ({}): past it, reverse bias leaks MORE (paper section 3.2)",
         rbb.optimal_bias(50)
     );
+    Ok(())
 }

@@ -8,21 +8,17 @@
 //! cargo run -p fbb-bench --release --bin area_overhead [-- --layout --design c5315]
 //! ```
 
-use fbb_bench::{arg_flag, arg_value, format_row, prepare_design};
+use fbb_bench::{arg_flag, arg_parse, arg_value, format_row, prepare_design, ArgError};
 use fbb_core::{single_bb, TwoPassHeuristic};
-use fbb_placement::layout::{self, LayoutOptions};
+use fbb_placement::layout;
 
 // `--cleanup PCT` applies the well-separation cleanup post-pass (an
 // extension beyond the paper) with a PCT% leakage budget before analysis.
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let show_layout = arg_flag(&args, "--layout");
-    let cleanup: Option<f64> = if arg_flag(&args, "--cleanup") {
-        Some(arg_value(&args, "--cleanup").and_then(|v| v.parse().ok()).unwrap_or(3.0))
-    } else {
-        None
-    };
+    let cleanup: Option<f64> = arg_parse(&args, "--cleanup")?;
     let only: Option<String> = arg_value(&args, "--design");
     let designs: Vec<String> = only.map(|d| vec![d]).unwrap_or_else(|| {
         ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
@@ -30,7 +26,6 @@ fn main() {
             .to_vec()
     });
 
-    let opts = LayoutOptions::default();
     let widths = [14usize, 5, 9, 10, 12, 11, 10];
     println!(
         "{}",
@@ -61,7 +56,6 @@ fn main() {
                 &design.placement,
                 design.characterization.ladder(),
                 &sol.assignment,
-                &opts,
             )
             .expect("solution respects the layout limits");
             println!(
@@ -86,7 +80,6 @@ fn main() {
                     &design.placement,
                     design.characterization.ladder(),
                     &sol.assignment,
-                    &opts,
                 )
                 .expect("solution respects the layout limits");
                 println!("{art}");
@@ -94,4 +87,5 @@ fn main() {
         }
     }
     println!("\npaper: well-separation area increase always below 5%; <= ~6% row utilization");
+    Ok(())
 }

@@ -7,13 +7,13 @@
 //! cargo run -p fbb-bench --release --bin cluster_sweep [-- --design c5315 --beta 0.05]
 //! ```
 
-use fbb_bench::{arg_value, format_row, prepare_design};
+use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, ArgError};
 use fbb_core::{single_bb, TwoPassHeuristic};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c5315".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
+    let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.05);
 
     let design = prepare_design(&name);
     println!("{name} @ beta = {:.0}%: heuristic savings vs single BB\n", beta * 100.0);
@@ -47,4 +47,5 @@ fn main() {
         );
     }
     println!("\npaper: sweeping C = 2..11 on c5315 gained only +2.56% savings");
+    Ok(())
 }

@@ -4,13 +4,13 @@
 //! constraints, per-row criticality, and the solutions' assignments —
 //! used to sanity-check that generated benchmarks have paper-like structure.
 
-use fbb_bench::{arg_value, prepare_design, run_allocation};
+use fbb_bench::{arg_parse, arg_value, prepare_design, run_allocation, ArgError};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let c: usize = arg_value(&args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.05);
+    let c: usize = arg_parse(&args, "--clusters")?.unwrap_or(3);
 
     let design = prepare_design(&name);
     let pre = design.preprocess(beta, c);
@@ -55,4 +55,5 @@ fn main() {
     let leak: Vec<String> =
         (0..pre.n_rows()).map(|r| format!("{:.0}", pre.row_leakage(r)[0])).collect();
     println!("row NBB leakage: {leak:?}");
+    Ok(())
 }

@@ -8,17 +8,16 @@
 //! cargo run -p fbb-bench --release --bin granularity [-- --design c3540 --beta 0.10]
 //! ```
 
-use fbb_bench::{arg_value, format_row, prepare_design};
+use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, ArgError};
 use fbb_core::{single_bb, FbbProblem, Granularity, TwoPassHeuristic};
-use fbb_placement::layout::{self, LayoutOptions};
+use fbb_placement::layout;
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.10);
+    let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.10);
 
     let design = prepare_design(&name);
-    let opts = LayoutOptions::default();
     println!(
         "{name} @ beta = {:.0}%, C = 3: clustering granularity comparison\n",
         beta * 100.0
@@ -60,7 +59,6 @@ fn main() {
                     &design.placement,
                     design.characterization.ladder(),
                     &sol.assignment,
-                    &opts,
                 )
                 .expect("row solutions satisfy the layout rule");
                 ("row".to_owned(), a.area_overhead_pct(), a.well_separations)
@@ -70,7 +68,6 @@ fn main() {
                     &design.placement,
                     design.characterization.ladder(),
                     &sol.assignment,
-                    &opts,
                 )
                 .expect("assignment covers every gate");
                 (
@@ -99,4 +96,5 @@ fn main() {
         "\npaper (section 2): gate-level clustering can tune finer but its area\n\
          overhead 'becomes very large'; a row needs no internal well separation"
     );
+    Ok(())
 }

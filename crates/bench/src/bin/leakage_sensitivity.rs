@@ -7,16 +7,16 @@
 //! cargo run -p fbb-bench --release --bin leakage_sensitivity [-- --design c5315]
 //! ```
 
-use fbb_bench::{arg_value, format_row};
+use fbb_bench::{arg_parse, arg_value, format_row, ArgError};
 use fbb_core::{single_bb, FbbProblem, TwoPassHeuristic};
 use fbb_device::{BiasLadder, BiasVoltage, BodyBiasModel, Library};
 use fbb_netlist::suite;
 use fbb_placement::{Placer, PlacerOptions};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c5315".into());
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.10);
+    let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.10);
 
     let netlist = suite::generate(&name).expect("table 1 design");
     let stats = suite::PAPER_TABLE1.iter().find(|s| s.name == name).expect("table 1 design");
@@ -68,4 +68,5 @@ fn main() {
     }
     println!("\nsavings grow with the leakage exponent: the steeper the exponential,");
     println!("the more a row saved from full bias is worth — the paper's core premise");
+    Ok(())
 }

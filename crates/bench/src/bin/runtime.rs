@@ -10,22 +10,21 @@
 
 use std::time::{Duration, Instant};
 
-use fbb_bench::{arg_value, format_row, prepare_design, run_allocation};
+use fbb_bench::{
+    arg_list, arg_parse, arg_seconds, format_row, prepare_design, run_allocation, ArgError,
+};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let beta: f64 = arg_value(&args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.10);
-    let c: usize = arg_value(&args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let limit = Duration::from_secs_f64(
-        arg_value(&args, "--ilp-time-limit").and_then(|v| v.parse().ok()).unwrap_or(60.0),
-    );
-    let designs: Vec<String> = arg_value(&args, "--designs")
-        .map(|v| v.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| {
-            ["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
-                .map(str::to_owned)
-                .to_vec()
-        });
+    let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.10);
+    let c: usize = arg_parse(&args, "--clusters")?.unwrap_or(2);
+    let limit = arg_seconds(&args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(60));
+    let designs: Vec<String> = arg_list(
+        &args,
+        "--designs",
+        &["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
+            .map(str::to_owned),
+    )?;
 
     let widths = [14usize, 6, 12, 12, 10, 10, 9];
     println!(
@@ -75,4 +74,5 @@ fn main() {
         "\npaper: ILP runtime comparable on small designs, >1000x slower on large ones;\n\
          Industrial2/3 did not converge within the time budget"
     );
+    Ok(())
 }

@@ -12,17 +12,17 @@
 //! cargo run -p fbb-bench --release --bin ssta_vs_tuning [-- --design c3540 --dies 40]
 //! ```
 
-use fbb_bench::{arg_value, prepare_design};
+use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_netlist::GateId;
 use fbb_sta::ssta::CanonicalDelay;
 use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let dies: usize = arg_value(&args, "--dies").and_then(|v| v.parse().ok()).unwrap_or(40);
+    let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(40);
 
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
@@ -123,4 +123,5 @@ fn main() {
         "\nthe trade (paper section 1): margining taxes every die's clock; tuning\n\
          keeps the nominal clock and pays leakage only where the silicon is slow"
     );
+    Ok(())
 }

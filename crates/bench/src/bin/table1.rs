@@ -15,17 +15,16 @@
 
 use std::time::Duration;
 
-use fbb_bench::{arg_flag, arg_value, format_row, prepare_design, run_allocation};
+use fbb_bench::{
+    arg_flag, arg_list, arg_seconds, format_row, prepare_design, run_allocation, ArgError,
+};
 use fbb_netlist::suite;
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let designs: Vec<String> = arg_value(&args, "--designs")
-        .map(|v| v.split(',').map(str::to_owned).collect())
-        .unwrap_or_else(|| suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect());
-    let time_limit = Duration::from_secs_f64(
-        arg_value(&args, "--ilp-time-limit").and_then(|v| v.parse().ok()).unwrap_or(120.0),
-    );
+    let paper: Vec<String> = suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect();
+    let designs = arg_list(&args, "--designs", &paper)?;
+    let time_limit = arg_seconds(&args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(120));
     let no_ilp = arg_flag(&args, "--no-ilp");
     let force_ilp = arg_flag(&args, "--force-ilp");
 
@@ -111,4 +110,5 @@ fn main() {
         println!();
     }
     println!("(* = ILP hit its time limit; best incumbent shown, optimality not proven)");
+    Ok(())
 }

@@ -9,17 +9,17 @@
 //! cargo run -p fbb-bench --release --bin yield_mc [-- --design c3540 --dies 40]
 //! ```
 
-use fbb_bench::{arg_value, prepare_design};
+use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_netlist::GateId;
 use fbb_sta::TimingGraph;
 use fbb_variation::{CriticalPathSensor, ProcessVariation};
 
-fn main() {
+fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
-    let dies: usize = arg_value(&args, "--dies").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0xD1E5);
+    let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(40);
+    let seed: u64 = arg_parse(&args, "--seed")?.unwrap_or(0xD1E5);
 
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
@@ -105,4 +105,5 @@ fn main() {
             100.0 * (leak_single - leak_comp) / leak_single
         );
     }
+    Ok(())
 }

@@ -1,8 +1,12 @@
 //! Shared experiment harness: design loading, allocation runs, and table
-//! formatting for the binaries that regenerate the paper's tables/figures.
+//! formatting for the binaries that regenerate the paper's tables/figures,
+//! and the flag reader those binaries and the `fbb` CLI share
+//! ([`arg_parse`], [`arg_list`], [`arg_seconds`]).
 
 pub mod report;
 
+use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 use fbb_core::{single_bb, ClusterSolution, FbbError, FbbProblem, IlpAllocator, IlpOutcome, Preprocessed, TwoPassHeuristic};
@@ -130,7 +134,8 @@ pub fn format_row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
-/// Parses `--flag value`-style arguments from `std::env::args`.
+/// The value after `--flag` in `args`, `None` when the flag is absent or
+/// is the last argument.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
@@ -138,6 +143,84 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Whether a bare `--flag` is present.
 pub fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// A flag given without a value, or with a value that does not parse: a
+/// usage error naming the flag and the value. `Debug` prints the bare
+/// message, so a binary whose `main` returns `Result<(), ArgError>` reports
+/// `Error: bad --beta "x": …` and exits 1.
+pub struct ArgError(String);
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Debug for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+fn parse_as<T: FromStr>(flag: &str, raw: &str) -> Result<T, ArgError>
+where
+    T::Err: fmt::Display,
+{
+    raw.parse().map_err(|e| ArgError(format!("bad {flag} {raw:?}: {e}")))
+}
+
+/// Reads `--flag value` as a `T`, `Ok(None)` when the flag is absent.
+///
+/// # Errors
+///
+/// An [`ArgError`] when the flag is the last argument or its value does not
+/// parse as `T`.
+pub fn arg_parse<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, ArgError>
+where
+    T::Err: fmt::Display,
+{
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let raw = args.get(i + 1).ok_or_else(|| ArgError(format!("missing value after {flag}")))?;
+    parse_as(flag, raw).map(Some)
+}
+
+/// Reads a comma-separated list flag (`--betas 0.03,0.05`), `default` when
+/// the flag is absent.
+///
+/// # Errors
+///
+/// As [`arg_parse`], for the value and for each item of the list.
+pub fn arg_list<T: FromStr + Clone>(
+    args: &[String],
+    flag: &str,
+    default: &[T],
+) -> Result<Vec<T>, ArgError>
+where
+    T::Err: fmt::Display,
+{
+    match arg_parse::<String>(args, flag)? {
+        None => Ok(default.to_vec()),
+        Some(list) => list.split(',').map(|item| parse_as(flag, item.trim())).collect(),
+    }
+}
+
+/// Reads a time budget in seconds, `Ok(None)` when the flag is absent.
+///
+/// # Errors
+///
+/// As [`arg_parse`], and also for a number of seconds that a `Duration`
+/// cannot hold (negative, NaN, or too large), which would otherwise panic.
+pub fn arg_seconds(args: &[String], flag: &str) -> Result<Option<Duration>, ArgError> {
+    let Some(raw) = arg_parse::<String>(args, flag)? else {
+        return Ok(None);
+    };
+    let secs: f64 = parse_as(flag, &raw)?;
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|e| ArgError(format!("bad {flag} {raw:?}: {e}")))
 }
 
 #[cfg(test)]
@@ -170,5 +253,40 @@ mod tests {
         assert!(arg_flag(&args, "--layout"));
         assert!(!arg_flag(&args, "--missing"));
         assert_eq!(arg_value(&args, "--none"), None);
+    }
+
+    fn argv(items: &[&str]) -> Vec<String> {
+        items.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn typed_reads_reject_bad_values_by_name() {
+        let args = argv(&["--beta", "0,08", "--clusters", "3", "--rows"]);
+        assert_eq!(arg_parse::<usize>(&args, "--clusters").unwrap(), Some(3));
+        assert_eq!(arg_parse::<usize>(&args, "--levels").unwrap(), None);
+        let bad = arg_parse::<f64>(&args, "--beta").unwrap_err().to_string();
+        assert!(bad.starts_with("bad --beta \"0,08\": "), "{bad}");
+        let missing = arg_parse::<u32>(&args, "--rows").unwrap_err().to_string();
+        assert_eq!(missing, "missing value after --rows");
+    }
+
+    #[test]
+    fn lists_default_when_absent_and_name_a_bad_item() {
+        let args = argv(&["--betas", "0.03, 0.05", "--levels", "6,x"]);
+        assert_eq!(arg_list(&args, "--betas", &[0.1]).unwrap(), vec![0.03, 0.05]);
+        assert_eq!(arg_list(&args, "--clusters", &[2usize, 3]).unwrap(), vec![2, 3]);
+        let bad = arg_list::<usize>(&args, "--levels", &[]).unwrap_err().to_string();
+        assert!(bad.starts_with("bad --levels \"x\": "), "{bad}");
+    }
+
+    #[test]
+    fn budgets_reject_what_a_duration_cannot_hold() {
+        let ok = argv(&["--limit", "1.5"]);
+        assert_eq!(arg_seconds(&ok, "--limit").unwrap(), Some(Duration::from_millis(1500)));
+        assert_eq!(arg_seconds(&ok, "--other").unwrap(), None);
+        for value in ["-1", "nan", "1e300", "soon"] {
+            let err = arg_seconds(&argv(&["--limit", value]), "--limit").unwrap_err().to_string();
+            assert!(err.starts_with(&format!("bad --limit \"{value}\": ")), "{err}");
+        }
     }
 }

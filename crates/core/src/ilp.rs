@@ -110,15 +110,14 @@ impl IlpAllocator {
         Ok(model)
     }
 
-    /// Structural row indices of [`IlpAllocator::build_model`]'s layout —
-    /// Eq. 3 one-hots first, then the Eq. 2 path rows, then the Eq. 4
-    /// linking rows and budget row — for the `fbb-lp` cut separator.
+    /// The Eq. 4 linking rows and budget row of
+    /// [`IlpAllocator::build_model`]'s layout (after the Eq. 3 one-hots and
+    /// the Eq. 2 path rows), for the `fbb-lp` cut separator.
     pub fn structure_hints(pre: &Preprocessed) -> StructureHints {
         let n = pre.n_rows();
         let p = pre.levels();
         let n_paths = pre.constraint_count();
         StructureHints {
-            one_hot_rows: (0..n).collect(),
             linking_rows: (n + n_paths..n + n_paths + p).collect(),
             budget_row: Some(n + n_paths + p),
         }

@@ -29,6 +29,20 @@ pub enum Granularity {
     Gate,
 }
 
+impl std::str::FromStr for Granularity {
+    type Err = String;
+
+    /// Parses the lower-case name: `block`, `row` or `gate`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "block" => Ok(Granularity::Block),
+            "row" => Ok(Granularity::Row),
+            "gate" => Ok(Granularity::Gate),
+            _ => Err("unknown granularity (expected block, row or gate)".to_owned()),
+        }
+    }
+}
+
 /// An FBB allocation problem over one placed circuit block.
 #[derive(Debug, Clone)]
 pub struct FbbProblem<'a> {

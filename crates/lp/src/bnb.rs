@@ -63,9 +63,12 @@ use crate::cuts::{self, Cut, CutKind, StructureHints};
 use crate::model::VarKind;
 use crate::presolve::{self, Presolved};
 use crate::revised::{Basis, SolveOutcome, SparseEngine};
-use crate::simplex::{LpStatus, VarStatus};
+use crate::simplex::{LpStatus, VarStatus, INT_TOL};
 use crate::{LpError, Model};
 
+/// Relative optimality gap at which the search stops: a node whose bound
+/// is within `REL_GAP` of the incumbent cannot improve it enough to matter.
+const REL_GAP: f64 = 1e-6;
 /// Separation rounds at the root before the tree starts.
 const MAX_CUT_ROUNDS: usize = 5;
 /// Tolerance for the warm-child cut re-check.
@@ -87,10 +90,6 @@ pub struct MipOptions {
     pub time_limit: Option<Duration>,
     /// Maximum number of explored nodes; `None` = unlimited.
     pub node_limit: Option<usize>,
-    /// Relative optimality gap at which the search stops early.
-    pub rel_gap: f64,
-    /// Integrality tolerance.
-    pub int_tol: f64,
     /// Re-optimize by dual simplex from a known basis: root cut rounds after
     /// the first from the previous round's, the root node from the last
     /// round's, and every other node from its parent's. Once there is an
@@ -122,8 +121,6 @@ impl Default for MipOptions {
         MipOptions {
             time_limit: None,
             node_limit: None,
-            rel_gap: 1e-6,
-            int_tol: 1e-6,
             warm_start: true,
             presolve: true,
             cuts: true,
@@ -479,7 +476,7 @@ fn branch_and_bound(
     while let Some(node) = heap.pop() {
         if best_obj.is_finite() && node.bound.is_finite() {
             let denom = best_obj.abs().max(node.bound.abs()).max(1.0);
-            if node.bound >= best_obj - options.rel_gap * denom - 1e-12 {
+            if node.bound >= best_obj - REL_GAP * denom - 1e-12 {
                 // The heap is ordered by bound, so every remaining node is
                 // dominated too: the incumbent is proven optimal.
                 gap_proven = true;
@@ -579,7 +576,7 @@ fn branch_and_bound(
         }
 
         // Fractional integer variables of the top branching-priority class.
-        let cands = fractional_candidates(model, &int_vars, &relax.x, options.int_tol);
+        let cands = fractional_candidates(model, &int_vars, &relax.x);
         if cands.is_empty() {
             // Integer feasible.
             let mut x = relax.x.clone();
@@ -801,17 +798,12 @@ fn solve_relaxation(
 
 /// Fractional integer variables of the highest branching-priority class
 /// that has any, as `(var, distance to floor)`.
-fn fractional_candidates(
-    model: &Model,
-    int_vars: &[usize],
-    x: &[f64],
-    tol: f64,
-) -> Vec<(usize, f64)> {
+fn fractional_candidates(model: &Model, int_vars: &[usize], x: &[f64]) -> Vec<(usize, f64)> {
     let mut cands: Vec<(usize, f64)> = Vec::new();
     let mut top = i32::MIN;
     for &j in int_vars {
         let frac = (x[j] - x[j].round()).abs();
-        if frac <= tol {
+        if frac <= INT_TOL {
             continue;
         }
         let prio = model.vars[j].priority;

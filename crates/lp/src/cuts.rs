@@ -39,11 +39,8 @@
 use std::collections::HashSet;
 
 use crate::model::{Sense, VarKind};
+use crate::simplex::INT_TOL;
 use crate::Model;
-
-/// Violation threshold: a cut is only added when the relaxation point
-/// exceeds it by more than this (matches the B&B integrality tolerance).
-const CUT_TOL: f64 = 1e-6;
 
 /// Structural row indices the model generator hands to the cut separator
 /// (`MipOptions::hints`). Indices refer to the model given to `solve_mip`;
@@ -51,8 +48,6 @@ const CUT_TOL: f64 = 1e-6;
 /// is shape-verified before use.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StructureHints {
-    /// Eq. 3 one-hot assignment rows (`Σ_j x_{ij} = 1`).
-    pub one_hot_rows: Vec<usize>,
     /// Eq. 4 linking rows (`Σ_i x_{ij} − N·y_j ≤ 0`).
     pub linking_rows: Vec<usize>,
     /// The Eq. 4 cluster-budget row (`Σ_j y_j ≤ C`).
@@ -269,7 +264,7 @@ pub(crate) fn separate(model: &Model, s: &CutStructure, x: &[f64]) -> Vec<Cut> {
 
     for (y, xs) in &s.linking {
         for &v in xs {
-            if x[v] - x[*y] > CUT_TOL {
+            if x[v] - x[*y] > INT_TOL {
                 push(
                     Cut {
                         terms: if v < *y { vec![(v, 1.0), (*y, -1.0)] } else { vec![(*y, -1.0), (v, 1.0)] },
@@ -323,7 +318,7 @@ fn cover_from_le(model: &Model, row: usize, x: &[f64]) -> Option<Cut> {
         return None; // no subset overflows: the row cannot yield a cover
     }
     let rhs = (cover.len() - 1) as f64;
-    if value <= rhs + CUT_TOL || !cover_is_valid(model, row, &cover, rhs) {
+    if value <= rhs + INT_TOL || !cover_is_valid(model, row, &cover, rhs) {
         return None;
     }
     cover.sort_unstable();
@@ -356,7 +351,7 @@ fn cover_from_ge(model: &Model, row: usize, x: &[f64]) -> Option<Cut> {
     if weight <= cap {
         return None;
     }
-    if value <= (cover.len() - 1) as f64 + CUT_TOL || !ge_cover_is_valid(model, row, &cover, 1.0) {
+    if value <= (cover.len() - 1) as f64 + INT_TOL || !ge_cover_is_valid(model, row, &cover, 1.0) {
         return None;
     }
     cover.sort_unstable();
@@ -437,7 +432,6 @@ mod tests {
         // A plain row that is *not* linking-shaped.
         m.add_constraint(vec![(v[0], 1.0), (v[1], 1.0)], Sense::Le, 1.0).unwrap();
         let hints = StructureHints {
-            one_hot_rows: vec![],
             linking_rows: vec![0, 7],
             budget_row: Some(9),
         };

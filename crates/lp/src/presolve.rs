@@ -39,13 +39,8 @@
 use std::collections::hash_map::{Entry, HashMap};
 
 use crate::model::{Sense, VarKind};
-use crate::simplex::TOL;
+use crate::simplex::{INT_TOL, TOL};
 use crate::Model;
-
-/// Slack absorbed when rounding an implied bound to the nearest integer;
-/// matches the B&B integrality tolerance so presolve never cuts a point the
-/// tree would have accepted as integral.
-const INT_ROUND_TOL: f64 = 1e-6;
 
 /// Fixpoint cap: tightening passes over the row set. Cluster models
 /// converge in 2–3 passes; the cap only guards degenerate chains.
@@ -159,11 +154,6 @@ impl PostsolveMap {
         hints: &crate::cuts::StructureHints,
     ) -> crate::cuts::StructureHints {
         crate::cuts::StructureHints {
-            one_hot_rows: hints
-                .one_hot_rows
-                .iter()
-                .filter_map(|&r| self.reduced_row_of(r))
-                .collect(),
             linking_rows: hints
                 .linking_rows
                 .iter()
@@ -332,12 +322,12 @@ pub fn presolve(model: &Model) -> Presolved {
         if v.kind != VarKind::Integer {
             continue;
         }
-        let rl = (lower[j] - INT_ROUND_TOL).ceil();
+        let rl = (lower[j] - INT_TOL).ceil();
         if rl > lower[j] {
             lower[j] = rl;
             stats.bounds_tightened += 1;
         }
-        let ru = (upper[j] + INT_ROUND_TOL).floor();
+        let ru = (upper[j] + INT_TOL).floor();
         if ru < upper[j] {
             upper[j] = ru;
             stats.bounds_tightened += 1;
@@ -413,7 +403,7 @@ pub fn presolve(model: &Model) -> Presolved {
 }
 
 /// Applies one implied bound `x_v <= q` (`upper_side`) or `x_v >= q` to an
-/// integer column, rounding with [`INT_ROUND_TOL`] slack. Returns whether
+/// integer column, rounding with [`INT_TOL`] slack. Returns whether
 /// a bound moved.
 fn tighten(
     lower: &mut [f64],
@@ -427,14 +417,14 @@ fn tighten(
         return false;
     }
     if upper_side {
-        let new_up = (q + INT_ROUND_TOL).floor();
+        let new_up = (q + INT_TOL).floor();
         if new_up < upper[v] {
             upper[v] = new_up;
             stats.bounds_tightened += 1;
             return true;
         }
     } else {
-        let new_lo = (q - INT_ROUND_TOL).ceil();
+        let new_lo = (q - INT_TOL).ceil();
         if new_lo > lower[v] {
             lower[v] = new_lo;
             stats.bounds_tightened += 1;
@@ -503,7 +493,7 @@ fn build_reduction(
                     // Bounds were rounded inward up front, so a pinned
                     // integer column sits on an exact integer; `round`
                     // normalizes the stored value all the same.
-                    if (value - value.round()).abs() > INT_ROUND_TOL {
+                    if (value - value.round()).abs() > INT_TOL {
                         return Presolved::Infeasible;
                     }
                     value = value.round();

@@ -44,6 +44,11 @@ pub struct LpSolution {
 pub(crate) const TOL: f64 = 1e-7;
 /// Minimum usable pivot magnitude.
 pub(crate) const PIVOT_TOL: f64 = 1e-9;
+/// Integrality tolerance: a value within this of an integer counts as
+/// integral. Branch & bound branches only on columns farther from one,
+/// presolve rounds implied integer bounds with this much slack, and the
+/// cut separator adds only cuts violated by more than it.
+pub(crate) const INT_TOL: f64 = 1e-6;
 
 /// Where a column currently sits: in the basis (at some row/position) or
 /// resting at one of its bounds.

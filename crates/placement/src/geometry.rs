@@ -32,7 +32,8 @@ impl fmt::Display for RowId {
 
 /// Physical die description for a row-based standard-cell block.
 ///
-/// Typical 45 nm values: 0.2 µm placement sites, 1.4 µm row height.
+/// The placer and the row tiler use the paper's 45 nm values,
+/// [`Die::SITE_WIDTH_UM`] and [`Die::ROW_HEIGHT_UM`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Die {
     /// Width of one placement site in micrometres.
@@ -46,6 +47,13 @@ pub struct Die {
 }
 
 impl Die {
+    /// Placement site width of the paper's 45 nm library (µm), used by the
+    /// placer and the row tiler.
+    pub const SITE_WIDTH_UM: f64 = 0.2;
+    /// Standard-cell row height of the paper's 45 nm library (µm), used by
+    /// the placer and the row tiler.
+    pub const ROW_HEIGHT_UM: f64 = 1.4;
+
     /// Die width in micrometres.
     pub fn width_um(&self) -> f64 {
         f64::from(self.sites_per_row) * self.site_width_um

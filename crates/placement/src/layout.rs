@@ -12,44 +12,39 @@
 //! * **Bias routing**: each distributed voltage needs a pair of top-metal
 //!   lines (`vbsn`, `vbsp`); the paper restricts the design to two voltages
 //!   so at most four lines are routed.
+//!
+//! The constants below fix this layout style. The placer reserves each
+//! row's contact sites by the same rule, so a layout report always agrees
+//! with the placement's reserve.
 
 use fbb_device::BiasLadder;
 use serde::{Deserialize, Serialize};
 
-use crate::{Placement, PlacementError};
+use crate::{Die, Placement, PlacementError};
 
-/// Physical parameters of the FBB layout style.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LayoutOptions {
-    /// Maximum spacing between body-bias contact cells along a row (µm).
-    pub contact_pitch_um: f64,
-    /// Sites occupied by one NMOS+PMOS contact-cell pair.
-    pub contact_pair_sites: u32,
-    /// Maximum number of distinct *nonzero* bias voltages the layout style
-    /// supports (2 in the paper, hence at most 3 clusters with NBB).
-    pub max_bias_voltages: usize,
-    /// Height of a well-separation strip between differently biased rows (µm).
-    pub well_separation_um: f64,
-    /// Width (in sites) of the well-separation gap needed between
-    /// *horizontally adjacent* gates in different clusters — only relevant
-    /// for gate-level clustering (see [`analyze_gate_level`]).
-    pub gate_separation_sites: u32,
-}
+/// Maximum spacing between body-bias contact cells along a row (µm).
+pub const CONTACT_PITCH_UM: f64 = 50.0;
+/// Sites occupied by one NMOS+PMOS contact-cell pair (~2.4 µm, so ~4.8 %
+/// of a 50 µm window).
+pub const CONTACT_PAIR_SITES: u32 = 12;
+/// Maximum number of distinct *nonzero* bias voltages the layout style
+/// supports (2 in the paper, hence at most 3 clusters with NBB).
+pub const MAX_BIAS_VOLTAGES: usize = 2;
+/// Height of a well-separation strip between differently biased rows (µm):
+/// the spacing beyond the rail/diffusion gap rows already share, calibrated
+/// so the Table 1 suite lands at the paper's "always below 5%" area
+/// overhead for the cone-placed designs.
+pub const WELL_SEPARATION_UM: f64 = 0.15;
+/// Width (in sites) of the well-separation gap needed between
+/// *horizontally adjacent* gates in different clusters — only relevant for
+/// gate-level clustering (see [`analyze_gate_level`]).
+pub const GATE_SEPARATION_SITES: u32 = 3;
 
-impl Default for LayoutOptions {
-    fn default() -> Self {
-        LayoutOptions {
-            contact_pitch_um: 50.0,
-            contact_pair_sites: 12, // ~2.4 µm pair => ~4.8% of a 50 µm window
-            max_bias_voltages: 2,
-            // Incremental inter-row spacing beyond the rail/diffusion gap
-            // rows already share; calibrated so the Table 1 suite lands at
-            // the paper's "always below 5%" area overhead for the
-            // cone-placed designs.
-            well_separation_um: 0.15,
-            gate_separation_sites: 3,
-        }
-    }
+/// Contact sites a biased row of `die` needs: one contact pair per
+/// [`CONTACT_PITCH_UM`] window along the row (at least one window).
+pub(crate) fn contact_sites(die: &Die) -> u32 {
+    let windows = (die.width_um() / CONTACT_PITCH_UM).ceil().max(1.0) as u32;
+    windows * CONTACT_PAIR_SITES
 }
 
 /// Result of analysing a row→bias assignment against a placement.
@@ -97,7 +92,6 @@ pub fn analyze(
     placement: &Placement,
     ladder: &BiasLadder,
     assignment: &[usize],
-    options: &LayoutOptions,
 ) -> Result<FbbLayout, PlacementError> {
     let n = placement.row_count();
     if assignment.len() != n {
@@ -115,23 +109,22 @@ pub fn analyze(
     let mut distinct: Vec<usize> = assignment.iter().copied().filter(|&l| l > 0).collect();
     distinct.sort_unstable();
     distinct.dedup();
-    if distinct.len() > options.max_bias_voltages {
+    if distinct.len() > MAX_BIAS_VOLTAGES {
         return Err(PlacementError::Inconsistent(format!(
-            "{} distinct bias voltages exceed the layout limit of {}",
-            distinct.len(),
-            options.max_bias_voltages
+            "{} distinct bias voltages exceed the layout limit of {MAX_BIAS_VOLTAGES}",
+            distinct.len()
         )));
     }
 
     let die = placement.die();
-    let windows = (die.width_um() / options.contact_pitch_um).ceil().max(1.0) as u32;
+    let row_contacts = contact_sites(die);
 
     let mut contact_sites = Vec::with_capacity(n);
     let mut utilization_increase = Vec::with_capacity(n);
     let mut overflow_rows = Vec::new();
     let mut overflow_sites_max = 0u32;
     for (r, row) in placement.rows().iter().enumerate() {
-        let sites = if assignment[r] > 0 { windows * options.contact_pair_sites } else { 0 };
+        let sites = if assignment[r] > 0 { row_contacts } else { 0 };
         contact_sites.push(sites);
         utilization_increase.push(f64::from(sites) / f64::from(die.sites_per_row));
         let total = row.used_sites + sites;
@@ -144,7 +137,7 @@ pub fn analyze(
     let well_separations = assignment.windows(2).filter(|w| w[0] != w[1]).count();
 
     let base_area = die.area_um2();
-    let strip_area = well_separations as f64 * options.well_separation_um * die.width_um();
+    let strip_area = well_separations as f64 * WELL_SEPARATION_UM * die.width_um();
     // Overflow forces the die to widen by the worst overflow amount.
     let growth_area = f64::from(overflow_sites_max) * die.site_width_um * die.height_um();
 
@@ -205,7 +198,6 @@ pub fn analyze_gate_level(
     placement: &Placement,
     ladder: &BiasLadder,
     assignment: &[usize],
-    options: &LayoutOptions,
 ) -> Result<GateLevelLayout, PlacementError> {
     let n_gates: usize = placement.rows().iter().map(|r| r.gates.len()).sum();
     if assignment.len() != n_gates {
@@ -225,7 +217,7 @@ pub fn analyze_gate_level(
     distinct.dedup();
 
     let die = placement.die();
-    let windows = (die.width_um() / options.contact_pitch_um).ceil().max(1.0) as u32;
+    let row_contacts = contact_sites(die);
 
     let mut intra = 0usize;
     let mut overflow_rows = Vec::new();
@@ -240,8 +232,8 @@ pub fn analyze_gate_level(
         }
         intra += gaps as usize;
         let biased = row.gates.iter().any(|g| assignment[g.index()] > 0);
-        let contacts = if biased { windows * options.contact_pair_sites } else { 0 };
-        let total = row.used_sites + gaps * options.gate_separation_sites + contacts;
+        let contacts = if biased { row_contacts } else { 0 };
+        let total = row.used_sites + gaps * GATE_SEPARATION_SITES + contacts;
         if total > die.sites_per_row {
             overflow_rows.push(r);
             overflow_sites_max = overflow_sites_max.max(total - die.sites_per_row);
@@ -260,7 +252,7 @@ pub fn analyze_gate_level(
         .count();
 
     let base_area = die.area_um2();
-    let strip_area = row_separations as f64 * options.well_separation_um * die.width_um();
+    let strip_area = row_separations as f64 * WELL_SEPARATION_UM * die.width_um();
     let growth_area = f64::from(overflow_sites_max) * die.site_width_um * die.height_um();
 
     Ok(GateLevelLayout {
@@ -280,9 +272,8 @@ pub fn render_ascii(
     placement: &Placement,
     ladder: &BiasLadder,
     assignment: &[usize],
-    options: &LayoutOptions,
 ) -> Result<String, PlacementError> {
-    let layout = analyze(placement, ladder, assignment, options)?;
+    let layout = analyze(placement, ladder, assignment)?;
     let die = placement.die();
     let mut out = String::new();
     out.push_str(&format!(
@@ -346,7 +337,7 @@ mod tests {
         let mut assignment = vec![0usize; 8];
         assignment[3] = 5;
         assignment[4] = 5;
-        let l = analyze(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let l = analyze(&p, &ladder, &assignment).unwrap();
         assert!(l.contact_sites[3] > 0);
         assert_eq!(l.contact_sites[0], 0);
         assert_eq!(l.bias_voltages, 1);
@@ -360,7 +351,7 @@ mod tests {
         let (_, p, ladder) = setup_rows(4);
         assert!(p.die().width_um() >= 50.0, "die too narrow for the paper's rule");
         let assignment = vec![5usize; 4];
-        let l = analyze(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let l = analyze(&p, &ladder, &assignment).unwrap();
         assert!(l.max_utilization_increase() <= 0.065, "{}", l.max_utilization_increase());
         assert!(l.max_utilization_increase() > 0.0);
     }
@@ -369,7 +360,7 @@ mod tests {
     fn well_separation_counts_boundaries() {
         let (_, p, ladder) = setup();
         let assignment = vec![0, 0, 5, 5, 0, 7, 7, 7];
-        let l = analyze(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let l = analyze(&p, &ladder, &assignment).unwrap();
         assert_eq!(l.well_separations, 3);
         assert_eq!(l.bias_voltages, 2);
         assert_eq!(l.bias_lines, 4);
@@ -387,7 +378,7 @@ mod tests {
         for row in assignment.iter_mut().skip(16) {
             *row = 9;
         }
-        let l = analyze(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let l = analyze(&p, &ladder, &assignment).unwrap();
         assert_eq!(l.well_separations, 2);
         assert!(l.area_overhead_pct() < 5.0, "{}", l.area_overhead_pct());
     }
@@ -396,22 +387,22 @@ mod tests {
     fn rejects_too_many_voltages() {
         let (_, p, ladder) = setup();
         let assignment = vec![0, 1, 2, 3, 0, 0, 0, 0];
-        assert!(analyze(&p, &ladder, &assignment, &LayoutOptions::default()).is_err());
+        assert!(analyze(&p, &ladder, &assignment).is_err());
     }
 
     #[test]
     fn rejects_mismatched_assignment() {
         let (_, p, ladder) = setup();
-        assert!(analyze(&p, &ladder, &[0, 0], &LayoutOptions::default()).is_err());
+        assert!(analyze(&p, &ladder, &[0, 0]).is_err());
         let assignment = vec![99usize; 8];
-        assert!(analyze(&p, &ladder, &assignment, &LayoutOptions::default()).is_err());
+        assert!(analyze(&p, &ladder, &assignment).is_err());
     }
 
     #[test]
     fn ascii_rendering_mentions_bias_and_separators() {
         let (_, p, ladder) = setup();
         let assignment = vec![0, 0, 0, 0, 5, 5, 5, 5];
-        let art = render_ascii(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let art = render_ascii(&p, &ladder, &assignment).unwrap();
         assert!(art.contains("250mV"));
         assert!(art.contains("~~~"));
         assert!(art.contains("area overhead"));
@@ -421,7 +412,7 @@ mod tests {
     fn nbb_everywhere_costs_nothing() {
         let (_, p, ladder) = setup();
         let assignment = vec![0usize; 8];
-        let l = analyze(&p, &ladder, &assignment, &LayoutOptions::default()).unwrap();
+        let l = analyze(&p, &ladder, &assignment).unwrap();
         assert_eq!(l.added_area_um2, 0.0);
         assert_eq!(l.well_separations, 0);
         assert_eq!(l.bias_voltages, 0);

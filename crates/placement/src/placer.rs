@@ -36,10 +36,6 @@ pub struct PlacerOptions {
     pub anneal_moves: usize,
     /// RNG seed for the annealing schedule.
     pub seed: u64,
-    /// Placement site width in micrometres.
-    pub site_width_um: f64,
-    /// Row height in micrometres.
-    pub row_height_um: f64,
     /// Timing-driven mode: gates are grouped by slack bucket before row
     /// packing, concentrating timing-critical logic into few adjacent rows
     /// the way a timing-driven physical synthesis flow does. This is the
@@ -64,8 +60,6 @@ impl Default for PlacerOptions {
             utilization: 0.70,
             anneal_moves: 20_000,
             seed: 0x5EED,
-            site_width_um: 0.2,
-            row_height_um: 1.4,
             timing_driven: true,
             order: PlacementOrder::Cone,
         }
@@ -122,8 +116,8 @@ impl Placer {
             Some(r) => r,
             None => {
                 // Square die: rows * row_height == sites_per_row * site_width.
-                let r = ((total_sites as f64) * opts.site_width_um
-                    / (opts.row_height_um * opts.utilization))
+                let r = ((total_sites as f64) * Die::SITE_WIDTH_UM
+                    / (Die::ROW_HEIGHT_UM * opts.utilization))
                     .sqrt()
                     .round();
                 (r as u32).max(1)
@@ -136,8 +130,8 @@ impl Placer {
         let widest = widths.iter().copied().max().unwrap_or(1);
         let sites_per_row = sites_per_row.max(widest);
         let die = Die {
-            site_width_um: opts.site_width_um,
-            row_height_um: opts.row_height_um,
+            site_width_um: Die::SITE_WIDTH_UM,
+            row_height_um: Die::ROW_HEIGHT_UM,
             sites_per_row,
             rows,
         };
@@ -150,11 +144,7 @@ impl Placer {
 
         // Reserve per-row headroom for the FBB contact cells (§3.3: one
         // contact pair per 50 um window) so biasing never forces die growth.
-        let contact_reserve = {
-            let opts_layout = crate::layout::LayoutOptions::default();
-            let windows = (die.width_um() / opts_layout.contact_pitch_um).ceil().max(1.0) as u32;
-            windows * opts_layout.contact_pair_sites
-        };
+        let contact_reserve = crate::layout::contact_sites(&die);
         let row_cap = sites_per_row.saturating_sub(contact_reserve).max(widest);
 
         let mut order = match opts.order {

@@ -66,8 +66,8 @@ pub fn tile(
 
     let sites_per_row = rows.iter().map(|r| r.used_sites).max().unwrap_or(1);
     let die = Die {
-        site_width_um: 0.2,
-        row_height_um: 1.4,
+        site_width_um: Die::SITE_WIDTH_UM,
+        row_height_um: Die::ROW_HEIGHT_UM,
         sites_per_row,
         rows: rows.len() as u32,
     };

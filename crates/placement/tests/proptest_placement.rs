@@ -3,7 +3,7 @@
 
 use fbb_device::{BiasLadder, Library};
 use fbb_netlist::generators::{random_logic, RandomLogicOptions};
-use fbb_placement::layout::{self, LayoutOptions};
+use fbb_placement::layout::{self, MAX_BIAS_VOLTAGES};
 use fbb_placement::{PlacementOrder, Placer, PlacerOptions};
 use proptest::prelude::*;
 
@@ -70,15 +70,14 @@ proptest! {
             .place(&nl, &Library::date09_45nm())
             .expect("placeable");
         let ladder = BiasLadder::date09().expect("valid ladder");
-        let opts = LayoutOptions::default();
 
         let mut distinct: Vec<usize> = levels.iter().copied().filter(|&l| l > 0).collect();
         distinct.sort_unstable();
         distinct.dedup();
 
-        match layout::analyze(&placement, &ladder, &levels, &opts) {
+        match layout::analyze(&placement, &ladder, &levels) {
             Ok(analysis) => {
-                prop_assert!(distinct.len() <= opts.max_bias_voltages);
+                prop_assert!(distinct.len() <= MAX_BIAS_VOLTAGES);
                 prop_assert_eq!(analysis.bias_voltages, distinct.len());
                 prop_assert_eq!(analysis.bias_lines, 2 * distinct.len());
                 // Separation count is bounded by row boundaries.
@@ -91,7 +90,7 @@ proptest! {
             }
             Err(_) => {
                 // Only the voltage-count limit may reject a well-formed query.
-                prop_assert!(distinct.len() > opts.max_bias_voltages);
+                prop_assert!(distinct.len() > MAX_BIAS_VOLTAGES);
             }
         }
     }
@@ -116,7 +115,6 @@ proptest! {
             .place(&nl, &Library::date09_45nm())
             .expect("placeable");
         let ladder = BiasLadder::date09().expect("valid ladder");
-        let opts = LayoutOptions::default();
 
         // A row-uniform gate assignment must cost the same as the row view:
         // no intra-row separations can appear.
@@ -126,9 +124,9 @@ proptest! {
                 row_levels[row]
             })
             .collect();
-        let row_view = layout::analyze(&placement, &ladder, &row_levels, &opts).expect("<=1 voltage");
+        let row_view = layout::analyze(&placement, &ladder, &row_levels).expect("<=1 voltage");
         let gate_view =
-            layout::analyze_gate_level(&placement, &ladder, &gate_assignment, &opts).expect("covers gates");
+            layout::analyze_gate_level(&placement, &ladder, &gate_assignment).expect("covers gates");
         prop_assert_eq!(gate_view.intra_row_separations, 0);
         prop_assert_eq!(gate_view.bias_voltages, row_view.bias_voltages);
         prop_assert!(gate_view.row_separations >= row_view.well_separations);

@@ -9,7 +9,7 @@
 use fbb::core::{single_bb, FbbProblem, TwoPassHeuristic};
 use fbb::device::{BiasLadder, BodyBiasModel, Library};
 use fbb::netlist::generators;
-use fbb::placement::layout::{self, LayoutOptions};
+use fbb::placement::layout;
 use fbb::placement::{Placer, PlacerOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,8 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         solution.savings_vs(&baseline)
     );
 
-    let options = LayoutOptions::default();
-    let analysis = layout::analyze(&placement, &ladder, &solution.assignment, &options)?;
+    let analysis = layout::analyze(&placement, &ladder, &solution.assignment)?;
     println!("layout cost (paper section 3.3):");
     println!("  bias voltages routed:    {} ({} top-metal lines)", analysis.bias_voltages, analysis.bias_lines);
     println!("  well separations:        {}", analysis.well_separations);
@@ -43,6 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  rows forced to overflow: {}\n", analysis.overflow_rows.len());
 
-    println!("{}", layout::render_ascii(&placement, &ladder, &solution.assignment, &options)?);
+    println!("{}", layout::render_ascii(&placement, &ladder, &solution.assignment)?);
     Ok(())
 }

@@ -10,16 +10,23 @@
 //! ```
 //!
 //! Netlist files ending in `.bench` use the ISCAS format; anything else uses
-//! the native text format (`fbb::netlist::fmt`). `sta` and `solve` also
-//! accept a compiled `.fbb` design database (detected by magic, not
+//! the native text format (`fbb::netlist::fmt`). Every `--netlist` also
+//! accepts a compiled `.fbb` design database (detected by magic, not
 //! extension — see `docs/FORMAT.md`); the placement, characterization, and
 //! pre-processed problem are then loaded instead of recomputed, skipping
 //! straight to the LP.
 //!
+//! A design NAME (`--design`) is a Table 1 name or a generated datapath
+//! `adder:W`, `multiplier:W` or `alu:W`; `bench-serve` and `lint --models`
+//! take Table 1 names only. Every subcommand reads and checks all of its
+//! flags before it touches a file, a socket or a solver.
+//!
 //! Exit codes are a machine-readable contract:
 //!
 //! * `0` — success (and, with `--require-optimal`, a proven optimum);
-//! * `1` — usage error or internal failure;
+//! * `1` — usage error or internal failure; a bad flag value (one that
+//!   does not parse, or a flag with no value) or an unknown design name is
+//!   a usage error whose message names the flag or the design;
 //! * `2` — the instance is infeasible (uncompensable β);
 //! * `3` — a time/node budget expired without an optimality proof;
 //! * `4` — `difftest` found at least one engine/oracle mismatch;
@@ -34,12 +41,13 @@ use fbb::core::{
     TwoPassHeuristic,
 };
 use fbb::bench::report::BenchReport;
+use fbb::bench::{arg_flag, arg_list, arg_parse, arg_seconds, arg_value, ArgError};
 use fbb::db::{is_design_db, DesignDb};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
 use fbb::lp::deadline::Stopwatch;
 use fbb::serve::{Client, ServeConfig, Server, SolveRequest};
 use fbb::netlist::{bench_fmt, fmt as nl_fmt, suite, Netlist};
-use fbb::placement::layout::{self, LayoutOptions};
+use fbb::placement::layout;
 use fbb::placement::{Placement, Placer, PlacerOptions};
 use fbb::sta::TimingGraph;
 use fbb::variation::{MonteCarloYield, ProcessVariation};
@@ -93,6 +101,12 @@ impl From<&str> for CliError {
     }
 }
 
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
+        CliError::Failure(e.to_string())
+    }
+}
+
 /// Classifies an allocation error: uncompensable β is a property of the
 /// instance (exit 2, with the engine's worst-path diagnosis), everything
 /// else is an internal failure (exit 1).
@@ -101,30 +115,6 @@ fn classify_fbb_error(e: FbbError) -> CliError {
         FbbError::Uncompensable { .. } => CliError::Infeasible(format!("infeasible: {e}")),
         other => CliError::Failure(other.to_string()),
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn arg_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Reads a time budget in seconds from `flag`, `None` when the flag is
-/// absent. A value that is not a number of seconds a `Duration` can hold
-/// (negative, NaN, or too large) is a usage error naming the flag, never a
-/// panic.
-fn arg_seconds(args: &[String], flag: &str) -> Result<Option<Duration>, CliError> {
-    let Some(raw) = arg_value(args, flag) else {
-        return Ok(None);
-    };
-    let secs: f64 = raw
-        .parse()
-        .map_err(|_| CliError::Failure(format!("bad {flag} {raw:?}: not a number of seconds")))?;
-    Duration::try_from_secs_f64(secs)
-        .map(Some)
-        .map_err(|e| CliError::Failure(format!("bad {flag} {raw:?}: {e}")))
 }
 
 /// Parses netlist text by the path's extension: ISCAS `.bench`, else the
@@ -138,14 +128,10 @@ fn parse_netlist(path: &str, text: &str) -> Result<Netlist, String> {
     .map_err(|e| format!("{path}: {e}"))
 }
 
-fn load_netlist(path: &str) -> Result<Netlist, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_netlist(path, &text)
-}
-
-/// A design ready to solve: either built cold from a text netlist (parse →
-/// place → characterize) or loaded from a compiled `.fbb` database, in
-/// which case the stored pre-processed problems are available too.
+/// A design ready to solve: either built cold from a netlist (parsed,
+/// generated or composed; then placed and characterized) or loaded from a
+/// compiled `.fbb` database, in which case the stored pre-processed
+/// problems are available too.
 struct LoadedDesign {
     netlist: Netlist,
     placement: Placement,
@@ -163,19 +149,19 @@ fn read_design_bytes(path: &str) -> Result<Vec<u8>, CliError> {
 }
 
 /// Loads `path` as either a compiled design database (sniffed by magic) or
-/// a text netlist that still needs the cold pipeline. `--rows` only applies
-/// to the cold path — a database carries its placement.
+/// a text netlist that still needs the cold pipeline. `rows` (`--rows`)
+/// only applies to the cold path — a database carries its placement.
 ///
 /// Databases decode through the CRC-trusting fast path: `solve`/`sta` are
 /// warm-path consumers and the container checksums already gate
 /// corruption. `difftest --db` — the integrity oracle — is the one caller
 /// that keeps the fully verified decode.
-fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
+fn load_design(path: &str, rows: Option<u32>) -> Result<LoadedDesign, CliError> {
     let bytes = read_design_bytes(path)?;
     if is_design_db(&bytes) {
         let db = DesignDb::decode_fast(&bytes)
             .map_err(|e| format!("cannot load design {path}: {e}"))?;
-        if arg_value(args, "--rows").is_some() {
+        if rows.is_some() {
             eprintln!("note: --rows ignored ({path} is a compiled database with a stored placement)");
         }
         return Ok(LoadedDesign {
@@ -187,18 +173,74 @@ fn load_design(args: &[String], path: &str) -> Result<LoadedDesign, CliError> {
     }
     let text =
         String::from_utf8(bytes).map_err(|_| format!("{path}: neither a design database nor text"))?;
-    let netlist = parse_netlist(path, &text)?;
-    let library = Library::date09_45nm();
-    let mut options = PlacerOptions::default();
-    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
-        options.target_rows = Some(rows);
+    place_cold(parse_netlist(path, &text)?, rows)
+}
+
+/// The placed, characterized design that `--netlist FILE` (a text netlist
+/// or a compiled database) or `--design NAME` names, with a description of
+/// its source; `None` when neither flag is given.
+fn design_arg(
+    args: &[String],
+    rows: Option<u32>,
+) -> Result<Option<(LoadedDesign, String)>, CliError> {
+    if let Some(path) = arg_value(args, "--netlist") {
+        Ok(Some((load_design(&path, rows)?, format!("netlist {path}"))))
+    } else if let Some(name) = arg_value(args, "--design") {
+        Ok(Some((place_cold(resolve_design(&name)?, rows)?, format!("generated {name}"))))
+    } else {
+        Ok(None)
     }
+}
+
+/// Resolves a design name to its netlist: a Table 1 name, or a generated
+/// datapath `adder:W`, `multiplier:W` or `alu:W` of width `W` (at least 2
+/// for a multiplier, 1 otherwise).
+fn resolve_design(name: &str) -> Result<Netlist, CliError> {
+    use fbb::netlist::generators::{alu, array_multiplier, ripple_adder};
+    if let Some(nl) = suite::generate(name) {
+        return Ok(nl);
+    }
+    let Some((kind, width)) = name.split_once(':') else {
+        return Err(format!(
+            "unknown design {name}; use a Table 1 name or adder:W / multiplier:W / alu:W"
+        )
+        .into());
+    };
+    let w: u32 = width.parse().map_err(|_| format!("bad width in {name}"))?;
+    match (kind, w) {
+        ("adder", 1..) => ripple_adder(name, w, false),
+        ("multiplier", 2..) => array_multiplier(name, w),
+        ("alu", 1..) => alu(name, w),
+        ("adder" | "multiplier" | "alu", _) => return Err(format!("bad width in {name}").into()),
+        (other, _) => return Err(format!("unknown generator {other}").into()),
+    }
+    .map_err(|e| e.to_string().into())
+}
+
+/// Rejects a name that is not a Table 1 design, before
+/// `fbb_bench::prepare_design` (which places only those, at the paper's
+/// row counts) would panic on it.
+fn require_table1(name: &str) -> Result<(), CliError> {
+    if suite::PAPER_TABLE1.iter().any(|s| s.name == name) {
+        Ok(())
+    } else {
+        Err(format!("unknown design {name}; use a Table 1 name").into())
+    }
+}
+
+/// The paper's 45 nm library, characterized on the paper's bias ladder.
+fn characterize() -> Result<Characterization, CliError> {
+    let ladder = BiasLadder::date09().map_err(|e| e.to_string())?;
+    Ok(Library::date09_45nm().characterize(&BodyBiasModel::date09_45nm(), &ladder))
+}
+
+/// The cold pipeline after the netlist: places it on the characterized
+/// paper library at `rows` rows (`--rows`), or on a square die when `None`.
+fn place_cold(netlist: Netlist, rows: Option<u32>) -> Result<LoadedDesign, CliError> {
+    let chara = characterize()?;
+    let options = PlacerOptions { target_rows: rows, ..PlacerOptions::default() };
     let placement =
-        Placer::new(options).place(&netlist, &library).map_err(|e| e.to_string())?;
-    let chara = library.characterize(
-        &BodyBiasModel::date09_45nm(),
-        &BiasLadder::date09().map_err(|e| e.to_string())?,
-    );
+        Placer::new(options).place(&netlist, chara.library()).map_err(|e| e.to_string())?;
     Ok(LoadedDesign { netlist, placement, chara, db: None })
 }
 
@@ -213,7 +255,7 @@ fn save_netlist(nl: &Netlist, path: &str) -> Result<(), String> {
 
 fn usage() -> &'static str {
     "usage:\n  \
-     fbb generate --design <table1-name|adder:W|multiplier:W|alu:W> [--out FILE]\n  \
+     fbb generate --design NAME [--out FILE]\n  \
      fbb compile (--design NAME | --netlist FILE) -o FILE.fbb [--rows N]\n            \
      [--betas 0.05,0.10] [--clusters 3] [--granularity row,block,gate]\n  \
      fbb sta --netlist FILE [--beta 0.05]\n  \
@@ -225,11 +267,14 @@ fn usage() -> &'static str {
      fbb sweep (--design NAME | --netlist FILE | --compose GATES) [--rows N]\n            \
      [--betas 0.03,0.05] [--clusters 2,3] [--levels 6,11]\n            \
      [--node-limit N] [--time-limit SECS] [--cold] [--report FILE]\n  \
-     fbb bench-serve (--design NAME | --netlist FILE.fbb) [--addr HOST:PORT]\n            \
+     fbb bench-serve (--design TABLE1-NAME | --netlist FILE.fbb) [--addr HOST:PORT]\n            \
      [--connections 4] [--requests 64] [--beta 0.05] [--clusters 3]\n  \
      fbb difftest [--cases 64] [--seed 0] [--gap-limit 0.6] [--db FILE.fbb]\n  \
      fbb lint [--json] [--deep] [--fixtures] [--models] [--designs a,b] [--root DIR]\n  \
      fbb lint (--list-rules | --explain RULE)\n\n\
+     A design NAME is a Table 1 name or adder:W / multiplier:W / alu:W;\n\
+     `--models --designs` takes Table 1 names only. --rows N places N rows\n\
+     (default: a square die); a compiled database keeps its own placement.\n\n\
      `fbb serve` runs the allocation daemon (protocol: docs/PROTOCOL.md):\n\
      clients load a compiled design once into the in-memory cache, then\n\
      solve against it repeatedly. Response codes reuse the exit codes\n\
@@ -256,7 +301,8 @@ fn usage() -> &'static str {
      Any command also accepts --telemetry FILE: solver/STA/Monte-Carlo\n\
      counters are collected during the run, written to FILE as flat JSON,\n\
      and summarized on stderr.\n\n\
-     Exit codes: 0 ok, 1 usage/internal error, 2 infeasible instance,\n\
+     Exit codes: 0 ok, 1 usage/internal error (a bad flag value or an\n\
+     unknown design name exits 1 naming it), 2 infeasible instance,\n\
      3 budget expired without an optimality proof (--require-optimal),\n\
      4 difftest mismatch, 5 lint/model-audit violations.\n\n\
      *.bench files use the ISCAS format; others use the native format."
@@ -270,7 +316,7 @@ fn run() -> Result<(), CliError> {
         fbb::telemetry::enable();
     }
     let result = match args.first().map(String::as_str) {
-        Some("generate") => generate(&args).map_err(CliError::from),
+        Some("generate") => generate(&args),
         Some("compile") => compile(&args),
         Some("sta") => sta(&args),
         Some("solve") => solve(&args),
@@ -301,13 +347,13 @@ fn run() -> Result<(), CliError> {
 /// can prove the harness detects a real solver bug, and an armed run must
 /// therefore *fail*.
 fn difftest(args: &[String]) -> Result<(), CliError> {
+    let cases: usize = arg_parse(args, "--cases")?.unwrap_or(64);
+    let seed: u64 = arg_parse(args, "--seed")?.unwrap_or(0);
+    let gap_limit: f64 = arg_parse(args, "--gap-limit")?.unwrap_or(0.6);
+    let ilp_limit = arg_seconds(args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(30));
     if let Some(path) = arg_value(args, "--db") {
-        return difftest_db(&path, args);
+        return difftest_db(&path, ilp_limit, arg_flag(args, "--ilp"));
     }
-    let cases: usize = arg_value(args, "--cases").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let seed: u64 = arg_value(args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let gap_limit: f64 =
-        arg_value(args, "--gap-limit").and_then(|v| v.parse().ok()).unwrap_or(0.6);
     let config = fbb::testkit::DiffConfig {
         cases,
         seed,
@@ -354,16 +400,13 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
 /// `--ilp`, the exact solver additionally must not be beaten by the
 /// heuristic whenever it proves optimality. Any disagreement exits 4, same
 /// as the random-case harness.
-fn difftest_db(path: &str, args: &[String]) -> Result<(), CliError> {
-    let ilp_limit =
-        arg_seconds(args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(30));
+fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), CliError> {
     let bytes = read_design_bytes(path)?;
     // The oracle run keeps the fully verified decode on purpose: difftest
     // exists to catch corruption, so it must not trust the CRCs alone.
     let db = DesignDb::decode_verified(&bytes)
         .map_err(|e| format!("cannot load design {path}: {e}"))?;
     println!("{}", db.stats());
-    let run_ilp = arg_flag(args, "--ilp");
     let mut mismatches = Vec::new();
     for entry in &db.entries {
         let pre = &entry.pre;
@@ -552,12 +595,12 @@ fn find_workspace_root() -> Result<std::path::PathBuf, CliError> {
 
 /// `fbb lint --models` — Layer-2 smoke over the paper suite.
 fn lint_models(args: &[String]) -> Result<(), CliError> {
-    let designs: Vec<String> = match arg_value(args, "--designs") {
-        Some(v) => v.split(',').map(str::to_owned).collect(),
-        None => suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect(),
-    };
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let paper: Vec<String> = suite::PAPER_TABLE1.iter().map(|s| s.name.to_owned()).collect();
+    let designs = arg_list(args, "--designs", &paper)?;
+    let clusters: usize = arg_parse(args, "--clusters")?.unwrap_or(3);
+    for name in &designs {
+        require_table1(name)?;
+    }
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for name in &designs {
@@ -604,24 +647,9 @@ fn lint_models(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
+fn generate(args: &[String]) -> Result<(), CliError> {
     let design = arg_value(args, "--design").ok_or("missing --design")?;
-    let nl = if let Some(nl) = suite::generate(&design) {
-        nl
-    } else if let Some((kind, w)) = design.split_once(':') {
-        let w: u32 = w.parse().map_err(|_| format!("bad width in {design}"))?;
-        match kind {
-            "adder" => fbb::netlist::generators::ripple_adder(&design, w, false),
-            "multiplier" => fbb::netlist::generators::array_multiplier(&design, w),
-            "alu" => fbb::netlist::generators::alu(&design, w),
-            other => return Err(format!("unknown generator {other}")),
-        }
-        .map_err(|e| e.to_string())?
-    } else {
-        return Err(format!(
-            "unknown design {design}; use a Table 1 name or adder:W / multiplier:W / alu:W"
-        ));
-    };
+    let nl = resolve_design(&design)?;
     eprintln!("{}", nl.stats());
     match arg_value(args, "--out") {
         Some(path) => save_netlist(&nl, &path)?,
@@ -632,7 +660,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 
 fn sta(args: &[String]) -> Result<(), CliError> {
     let path = arg_value(args, "--netlist").ok_or("missing --netlist")?;
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.0);
+    let beta: f64 = arg_parse(args, "--beta")?.unwrap_or(0.0);
 
     // From a compiled database the report comes straight from the stored
     // timing tables (the exact jittered STA input and its extracted paths);
@@ -647,11 +675,7 @@ fn sta(args: &[String]) -> Result<(), CliError> {
     } else {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
         let nl = parse_netlist(&path, &text)?;
-        let library = Library::date09_45nm();
-        let chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
+        let chara = characterize()?;
         let delays: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
         let graph = TimingGraph::new(&nl).map_err(|e| e.to_string())?;
         let analysis = graph.analyze(&delays);
@@ -687,78 +711,16 @@ fn compile(args: &[String]) -> Result<(), CliError> {
     let out = arg_value(args, "-o")
         .or_else(|| arg_value(args, "--out"))
         .ok_or("missing -o FILE.fbb")?;
-    let (netlist, source) = if let Some(path) = arg_value(args, "--netlist") {
-        (load_netlist(&path)?, format!("netlist {path}"))
-    } else if let Some(name) = arg_value(args, "--design") {
-        let nl = if let Some(nl) = suite::generate(&name) {
-            nl
-        } else if let Some((kind, w)) = name.split_once(':') {
-            let w: u32 = w.parse().map_err(|_| format!("bad width in {name}"))?;
-            match kind {
-                "adder" => fbb::netlist::generators::ripple_adder(&name, w, false),
-                "multiplier" => fbb::netlist::generators::array_multiplier(&name, w),
-                "alu" => fbb::netlist::generators::alu(&name, w),
-                other => return Err(format!("unknown generator {other}").into()),
-            }
-            .map_err(|e| e.to_string())?
-        } else {
-            return Err(format!(
-                "unknown design {name}; use a Table 1 name or adder:W / multiplier:W / alu:W"
-            )
-            .into());
-        };
-        (nl, format!("generated {name}"))
-    } else {
-        return Err("missing --design or --netlist".into());
-    };
-
-    let betas: Vec<f64> = match arg_value(args, "--betas") {
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for item in list.split(',') {
-                parsed.push(
-                    item.trim()
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad beta {item:?} in --betas"))?,
-                );
-            }
-            parsed
-        }
-        None => vec![0.05, 0.10],
-    };
-    let granularities: Vec<Granularity> = match arg_value(args, "--granularity") {
-        Some(list) => {
-            let mut parsed = Vec::new();
-            for item in list.split(',') {
-                parsed.push(match item.trim() {
-                    "block" => Granularity::Block,
-                    "row" => Granularity::Row,
-                    "gate" => Granularity::Gate,
-                    other => return Err(format!("unknown granularity {other:?}").into()),
-                });
-            }
-            parsed
-        }
-        None => vec![Granularity::Row],
-    };
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
-
-    let library = Library::date09_45nm();
-    let mut options = PlacerOptions::default();
-    if let Some(rows) = arg_value(args, "--rows").and_then(|v| v.parse().ok()) {
-        options.target_rows = Some(rows);
-    }
-    let placement =
-        Placer::new(options).place(&netlist, &library).map_err(|e| e.to_string())?;
-    let chara = library.characterize(
-        &BodyBiasModel::date09_45nm(),
-        &BiasLadder::date09().map_err(|e| e.to_string())?,
-    );
+    let rows: Option<u32> = arg_parse(args, "--rows")?;
+    let betas: Vec<f64> = arg_list(args, "--betas", &[0.05, 0.10])?;
+    let granularities: Vec<Granularity> = arg_list(args, "--granularity", &[Granularity::Row])?;
+    let clusters: usize = arg_parse(args, "--clusters")?.unwrap_or(3);
+    let (design, source) = design_arg(args, rows)?.ok_or("missing --design or --netlist")?;
+    let (netlist, placement, chara) = (&design.netlist, &design.placement, &design.chara);
     eprintln!("{}", netlist.stats());
     eprintln!("{}", placement.stats());
 
-    let db = DesignDb::build(&source, &netlist, &placement, &chara, &betas, &granularities, clusters)
+    let db = DesignDb::build(&source, netlist, placement, chara, &betas, &granularities, clusters)
         .map_err(classify_fbb_error)?;
     let bytes = db.encode_to_vec();
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -770,11 +732,16 @@ fn compile(args: &[String]) -> Result<(), CliError> {
 
 fn solve(args: &[String]) -> Result<(), CliError> {
     let path = arg_value(args, "--netlist").ok_or("missing --netlist")?;
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let rows: Option<u32> = arg_parse(args, "--rows")?;
+    let beta: f64 = arg_parse(args, "--beta")?.unwrap_or(0.05);
+    let clusters: usize = arg_parse(args, "--clusters")?.unwrap_or(3);
     let ilp_limit = arg_seconds(args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(120));
-    let design = load_design(args, &path)?;
+    let cleanup: Option<f64> = arg_parse(args, "--cleanup")?;
+    // Monte-Carlo yield of the uncompensated die population: on by default
+    // (32 dies) when telemetry is collected, opt-in via --mc otherwise.
+    let mc_samples: usize =
+        arg_parse(args, "--mc")?.unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
+    let design = load_design(&path, rows)?;
     let (nl, placement, chara) = (&design.netlist, &design.placement, &design.chara);
     let ladder = chara.ladder().clone();
     eprintln!("{}", nl.stats());
@@ -820,7 +787,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     );
 
     let mut sol = TwoPassHeuristic.solve(&pre).map_err(classify_fbb_error)?;
-    if let Some(pct) = arg_value(args, "--cleanup").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(pct) = cleanup {
         let raised = sol.reduce_well_separations(&pre, pct);
         eprintln!("cleanup raised {raised} rows (budget {pct}%)");
     }
@@ -888,9 +855,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     println!();
 
     if arg_flag(args, "--layout") {
-        let art =
-            layout::render_ascii(placement, &ladder, &answer.assignment, &LayoutOptions::default())
-                .map_err(|e| e.to_string())?;
+        let art = layout::render_ascii(placement, &ladder, &answer.assignment)
+            .map_err(|e| e.to_string())?;
         println!("\n{art}");
     }
 
@@ -920,11 +886,6 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         if tuned_dcrit <= pre.dcrit_ps * 1.002 { "met" } else { "VIOLATED" }
     );
 
-    // Monte-Carlo yield of the uncompensated die population. On by default
-    // (32 dies) when telemetry is collected, opt-in via --mc otherwise.
-    let mc_samples: usize = arg_value(args, "--mc")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
     if mc_samples > 0 {
         let nominal: Vec<f64> =
             nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
@@ -953,11 +914,9 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 fn serve(args: &[String]) -> Result<(), CliError> {
     let config = ServeConfig {
         addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7117".to_owned()),
-        workers: arg_value(args, "--workers").and_then(|v| v.parse().ok()).unwrap_or(0),
-        cache_designs: arg_value(args, "--cache-designs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
-        queue_depth: arg_value(args, "--queue-depth").and_then(|v| v.parse().ok()).unwrap_or(0),
+        workers: arg_parse(args, "--workers")?.unwrap_or(0),
+        cache_designs: arg_parse(args, "--cache-designs")?.unwrap_or(0),
+        queue_depth: arg_parse(args, "--queue-depth")?.unwrap_or(0),
     };
     fbb::serve::install_signal_handlers();
     let server =
@@ -974,26 +933,6 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses a comma-separated list flag (`--betas 0.03,0.05`), with a
-/// default when absent.
-fn arg_list<T: std::str::FromStr + Clone>(
-    args: &[String],
-    flag: &str,
-    default: &[T],
-) -> Result<Vec<T>, CliError> {
-    match arg_value(args, flag) {
-        None => Ok(default.to_vec()),
-        Some(list) => list
-            .split(',')
-            .map(|item| {
-                item.trim()
-                    .parse::<T>()
-                    .map_err(|_| CliError::Failure(format!("bad value {item:?} in {flag}")))
-            })
-            .collect(),
-    }
-}
-
 /// `fbb sweep` — run the β × C × P grid over one design as a warm
 /// pipeline (see `fbb::core::sweep`), streaming one line per cell.
 fn sweep(args: &[String]) -> Result<(), CliError> {
@@ -1004,50 +943,30 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
     };
     let options = fbb::core::SweepOptions {
         time_limit: arg_seconds(args, "--time-limit")?,
-        node_limit: arg_value(args, "--node-limit").and_then(|v| v.parse().ok()),
+        node_limit: arg_parse(args, "--node-limit")?,
         cold: arg_flag(args, "--cold"),
     };
-    let rows: u32 = arg_value(args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let (netlist, placement, chara);
-    if let Some(gates) = arg_value(args, "--compose") {
-        let target: usize =
-            gates.parse().map_err(|_| format!("bad gate count in --compose {gates}"))?;
-        let composed = fbb::netlist::compose("composed", &fbb::netlist::ComposeOptions::with_target(target))
-            .map_err(|e| e.to_string())?;
+    let rows: Option<u32> = arg_parse(args, "--rows")?;
+    let compose: Option<usize> = arg_parse(args, "--compose")?;
+    let design = if let Some(target) = compose {
+        let composed =
+            fbb::netlist::compose("composed", &fbb::netlist::ComposeOptions::with_target(target))
+                .map_err(|e| e.to_string())?;
         eprintln!(
             "composed {} gates in {} blocks ({} stitches)",
             composed.netlist.gate_count(),
             composed.blocks.len(),
             composed.stitch_gates.len()
         );
-        let library = Library::date09_45nm();
-        placement = fbb::placement::tile(&composed.netlist, &library, rows)
-            .map_err(|e| e.to_string())?;
-        chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
-        netlist = composed.netlist;
-    } else if let Some(path) = arg_value(args, "--netlist") {
-        let design = load_design(args, &path)?;
-        netlist = design.netlist;
-        placement = design.placement;
-        chara = design.chara;
-    } else if let Some(name) = arg_value(args, "--design") {
-        let nl = suite::generate(&name)
-            .ok_or_else(|| format!("unknown design {name}; use a Table 1 name"))?;
-        let library = Library::date09_45nm();
-        placement = Placer::new(PlacerOptions::default())
-            .place(&nl, &library)
-            .map_err(|e| e.to_string())?;
-        chara = library.characterize(
-            &BodyBiasModel::date09_45nm(),
-            &BiasLadder::date09().map_err(|e| e.to_string())?,
-        );
-        netlist = nl;
+        let chara = characterize()?;
+        let placement =
+            fbb::placement::tile(&composed.netlist, chara.library(), rows.unwrap_or(64))
+                .map_err(|e| e.to_string())?;
+        LoadedDesign { netlist: composed.netlist, placement, chara, db: None }
     } else {
-        return Err("missing --design, --netlist, or --compose".into());
-    }
+        design_arg(args, rows)?.ok_or("missing --design, --netlist, or --compose")?.0
+    };
+    let (netlist, placement, chara) = (&design.netlist, &design.placement, &design.chara);
 
     println!(
         "sweeping {} cells over {} ({} rows, {} mode)",
@@ -1057,7 +976,7 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         if options.cold { "cold" } else { "warm" }
     );
     println!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms");
-    let report = fbb::core::run_sweep(&netlist, &placement, &chara, &grid, &options, |cell| {
+    let report = fbb::core::run_sweep(netlist, placement, chara, &grid, &options, |cell| {
         println!(
             "{:>6.3}  {:>4}  {:>4}  {:<10}  {:>14.4}  {:>7}  {:>10.2}",
             cell.beta,
@@ -1123,15 +1042,10 @@ fn write_sweep_report(report: &fbb::core::SweepReport, path: &str) -> Result<(),
 /// (and left running). The cold baseline is the real thing: child `fbb
 /// solve --netlist X.fbb` processes, decode and all, timed end to end.
 fn bench_serve(args: &[String]) -> Result<(), CliError> {
-    let beta: f64 = arg_value(args, "--beta").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-    let clusters: usize =
-        arg_value(args, "--clusters").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let connections: usize = arg_value(args, "--connections")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let requests: usize =
-        arg_value(args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(64).max(1);
+    let beta: f64 = arg_parse(args, "--beta")?.unwrap_or(0.05);
+    let clusters: usize = arg_parse(args, "--clusters")?.unwrap_or(3);
+    let connections: usize = arg_parse(args, "--connections")?.unwrap_or(4).max(1);
+    let requests: usize = arg_parse(args, "--requests")?.unwrap_or(64).max(1);
 
     // The design under test: a user-supplied compiled database, or a Table
     // 1 design compiled in-process at the requested β.
@@ -1146,6 +1060,7 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
         b
     } else {
         let name = arg_value(args, "--design").unwrap_or_else(|| "c1355".to_owned());
+        require_table1(&name)?;
         let d = fbb::bench::prepare_design(&name);
         DesignDb::build(
             &format!("bench-serve {name}"),

@@ -295,3 +295,127 @@ fn sweep_rejects_unrepresentable_time_limits() {
         "--time-limit",
     );
 }
+
+// Flag values: a value that does not parse is a usage error naming the flag
+// and the value (exit 1), never a silent fall back to the default. Each row
+// pairs its bad value with an input the command cannot finish (a missing
+// design, an unbindable address, an unknown Table 1 name), so a command
+// that skipped the bad value stops on that input instead, without naming
+// the flag.
+
+#[test]
+fn every_bad_numeric_flag_exits_1_and_names_it() {
+    let missing = "/nonexistent/fbb_cli_status.nl";
+    let missing_db = "/nonexistent/fbb_cli_status.fbb";
+    let solve = ["solve", "--netlist", missing];
+    let sta = ["sta", "--netlist", missing];
+    let compile = ["compile", "--netlist", missing, "-o", "/nonexistent/out.fbb"];
+    let sweep = ["sweep", "--netlist", missing];
+    let serve = ["serve", "--addr", "127.0.0.1:99999"];
+    let difftest = ["difftest", "--db", missing_db];
+    let lint_models = ["lint", "--models", "--designs", "nonesuch"];
+    let bench_serve = ["bench-serve", "--netlist", missing_db];
+    let cases: &[(&[&str], &str, &str)] = &[
+        (&solve, "--rows", "many"),
+        (&solve, "--beta", "0,08"),
+        (&solve, "--clusters", "two"),
+        (&solve, "--ilp-time-limit", "soon"),
+        (&solve, "--cleanup", "5%"),
+        (&solve, "--mc", "-3"),
+        (&sta, "--beta", "0,08"),
+        (&compile, "--rows", "many"),
+        (&compile, "--betas", "5%"),
+        (&compile, "--clusters", "two"),
+        (&sweep, "--rows", "many"),
+        (&sweep, "--betas", "5%"),
+        (&sweep, "--clusters", "two"),
+        (&sweep, "--levels", "six"),
+        (&sweep, "--node-limit", "1e3"),
+        (&sweep, "--time-limit", "soon"),
+        (&sweep, "--compose", "200k"),
+        (&serve, "--workers", "four"),
+        (&serve, "--cache-designs", "-1"),
+        (&serve, "--queue-depth", "deep"),
+        (&difftest, "--cases", "many"),
+        (&difftest, "--seed", "0x1"),
+        (&difftest, "--gap-limit", "60%"),
+        (&difftest, "--ilp-time-limit", "soon"),
+        (&lint_models, "--clusters", "three"),
+        (&bench_serve, "--beta", "0,05"),
+        (&bench_serve, "--clusters", "three"),
+        (&bench_serve, "--connections", "four"),
+        (&bench_serve, "--requests", "many"),
+        // A flag with no value after it is as bad as a wrong value.
+        (&solve, "--beta", ""),
+        (&sweep, "--levels", ""),
+        (&serve, "--workers", ""),
+        (&difftest, "--cases", ""),
+    ];
+    for &(command, flag, value) in cases {
+        let mut args = command.to_vec();
+        args.push(flag);
+        if !value.is_empty() {
+            args.push(value);
+        }
+        let out = fbb(&args);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {args:?}: stderr: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "args {args:?}: stderr does not name the flag and value: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn sweep_design_places_the_requested_rows() {
+    let out = fbb(&[
+        "sweep", "--design", "c1355", "--rows", "5", "--betas", "0.05", "--clusters", "2",
+        "--levels", "3",
+    ]);
+    let stdout = text(&out.stdout);
+    assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
+    assert!(stdout.contains("over c1355 (5 rows,"), "stdout: {stdout}");
+}
+
+#[test]
+fn sweep_design_accepts_generator_names() {
+    let out = fbb(&[
+        "sweep", "--design", "adder:16", "--betas", "0.05", "--clusters", "2", "--levels", "3",
+    ]);
+    let stdout = text(&out.stdout);
+    assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
+    assert!(stdout.contains("over adder:16 ("), "stdout: {stdout}");
+}
+
+#[test]
+fn table1_only_commands_reject_unknown_designs() {
+    for args in [
+        vec!["lint", "--models", "--designs", "nonesuch"],
+        vec!["lint", "--models", "--designs", "c1355,nonesuch"],
+        vec!["bench-serve", "--design", "nonesuch"],
+    ] {
+        let out = fbb(&args);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {args:?}: stderr: {stderr}");
+        assert!(stderr.contains("unknown design nonesuch"), "args {args:?}: stderr: {stderr}");
+    }
+}
+
+#[test]
+fn generator_widths_below_the_minimum_exit_1() {
+    for design in ["adder:0", "alu:0", "multiplier:1"] {
+        let out = fbb(&["generate", "--design", design]);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "{design}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("bad width in {design}")), "{design}: stderr: {stderr}");
+    }
+}
+
+#[test]
+fn compile_reads_its_netlist_through_the_shared_load_path() {
+    let out = fbb(&["compile", "--netlist", "/nonexistent/z.nl", "-o", "/nonexistent/z.fbb"]);
+    let stderr = text(&out.stderr);
+    assert_eq!(code(&out), 1, "stderr: {stderr}");
+    assert!(stderr.contains("cannot load design /nonexistent/z.nl"), "stderr: {stderr}");
+}

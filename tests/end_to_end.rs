@@ -133,16 +133,15 @@ fn uncompensable_slowdown_is_reported_not_mis_solved() {
 
 #[test]
 fn layout_analysis_accepts_all_solutions() {
-    use fbb::placement::layout::{self, LayoutOptions};
+    use fbb::placement::layout;
     let (nl, placement, chara) = setup("alu");
     let pre = FbbProblem::new(&nl, &placement, &chara, 0.10, 3)
         .expect("valid")
         .preprocess()
         .expect("acyclic");
     let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
-    let analysis =
-        layout::analyze(&placement, chara.ladder(), &sol.assignment, &LayoutOptions::default())
-            .expect("C<=3 solutions satisfy the 2-voltage layout rule");
+    let analysis = layout::analyze(&placement, chara.ladder(), &sol.assignment)
+        .expect("C<=3 solutions satisfy the 2-voltage layout rule");
     assert!(analysis.bias_voltages <= 2);
     assert!(analysis.area_overhead_pct() < 20.0);
     let _ = nl;
