@@ -8,7 +8,7 @@
 //! cargo run -p fbb-bench --release --bin abb_bidirectional [-- --design c3540 --dies 60]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
+use fbb_bench::{arg_parse, arg_value, prepare_design, require_table1, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_device::rbb::RbbModel;
 use fbb_netlist::GateId;
@@ -20,6 +20,7 @@ fn main() -> Result<(), ArgError> {
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
     let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(60);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
     let nominal: Vec<f64> = design

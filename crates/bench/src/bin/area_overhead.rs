@@ -8,7 +8,9 @@
 //! cargo run -p fbb-bench --release --bin area_overhead [-- --layout --design c5315]
 //! ```
 
-use fbb_bench::{arg_flag, arg_parse, arg_value, format_row, prepare_design, ArgError};
+use fbb_bench::{
+    arg_flag, arg_parse, arg_value, format_row, prepare_design, require_table1, ArgError,
+};
 use fbb_core::{single_bb, TwoPassHeuristic};
 use fbb_placement::layout;
 
@@ -25,6 +27,7 @@ fn main() -> Result<(), ArgError> {
             .map(str::to_owned)
             .to_vec()
     });
+    designs.iter().try_for_each(|name| require_table1(name))?;
 
     let widths = [14usize, 5, 9, 10, 12, 11, 10];
     println!(

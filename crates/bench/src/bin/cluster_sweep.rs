@@ -7,7 +7,7 @@
 //! cargo run -p fbb-bench --release --bin cluster_sweep [-- --design c5315 --beta 0.05]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, ArgError};
+use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, require_table1, ArgError};
 use fbb_core::{single_bb, TwoPassHeuristic};
 
 fn main() -> Result<(), ArgError> {
@@ -15,6 +15,7 @@ fn main() -> Result<(), ArgError> {
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c5315".into());
     let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.05);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     println!("{name} @ beta = {:.0}%: heuristic savings vs single BB\n", beta * 100.0);
     let widths = [4usize, 10, 10, 12];

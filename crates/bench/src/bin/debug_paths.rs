@@ -4,7 +4,7 @@
 //! constraints, per-row criticality, and the solutions' assignments —
 //! used to sanity-check that generated benchmarks have paper-like structure.
 
-use fbb_bench::{arg_parse, arg_value, prepare_design, run_allocation, ArgError};
+use fbb_bench::{arg_parse, arg_value, prepare_design, require_table1, run_allocation, ArgError};
 
 fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -12,6 +12,7 @@ fn main() -> Result<(), ArgError> {
     let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.05);
     let c: usize = arg_parse(&args, "--clusters")?.unwrap_or(3);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     let pre = design.preprocess(beta, c);
     println!("{}: {} rows, {} levels, Dcrit {:.1} ps, M = {}", name, pre.n_rows(), pre.levels(), pre.dcrit_ps, pre.constraint_count());

@@ -8,7 +8,7 @@
 //! cargo run -p fbb-bench --release --bin granularity [-- --design c3540 --beta 0.10]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, ArgError};
+use fbb_bench::{arg_parse, arg_value, format_row, prepare_design, require_table1, ArgError};
 use fbb_core::{single_bb, FbbProblem, Granularity, TwoPassHeuristic};
 use fbb_placement::layout;
 
@@ -17,6 +17,7 @@ fn main() -> Result<(), ArgError> {
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
     let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.10);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     println!(
         "{name} @ beta = {:.0}%, C = 3: clustering granularity comparison\n",

@@ -7,7 +7,7 @@
 //! cargo run -p fbb-bench --release --bin leakage_sensitivity [-- --design c5315]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, format_row, ArgError};
+use fbb_bench::{arg_parse, arg_value, format_row, require_table1, ArgError};
 use fbb_core::{single_bb, FbbProblem, TwoPassHeuristic};
 use fbb_device::{BiasLadder, BiasVoltage, BodyBiasModel, Library};
 use fbb_netlist::suite;
@@ -17,6 +17,7 @@ fn main() -> Result<(), ArgError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c5315".into());
     let beta: f64 = arg_parse(&args, "--beta")?.unwrap_or(0.10);
+    require_table1(&name)?;
 
     let netlist = suite::generate(&name).expect("table 1 design");
     let stats = suite::PAPER_TABLE1.iter().find(|s| s.name == name).expect("table 1 design");

@@ -11,7 +11,8 @@
 use std::time::{Duration, Instant};
 
 use fbb_bench::{
-    arg_list, arg_parse, arg_seconds, format_row, prepare_design, run_allocation, ArgError,
+    arg_list, arg_parse, arg_seconds, format_row, prepare_design, require_table1, run_allocation,
+    ArgError,
 };
 
 fn main() -> Result<(), ArgError> {
@@ -25,6 +26,7 @@ fn main() -> Result<(), ArgError> {
         &["c1355", "c3540", "c5315", "c7552", "adder_128bits", "c6288", "Industrial1"]
             .map(str::to_owned),
     )?;
+    designs.iter().try_for_each(|name| require_table1(name))?;
 
     let widths = [14usize, 6, 12, 12, 10, 10, 9];
     println!(

@@ -12,7 +12,7 @@
 //! cargo run -p fbb-bench --release --bin ssta_vs_tuning [-- --design c3540 --dies 40]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
+use fbb_bench::{arg_parse, arg_value, prepare_design, require_table1, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_netlist::GateId;
 use fbb_sta::ssta::CanonicalDelay;
@@ -24,6 +24,7 @@ fn main() -> Result<(), ArgError> {
     let name = arg_value(&args, "--design").unwrap_or_else(|| "c3540".into());
     let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(40);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
     let nominal: Vec<f64> = design

@@ -16,7 +16,8 @@
 use std::time::Duration;
 
 use fbb_bench::{
-    arg_flag, arg_list, arg_seconds, format_row, prepare_design, run_allocation, ArgError,
+    arg_flag, arg_list, arg_seconds, format_row, prepare_design, require_table1, run_allocation,
+    ArgError,
 };
 use fbb_netlist::suite;
 
@@ -27,6 +28,7 @@ fn main() -> Result<(), ArgError> {
     let time_limit = arg_seconds(&args, "--ilp-time-limit")?.unwrap_or(Duration::from_secs(120));
     let no_ilp = arg_flag(&args, "--no-ilp");
     let force_ilp = arg_flag(&args, "--force-ilp");
+    designs.iter().try_for_each(|name| require_table1(name))?;
 
     let widths = [14usize, 6, 5, 4, 12, 10, 10, 10, 10, 9];
     let header = [

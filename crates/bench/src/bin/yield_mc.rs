@@ -9,7 +9,7 @@
 //! cargo run -p fbb-bench --release --bin yield_mc [-- --design c3540 --dies 40]
 //! ```
 
-use fbb_bench::{arg_parse, arg_value, prepare_design, ArgError};
+use fbb_bench::{arg_parse, arg_value, prepare_design, require_table1, ArgError};
 use fbb_core::{FbbProblem, TwoPassHeuristic};
 use fbb_netlist::GateId;
 use fbb_sta::TimingGraph;
@@ -21,6 +21,7 @@ fn main() -> Result<(), ArgError> {
     let dies: usize = arg_parse(&args, "--dies")?.unwrap_or(40);
     let seed: u64 = arg_parse(&args, "--seed")?.unwrap_or(0xD1E5);
 
+    require_table1(&name)?;
     let design = prepare_design(&name);
     let graph = TimingGraph::new(&design.netlist).expect("acyclic");
     let nominal: Vec<f64> = design

@@ -28,13 +28,30 @@ pub struct PreparedDesign {
     pub characterization: Characterization,
 }
 
+/// Rejects a name that is not a Table 1 design: the one check every
+/// caller of [`prepare_design`] that takes a design name from its command
+/// line (the `fbb` CLI and the experiment binaries) makes before any work,
+/// so an unknown name exits 1 naming it instead of panicking.
+///
+/// # Errors
+///
+/// An [`ArgError`] naming `name` when it is not a Table 1 design.
+pub fn require_table1(name: &str) -> Result<(), ArgError> {
+    if suite::PAPER_TABLE1.iter().any(|s| s.name == name) {
+        Ok(())
+    } else {
+        Err(ArgError(format!("unknown design {name}; use a Table 1 name")))
+    }
+}
+
 /// Generates, places (at the paper's exact row count), and characterizes a
 /// Table 1 design.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a Table 1 design or the placer fails (both are
-/// covered by the suite's tests, so a failure here is a programming error).
+/// Panics if `name` is not a Table 1 design (callers check it first with
+/// [`require_table1`]) or the placer fails (covered by the suite's tests,
+/// so a failure here is a programming error).
 pub fn prepare_design(name: &str) -> PreparedDesign {
     let stats = *suite::PAPER_TABLE1
         .iter()
@@ -145,10 +162,11 @@ pub fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// A flag given without a value, or with a value that does not parse: a
-/// usage error naming the flag and the value. `Debug` prints the bare
-/// message, so a binary whose `main` returns `Result<(), ArgError>` reports
-/// `Error: bad --beta "x": …` and exits 1.
+/// A usage error: a flag given without a value or with a value that does
+/// not parse (the message names the flag and the value), or a design name
+/// [`require_table1`] rejects (the message names the design). `Debug`
+/// prints the bare message, so a binary whose `main` returns
+/// `Result<(), ArgError>` reports `Error: bad --beta "x": …` and exits 1.
 pub struct ArgError(String);
 
 impl fmt::Display for ArgError {

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use fbb_device::Characterization;
-use fbb_netlist::Netlist;
+use fbb_netlist::{Gate, Netlist};
 use fbb_placement::Placement;
 use fbb_sta::{TimingAnalysis, TimingGraph};
 use serde::{Deserialize, Serialize};
@@ -122,18 +122,17 @@ impl<'a> FbbProblem<'a> {
     /// Exposed so design databases can persist the exact STA input and later
     /// cross-check stored timing against it.
     pub fn nominal_delays(&self) -> Vec<f64> {
-        self.netlist
-            .gates()
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                // Weyl-sequence hash in [-1, 1).
-                let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
-                    / (1u64 << 53) as f64;
-                self.characterization.delay_ps(g.cell, 0)
-                    * (1.0 + self.instance_jitter * (2.0 * h - 1.0))
-            })
-            .collect()
+        self.netlist.gates().iter().enumerate().map(|(i, g)| self.nominal_delay(i, g)).collect()
+    }
+
+    /// Element `i` of [`FbbProblem::nominal_delays`]: gate `i`'s level-0
+    /// library delay with its per-instance perturbation.
+    fn nominal_delay(&self, i: usize, gate: &Gate) -> f64 {
+        // Weyl-sequence hash in [-1, 1).
+        let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
+            / (1u64 << 53) as f64;
+        self.characterization.delay_ps(gate.cell, 0)
+            * (1.0 + self.instance_jitter * (2.0 * h - 1.0))
     }
 
     /// Runs the paper's pre-processing: nominal STA, critical-path-set
@@ -230,10 +229,17 @@ impl<'a> FbbProblem<'a> {
             ));
         }
         // Nominal (NBB) per-gate delays, with a deterministic per-instance
-        // loading perturbation (see [`FbbProblem::with_instance_jitter`]).
+        // loading perturbation (see [`FbbProblem::with_instance_jitter`]),
+        // compared gate by gate without building a second vector.
         let nominal = analysis.delays();
-        let bits = |d: &f64| d.to_bits();
-        if !nominal.iter().map(bits).eq(self.nominal_delays().iter().map(bits)) {
+        let gates = self.netlist.gates();
+        let same = nominal.len() == gates.len()
+            && gates
+                .iter()
+                .zip(nominal)
+                .enumerate()
+                .all(|(i, (g, d))| self.nominal_delay(i, g).to_bits() == d.to_bits());
+        if !same {
             return Err(FbbError::InvalidProblem(
                 "timing analysis delays are not this problem's nominal delays".into(),
             ));

@@ -18,7 +18,7 @@
 //! Forward references are allowed (necessary for sequential feedback).
 
 use fbb_device::{CellKind, DriveStrength};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::{Gate, GateId, Net, NetId, Netlist, NetlistError};
 
@@ -82,6 +82,7 @@ pub fn from_str(text: &str) -> Result<Netlist, NetlistError> {
     let mut gates: Vec<Gate> = Vec::new();
     let mut inputs: Vec<NetId> = Vec::new();
     let mut outputs: Vec<NetId> = Vec::new();
+    let mut output_set: HashSet<NetId> = HashSet::new();
     // (gate index, pin index, net name, line) resolved after all nets exist.
     let mut pending_pins: Vec<(usize, String, usize)> = Vec::new();
 
@@ -117,7 +118,7 @@ pub fn from_str(text: &str) -> Result<Netlist, NetlistError> {
             "output" => {
                 let n = tok.next().ok_or_else(|| err(line, "missing output net"))?;
                 let id = intern(&mut nets, &mut net_ids, n);
-                if !outputs.contains(&id) {
+                if output_set.insert(id) {
                     outputs.push(id);
                 }
             }
@@ -242,6 +243,15 @@ mod tests {
         let text = "# header\ncircuit x\n\ninput a # trailing\ngate w INV X1 a\noutput w y\nend\n";
         let nl = from_str(text).unwrap();
         assert_eq!(nl.gate_count(), 1);
+    }
+
+    #[test]
+    fn repeated_output_line_lists_the_net_once() {
+        let text = "circuit x\ninput a\ngate w INV X1 a\ngate v INV X1 w\n\
+                    output w w\noutput v v\noutput w w\nend\n";
+        let nl = from_str(text).unwrap();
+        let names: Vec<&str> = nl.outputs().iter().map(|&o| nl.net(o).name.as_str()).collect();
+        assert_eq!(names, ["w", "v"]);
     }
 
     #[test]

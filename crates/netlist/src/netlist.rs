@@ -63,12 +63,6 @@ fn gate_at(i: usize) -> GateId {
     GateId(u32::try_from(i).unwrap_or(u32::MAX))
 }
 
-/// Dense [`NetId`] for table row `i`, saturating instead of panicking (see
-/// [`gate_at`]).
-fn net_at(i: usize) -> NetId {
-    NetId(u32::try_from(i).unwrap_or(u32::MAX))
-}
-
 impl fmt::Display for NetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -369,18 +363,27 @@ impl Netlist {
     /// The builder enforces these on the fly; this is useful after parsing a
     /// netlist from text or constructing one programmatically.
     ///
+    /// Linear in the netlist's size: the primary inputs are marked once in
+    /// a per-net table (an input id beyond the net table marks nothing),
+    /// then the nets, the gates and the topological sort are each walked
+    /// once, in that order.
+    ///
     /// # Errors
     ///
     /// Returns the first [`NetlistError`] found: driverless internal nets,
     /// arity mismatches, dangling gate outputs, or combinational cycles.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        for (i, net) in self.nets.iter().enumerate() {
-            let id = net_at(i);
-            let is_input = self.inputs.contains(&id);
-            if net.driver.is_none() && !is_input {
+        let mut is_input = vec![false; self.nets.len()];
+        for id in &self.inputs {
+            if let Some(mark) = is_input.get_mut(id.index()) {
+                *mark = true;
+            }
+        }
+        for (net, &primary) in self.nets.iter().zip(&is_input) {
+            if net.driver.is_none() && !primary {
                 return Err(NetlistError::UndrivenNet(net.name.clone()));
             }
-            if let (Some(_), true) = (net.driver, is_input) {
+            if let (Some(_), true) = (net.driver, primary) {
                 return Err(NetlistError::DrivenPrimaryInput(net.name.clone()));
             }
         }
@@ -407,12 +410,15 @@ impl Netlist {
         if self.gates.is_empty() {
             return 0.0;
         }
+        let mut is_output = vec![false; self.nets.len()];
+        for id in &self.outputs {
+            is_output[id.index()] = true;
+        }
         let dangling = self
             .gates
             .iter()
             .filter(|g| {
-                let net = &self.nets[g.output.index()];
-                net.sinks.is_empty() && !self.outputs.contains(&g.output)
+                self.nets[g.output.index()].sinks.is_empty() && !is_output[g.output.index()]
             })
             .count();
         dangling as f64 / self.gates.len() as f64
@@ -548,6 +554,112 @@ mod tests {
             nl.validate(),
             Err(NetlistError::CombinationalCycle { .. })
         ));
+    }
+
+    /// `validate` as it was before the primary inputs were marked in a
+    /// per-net table: one `contains` scan of `inputs` per net. The parity
+    /// reference for the linear version.
+    fn quadratic_validate(nl: &Netlist) -> Result<(), NetlistError> {
+        for (i, net) in nl.nets.iter().enumerate() {
+            let is_input = nl.inputs.contains(&NetId::from_index(i));
+            if net.driver.is_none() && !is_input {
+                return Err(NetlistError::UndrivenNet(net.name.clone()));
+            }
+            if let (Some(_), true) = (net.driver, is_input) {
+                return Err(NetlistError::DrivenPrimaryInput(net.name.clone()));
+            }
+        }
+        for (i, gate) in nl.gates.iter().enumerate() {
+            if gate.inputs.len() != gate.cell.kind.input_count() {
+                return Err(NetlistError::ArityMismatch {
+                    gate: GateId::from_index(i),
+                    kind: gate.cell.kind,
+                    got: gate.inputs.len(),
+                });
+            }
+            let out_net = &nl.nets[gate.output.index()];
+            if out_net.driver != Some(GateId::from_index(i)) {
+                return Err(NetlistError::InconsistentDriver(out_net.name.clone()));
+            }
+        }
+        nl.topo_order()?;
+        Ok(())
+    }
+
+    /// Corrupts `tiny()` and checks that `validate` and the quadratic
+    /// reference both report `expected`.
+    fn assert_parity(what: &str, corrupt: fn(&mut Netlist), expected: Result<(), NetlistError>) {
+        let mut nl = tiny();
+        corrupt(&mut nl);
+        assert_eq!(quadratic_validate(&nl), expected, "{what}: reference");
+        assert_eq!(nl.validate(), expected, "{what}");
+    }
+
+    #[test]
+    fn validate_reports_the_quadratic_scans_first_error() {
+        fn floating() -> Net {
+            Net { name: "floating".into(), driver: None, sinks: Vec::new() }
+        }
+        assert_parity("clean", |_| {}, Ok(()));
+        assert_parity("input listed twice", |nl| nl.inputs.push(nl.inputs[0]), Ok(()));
+        assert_parity(
+            "driven input listed twice",
+            |nl| {
+                let y = nl.gates[1].output;
+                nl.inputs.extend([y, y]);
+            },
+            Err(NetlistError::DrivenPrimaryInput("y".into())),
+        );
+        assert_parity(
+            "driven primary input",
+            |nl| nl.inputs.push(nl.gates[0].output),
+            Err(NetlistError::DrivenPrimaryInput("w0".into())),
+        );
+        assert_parity(
+            "undriven net",
+            |nl| nl.nets.push(floating()),
+            Err(NetlistError::UndrivenNet("floating".into())),
+        );
+        assert_parity(
+            "arity mismatch",
+            |nl| {
+                nl.gates[0].inputs.pop();
+            },
+            Err(NetlistError::ArityMismatch {
+                gate: GateId::from_index(0),
+                kind: CellKind::Nand2,
+                got: 1,
+            }),
+        );
+        assert_parity(
+            "undriven net before an arity mismatch",
+            |nl| {
+                nl.gates[0].inputs.pop();
+                nl.nets.push(floating());
+            },
+            Err(NetlistError::UndrivenNet("floating".into())),
+        );
+        assert_parity(
+            "cycle",
+            |nl| {
+                let inv_out = nl.gates[1].output;
+                nl.gates[0].inputs[0] = inv_out;
+                nl.nets[inv_out.index()].sinks.push(GateId::from_index(0));
+            },
+            Err(NetlistError::CombinationalCycle { reached: 0, total: 2 }),
+        );
+    }
+
+    #[test]
+    fn validate_skips_an_input_id_beyond_the_net_table() {
+        // `from_parts` rejects such an id before validating; built in-crate
+        // it marks nothing, as the old `contains` scan matched nothing.
+        let mut nl = tiny();
+        nl.inputs.push(NetId::from_index(nl.nets.len() + 7));
+        assert_eq!(nl.validate(), quadratic_validate(&nl));
+        assert_eq!(nl.validate(), Ok(()));
+        nl.nets.push(Net { name: "floating".into(), driver: None, sinks: Vec::new() });
+        assert_eq!(nl.validate(), Err(NetlistError::UndrivenNet("floating".into())));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! Exit codes are a machine-readable contract:
 //!
-//! * `0` — success (and, with `--require-optimal`, a proven optimum);
+//! * `0` — success (and, with `--require-optimal`, a proven optimum), or
+//!   stdout closed by its reader (`fbb sweep … | head -1`): the command
+//!   stops writing and exits quietly;
 //! * `1` — usage error or internal failure; a bad flag value (one that
 //!   does not parse, or a flag with no value) or an unknown design name is
 //!   a usage error whose message names the flag or the design;
@@ -41,7 +43,9 @@ use fbb::core::{
     TwoPassHeuristic,
 };
 use fbb::bench::report::BenchReport;
-use fbb::bench::{arg_flag, arg_list, arg_parse, arg_seconds, arg_value, ArgError};
+use fbb::bench::{
+    arg_flag, arg_list, arg_parse, arg_seconds, arg_value, require_table1, ArgError,
+};
 use fbb::db::{is_design_db, DesignDb};
 use fbb::device::{BiasLadder, BodyBiasModel, Characterization, Library};
 use fbb::lp::deadline::Stopwatch;
@@ -65,6 +69,9 @@ enum CliError {
     Mismatch(String),
     /// The static-analysis pass found violations — exit 5.
     LintViolations(String),
+    /// The reader of stdout went away (`fbb sweep … | head -1`): the
+    /// command ends quietly — exit 0, nothing on stderr.
+    StdoutClosed,
 }
 
 impl CliError {
@@ -75,6 +82,7 @@ impl CliError {
             CliError::BudgetExpired(_) => 3,
             CliError::Mismatch(_) => 4,
             CliError::LintViolations(_) => 5,
+            CliError::StdoutClosed => 0,
         }
     }
 
@@ -85,8 +93,41 @@ impl CliError {
             | CliError::BudgetExpired(m)
             | CliError::Mismatch(m)
             | CliError::LintViolations(m) => m,
+            CliError::StdoutClosed => "",
         }
     }
+}
+
+/// Writes to stdout and flushes: the CLI's one stdout writer, behind
+/// [`out!`] and [`outln!`]. A closed stdout (`BrokenPipe`) is
+/// [`CliError::StdoutClosed`]; any other write error exits 1 naming it.
+fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_fmt(args).and_then(|()| stdout.flush()).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::StdoutClosed
+        } else {
+            CliError::Failure(format!("cannot write to stdout: {e}"))
+        }
+    })
+}
+
+/// `print!` through [`write_stdout`], as a `Result` for `?`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`], as a `Result` for `?`.
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 impl From<String> for CliError {
@@ -217,17 +258,6 @@ fn resolve_design(name: &str) -> Result<Netlist, CliError> {
     .map_err(|e| e.to_string().into())
 }
 
-/// Rejects a name that is not a Table 1 design, before
-/// `fbb_bench::prepare_design` (which places only those, at the paper's
-/// row counts) would panic on it.
-fn require_table1(name: &str) -> Result<(), CliError> {
-    if suite::PAPER_TABLE1.iter().any(|s| s.name == name) {
-        Ok(())
-    } else {
-        Err(format!("unknown design {name}; use a Table 1 name").into())
-    }
-}
-
 /// The paper's 45 nm library, characterized on the paper's bias ladder.
 fn characterize() -> Result<Characterization, CliError> {
     let ladder = BiasLadder::date09().map_err(|e| e.to_string())?;
@@ -301,8 +331,9 @@ fn usage() -> &'static str {
      Any command also accepts --telemetry FILE: solver/STA/Monte-Carlo\n\
      counters are collected during the run, written to FILE as flat JSON,\n\
      and summarized on stderr.\n\n\
-     Exit codes: 0 ok, 1 usage/internal error (a bad flag value or an\n\
-     unknown design name exits 1 naming it), 2 infeasible instance,\n\
+     Exit codes: 0 ok (also when the reader closes stdout early), 1\n\
+     usage/internal error (a bad flag value or an unknown design name\n\
+     exits 1 naming it), 2 infeasible instance,\n\
      3 budget expired without an optimality proof (--require-optimal),\n\
      4 difftest mismatch, 5 lint/model-audit violations.\n\n\
      *.bench files use the ISCAS format; others use the native format."
@@ -370,7 +401,7 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
     } else {
         runner.run()
     };
-    println!("{}", report.summary());
+    outln!("{}", report.summary())?;
     if report.is_clean() {
         Ok(())
     } else {
@@ -406,7 +437,7 @@ fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), Cli
     // exists to catch corruption, so it must not trust the CRCs alone.
     let db = DesignDb::decode_verified(&bytes)
         .map_err(|e| format!("cannot load design {path}: {e}"))?;
-    println!("{}", db.stats());
+    outln!("{}", db.stats())?;
     let mut mismatches = Vec::new();
     for entry in &db.entries {
         let pre = &entry.pre;
@@ -414,7 +445,7 @@ fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), Cli
         let sol = match TwoPassHeuristic.solve(pre) {
             Ok(sol) => sol,
             Err(FbbError::Uncompensable { .. }) => {
-                println!("  {tag:<24} uncompensable (oracle skipped)");
+                outln!("  {tag:<24} uncompensable (oracle skipped)")?;
                 continue;
             }
             Err(e) => return Err(CliError::Failure(format!("{tag}: {e}"))),
@@ -451,20 +482,20 @@ fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), Cli
                 ilp_note = "  ilp budget expired (skipped)".to_owned();
             }
         }
-        println!(
+        outln!(
             "  {tag:<24} heuristic {:>9.1} nW, {} clusters <= {}{ilp_note}",
             sol.leakage_nw, used, pre.max_clusters
-        );
+        )?;
     }
     fbb::telemetry::counter("cli_difftest_db_runs", 1);
     if mismatches.is_empty() {
-        println!("difftest --db: {} entr{} clean", db.entries.len(), {
+        outln!("difftest --db: {} entr{} clean", db.entries.len(), {
             if db.entries.len() == 1 {
                 "y"
             } else {
                 "ies"
             }
-        });
+        })?;
         Ok(())
     } else {
         for m in &mismatches {
@@ -499,7 +530,7 @@ fn lint(args: &[String]) -> Result<(), CliError> {
     }
     if arg_flag(args, "--list-rules") {
         for r in &fbb::audit::RULES {
-            println!("{}  {}{}", r.id, r.title, if r.deep { "  [deep]" } else { "" });
+            outln!("{}  {}{}", r.id, r.title, if r.deep { "  [deep]" } else { "" })?;
         }
         return Ok(());
     }
@@ -510,13 +541,13 @@ fn lint(args: &[String]) -> Result<(), CliError> {
                 "unknown rule `{id}` (see `fbb lint --list-rules`)"
             )));
         };
-        println!("{} — {}{}\n", r.id, r.title, if r.deep { " (deep pass)" } else { "" });
-        println!("{}\n", r.doc);
-        println!("example:");
+        outln!("{} — {}{}\n", r.id, r.title, if r.deep { " (deep pass)" } else { "" })?;
+        outln!("{}\n", r.doc)?;
+        outln!("example:")?;
         for line in r.example.lines() {
-            println!("    {}", line.trim_start());
+            outln!("    {}", line.trim_start())?;
         }
-        println!("\nfix: {}", r.hint);
+        outln!("\nfix: {}", r.hint)?;
         return Ok(());
     }
     let root = match arg_value(args, "--root") {
@@ -534,9 +565,9 @@ fn lint(args: &[String]) -> Result<(), CliError> {
     .map_err(|e| CliError::Failure(format!("lint: {e}")))?;
 
     if arg_flag(args, "--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json())?;
     } else {
-        print!("{}", report.summary());
+        out!("{}", report.summary())?;
     }
     fbb::telemetry::counter("cli_lint_runs", 1);
 
@@ -616,14 +647,14 @@ fn lint_models(args: &[String]) -> Result<(), CliError> {
             let n_warn = audit.warnings().count();
             errors += n_err;
             warnings += n_warn;
-            println!(
+            outln!(
                 "{name:<14} beta={:>2.0}%  {:>6} vars {:>6} rows  {} error(s), {} warning(s)",
                 beta * 100.0,
                 model.var_count(),
                 model.constraint_count(),
                 n_err,
                 n_warn
-            );
+            )?;
             for d in audit.defects.iter().filter(|d| {
                 matches!(d.severity, fbb::lp::Severity::Error)
             }) {
@@ -634,10 +665,10 @@ fn lint_models(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    println!(
+    outln!(
         "model audit: {} design(s) x 2 betas, {errors} error(s), {warnings} warning(s)",
         designs.len()
-    );
+    )?;
     if errors == 0 {
         Ok(())
     } else {
@@ -653,7 +684,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
     eprintln!("{}", nl.stats());
     match arg_value(args, "--out") {
         Some(path) => save_netlist(&nl, &path)?,
-        None => print!("{}", nl_fmt::to_string(&nl)),
+        None => out!("{}", nl_fmt::to_string(&nl))?,
     }
     Ok(())
 }
@@ -670,7 +701,7 @@ fn sta(args: &[String]) -> Result<(), CliError> {
     let (stats, dcrit, mut paths) = if is_design_db(&bytes) {
         let db = DesignDb::decode_fast(&bytes)
             .map_err(|e| format!("cannot load design {path}: {e}"))?;
-        println!("compiled database: {}", db.stats());
+        outln!("compiled database: {}", db.stats())?;
         (db.netlist.stats(), db.timing.dcrit_ps, db.timing.paths.clone())
     } else {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
@@ -681,25 +712,25 @@ fn sta(args: &[String]) -> Result<(), CliError> {
         let analysis = graph.analyze(&delays);
         (nl.stats(), analysis.dcrit_ps(), analysis.critical_path_set())
     };
-    println!("{stats}");
-    println!("Dcrit = {dcrit:.1} ps");
+    outln!("{stats}")?;
+    outln!("Dcrit = {dcrit:.1} ps")?;
     paths.sort_by(|a, b| b.delay_ps.partial_cmp(&a.delay_ps).expect("finite"));
-    println!("unique worst paths: {}", paths.len());
+    outln!("unique worst paths: {}", paths.len())?;
     if beta > 0.0 {
         let violating = paths.iter().filter(|p| p.delay_ps * (1.0 + beta) > dcrit).count();
-        println!(
+        outln!(
             "at beta = {:.1}%: {violating} paths violate (the allocator's constraint count)",
             beta * 100.0
-        );
+        )?;
     }
-    println!("\ntop paths:");
+    outln!("\ntop paths:")?;
     for p in paths.iter().take(5) {
-        println!(
+        outln!(
             "  {:>8.1} ps  {:>3} gates  slack {:>7.1} ps",
             p.delay_ps,
             p.len(),
             dcrit - p.delay_ps
-        );
+        )?;
     }
     Ok(())
 }
@@ -725,8 +756,8 @@ fn compile(args: &[String]) -> Result<(), CliError> {
     let bytes = db.encode_to_vec();
     std::fs::write(&out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     fbb::telemetry::counter("cli_compile_runs", 1);
-    println!("compiled {}", db.stats());
-    println!("{} bytes -> {out} (format v{})", bytes.len(), fbb::db::FORMAT_VERSION);
+    outln!("compiled {}", db.stats())?;
+    outln!("{} bytes -> {out} (format v{})", bytes.len(), fbb::db::FORMAT_VERSION)?;
     Ok(())
 }
 
@@ -773,31 +804,31 @@ fn solve(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| e.to_string())?
         }
     };
-    println!(
+    outln!(
         "Dcrit = {:.1} ps, beta = {:.1}%, {} constraints, C <= {clusters}",
         pre.dcrit_ps,
         beta * 100.0,
         pre.constraint_count()
-    );
+    )?;
 
     let baseline = single_bb(&pre).map_err(classify_fbb_error)?;
-    println!(
+    outln!(
         "\nsingle BB : level {:>2} everywhere            leakage {:>9.1} nW",
         baseline.assignment[0], baseline.leakage_nw
-    );
+    )?;
 
     let mut sol = TwoPassHeuristic.solve(&pre).map_err(classify_fbb_error)?;
     if let Some(pct) = cleanup {
         let raised = sol.reduce_well_separations(&pre, pct);
         eprintln!("cleanup raised {raised} rows (budget {pct}%)");
     }
-    println!(
+    outln!(
         "heuristic : {} clusters, {} well seps    leakage {:>9.1} nW  ({:.2}% saved)",
         sol.clusters,
         sol.well_separation_count(),
         sol.leakage_nw,
         sol.savings_vs(&baseline)
-    );
+    )?;
 
     // The answer this command reports: the heuristic's, or the ILP's when
     // `--ilp` finds one. The listing, the layout, the telemetry and the
@@ -811,23 +842,23 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         // appears if and only if the branch & bound *proved* optimality. A
         // limited solve reports its incumbent and residual gap instead.
         match (&out.solution, out.proven_optimal) {
-            (Some(exact), true) => println!(
+            (Some(exact), true) => outln!(
                 "ilp       : optimal (proven), {} clusters, {} well seps    leakage {:>9.1} nW  ({:.2}% saved, {} nodes)",
                 exact.clusters,
                 exact.well_separation_count(),
                 exact.leakage_nw,
                 exact.savings_vs(&baseline),
                 out.nodes
-            ),
-            (Some(exact), false) => println!(
+            )?,
+            (Some(exact), false) => outln!(
                 "ilp       : time limit hit, best incumbent with gap {:.2}%, {} clusters    leakage {:>9.1} nW  ({:.2}% saved, {} nodes)",
                 out.gap * 100.0,
                 exact.clusters,
                 exact.leakage_nw,
                 exact.savings_vs(&baseline),
                 out.nodes
-            ),
-            (None, _) => println!("ilp       : no solution within the time limit"),
+            )?,
+            (None, _) => outln!("ilp       : no solution within the time limit")?,
         }
         if arg_flag(args, "--require-optimal") && !out.proven_optimal {
             return Err(CliError::BudgetExpired(format!(
@@ -845,19 +876,19 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    print!("\nrow biases: ");
+    out!("\nrow biases: ")?;
     for (row, &level) in answer.assignment.iter().enumerate() {
         if row % 8 == 0 {
-            print!("\n  ");
+            out!("\n  ")?;
         }
-        print!("r{row:<3}={:<6} ", ladder.level(level).to_string());
+        out!("r{row:<3}={:<6} ", ladder.level(level).to_string())?;
     }
-    println!();
+    outln!()?;
 
     if arg_flag(args, "--layout") {
         let art = layout::render_ascii(placement, &ladder, &answer.assignment)
             .map_err(|e| e.to_string())?;
-        println!("\n{art}");
+        outln!("\n{art}")?;
     }
 
     fbb::telemetry::record("cli_solution_leakage_nw", answer.leakage_nw);
@@ -879,12 +910,12 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         })
         .collect();
     let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
-    println!(
+    outln!(
         "verification: biased degraded Dcrit = {:.1} ps vs target {:.1} ps ({})",
         tuned_dcrit,
         pre.dcrit_ps,
         if tuned_dcrit <= pre.dcrit_ps * 1.002 { "met" } else { "VIOLATED" }
-    );
+    )?;
 
     if mc_samples > 0 {
         let nominal: Vec<f64> =
@@ -893,14 +924,14 @@ fn solve(args: &[String]) -> Result<(), CliError> {
         let est = mc
             .estimate(&ProcessVariation::slow_corner_45nm(), pre.dcrit_ps, mc_samples, 42)
             .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "monte carlo : {} dies at clock {:.1} ps: yield {:.1}%, beta mean {:.2}% / p95 {:.2}%",
             est.samples,
             pre.dcrit_ps,
             est.yield_fraction * 100.0,
             est.beta_mean * 100.0,
             est.beta_p95 * 100.0
-        );
+        )?;
     }
     Ok(())
 }
@@ -908,8 +939,8 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 /// `fbb serve` — run the allocation daemon until drained.
 ///
 /// Prints one `fbb-serve listening on ADDR` line to stdout (flushed before
-/// serving) so scripts can discover an ephemeral port, then blocks in the
-/// accept loop. SIGTERM/SIGINT or a SHUTDOWN frame trigger a graceful
+/// serving, as every stdout write is) so scripts can discover an ephemeral
+/// port, then blocks in the accept loop. SIGTERM/SIGINT or a SHUTDOWN frame trigger a graceful
 /// drain: every accepted solve is answered, then the process exits 0.
 fn serve(args: &[String]) -> Result<(), CliError> {
     let config = ServeConfig {
@@ -921,13 +952,11 @@ fn serve(args: &[String]) -> Result<(), CliError> {
     fbb::serve::install_signal_handlers();
     let server =
         Server::bind(&config).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
-    println!(
+    outln!(
         "fbb-serve listening on {} ({} workers)",
         server.local_addr(),
         config.resolved_workers()
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    )?;
     server.run().map_err(|e| CliError::Failure(format!("serve: {e}")))?;
     eprintln!("fbb-serve: drained cleanly");
     Ok(())
@@ -968,16 +997,22 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
     };
     let (netlist, placement, chara) = (&design.netlist, &design.placement, &design.chara);
 
-    println!(
+    outln!(
         "sweeping {} cells over {} ({} rows, {} mode)",
         grid.cell_count(),
         netlist.name(),
         placement.row_count(),
         if options.cold { "cold" } else { "warm" }
-    );
-    println!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms");
+    )?;
+    outln!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms")?;
+    // The callback cannot stop the sweep: a failed write is kept, later
+    // cells write nothing, and the command returns it once the sweep ends.
+    let mut written = Ok(());
     let report = fbb::core::run_sweep(netlist, placement, chara, &grid, &options, |cell| {
-        println!(
+        if written.is_err() {
+            return;
+        }
+        written = outln!(
             "{:>6.3}  {:>4}  {:>4}  {:<10}  {:>14.4}  {:>7}  {:>10.2}",
             cell.beta,
             cell.clusters,
@@ -989,14 +1024,15 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         );
     })
     .map_err(classify_fbb_error)?;
-    println!(
+    written?;
+    outln!(
         "swept {} cells in {:.2} s: {} pre-processes, {} model builds, {} pruned",
         report.cells.len(),
         report.runtime.as_secs_f64(),
         report.preprocess_count,
         report.model_builds,
         report.pruned
-    );
+    )?;
     if let Some(path) = arg_value(args, "--report") {
         write_sweep_report(&report, &path)?;
         eprintln!("report written to {path}");
@@ -1195,11 +1231,11 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
     };
     let speedup = cold_median_ns as f64 / p50 as f64;
 
-    println!("bench-serve: {connections} connections x {requests} requests = {total} solves");
-    println!("  warm latency        p50 {p50:>10} ns   p99 {p99:>10} ns   mean {mean:>10} ns");
-    println!("  cold CLI round trip     {cold_median_ns:>10} ns   (median of {})", cold_ns.len());
-    println!("  p50 speedup vs CLI  {speedup:>14.2}x");
-    println!("  design cache        {hits} hits / {misses} misses  (hit rate {:.3})", hit_rate);
+    outln!("bench-serve: {connections} connections x {requests} requests = {total} solves")?;
+    outln!("  warm latency        p50 {p50:>10} ns   p99 {p99:>10} ns   mean {mean:>10} ns")?;
+    outln!("  cold CLI round trip     {cold_median_ns:>10} ns   (median of {})", cold_ns.len())?;
+    outln!("  p50 speedup vs CLI  {speedup:>14.2}x")?;
+    outln!("  design cache        {hits} hits / {misses} misses  (hit rate {:.3})", hit_rate)?;
 
     let path = fbb::bench::report::workspace_file("BENCH_serve.json");
     let mut report = BenchReport::load(&path);
@@ -1214,14 +1250,14 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
     report.set("serve_cache_misses", misses as f64);
     report.set("serve_cache_hit_rate", hit_rate);
     report.save(&path).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    println!("snapshot merged into {}", path.display());
+    outln!("snapshot merged into {}", path.display())?;
     fbb::telemetry::counter("cli_bench_serve_runs", 1);
     Ok(())
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("{}", err.message());
             ExitCode::from(err.exit_code())

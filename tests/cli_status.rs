@@ -419,3 +419,22 @@ fn compile_reads_its_netlist_through_the_shared_load_path() {
     assert_eq!(code(&out), 1, "stderr: {stderr}");
     assert!(stderr.contains("cannot load design /nonexistent/z.nl"), "stderr: {stderr}");
 }
+
+#[test]
+fn closed_stdout_ends_the_command_quietly_with_exit_0() {
+    // The reader is gone before the child starts, so its first stdout
+    // write fails with a broken pipe every time (`fbb sweep … | head -1`
+    // hits the same error once `head` has its line).
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_fbb"))
+        .args(["sweep", "--design", "c1355", "--rows", "5", "--betas", "0.05"])
+        .args(["--clusters", "2", "--levels", "3"])
+        .stdout(writer)
+        .output()
+        .expect("fbb binary runs");
+    let stderr = text(&out.stderr);
+    assert_eq!(code(&out), 0, "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(!stderr.contains("Broken pipe"), "stderr: {stderr}");
+}
