@@ -1,7 +1,6 @@
 //! Incremental netlist construction.
 
 use fbb_device::{Cell, CellKind, DriveStrength};
-use std::collections::HashSet;
 
 use crate::{Gate, GateId, Net, NetId, Netlist, NetlistError};
 
@@ -35,8 +34,6 @@ pub struct NetlistBuilder {
     nets: Vec<Net>,
     inputs: Vec<NetId>,
     outputs: Vec<NetId>,
-    /// The nets in `outputs`, for a constant-time repeat check.
-    output_set: HashSet<NetId>,
     /// DFFs created with a floating D input, not yet connected.
     floating_dffs: Vec<GateId>,
 }
@@ -50,7 +47,6 @@ impl NetlistBuilder {
             nets: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            output_set: HashSet::new(),
             floating_dffs: Vec::new(),
         }
     }
@@ -69,10 +65,9 @@ impl NetlistBuilder {
     }
 
     /// Marks `net` as a primary output and renames it to the port name.
-    /// Marking a net again renames it but lists it only once.
     pub fn output(&mut self, net: NetId, name: impl Into<String>) {
         self.nets[net.index()].name = name.into();
-        if self.output_set.insert(net) {
+        if !self.outputs.contains(&net) {
             self.outputs.push(net);
         }
     }

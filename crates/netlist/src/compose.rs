@@ -3,25 +3,18 @@
 //! Every Table 1 design is ≤3.5k gates; this module tiles the existing
 //! generator blocks (ALU, array multiplier, ECC corrector, carry-select
 //! adder) into 50k–500k-gate designs the way an SoC module replicates
-//! datapath tiles. Four properties matter to the rest of the stack:
+//! datapath tiles. Three properties matter to the rest of the stack:
 //!
 //! * **Deterministic naming** — leaf instance names are globally uniquified
 //!   up front via [`uniquify_names`]
 //!   (`mul`, `mul_2`, `alu`, `alu_2`, …), so the same target always
 //!   produces the same design.
-//! * **One copy, built once** — every leaf is appended once, straight
-//!   into the final gate and net tables at its offset in the flat
-//!   concatenation, so the design exists once in memory and composing it
-//!   (validation included) is linear in its size.
-//! * **Grouping invariance** — [`ComposeOptions::group_size`] shapes only
-//!   the net-name prefixes: a leaf's nets are named as nested
-//!   [`merge_named`](crate::merge_named) calls over groups of that many
-//!   leaves would name them (`g{k / group_size}_{instance}_{net}` for
-//!   leaf `k`, or `{instance}_{net}` for one flat group), and the gate,
-//!   net and port tables are byte-identical for every group size. STA
-//!   never reads net names, so a design composed with any grouping times
-//!   bit-identically to the flat one — pinned by `fbb-sta`'s
-//!   `tests/compose_sta.rs`.
+//! * **Grouping invariance** — [`merge_named`] concatenates gate/net tables
+//!   with offsets, which is associative: merging leaves in hierarchical
+//!   groups of any size yields *byte-identical* gate and net id tables to
+//!   one flat merge (only the net-name prefixes differ). STA never reads
+//!   net names, so a hierarchically composed design times bit-identically
+//!   to the flat merge — pinned by `fbb-sta`'s `tests/compose_sta.rs`.
 //! * **Inter-block stitching** — leaf 0's first primary output drives a BUF
 //!   into every other leaf's first primary input (a star, not a chain), so
 //!   the result is one connected design rather than a bag of islands. Star
@@ -40,7 +33,7 @@ use fbb_device::{Cell, CellKind, DriveStrength};
 use std::ops::Range;
 
 use crate::generators::{alu, array_multiplier, carry_select_adder, ecc_corrector};
-use crate::merge::{append_part, uniquify_names};
+use crate::merge::{merge_named, uniquify_names};
 use crate::{Gate, GateId, NetId, Netlist, NetlistError};
 
 /// How to tile suite blocks into one large design.
@@ -48,10 +41,9 @@ use crate::{Gate, GateId, NetId, Netlist, NetlistError};
 pub struct ComposeOptions {
     /// Stop adding leaves once the gate total reaches this.
     pub target_gates: usize,
-    /// Leaves per hierarchical naming group (`usize::MAX` = one flat
-    /// group). Any value produces byte-identical gate/net tables and the
-    /// design is built once either way; this only shapes the net-name
-    /// prefixes (`g{k / group_size}_` ahead of leaf `k`'s instance name).
+    /// Leaves per hierarchical merge group (`usize::MAX` = one flat merge).
+    /// Any value produces byte-identical gate/net tables; this only shapes
+    /// the intermediate merges and the net-name prefixes.
     pub group_size: usize,
     /// Number of delay-deep (array multiplier) leaves. These dominate the
     /// critical delay, so they bound the pruned constraint set.
@@ -67,7 +59,7 @@ impl ComposeOptions {
         ComposeOptions { target_gates, group_size: 8, deep_blocks: 2, stitch: true }
     }
 
-    /// Same tiling, but named as one flat group (reference for equivalence
+    /// Same tiling, but merged in one flat pass (reference for equivalence
     /// tests; net names lose their group prefix).
     pub fn flat(mut self) -> Self {
         self.group_size = usize::MAX;
@@ -128,12 +120,13 @@ pub fn compose(name: &str, options: &ComposeOptions) -> Result<ComposedDesign, N
         k += 1;
     }
 
-    // Globally uniquified instance names, so every net name is unique.
+    // Globally uniquified instance names; merge_named's own uniquification
+    // then sees no duplicates, so the names survive nested merges intact.
     let raw: Vec<&str> = leaves.iter().map(|&(n, _)| n).collect();
     let instances = uniquify_names(&raw);
 
     // Per-leaf gate/net offsets in the flat concatenation — grouping does
-    // not change them.
+    // not change them (merge is associative).
     let mut gate_off = Vec::with_capacity(leaves.len() + 1);
     let mut net_off = Vec::with_capacity(leaves.len() + 1);
     let (mut g_acc, mut n_acc) = (0usize, 0usize);
@@ -146,31 +139,25 @@ pub fn compose(name: &str, options: &ComposeOptions) -> Result<ComposedDesign, N
     gate_off.push(g_acc);
     net_off.push(n_acc);
 
-    // One pass straight into the final tables: each leaf is appended once,
-    // at the offsets above, under the net-name prefix the nested merges of
-    // `group`-leaf groups would give it (`g{k / group}_{instance}_`, or
-    // `{instance}_` when one group holds every leaf).
     let group = options.group_size.max(1);
-    let grouped = group < leaves.len();
-    let stitches = if options.stitch { leaves.len() - 1 } else { 0 };
-    let mut netlist = Netlist {
-        name: name.to_owned(),
-        gates: Vec::with_capacity(g_acc + stitches),
-        nets: Vec::with_capacity(n_acc),
-        inputs: Vec::new(),
-        outputs: Vec::new(),
+    let named: Vec<(&str, &Netlist)> =
+        instances.iter().map(String::as_str).zip(leaves.iter().map(|&(_, l)| l)).collect();
+    let mut netlist = if group >= named.len() {
+        merge_named(name, &named)
+    } else {
+        let groups: Vec<Netlist> = named
+            .chunks(group)
+            .enumerate()
+            .map(|(g, chunk)| merge_named(&format!("g{g}"), chunk))
+            .collect();
+        let group_names: Vec<String> = (0..groups.len()).map(|g| format!("g{g}")).collect();
+        let top: Vec<(&str, &Netlist)> =
+            group_names.iter().map(String::as_str).zip(groups.iter()).collect();
+        merge_named(name, &top)
     };
-    for (k, (instance, &(_, leaf))) in instances.iter().zip(&leaves).enumerate() {
-        debug_assert_eq!((netlist.gates.len(), netlist.nets.len()), (gate_off[k], net_off[k]));
-        if grouped {
-            append_part(&mut netlist, &format!("g{}_{instance}", k / group), leaf);
-        } else {
-            append_part(&mut netlist, instance, leaf);
-        }
-    }
 
-    let mut stitch_gates = Vec::with_capacity(stitches);
-    if stitches > 0 {
+    let mut stitch_gates = Vec::new();
+    if options.stitch && leaves.len() > 1 {
         let (_, hub_leaf) = leaves[0];
         let src = NetId::from_index(net_off[0] + hub_leaf.outputs()[0].index());
         // Stitched nets stop being primary inputs; one retain drops them all.
@@ -204,105 +191,6 @@ pub fn compose(name: &str, options: &ComposeOptions) -> Result<ComposedDesign, N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge_named;
-
-    /// The composition as nested public merges build it: `merge_named`
-    /// over groups of `group_size` leaves, then over the groups (or one
-    /// flat merge), then the star stitches with one `retain` of the
-    /// primary inputs per stitched leaf. The identity reference for the
-    /// one-pass `compose`.
-    fn nested_merge_reference(name: &str, options: &ComposeOptions) -> ComposedDesign {
-        let deep = array_multiplier("mul", 10).unwrap();
-        let fillers = [
-            alu("alu", 8).unwrap(),
-            ecc_corrector("ecc", 24, true).unwrap(),
-            carry_select_adder("csa", 48, 8).unwrap(),
-        ];
-        let mut leaves: Vec<(&str, &Netlist)> = vec![("mul", &deep); options.deep_blocks.max(1)];
-        let mut total = leaves.len() * deep.gate_count();
-        let filler_names = ["alu", "ecc", "csa"];
-        let mut k = 0usize;
-        while total < options.target_gates {
-            leaves.push((filler_names[k % 3], &fillers[k % 3]));
-            total += fillers[k % 3].gate_count();
-            k += 1;
-        }
-        let raw: Vec<&str> = leaves.iter().map(|&(n, _)| n).collect();
-        let instances = uniquify_names(&raw);
-        let named: Vec<(&str, &Netlist)> =
-            instances.iter().map(String::as_str).zip(leaves.iter().map(|&(_, l)| l)).collect();
-
-        let group = options.group_size.max(1);
-        let mut netlist = if group >= named.len() {
-            merge_named(name, &named)
-        } else {
-            let groups: Vec<Netlist> = named
-                .chunks(group)
-                .enumerate()
-                .map(|(g, chunk)| merge_named(&format!("g{g}"), chunk))
-                .collect();
-            let group_names: Vec<String> = (0..groups.len()).map(|g| format!("g{g}")).collect();
-            let top: Vec<(&str, &Netlist)> =
-                group_names.iter().map(String::as_str).zip(groups.iter()).collect();
-            merge_named(name, &top)
-        };
-
-        let mut gate_off = vec![0usize];
-        let mut net_off = vec![0usize];
-        for &(_, leaf) in &leaves {
-            gate_off.push(gate_off.last().unwrap() + leaf.gate_count());
-            net_off.push(net_off.last().unwrap() + leaf.net_count());
-        }
-        let mut stitch_gates = Vec::new();
-        if options.stitch && leaves.len() > 1 {
-            let src = NetId::from_index(leaves[0].1.outputs()[0].index());
-            for k in 1..leaves.len() {
-                let dst = NetId::from_index(net_off[k] + leaves[k].1.inputs()[0].index());
-                let id = GateId::from_index(netlist.gates.len());
-                netlist.gates.push(Gate {
-                    cell: Cell::new(CellKind::Buf, DriveStrength::X1),
-                    inputs: vec![src],
-                    output: dst,
-                });
-                netlist.nets[src.index()].sinks.push(id);
-                netlist.nets[dst.index()].driver = Some(id);
-                netlist.inputs.retain(|&n| n != dst);
-                stitch_gates.push(id);
-            }
-        }
-        let blocks = instances
-            .into_iter()
-            .enumerate()
-            .map(|(k, name)| BlockSpan { name, gates: gate_off[k]..gate_off[k + 1] })
-            .collect();
-        ComposedDesign { netlist, blocks, stitch_gates }
-    }
-
-    #[test]
-    fn one_pass_composition_matches_the_nested_merges() {
-        let cases = [
-            ComposeOptions { group_size: 3, ..ComposeOptions::with_target(5_000) },
-            ComposeOptions::with_target(5_000).flat(),
-            ComposeOptions::with_target(50_000),
-            ComposeOptions { stitch: false, ..ComposeOptions::with_target(5_000) },
-        ];
-        for options in cases {
-            let what = format!("{options:?}");
-            let got = compose("soc", &options).unwrap();
-            let want = nested_merge_reference("soc", &options);
-            let (g, w) = (&got.netlist, &want.netlist);
-            assert_eq!(g.name, w.name, "{what}");
-            assert_eq!(g.gates, w.gates, "{what}");
-            assert_eq!(g.nets.len(), w.nets.len(), "{what}");
-            for (i, (gn, wn)) in g.nets.iter().zip(&w.nets).enumerate() {
-                assert_eq!(gn, wn, "{what}: net n{i}");
-            }
-            assert_eq!(g.inputs, w.inputs, "{what}");
-            assert_eq!(g.outputs, w.outputs, "{what}");
-            assert_eq!(got.blocks, want.blocks, "{what}");
-            assert_eq!(got.stitch_gates, want.stitch_gates, "{what}");
-        }
-    }
 
     #[test]
     fn composed_design_hits_target_and_validates() {

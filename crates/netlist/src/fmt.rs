@@ -18,7 +18,7 @@
 //! Forward references are allowed (necessary for sequential feedback).
 
 use fbb_device::{CellKind, DriveStrength};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::{Gate, GateId, Net, NetId, Netlist, NetlistError};
 
@@ -82,7 +82,6 @@ pub fn from_str(text: &str) -> Result<Netlist, NetlistError> {
     let mut gates: Vec<Gate> = Vec::new();
     let mut inputs: Vec<NetId> = Vec::new();
     let mut outputs: Vec<NetId> = Vec::new();
-    let mut output_set: HashSet<NetId> = HashSet::new();
     // (gate index, pin index, net name, line) resolved after all nets exist.
     let mut pending_pins: Vec<(usize, String, usize)> = Vec::new();
 
@@ -118,7 +117,7 @@ pub fn from_str(text: &str) -> Result<Netlist, NetlistError> {
             "output" => {
                 let n = tok.next().ok_or_else(|| err(line, "missing output net"))?;
                 let id = intern(&mut nets, &mut net_ids, n);
-                if output_set.insert(id) {
+                if !outputs.contains(&id) {
                     outputs.push(id);
                 }
             }

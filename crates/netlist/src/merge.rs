@@ -65,44 +65,36 @@ pub fn merge_named(name: &str, parts: &[(&str, &Netlist)]) -> Netlist {
     let raw: Vec<&str> = parts.iter().map(|&(n, _)| n).collect();
     let instances = uniquify_names(&raw);
 
-    let mut merged = Netlist {
-        name: name.to_owned(),
-        gates: Vec::new(),
-        nets: Vec::new(),
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-    };
+    let mut gates: Vec<Gate> = Vec::new();
+    let mut nets: Vec<Net> = Vec::new();
+    let mut inputs: Vec<NetId> = Vec::new();
+    let mut outputs: Vec<NetId> = Vec::new();
+
     for (instance, &(_, part)) in instances.iter().zip(parts.iter()) {
-        append_part(&mut merged, instance, part);
-    }
-    merged
-}
+        let gate_off = gates.len();
+        let net_off = nets.len();
+        let remap_gate = |g: GateId| GateId::from_index(g.index() + gate_off);
+        let remap_net = |n: NetId| NetId::from_index(n.index() + net_off);
 
-/// Appends `part`'s gates, nets and ports after those already in `into`:
-/// its gate and net ids are offset by `into`'s table lengths, and its net
-/// names are prefixed `{instance}_`.
-pub(crate) fn append_part(into: &mut Netlist, instance: &str, part: &Netlist) {
-    let gate_off = into.gates.len();
-    let net_off = into.nets.len();
-    let remap_gate = |g: GateId| GateId::from_index(g.index() + gate_off);
-    let remap_net = |n: NetId| NetId::from_index(n.index() + net_off);
+        for gate in part.gates() {
+            gates.push(Gate {
+                cell: gate.cell,
+                inputs: gate.inputs.iter().map(|&n| remap_net(n)).collect(),
+                output: remap_net(gate.output),
+            });
+        }
+        for net in part.nets() {
+            nets.push(Net {
+                name: format!("{instance}_{}", net.name),
+                driver: net.driver.map(remap_gate),
+                sinks: net.sinks.iter().map(|&g| remap_gate(g)).collect(),
+            });
+        }
+        inputs.extend(part.inputs().iter().map(|&n| remap_net(n)));
+        outputs.extend(part.outputs().iter().map(|&n| remap_net(n)));
+    }
 
-    for gate in part.gates() {
-        into.gates.push(Gate {
-            cell: gate.cell,
-            inputs: gate.inputs.iter().map(|&n| remap_net(n)).collect(),
-            output: remap_net(gate.output),
-        });
-    }
-    for net in part.nets() {
-        into.nets.push(Net {
-            name: format!("{instance}_{}", net.name),
-            driver: net.driver.map(remap_gate),
-            sinks: net.sinks.iter().map(|&g| remap_gate(g)).collect(),
-        });
-    }
-    into.inputs.extend(part.inputs().iter().map(|&n| remap_net(n)));
-    into.outputs.extend(part.outputs().iter().map(|&n| remap_net(n)));
+    Netlist { name: name.to_owned(), gates, nets, inputs, outputs }
 }
 
 #[cfg(test)]

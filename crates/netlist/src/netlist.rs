@@ -410,15 +410,12 @@ impl Netlist {
         if self.gates.is_empty() {
             return 0.0;
         }
-        let mut is_output = vec![false; self.nets.len()];
-        for id in &self.outputs {
-            is_output[id.index()] = true;
-        }
         let dangling = self
             .gates
             .iter()
             .filter(|g| {
-                self.nets[g.output.index()].sinks.is_empty() && !is_output[g.output.index()]
+                let net = &self.nets[g.output.index()];
+                net.sinks.is_empty() && !self.outputs.contains(&g.output)
             })
             .count();
         dangling as f64 / self.gates.len() as f64

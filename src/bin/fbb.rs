@@ -23,9 +23,7 @@
 //!
 //! Exit codes are a machine-readable contract:
 //!
-//! * `0` — success (and, with `--require-optimal`, a proven optimum), or
-//!   stdout closed by its reader (`fbb sweep … | head -1`): the command
-//!   stops writing and exits quietly;
+//! * `0` — success (and, with `--require-optimal`, a proven optimum);
 //! * `1` — usage error or internal failure; a bad flag value (one that
 //!   does not parse, or a flag with no value) or an unknown design name is
 //!   a usage error whose message names the flag or the design;
@@ -33,9 +31,15 @@
 //! * `3` — a time/node budget expired without an optimality proof;
 //! * `4` — `difftest` found at least one engine/oracle mismatch;
 //! * `5` — `lint` found repo-invariant violations or model-audit errors.
+//!
+//! A closed stdout does not change the code: once its reader has gone
+//! (`fbb lint --fixtures | head -1`), later writes are skipped and the
+//! command runs on to its own verdict. Any other failure to write stdout
+//! exits 1 naming the error.
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use fbb::core::{
@@ -69,9 +73,6 @@ enum CliError {
     Mismatch(String),
     /// The static-analysis pass found violations — exit 5.
     LintViolations(String),
-    /// The reader of stdout went away (`fbb sweep … | head -1`): the
-    /// command ends quietly — exit 0, nothing on stderr.
-    StdoutClosed,
 }
 
 impl CliError {
@@ -82,7 +83,6 @@ impl CliError {
             CliError::BudgetExpired(_) => 3,
             CliError::Mismatch(_) => 4,
             CliError::LintViolations(_) => 5,
-            CliError::StdoutClosed => 0,
         }
     }
 
@@ -93,24 +93,31 @@ impl CliError {
             | CliError::BudgetExpired(m)
             | CliError::Mismatch(m)
             | CliError::LintViolations(m) => m,
-            CliError::StdoutClosed => "",
         }
     }
 }
 
+/// Set once the reader of stdout has gone: later writes are skipped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
 /// Writes to stdout and flushes: the CLI's one stdout writer, behind
-/// [`out!`] and [`outln!`]. A closed stdout (`BrokenPipe`) is
-/// [`CliError::StdoutClosed`]; any other write error exits 1 naming it.
+/// [`out!`] and [`outln!`]. A closed stdout (`BrokenPipe`) is not an
+/// error: this write and every later one are dropped, so the command
+/// still reaches its own verdict and exit code. Any other write error
+/// exits 1 naming it.
 fn write_stdout(args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
     use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
     let mut stdout = std::io::stdout().lock();
-    stdout.write_fmt(args).and_then(|()| stdout.flush()).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            CliError::StdoutClosed
-        } else {
-            CliError::Failure(format!("cannot write to stdout: {e}"))
+    match stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
         }
-    })
+        other => other.map_err(|e| format!("cannot write to stdout: {e}").into()),
+    }
 }
 
 /// `print!` through [`write_stdout`], as a `Result` for `?`.
@@ -331,11 +338,11 @@ fn usage() -> &'static str {
      Any command also accepts --telemetry FILE: solver/STA/Monte-Carlo\n\
      counters are collected during the run, written to FILE as flat JSON,\n\
      and summarized on stderr.\n\n\
-     Exit codes: 0 ok (also when the reader closes stdout early), 1\n\
-     usage/internal error (a bad flag value or an unknown design name\n\
-     exits 1 naming it), 2 infeasible instance,\n\
+     Exit codes: 0 ok, 1 usage/internal error (a bad flag value or an\n\
+     unknown design name exits 1 naming it), 2 infeasible instance,\n\
      3 budget expired without an optimality proof (--require-optimal),\n\
-     4 difftest mismatch, 5 lint/model-audit violations.\n\n\
+     4 difftest mismatch, 5 lint/model-audit violations. A stdout closed\n\
+     early by its reader does not change the code.\n\n\
      *.bench files use the ISCAS format; others use the native format."
 }
 
@@ -940,8 +947,9 @@ fn solve(args: &[String]) -> Result<(), CliError> {
 ///
 /// Prints one `fbb-serve listening on ADDR` line to stdout (flushed before
 /// serving, as every stdout write is) so scripts can discover an ephemeral
-/// port, then blocks in the accept loop. SIGTERM/SIGINT or a SHUTDOWN frame trigger a graceful
-/// drain: every accepted solve is answered, then the process exits 0.
+/// port, then blocks in the accept loop. SIGTERM/SIGINT or a SHUTDOWN
+/// frame trigger a graceful drain: every accepted solve is answered, then
+/// the process exits 0.
 fn serve(args: &[String]) -> Result<(), CliError> {
     let config = ServeConfig {
         addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7117".to_owned()),
@@ -1005,14 +1013,14 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         if options.cold { "cold" } else { "warm" }
     )?;
     outln!("{:>6}  {:>4}  {:>4}  {:<10}  {:>14}  {:>7}  {:>10}", "beta", "C", "P", "status", "leakage_nw", "nodes", "ms")?;
-    // The callback cannot stop the sweep: a failed write is kept, later
-    // cells write nothing, and the command returns it once the sweep ends.
-    let mut written = Ok(());
+    // The callback cannot return an error: the first failed cell line is
+    // kept, and returned once the report is written.
+    let mut cell_lines = Ok(());
     let report = fbb::core::run_sweep(netlist, placement, chara, &grid, &options, |cell| {
-        if written.is_err() {
+        if cell_lines.is_err() {
             return;
         }
-        written = outln!(
+        cell_lines = outln!(
             "{:>6.3}  {:>4}  {:>4}  {:<10}  {:>14.4}  {:>7}  {:>10.2}",
             cell.beta,
             cell.clusters,
@@ -1024,20 +1032,21 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         );
     })
     .map_err(classify_fbb_error)?;
-    written?;
-    outln!(
-        "swept {} cells in {:.2} s: {} pre-processes, {} model builds, {} pruned",
-        report.cells.len(),
-        report.runtime.as_secs_f64(),
-        report.preprocess_count,
-        report.model_builds,
-        report.pruned
-    )?;
+    let printed = cell_lines.and_then(|()| {
+        outln!(
+            "swept {} cells in {:.2} s: {} pre-processes, {} model builds, {} pruned",
+            report.cells.len(),
+            report.runtime.as_secs_f64(),
+            report.preprocess_count,
+            report.model_builds,
+            report.pruned
+        )
+    });
     if let Some(path) = arg_value(args, "--report") {
         write_sweep_report(&report, &path)?;
         eprintln!("report written to {path}");
     }
-    Ok(())
+    printed
 }
 
 /// Writes a sweep report as JSON (hand-formatted — the workspace has no
@@ -1257,7 +1266,7 @@ fn bench_serve(args: &[String]) -> Result<(), CliError> {
 
 fn main() -> ExitCode {
     match run() {
-        Ok(()) | Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("{}", err.message());
             ExitCode::from(err.exit_code())

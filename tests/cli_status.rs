@@ -420,21 +420,44 @@ fn compile_reads_its_netlist_through_the_shared_load_path() {
     assert!(stderr.contains("cannot load design /nonexistent/z.nl"), "stderr: {stderr}");
 }
 
-#[test]
-fn closed_stdout_ends_the_command_quietly_with_exit_0() {
-    // The reader is gone before the child starts, so its first stdout
-    // write fails with a broken pipe every time (`fbb sweep … | head -1`
-    // hits the same error once `head` has its line).
+/// Runs `fbb` with stdout on a pipe whose reader is gone before the child
+/// starts, so its first stdout write fails with a broken pipe every time
+/// (`fbb … | head -1` hits the same error once `head` has its line).
+fn fbb_with_closed_stdout(args: &[&str]) -> Output {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
-    let out = Command::new(env!("CARGO_BIN_EXE_fbb"))
-        .args(["sweep", "--design", "c1355", "--rows", "5", "--betas", "0.05"])
-        .args(["--clusters", "2", "--levels", "3"])
+    Command::new(env!("CARGO_BIN_EXE_fbb"))
+        .args(args)
         .stdout(writer)
         .output()
-        .expect("fbb binary runs");
+        .expect("fbb binary runs")
+}
+
+#[test]
+fn closed_stdout_ends_the_command_quietly_with_exit_0() {
+    let report = std::env::temp_dir()
+        .join(format!("fbb_cli_closed_stdout_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&report);
+    let out = fbb_with_closed_stdout(&[
+        "sweep", "--design", "c1355", "--rows", "5", "--betas", "0.05", "--clusters", "2",
+        "--levels", "3", "--report", report.to_str().expect("utf8"),
+    ]);
     let stderr = text(&out.stderr);
+    let written = std::fs::read_to_string(&report);
+    let _ = std::fs::remove_file(&report);
     assert_eq!(code(&out), 0, "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(!stderr.contains("Broken pipe"), "stderr: {stderr}");
+    // The grid was solved, so its report is still written.
+    assert!(written.expect("sweep report").contains("\"cells\""), "stderr: {stderr}");
+}
+
+#[test]
+fn closed_stdout_keeps_the_commands_verdict() {
+    // Both print before they reach a failing verdict; the exit code must
+    // be the verdict's, not a quiet 0.
+    let lint = fbb_with_closed_stdout(&["lint", "--fixtures"]);
+    assert_eq!(code(&lint), 5, "stderr: {}", text(&lint.stderr));
+    let armed = fbb_with_closed_stdout(&["difftest", "--cases", "4", "--inject-postsolve-bug"]);
+    assert_eq!(code(&armed), 4, "stderr: {}", text(&armed.stderr));
 }
