@@ -44,11 +44,11 @@ fn main() {
         });
         let bytes = compile(name).encode_to_vec();
 
-        // ...then every later solve decodes (the CRC-trusting warm path —
-        // the bytes came out of this pipeline's own compile) and looks up
-        // the instance.
+        // ...then every later solve decodes (the one, fully verified
+        // decoder `fbb solve --netlist X.fbb` uses) and looks up the
+        // instance.
         let warm = measure(5, 3, || {
-            let db = DesignDb::decode_fast(&bytes).expect("round trip");
+            let db = DesignDb::decode(&bytes).expect("round trip");
             black_box(
                 db.preprocessed_for(Granularity::Row, 0.05, 3)
                     .expect("beta 0.05 compiled in")

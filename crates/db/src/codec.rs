@@ -18,28 +18,6 @@ use fbb_sta::TimingPath;
 use crate::wire::{Decoder, Encoder};
 use crate::DbError;
 
-/// How much semantic validation a decode pass performs on top of the
-/// container CRCs.
-///
-/// The container layer already guarantees integrity: every payload byte is
-/// covered by a CRC-32, so random corruption and truncation are caught
-/// before any section decoder runs. What remains is *semantic* validation —
-/// re-deriving stored path delays from the delay vector, re-checking every
-/// [`Preprocessed`] invariant — which costs a second full pass over the
-/// largest sections. Cold trust boundaries (difftest, golden tests, foreign
-/// files) pay it; warm solve/serve paths re-reading bytes they (or a
-/// previous verified load) produced skip it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verify {
-    /// Full layered validation (the historical `decode` behavior).
-    Full,
-    /// CRC-trusting: structural bounds checks only, no re-derivation
-    /// passes. Malformed input still errors — it never panics — but
-    /// semantically inconsistent sections (e.g. a stored path delay that
-    /// does not match its gates) are accepted as-is.
-    Trusted,
-}
-
 fn malformed(msg: String) -> DbError {
     DbError::Malformed(msg)
 }
@@ -135,16 +113,6 @@ fn varint_usize(d: &mut Decoder<'_>, context: &'static str) -> Result<usize, DbE
 /// Decodes the netlist section, rebuilding through
 /// [`Netlist::from_parts`]'s full cross-reference validation.
 pub fn decode_netlist(bytes: &[u8]) -> Result<Netlist, DbError> {
-    decode_netlist_with(bytes, Verify::Full)
-}
-
-/// [`decode_netlist`] with an explicit verification mode.
-///
-/// [`Verify::Trusted`] assembles the netlist through
-/// [`Netlist::from_parts_trusted`]: cross-references are bounds-checked but
-/// the semantic sweep (driver/sink agreement, arity, cycle scan) is skipped
-/// — the section CRC already vouches for bytes this crate's encoder wrote.
-pub fn decode_netlist_with(bytes: &[u8], verify: Verify) -> Result<Netlist, DbError> {
     let mut d = Decoder::new(bytes);
     let name = d.str("netlist name")?;
     let n_gates = d.length(3, "gate table")?;
@@ -187,11 +155,8 @@ pub fn decode_netlist_with(bytes: &[u8], verify: Verify) -> Result<Netlist, DbEr
         outputs.push(NetId::from_u32(id_u32(d.varint("primary output")?, "net id")?));
     }
     d.expect_end("NETL")?;
-    match verify {
-        Verify::Full => Netlist::from_parts(name, gates, nets, inputs, outputs),
-        Verify::Trusted => Netlist::from_parts_trusted(name, gates, nets, inputs, outputs),
-    }
-    .map_err(|e| malformed(format!("netlist: {e}")))
+    Netlist::from_parts(name, gates, nets, inputs, outputs)
+        .map_err(|e| malformed(format!("netlist: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -350,26 +315,14 @@ pub fn encode_timing(delays_ps: &[f64], dcrit_ps: f64, paths: &[TimingPath]) -> 
     e.into_vec()
 }
 
-/// Decodes the timing section with [`Verify::Full`] semantics. `gate_count`
-/// comes from the already-decoded netlist; every stored gate id is checked
-/// against it, and every stored path delay is checked against the sum of
-/// its gates' delays ([`TimingPath::delay_from`]), so the three tables
-/// cannot drift apart undetected.
+/// Decodes the timing section. `gate_count` comes from the already-decoded
+/// netlist; every stored gate id is checked against it, and every stored
+/// path delay is checked against the sum of its gates' delays
+/// ([`TimingPath::delay_from`]), so the three tables cannot drift apart
+/// undetected.
 pub fn decode_timing(
     bytes: &[u8],
     gate_count: usize,
-) -> Result<(Vec<f64>, f64, Vec<TimingPath>), DbError> {
-    decode_timing_with(bytes, gate_count, Verify::Full)
-}
-
-/// Decodes the timing section at the requested [`Verify`] level.
-/// [`Verify::Trusted`] keeps the structural checks (gate ids in range,
-/// physical delays, non-empty paths) but skips the O(Σ path length)
-/// re-derivation of every stored path delay.
-pub fn decode_timing_with(
-    bytes: &[u8],
-    gate_count: usize,
-    verify: Verify,
 ) -> Result<(Vec<f64>, f64, Vec<TimingPath>), DbError> {
     let mut d = Decoder::new(bytes);
     let n_delays = d.length(8, "delay table")?;
@@ -411,13 +364,11 @@ pub fn decode_timing_with(
         if path.is_empty() {
             return Err(malformed(format!("path {k} has no gates")));
         }
-        if verify == Verify::Full {
-            let derived = path.delay_from(&delays);
-            if (derived - delay_ps).abs() > 1e-6 * delay_ps.abs().max(1.0) {
-                return Err(malformed(format!(
-                    "path {k} stores {delay_ps} ps but its gates sum to {derived} ps"
-                )));
-            }
+        let derived = path.delay_from(&delays);
+        if (derived - delay_ps).abs() > 1e-6 * delay_ps.abs().max(1.0) {
+            return Err(malformed(format!(
+                "path {k} stores {delay_ps} ps but its gates sum to {derived} ps"
+            )));
         }
         paths.push(path);
     }
@@ -475,10 +426,7 @@ fn encode_preprocessed(e: &mut Encoder, granularity: Granularity, pre: &Preproce
     }
 }
 
-fn decode_preprocessed(
-    d: &mut Decoder<'_>,
-    verify: Verify,
-) -> Result<(Granularity, Preprocessed), DbError> {
+fn decode_preprocessed(d: &mut Decoder<'_>) -> Result<(Granularity, Preprocessed), DbError> {
     let granularity = granularity_from_tag(d.u8("granularity")?)?;
     let n_rows = d.length(0, "row count")?;
     let levels = d.length(0, "level count")?;
@@ -518,10 +466,6 @@ fn decode_preprocessed(
         reductions.clear();
         for _ in 0..n_path_rows {
             let row = varint_usize(d, "constraint row id")?;
-            // In-range, once-per-path row ids are checked at both verify
-            // levels: the compares are free next to the reads, and they
-            // keep a decoded instance indexable even when full validation
-            // is skipped.
             let stamp = last_path.get_mut(row).ok_or_else(|| {
                 malformed(format!("constraint references row {row}, but only {n_rows} exist"))
             })?;
@@ -539,9 +483,7 @@ fn decode_preprocessed(
             .map_err(prep)?;
     }
     let pre = builder.into_problem(beta, max_clusters, dcrit_ps);
-    if verify == Verify::Full {
-        pre.validate().map_err(prep)?;
-    }
+    pre.validate().map_err(prep)?;
     Ok((granularity, pre))
 }
 
@@ -556,27 +498,15 @@ pub fn encode_prep(entries: &[(Granularity, Preprocessed)]) -> Vec<u8> {
     e.into_vec()
 }
 
-/// Decodes the PREP section with [`Verify::Full`] semantics. Per-entry
-/// validation runs here ([`Preprocessed::validate`]); cross-section checks
-/// (row and level counts against placement and characterization) happen at
-/// the database level.
+/// Decodes the PREP section. Per-entry validation runs here
+/// ([`Preprocessed::validate`]); cross-section checks (row and level counts
+/// against placement and characterization) happen at the database level.
 pub fn decode_prep(bytes: &[u8]) -> Result<Vec<(Granularity, Preprocessed)>, DbError> {
-    decode_prep_with(bytes, Verify::Full)
-}
-
-/// Decodes the PREP section at the requested [`Verify`] level.
-/// [`Verify::Trusted`] skips the per-entry [`Preprocessed::validate`] pass
-/// (a second walk over every leakage cell and constraint reduction) while
-/// keeping the structural shape checks done during parsing.
-pub fn decode_prep_with(
-    bytes: &[u8],
-    verify: Verify,
-) -> Result<Vec<(Granularity, Preprocessed)>, DbError> {
     let mut d = Decoder::new(bytes);
     let n_entries = d.length(35, "prep entries")?;
     let mut entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        entries.push(decode_preprocessed(&mut d, verify)?);
+        entries.push(decode_preprocessed(&mut d)?);
     }
     d.expect_end("PREP")?;
     Ok(entries)
@@ -695,33 +625,25 @@ mod tests {
     }
 
     #[test]
-    fn prep_rejects_a_path_listing_a_row_twice_at_both_levels() {
-        for verify in [Verify::Full, Verify::Trusted] {
-            assert!(decode_prep_with(&crafted_prep(&[1, 0]), verify).is_ok(), "{verify:?}");
-            match decode_prep_with(&crafted_prep(&[1, 0, 1]), verify) {
-                Err(DbError::Malformed(msg)) => {
-                    assert!(msg.contains("lists row 1 twice"), "{verify:?}: {msg}");
-                }
-                other => panic!("{verify:?}: duplicate row accepted: {other:?}"),
-            }
+    fn prep_rejects_a_path_listing_a_row_twice() {
+        assert!(decode_prep(&crafted_prep(&[1, 0])).is_ok());
+        match decode_prep(&crafted_prep(&[1, 0, 1])) {
+            Err(DbError::Malformed(msg)) => assert!(msg.contains("lists row 1 twice"), "{msg}"),
+            other => panic!("duplicate row accepted: {other:?}"),
         }
     }
 
     #[test]
-    fn prep_rejects_an_out_of_range_row_at_both_levels() {
+    fn prep_rejects_an_out_of_range_row() {
         let mut bytes = crafted_prep(&[1]);
         // The last path's one row id is the varint just before its two
         // 8-byte reductions at the end of the section.
         let at = bytes.len() - 17;
         assert_eq!(bytes[at], 1);
         bytes[at] = 2;
-        for verify in [Verify::Full, Verify::Trusted] {
-            match decode_prep_with(&bytes, verify) {
-                Err(DbError::Malformed(msg)) => {
-                    assert!(msg.contains("references row 2"), "{verify:?}: {msg}");
-                }
-                other => panic!("{verify:?}: out-of-range row accepted: {other:?}"),
-            }
+        match decode_prep(&bytes) {
+            Err(DbError::Malformed(msg)) => assert!(msg.contains("references row 2"), "{msg}"),
+            other => panic!("out-of-range row accepted: {other:?}"),
         }
     }
 

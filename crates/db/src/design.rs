@@ -155,7 +155,9 @@ impl DesignDb {
         })
     }
 
-    /// Decodes and fully validates a `.fbb` byte image.
+    /// Decodes and fully validates a `.fbb` byte image. This is the one
+    /// decoder: the CLI, the daemon (LOAD and LOAD_PATH alike), difftest
+    /// and the golden tests all read `.fbb` bytes through it.
     ///
     /// Validation is layered: container integrity (magic, version, CRCs),
     /// per-structure invariants (the domain `from_parts` constructors), and
@@ -165,66 +167,29 @@ impl DesignDb {
     /// ladder). Arbitrarily corrupted input produces [`DbError`], never a
     /// panic.
     ///
-    /// Records the `db_decode_ns` telemetry counter.
-    ///
-    /// # Errors
-    ///
-    /// See [`DbError`]; the variant identifies the failing layer.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DbError> {
-        Self::decode_verified(bytes)
-    }
-
-    /// Decodes a `.fbb` byte image with the full layered validation —
-    /// identical to [`DesignDb::decode`] under its explicit name. This is
-    /// the trust boundary for *foreign* bytes: golden fixtures, difftest
-    /// inputs, anything whose producer is not this process.
-    ///
     /// Records the `db_decode_ns` and `db_decode_verified` counters.
     ///
     /// # Errors
     ///
     /// See [`DbError`]; the variant identifies the failing layer.
-    pub fn decode_verified(bytes: &[u8]) -> Result<Self, DbError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, DbError> {
         fbb_telemetry::counter("db_decode_verified", 1);
-        fbb_telemetry::time_counter_ns("db_decode_ns", || {
-            Self::decode_inner(bytes, codec::Verify::Full)
-        })
+        fbb_telemetry::time_counter_ns("db_decode_ns", || Self::decode_sections(bytes))
     }
 
-    /// Decodes a `.fbb` byte image trusting the container CRCs for
-    /// integrity and skipping the semantic re-derivation passes: stored
-    /// path delays are not re-summed against the delay vector, PREP entries
-    /// skip the second [`Preprocessed::validate`] walk, and the placement
-    /// is not re-checked against the netlist. Structural bounds checks
-    /// (every id in range, canonical entry order, physical scalars) still
-    /// run, so hostile input still errors rather than panicking — but a
-    /// semantically inconsistent file that a matching CRC vouches for is
-    /// accepted as-is.
-    ///
-    /// This is the warm path for `fbb solve --db`, `fbb sta --db`, and the
-    /// `fbb-serve` design cache, where the bytes were produced by a
-    /// previous `fbb compile` (often in the same pipeline) and the full
-    /// validation pass was costing more than the solve itself on
-    /// path-heavy designs. Use [`DesignDb::decode_verified`] at trust
-    /// boundaries instead.
-    ///
-    /// Records the `db_decode_ns` and `db_decode_fast` counters.
+    /// [`DesignDb::decode`] under the name that says it verifies.
     ///
     /// # Errors
     ///
-    /// See [`DbError`]; container corruption and structural damage are
-    /// still rejected.
-    pub fn decode_fast(bytes: &[u8]) -> Result<Self, DbError> {
-        fbb_telemetry::counter("db_decode_fast", 1);
-        fbb_telemetry::time_counter_ns("db_decode_ns", || {
-            Self::decode_inner(bytes, codec::Verify::Trusted)
-        })
+    /// As [`DesignDb::decode`].
+    pub fn decode_verified(bytes: &[u8]) -> Result<Self, DbError> {
+        Self::decode(bytes)
     }
 
-    fn decode_inner(bytes: &[u8], verify: codec::Verify) -> Result<Self, DbError> {
+    fn decode_sections(bytes: &[u8]) -> Result<Self, DbError> {
         let [meta, netl, plac, chrs, timg, prep] = read_container(bytes)?;
         let (name, source) = codec::decode_meta(meta)?;
-        let netlist = codec::decode_netlist_with(netl, verify)?;
+        let netlist = codec::decode_netlist(netl)?;
         if name != netlist.name() {
             return Err(DbError::Malformed(format!(
                 "META names design {name:?}, netlist is {:?}",
@@ -232,15 +197,12 @@ impl DesignDb {
             )));
         }
         let placement = codec::decode_placement(plac)?;
-        if verify == codec::Verify::Full {
-            placement
-                .validate(&netlist)
-                .map_err(|e| DbError::Malformed(format!("placement: {e}")))?;
-        }
+        placement
+            .validate(&netlist)
+            .map_err(|e| DbError::Malformed(format!("placement: {e}")))?;
         let characterization = codec::decode_characterization(chrs)?;
-        let (delays_ps, dcrit_ps, paths) =
-            codec::decode_timing_with(timg, netlist.gate_count(), verify)?;
-        let entries = codec::decode_prep_with(prep, verify)?;
+        let (delays_ps, dcrit_ps, paths) = codec::decode_timing(timg, netlist.gate_count())?;
+        let entries = codec::decode_prep(prep)?;
         let mut prev_key: Option<(u8, u64)> = None;
         for (i, (granularity, pre)) in entries.iter().enumerate() {
             let expected_rows = match granularity {
@@ -436,40 +398,30 @@ mod tests {
     }
 
     #[test]
-    fn decode_fast_matches_verified_on_good_bytes() {
-        let db = build_small(&[0.05, 0.10]);
-        let bytes = db.encode_to_vec();
-        let fast = DesignDb::decode_fast(&bytes).unwrap();
-        let verified = DesignDb::decode_verified(&bytes).unwrap();
-        assert_eq!(fast, verified);
-        assert_eq!(fast, db);
-    }
-
-    #[test]
-    fn decode_fast_still_rejects_container_damage() {
+    fn decode_rejects_container_damage() {
         let db = build_small(&[0.05]);
         let bytes = db.encode_to_vec();
         // Truncation anywhere must error.
-        assert!(DesignDb::decode_fast(&bytes[..bytes.len() / 2]).is_err());
+        assert!(DesignDb::decode(&bytes[..bytes.len() / 2]).is_err());
         // A bit flip in a payload fails that section's CRC.
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
-        assert!(DesignDb::decode_fast(&flipped).is_err());
+        assert!(DesignDb::decode(&flipped).is_err());
     }
 
     #[test]
-    fn decode_fast_trusts_what_verified_rejects() {
+    fn decode_rejects_a_path_delay_its_gates_do_not_sum_to() {
         // A semantically inconsistent file whose CRCs are nevertheless
         // correct (the encoder recomputes them): the stored path delay no
-        // longer re-derives from the delay vector. The verified decoder
-        // must reject it; the CRC-trusting decoder accepts it as-is.
+        // longer re-derives from the delay vector.
         let mut db = build_small(&[0.05]);
         db.timing.paths[0].delay_ps *= 1.5;
         let bytes = db.encode_to_vec();
-        assert!(matches!(DesignDb::decode_verified(&bytes), Err(DbError::Malformed(_))));
-        let fast = DesignDb::decode_fast(&bytes).expect("trusted decode accepts");
-        assert_eq!(fast.timing.paths[0].delay_ps, db.timing.paths[0].delay_ps);
+        match DesignDb::decode(&bytes) {
+            Err(DbError::Malformed(msg)) => assert!(msg.contains("path 0 stores"), "{msg}"),
+            other => panic!("inconsistent path delay accepted: {other:?}"),
+        }
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub use container::{
     read_container, section_name, write_container, FORMAT_VERSION, HEADER_FLAGS, MAGIC,
     SECTION_ORDER, SEC_CHAR, SEC_META, SEC_NETL, SEC_PLAC, SEC_PREP, SEC_TIMG,
 };
-pub use codec::Verify;
 pub use crc::crc32;
 pub use design::{is_design_db, DesignDb, PreparedEntry, TimingTables};
 pub use error::DbError;

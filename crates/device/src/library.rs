@@ -60,11 +60,6 @@ impl Library {
         Library { base }
     }
 
-    /// Nominal data of the X1 variant of `kind`.
-    pub fn cell_data(&self, kind: CellKind) -> CellData {
-        self.base[kind.index()]
-    }
-
     /// The full nominal table, indexed by [`CellKind::index`], for
     /// serialization ([`Library::from_cell_table`] rebuilds from it).
     pub fn cell_table(&self) -> &[CellData] {

@@ -170,17 +170,39 @@ impl Netlist {
         // Sink lists feed the topological sort's fan-in counting; a missing
         // or phantom entry would corrupt it, so they must match the gate
         // input tables exactly (as a per-net multiset — order is free).
-        let mut expected: Vec<Vec<u32>> = vec![Vec::new(); n_nets];
-        for (i, gate) in gates.iter().enumerate() {
+        // Every input pin's gate is counting-sorted by net into one reader
+        // array; it is filled in gate order, so each net's slice ascends.
+        // `end[i]` first holds where net `i`'s slice starts, then serves as
+        // its fill cursor, which leaves it where the slice ends.
+        let mut end = vec![0usize; n_nets];
+        for gate in &gates {
             for &input in &gate.inputs {
-                expected[input.index()].push(i as u32);
+                end[input.index()] += 1;
             }
         }
-        for (i, net) in nets.iter().enumerate() {
-            let mut recorded: Vec<u32> = net.sinks.iter().map(|g| g.0).collect();
+        let mut pins = 0;
+        for slot in &mut end {
+            let count = *slot;
+            *slot = pins;
+            pins += count;
+        }
+        let mut readers = vec![GateId(0); pins];
+        for (i, gate) in gates.iter().enumerate() {
+            for &input in &gate.inputs {
+                let cursor = &mut end[input.index()];
+                readers[*cursor] = gate_at(i);
+                *cursor += 1;
+            }
+        }
+        let mut recorded: Vec<GateId> = Vec::new();
+        let mut start = 0;
+        for (i, (net, &stop)) in nets.iter().zip(&end).enumerate() {
+            let expected = &readers[start..stop];
+            start = stop;
+            recorded.clear();
+            recorded.extend_from_slice(&net.sinks);
             recorded.sort_unstable();
-            expected[i].sort_unstable();
-            if recorded != expected[i] {
+            if recorded != expected {
                 return Err(NetlistError::Inconsistent(format!(
                     "net n{i} sink list disagrees with the gate input tables"
                 )));
@@ -190,58 +212,6 @@ impl Netlist {
         let nl = Netlist { name, gates, nets, inputs, outputs };
         nl.validate()?;
         Ok(nl)
-    }
-
-    /// [`Netlist::from_parts`] minus the semantic consistency sweep, for
-    /// callers whose tables already carry an integrity guarantee (e.g. a
-    /// CRC-verified `.fbb` section written by this crate's own encoder).
-    ///
-    /// Every cross-reference is still bounds-checked — corrupt ids return
-    /// [`NetlistError::Inconsistent`], never panic — but driver/sink
-    /// agreement, arity, undriven-net detection, and the combinational-cycle
-    /// scan are all skipped. Feeding this tables that violate those
-    /// invariants yields a netlist whose analyses (topological order, STA)
-    /// may be silently wrong, which is exactly the trade the trusted decode
-    /// path documents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::Inconsistent`] on any out-of-range net or
-    /// gate id.
-    pub fn from_parts_trusted(
-        name: String,
-        gates: Vec<Gate>,
-        nets: Vec<Net>,
-        inputs: Vec<NetId>,
-        outputs: Vec<NetId>,
-    ) -> Result<Self, NetlistError> {
-        let n_gates = gates.len();
-        let n_nets = nets.len();
-        let net_in_range = |id: NetId| id.index() < n_nets;
-        let gate_in_range = |id: GateId| id.index() < n_gates;
-
-        for (i, gate) in gates.iter().enumerate() {
-            if !net_in_range(gate.output) || gate.inputs.iter().any(|&n| !net_in_range(n)) {
-                return Err(NetlistError::Inconsistent(format!(
-                    "gate g{i} references a net beyond the {n_nets} defined"
-                )));
-            }
-        }
-        for (i, net) in nets.iter().enumerate() {
-            let driver_ok = net.driver.map(gate_in_range).unwrap_or(true);
-            if !driver_ok || net.sinks.iter().any(|&g| !gate_in_range(g)) {
-                return Err(NetlistError::Inconsistent(format!(
-                    "net n{i} references a gate beyond the {n_gates} defined"
-                )));
-            }
-        }
-        if let Some(&bad) = inputs.iter().chain(outputs.iter()).find(|&&n| !net_in_range(n)) {
-            return Err(NetlistError::Inconsistent(format!(
-                "primary port references {bad} beyond the {n_nets} defined nets"
-            )));
-        }
-
-        Ok(Netlist { name, gates, nets, inputs, outputs })
     }
 
     /// Design name.
@@ -488,55 +458,58 @@ mod tests {
         nl.validate().unwrap();
     }
 
+    /// `tiny()`'s tables after `edit`, reassembled through `from_parts`.
+    fn reassembled(edit: fn(&mut Netlist)) -> Result<Netlist, NetlistError> {
+        let mut nl = tiny();
+        edit(&mut nl);
+        Netlist::from_parts(nl.name, nl.gates, nl.nets, nl.inputs, nl.outputs)
+    }
+
     #[test]
-    fn from_parts_trusted_bounds_checks_but_skips_semantics() {
-        let nl = tiny();
-        // Good tables round-trip through the trusted constructor.
-        let ok = Netlist::from_parts_trusted(
-            nl.name.clone(),
-            nl.gates.clone(),
-            nl.nets.clone(),
-            nl.inputs.clone(),
-            nl.outputs.clone(),
-        )
+    fn from_parts_checks_sink_lists_against_the_gate_inputs() {
+        let disagrees = |net: &str| {
+            Err(NetlistError::Inconsistent(format!(
+                "net {net} sink list disagrees with the gate input tables"
+            )))
+        };
+        assert_eq!(reassembled(|_| {}), Ok(tiny()));
+        // n2 (NAND output) is read by the INV, g1; drop that reader.
+        assert_eq!(reassembled(|nl| nl.nets[2].sinks.clear()), disagrees("n2"));
+        // The INV does not read n0; list it there as well, or instead of
+        // the NAND that does.
+        assert_eq!(
+            reassembled(|nl| nl.nets[0].sinks.push(GateId::from_index(1))),
+            disagrees("n0")
+        );
+        assert_eq!(
+            reassembled(|nl| nl.nets[0].sinks = vec![GateId::from_index(1)]),
+            disagrees("n0")
+        );
+        // The NAND reads n0 on both pins, so n0 must list it twice.
+        assert_eq!(
+            reassembled(|nl| {
+                nl.gates[0].inputs[1] = NetId::from_index(0);
+                nl.nets[1].sinks.clear();
+            }),
+            disagrees("n0")
+        );
+        // ...and listing it twice is accepted, as is any order.
+        let twice = reassembled(|nl| {
+            nl.gates[0].inputs[1] = NetId::from_index(0);
+            nl.nets[1].sinks.clear();
+            nl.nets[0].sinks.push(GateId::from_index(0));
+        })
         .unwrap();
-        assert_eq!(ok.gate_count(), nl.gate_count());
-
-        // Out-of-range ids are still rejected (never a downstream panic)...
-        let mut bad_gates = nl.gates.clone();
-        bad_gates[0].output = NetId::from_index(999);
-        assert!(matches!(
-            Netlist::from_parts_trusted(
-                nl.name.clone(),
-                bad_gates,
-                nl.nets.clone(),
-                nl.inputs.clone(),
-                nl.outputs.clone(),
-            ),
-            Err(NetlistError::Inconsistent(_))
-        ));
-
-        // ...but a semantic lie the full constructor catches slides through:
-        // drop a sink so the sink list disagrees with the gate input tables.
-        let mut lying_nets = nl.nets.clone();
-        let victim = lying_nets.iter_mut().find(|n| !n.sinks.is_empty()).unwrap();
-        victim.sinks.clear();
-        assert!(Netlist::from_parts(
-            nl.name.clone(),
-            nl.gates.clone(),
-            lying_nets.clone(),
-            nl.inputs.clone(),
-            nl.outputs.clone(),
-        )
-        .is_err());
-        assert!(Netlist::from_parts_trusted(
-            nl.name.clone(),
-            nl.gates.clone(),
-            lying_nets,
-            nl.inputs.clone(),
-            nl.outputs.clone(),
-        )
-        .is_ok());
+        assert_eq!(twice.net(NetId::from_index(0)).sinks.len(), 2);
+        assert_eq!(
+            reassembled(|nl| {
+                nl.gates[1].inputs[0] = NetId::from_index(0);
+                nl.nets[0].sinks = vec![GateId::from_index(1), GateId::from_index(0)];
+                nl.nets[2].sinks.clear();
+            })
+            .map(|nl| nl.net(NetId::from_index(0)).sinks.clone()),
+            Ok(vec![GateId::from_index(1), GateId::from_index(0)])
+        );
     }
 
     #[test]

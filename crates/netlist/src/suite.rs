@@ -174,19 +174,6 @@ pub fn generate(name: &str) -> Option<Netlist> {
     Some(nl)
 }
 
-/// Generates the full nine-design suite paired with paper statistics.
-pub fn table1_designs() -> Vec<(PaperStats, Netlist)> {
-    PAPER_TABLE1
-        .iter()
-        .map(|stats| {
-            (
-                *stats,
-                generate(stats.name).expect("every PAPER_TABLE1 name is generatable"),
-            )
-        })
-        .collect()
-}
-
 /// The subset of the suite small enough for exhaustive/exact experiments
 /// (the designs where the paper reports ILP results).
 pub fn ilp_tractable_names() -> &'static [&'static str] {

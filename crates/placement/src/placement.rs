@@ -150,35 +150,6 @@ impl Placement {
             / (f64::from(self.die.sites_per_row) * self.rows.len() as f64)
     }
 
-    /// Total half-perimeter wirelength in micrometres.
-    pub fn hpwl_um(&self, netlist: &Netlist) -> f64 {
-        let mut total = 0.0;
-        for net in netlist.nets() {
-            let mut xs: Vec<f64> = Vec::new();
-            let mut ys: Vec<f64> = Vec::new();
-            if let Some(driver) = net.driver {
-                let (x, y) = self.position_um(driver);
-                xs.push(x);
-                ys.push(y);
-            }
-            for &sink in &net.sinks {
-                let (x, y) = self.position_um(sink);
-                xs.push(x);
-                ys.push(y);
-            }
-            if xs.len() >= 2 {
-                let (xmin, xmax) = xs.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-                let (ymin, ymax) = ys.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &v| {
-                    (lo.min(v), hi.max(v))
-                });
-                total += (xmax - xmin) + (ymax - ymin);
-            }
-        }
-        total
-    }
-
     /// Checks the placement is legal for `netlist`: every gate placed once,
     /// row occupancy consistent, no row over capacity.
     ///

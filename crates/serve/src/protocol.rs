@@ -36,7 +36,8 @@ pub mod op {
     pub const PING: u8 = 0x01;
     /// Load a design from inline `.fbb` bytes (fully verified decode).
     pub const LOAD: u8 = 0x02;
-    /// Load a design from a server-side filesystem path.
+    /// Load a design from a server-side filesystem path (the same fully
+    /// verified decode).
     pub const LOAD_PATH: u8 = 0x03;
     /// Solve an allocation instance against a cached design.
     pub const SOLVE: u8 = 0x04;

@@ -549,12 +549,12 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 return;
             }
             Request::Load { bytes } => {
-                let resp = load_design(shared, request_id, &bytes, DecodeTrust::Verify);
+                let resp = load_design(shared, request_id, &bytes);
                 send_response(&writer, &resp);
             }
             Request::LoadPath { path } => {
                 let resp = match std::fs::read(&path) {
-                    Ok(bytes) => load_design(shared, request_id, &bytes, DecodeTrust::Fast),
+                    Ok(bytes) => load_design(shared, request_id, &bytes),
                     Err(e) => error_response(
                         request_id,
                         code::ERROR,
@@ -609,16 +609,10 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// How much to trust incoming design bytes (see `docs/PROTOCOL.md` §6).
-enum DecodeTrust {
-    /// Inline network bytes: full semantic verification.
-    Verify,
-    /// Server-side file, same trust as the CLI's own `--db` path:
-    /// CRC-trusting fast decode.
-    Fast,
-}
-
-fn load_design(shared: &Shared, request_id: u64, bytes: &[u8], trust: DecodeTrust) -> Response {
+/// Caches the design `bytes` encode, unless it is cached already. LOAD and
+/// LOAD_PATH bytes go through the one verified decode (`docs/PROTOCOL.md`
+/// §6), so only a design that passed it is ever cached.
+fn load_design(shared: &Shared, request_id: u64, bytes: &[u8]) -> Response {
     let hash = design_hash(bytes);
     if let Some(db) = shared.cache.get(hash) {
         return Response {
@@ -631,11 +625,7 @@ fn load_design(shared: &Shared, request_id: u64, bytes: &[u8], trust: DecodeTrus
             },
         };
     }
-    let decoded = match trust {
-        DecodeTrust::Verify => DesignDb::decode_verified(bytes),
-        DecodeTrust::Fast => DesignDb::decode_fast(bytes),
-    };
-    match decoded {
+    match DesignDb::decode(bytes) {
         Ok(db) => {
             let gates = db.netlist.gate_count() as u64;
             let fresh = shared.cache.insert(hash, Arc::new(db));

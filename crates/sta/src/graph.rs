@@ -510,29 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_netlist_reports_the_netlist_error() {
-        // g0 = INV(y) and g1 = INV(x) form a loop; g2 = INV(a) is reachable.
-        let gates = vec![inv(2, 1), inv(1, 2), inv(0, 3)];
-        let nets = vec![
-            net("a", None, &[2]),
-            net("x", Some(0), &[1]),
-            net("y", Some(1), &[0]),
-            net("z", Some(2), &[]),
-        ];
-        let nl = Netlist::from_parts_trusted(
-            "loop".into(),
-            gates,
-            nets,
-            vec![NetId::from_index(0)],
-            vec![NetId::from_index(3)],
-        )
-        .unwrap();
-        let expected = nl.topo_order().unwrap_err();
-        assert_eq!(expected, NetlistError::CombinationalCycle { reached: 1, total: 3 });
-        assert_eq!(TimingGraph::new(&nl).unwrap_err(), expected);
-    }
-
-    #[test]
     #[should_panic(expected = "one delay per gate")]
     fn wrong_delay_len_panics() {
         let mut b = NetlistBuilder::new("t");

@@ -71,7 +71,7 @@ proptest! {
     }
 }
 
-/// A gate-granularity database round-trips through both decoders. Its
+/// A gate-granularity database round-trips through the decoder. Its
 /// constraint row ids are gate indices, so many exceed the bytes left in
 /// the PREP section after them; the decoder must read them as ids checked
 /// against the row count, not as element counts checked against the bytes.
@@ -88,13 +88,10 @@ fn gate_granularity_database_roundtrips() {
     let db = DesignDb::build("testkit adder:32", &netlist, &placement, &chara, &[0.05], &gate, 3)
         .expect("compilable");
     let bytes = db.encode_to_vec();
-    for (decoder, decoded) in
-        [("decode", DesignDb::decode(&bytes)), ("decode_fast", DesignDb::decode_fast(&bytes))]
-    {
-        let decoded = decoded.unwrap_or_else(|e| panic!("{decoder} rejected its own encoding: {e}"));
-        assert_eq!(decoded, db, "{decoder} changed the database");
-        assert_eq!(decoded.encode_to_vec(), bytes, "{decoder} broke the canonical encoding");
-    }
+    let decoded =
+        DesignDb::decode(&bytes).unwrap_or_else(|e| panic!("decode rejected its own encoding: {e}"));
+    assert_eq!(decoded, db, "decode changed the database");
+    assert_eq!(decoded.encode_to_vec(), bytes, "decode broke the canonical encoding");
 }
 
 /// Every single-bit flip anywhere in a compiled database is rejected — the

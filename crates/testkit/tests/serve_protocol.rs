@@ -9,20 +9,25 @@
 //! diagnostic response carrying request id 0, then the connection is
 //! closed — and the daemon itself survives to serve the next client.
 //!
+//! LOAD_PATH runs the decoder LOAD runs: a good file caches the design a
+//! LOAD of its bytes would, and a file the decoder refuses is cached by
+//! neither.
+//!
 //! The differential half is the warm-path oracle: for randomly shaped
 //! compiled designs, a solve through the daemon must be bit-identical
 //! (leakage compared via `f64::to_bits`, assignments verbatim) to the
-//! CLI's own warm path — `DesignDb::decode_fast` + `preprocessed_for` +
+//! CLI's own warm path — `DesignDb::decode` + `preprocessed_for` +
 //! `TwoPassHeuristic` — because it *is* the same code; this test keeps it
 //! that way.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr};
+use std::path::PathBuf;
 
 use fbb_core::{Granularity, TwoPassHeuristic};
-use fbb_db::DesignDb;
+use fbb_db::{read_container, write_container, DesignDb, Encoder, SECTION_ORDER, SEC_NETL};
 use fbb_device::{BiasLadder, BodyBiasModel, Library};
-use fbb_netlist::generators;
+use fbb_netlist::{generators, Net};
 use fbb_placement::{Placer, PlacerOptions};
 use fbb_serve::protocol::{self, code, op};
 use fbb_serve::server::{ServeConfig, Server, ShutdownHandle};
@@ -258,7 +263,7 @@ fn huge_cluster_budget_answers_like_c_equals_p() {
     // C = 2^40 once sized the heuristic's candidate list and aborted the
     // daemon on a failed 26 TB allocation; a budget past P is vacuous.
     let bytes = compiled_design(4);
-    let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
+    let db = DesignDb::decode(&bytes).expect("own encoding decodes");
     let levels = db.preprocessed_for(Granularity::Row, 0.05, 1).expect("compiled in").levels();
     let pre = db.preprocessed_for(Granularity::Row, 0.05, levels).expect("compiled in");
     let local = TwoPassHeuristic.solve(&pre).expect("adder is compensable");
@@ -327,7 +332,7 @@ fn shutdown_during_an_inline_solve_still_answers_it() {
     )
     .expect("compilable")
     .encode_to_vec();
-    let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
+    let db = DesignDb::decode(&bytes).expect("own encoding decodes");
     let pre = db.preprocessed_for(Granularity::Row, 0.05, 3).expect("compiled in");
     let local = TwoPassHeuristic.solve(&pre).expect("multiplier is compensable");
 
@@ -362,12 +367,122 @@ fn shutdown_during_an_inline_solve_still_answers_it() {
     server.stop();
 }
 
+/// A net's record in the NETL section (docs/FORMAT.md §4.2).
+fn net_record(net: &Net) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.str(&net.name);
+    e.varint(net.driver.map_or(0, |g| g.index() as u64 + 1));
+    e.length(net.sinks.len());
+    for &g in &net.sinks {
+        e.varint(g.index() as u64);
+    }
+    e.into_vec()
+}
+
+/// Two CRC-valid copies of `good` whose tables disagree: (a) the first
+/// stored path delay is ×1.5, so its gates no longer sum to it; (b) the
+/// first primary input's sink list also names a gate that does not read
+/// that net. The encoder and the container writer recompute every length
+/// and CRC, so only the semantic checks can tell.
+fn inconsistent_copies(good: &[u8]) -> [(&'static str, Vec<u8>); 2] {
+    let mut db = DesignDb::decode(good).expect("own encoding decodes");
+
+    let net = db.netlist.net(db.netlist.inputs()[0]).clone();
+    let phantom = db
+        .netlist
+        .iter_gates()
+        .map(|(id, _)| id)
+        .find(|g| !net.sinks.contains(g))
+        .expect("some gate does not read the first input");
+    let mut listed = net.clone();
+    listed.sinks.push(phantom);
+    let (from, to) = (net_record(&net), net_record(&listed));
+    let mut sections: Vec<Vec<u8>> =
+        read_container(good).expect("good container").iter().map(|s| s.to_vec()).collect();
+    let netl = &mut sections[SECTION_ORDER.iter().position(|&id| id == SEC_NETL).expect("NETL")];
+    let at = netl.windows(from.len()).position(|w| w == from).expect("net record found");
+    assert_eq!(netl.windows(from.len()).rposition(|w| w == from), Some(at), "record is unique");
+    netl.splice(at..at + from.len(), to);
+    let phantom_sink = write_container(&sections);
+
+    db.timing.paths[0].delay_ps *= 1.5;
+    [("path_delay", db.encode_to_vec()), ("phantom_sink", phantom_sink)]
+}
+
+/// Writes `bytes` to a fresh file in the temp directory for LOAD_PATH.
+fn design_file(tag: &str, bytes: &[u8]) -> PathBuf {
+    let path = std::env::temp_dir()
+        .join(format!("fbb_serve_protocol_{tag}_{}.fbb", std::process::id()));
+    std::fs::write(&path, bytes).expect("temp file writable");
+    path
+}
+
+/// Asserts `result` is a code-1 refusal whose message contains `reason`.
+fn assert_refused<T: std::fmt::Debug>(
+    result: Result<T, fbb_serve::ClientError>,
+    reason: &str,
+    what: &str,
+) {
+    match result {
+        Err(fbb_serve::ClientError::Remote { code: c, message }) => {
+            assert_eq!(c, code::ERROR, "{what}: {message}");
+            assert!(message.contains(reason), "{what}: {message}");
+        }
+        other => panic!("{what}: expected a remote refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn load_path_decodes_like_load() {
+    let good = compiled_design(4);
+    let by_path = RunningServer::start(1);
+    let by_bytes = RunningServer::start(1);
+    let mut client = by_path.connect();
+    let mut reference = by_bytes.connect();
+
+    // A good file loads, and every SOLVE against it answers the bits a
+    // LOAD of the same bytes gives on a second daemon.
+    let file = design_file("good", &good);
+    let info = client.load_path(file.to_str().expect("utf8")).expect("good file loads");
+    let _ = std::fs::remove_file(&file);
+    let loaded = reference.load_bytes(&good).expect("good bytes load");
+    assert_eq!((info.design_hash, info.gates, info.fresh), (loaded.design_hash, loaded.gates, true));
+    for clusters in 1..=4 {
+        let by_path = client.solve(row_solve(info.design_hash, clusters)).expect("solves");
+        let by_bytes = reference.solve(row_solve(info.design_hash, clusters)).expect("solves");
+        assert_eq!(by_path.leakage_nw.to_bits(), by_bytes.leakage_nw.to_bits(), "C = {clusters}");
+        assert_eq!(by_path, by_bytes, "C = {clusters}");
+    }
+
+    // A missing path answers code 1.
+    let missing = std::env::temp_dir().join("fbb_serve_protocol_no_such_file.fbb");
+    assert_refused(
+        client.load_path(missing.to_str().expect("utf8")),
+        "cannot load design",
+        "missing path",
+    );
+
+    // A file the decoder refuses answers code 1 and caches nothing, so a
+    // later LOAD of the same bytes is decoded, and refused, too.
+    for (what, bytes) in inconsistent_copies(&good) {
+        let reason = if what == "path_delay" { "path 0 stores" } else { "sink list disagrees" };
+        let file = design_file(what, &bytes);
+        assert_refused(client.load_path(file.to_str().expect("utf8")), reason, what);
+        let _ = std::fs::remove_file(&file);
+        assert_eq!(stat(&mut client, "designs_cached"), 1, "{what}: LOAD_PATH cached it");
+        assert_refused(client.load_bytes(&bytes), reason, what);
+        assert_eq!(stat(&mut client, "designs_cached"), 1, "{what}: LOAD cached it");
+    }
+    by_path.stop();
+    by_bytes.stop();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The daemon's warm path is the CLI's warm path: for random design
     /// shapes and cluster budgets, a SOLVE through the server is
-    /// bit-identical to `decode_fast` + `preprocessed_for` +
+    /// bit-identical to `decode` + `preprocessed_for` +
     /// `TwoPassHeuristic` run locally — leakage compared as raw `f64`
     /// bits, assignments element for element.
     #[test]
@@ -378,7 +493,7 @@ proptest! {
         let bytes = compiled_design(width);
 
         // Local oracle — exactly what `fbb solve --db` executes.
-        let db = DesignDb::decode_fast(&bytes).expect("own encoding decodes");
+        let db = DesignDb::decode(&bytes).expect("own encoding decodes");
         let pre = db
             .preprocessed_for(Granularity::Row, 0.05, clusters as usize)
             .expect("beta 0.05 compiled in");

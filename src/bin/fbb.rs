@@ -200,15 +200,14 @@ fn read_design_bytes(path: &str) -> Result<Vec<u8>, CliError> {
 /// a text netlist that still needs the cold pipeline. `rows` (`--rows`)
 /// only applies to the cold path — a database carries its placement.
 ///
-/// Databases decode through the CRC-trusting fast path: `solve`/`sta` are
-/// warm-path consumers and the container checksums already gate
-/// corruption. `difftest --db` — the integrity oracle — is the one caller
-/// that keeps the fully verified decode.
+/// A database goes through `DesignDb::decode`, the one decoder, which
+/// re-checks the stored netlist, timing tables and pre-processed problems
+/// against each other; a file that fails it exits 1 like a missing one.
 fn load_design(path: &str, rows: Option<u32>) -> Result<LoadedDesign, CliError> {
     let bytes = read_design_bytes(path)?;
     if is_design_db(&bytes) {
-        let db = DesignDb::decode_fast(&bytes)
-            .map_err(|e| format!("cannot load design {path}: {e}"))?;
+        let db =
+            DesignDb::decode(&bytes).map_err(|e| format!("cannot load design {path}: {e}"))?;
         if rows.is_some() {
             eprintln!("note: --rows ignored ({path} is a compiled database with a stored placement)");
         }
@@ -440,10 +439,9 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
 /// as the random-case harness.
 fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), CliError> {
     let bytes = read_design_bytes(path)?;
-    // The oracle run keeps the fully verified decode on purpose: difftest
-    // exists to catch corruption, so it must not trust the CRCs alone.
-    let db = DesignDb::decode_verified(&bytes)
-        .map_err(|e| format!("cannot load design {path}: {e}"))?;
+    // The same decode `solve` and `sta` use: a file they accept is a file
+    // whose stored instances this oracle then checks.
+    let db = DesignDb::decode(&bytes).map_err(|e| format!("cannot load design {path}: {e}"))?;
     outln!("{}", db.stats())?;
     let mut mismatches = Vec::new();
     for entry in &db.entries {
@@ -706,8 +704,8 @@ fn sta(args: &[String]) -> Result<(), CliError> {
     // matching the historical `fbb sta` behaviour.
     let bytes = read_design_bytes(&path)?;
     let (stats, dcrit, mut paths) = if is_design_db(&bytes) {
-        let db = DesignDb::decode_fast(&bytes)
-            .map_err(|e| format!("cannot load design {path}: {e}"))?;
+        let db =
+            DesignDb::decode(&bytes).map_err(|e| format!("cannot load design {path}: {e}"))?;
         outln!("compiled database: {}", db.stats())?;
         (db.netlist.stats(), db.timing.dcrit_ps, db.timing.paths.clone())
     } else {

@@ -2,9 +2,14 @@
 //! produces a database that `solve`, `sta`, and `difftest --db` all accept,
 //! the compiled solve is bit-identical to the cold pipeline, and corrupted
 //! databases are rejected with exit 1 — never a panic, never a wrong answer.
+//! That holds for a database whose CRCs match but whose tables disagree
+//! with each other, too.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use fbb::db::{read_container, write_container, DesignDb, Encoder, SECTION_ORDER, SEC_NETL};
+use fbb::netlist::Net;
 
 fn fbb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fbb")).args(args).output().expect("fbb binary runs")
@@ -144,5 +149,69 @@ fn solve_falls_back_when_beta_not_compiled_in() {
         "fallback should be announced: {}",
         text(&out.stderr)
     );
+    let _ = std::fs::remove_file(db);
+}
+
+/// A net's record in the NETL section (docs/FORMAT.md §4.2).
+fn net_record(net: &Net) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.str(&net.name);
+    e.varint(net.driver.map_or(0, |g| g.index() as u64 + 1));
+    e.length(net.sinks.len());
+    for &g in &net.sinks {
+        e.varint(g.index() as u64);
+    }
+    e.into_vec()
+}
+
+/// Two CRC-valid copies of the database at `path` whose tables disagree:
+/// (a) the first stored path delay is ×1.5, so its gates no longer sum to
+/// it; (b) the first primary input's sink list also names a gate that does
+/// not read that net. The encoder and the container writer recompute every
+/// length and CRC, so only the semantic checks can tell.
+fn inconsistent_copies(path: &Path) -> [(&'static str, Vec<u8>); 2] {
+    let good = std::fs::read(path).expect("compiled file exists");
+    let mut db = DesignDb::decode(&good).expect("own encoding decodes");
+
+    let net = db.netlist.net(db.netlist.inputs()[0]).clone();
+    let phantom = db
+        .netlist
+        .iter_gates()
+        .map(|(id, _)| id)
+        .find(|g| !net.sinks.contains(g))
+        .expect("some gate does not read the first input");
+    let mut listed = net.clone();
+    listed.sinks.push(phantom);
+    let (from, to) = (net_record(&net), net_record(&listed));
+    let mut sections: Vec<Vec<u8>> =
+        read_container(&good).expect("good container").iter().map(|s| s.to_vec()).collect();
+    let netl = &mut sections[SECTION_ORDER.iter().position(|&id| id == SEC_NETL).expect("NETL")];
+    let at = netl.windows(from.len()).position(|w| w == from).expect("net record found");
+    assert_eq!(netl.windows(from.len()).rposition(|w| w == from), Some(at), "record is unique");
+    netl.splice(at..at + from.len(), to);
+    let phantom_sink = write_container(&sections);
+
+    db.timing.paths[0].delay_ps *= 1.5;
+    [("path_delay", db.encode_to_vec()), ("phantom_sink", phantom_sink)]
+}
+
+#[test]
+fn solve_and_sta_refuse_databases_whose_tables_disagree() {
+    let db = compiled("inconsistent");
+    for (what, bytes) in inconsistent_copies(&db) {
+        let bad = temp(what, "fbb");
+        std::fs::write(&bad, bytes).expect("write");
+        let reason = if what == "path_delay" { "path 0 stores" } else { "sink list disagrees" };
+        for sub in ["sta", "solve"] {
+            let out = fbb(&[sub, "--netlist", bad.to_str().expect("utf8"), "--beta", "0.05"]);
+            let stderr = text(&out.stderr);
+            assert_eq!(code(&out), 1, "{sub} on {what}: {}\n{stderr}", text(&out.stdout));
+            assert!(
+                stderr.contains("cannot load design") && stderr.contains(reason),
+                "{sub} on {what}: {stderr}"
+            );
+        }
+        let _ = std::fs::remove_file(bad);
+    }
     let _ = std::fs::remove_file(db);
 }
