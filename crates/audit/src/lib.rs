@@ -18,10 +18,10 @@
 //!   feature gate (or in crates that declare the feature in Cargo.toml);
 //! * **FA006** — imports stay within std + the offline `shims/` crates.
 //!
-//! The deep pass (`fbb lint --deep`) feeds the same token stream through a
-//! token-tree item parser ([`parse`]) into a workspace call graph
-//! ([`callgraph`]) and adds the trust-boundary rules, scoped by the
-//! checked-in `audit.toml` manifest ([`manifest`]):
+//! Every run also feeds the same token stream through a token-tree item
+//! parser ([`parse`]) into a workspace call graph ([`callgraph`]) for the
+//! trust-boundary rules, scoped by the checked-in `audit.toml` manifest
+//! ([`manifest`]):
 //!
 //! * **FA007** — no panic (`panic!`-family macro, `.unwrap()`,
 //!   `.expect(…)`, scoped slice index) reachable from a declared
@@ -129,74 +129,55 @@ pub fn audit_source(
     (findings, waivers)
 }
 
-/// Lints every `.rs` file in the workspace rooted at `root` with the deep
-/// pass armed: shallow rules plus the parser / call-graph rules FA007–FA011
+/// Lints every `.rs` file in the workspace rooted at `root`: the per-file
+/// rules FA000–FA006, then the parser / call-graph rules FA007–FA011
 /// driven by `<root>/audit.toml` and the spec docs. Emits the
 /// `audit_parse_fns` / `audit_callgraph_edges` / `audit_panic_reachable`
-/// telemetry counters and attaches [`DeepStats`] to the report.
+/// telemetry counters.
 ///
 /// # Errors
 ///
 /// I/O errors from the walk or the source files, a missing or unparseable
 /// `audit.toml`, or unreadable spec docs.
-pub fn audit_workspace_deep(root: &Path) -> io::Result<AuditReport> {
+pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let manifest = Manifest::load(root)?;
     let docs = deep::doc_constants(root)?;
     let files = walk::workspace_files(root)?;
-    let mut report = AuditReport::default();
-    let mut waivers: Vec<WaiverRecord> = Vec::new();
     let mut ctxs: Vec<FileCtx> = Vec::with_capacity(files.len());
     for file in &files {
         let bytes = fs::read(&file.abs)?;
         let source = String::from_utf8_lossy(&bytes);
-        let ctx = FileCtx::analyze(&file.rel, file.class, file.declares_fault_inject, &source);
-        report.findings.extend(rules::check_file(&ctx));
-        waivers.extend(waiver_records(&ctx));
-        ctxs.push(ctx);
+        ctxs.push(FileCtx::analyze(&file.rel, file.class, file.declares_fault_inject, &source));
     }
-    let parsed: Vec<parse::ParsedFile> =
-        ctxs.iter().map(|c| parse::parse_file(c, &crate_ident(&c.rel_path))).collect();
-    let (deep_findings, stats) =
-        deep::check_deep(&ctxs, &parsed, &manifest, &manifest.entries, &docs, true);
-    report.findings.extend(deep_findings);
-    apply_waivers(&mut report.findings, &mut waivers);
-    fbb_telemetry::counter("audit_parse_fns", stats.parse_fns);
-    fbb_telemetry::counter("audit_callgraph_edges", stats.callgraph_edges);
-    fbb_telemetry::counter("audit_panic_reachable", stats.panic_reachable);
-    report.deep = Some(stats);
-    report.waivers = waivers;
-    report.files_scanned = files.len();
-    report.sort();
+    let report = audit_contexts(&ctxs, &manifest, &manifest.entries, &docs, true);
+    fbb_telemetry::counter("audit_parse_fns", report.deep.parse_fns);
+    fbb_telemetry::counter("audit_callgraph_edges", report.deep.callgraph_edges);
+    fbb_telemetry::counter("audit_panic_reachable", report.deep.panic_reachable);
     Ok(report)
 }
 
-/// Lints every `.rs` file in the workspace rooted at `root`.
-///
-/// # Errors
-///
-/// I/O errors from the walk or from reading a source file.
-pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
-    let files = walk::workspace_files(root)?;
-    let mut report = AuditReport::default();
-    for file in &files {
-        let bytes = fs::read(&file.abs)?;
-        let source = String::from_utf8_lossy(&bytes);
-        let (findings, waivers) =
-            audit_source(&file.rel, file.class, file.declares_fault_inject, &source);
-        report.findings.extend(findings);
-        report.waivers.extend(waivers);
-    }
-    // The shallow pass cannot judge waivers for deep rules — only
-    // `audit_workspace_deep` produces the findings they match — so it must
-    // not surface them as stale.
-    for w in &mut report.waivers {
-        if rules::RULES.iter().any(|r| r.id == w.rule && r.deep) {
-            w.used = true;
-        }
-    }
-    report.files_scanned = files.len();
+/// The pipeline both [`audit_workspace`] and [`audit_fixtures`] run once
+/// their per-file contexts are built: every rule over `ctxs`, with
+/// `entries` as the FA007 roots, waivers applied and the report sorted.
+fn audit_contexts(
+    ctxs: &[FileCtx],
+    manifest: &Manifest,
+    entries: &[String],
+    docs: &[deep::DocConst],
+    check_missing_consts: bool,
+) -> AuditReport {
+    let mut findings: Vec<Finding> = ctxs.iter().flat_map(rules::check_file).collect();
+    let mut waivers: Vec<WaiverRecord> = ctxs.iter().flat_map(waiver_records).collect();
+    let parsed: Vec<parse::ParsedFile> =
+        ctxs.iter().map(|c| parse::parse_file(c, &crate_ident(&c.rel_path))).collect();
+    let (deep_findings, stats) =
+        deep::check_deep(ctxs, &parsed, manifest, entries, docs, check_missing_consts);
+    findings.extend(deep_findings);
+    apply_waivers(&mut findings, &mut waivers);
+    let mut report =
+        AuditReport { findings, waivers, files_scanned: ctxs.len(), deep: stats };
     report.sort();
-    Ok(report)
+    report
 }
 
 /// Header every fixture file must start with, declaring the virtual
@@ -213,7 +194,8 @@ pub const FIXTURE_DECLARES: &str = "// fbb-audit-declares: fault-inject";
 pub const FIXTURE_ENTRIES: &str = "// fbb-audit-entries:";
 
 /// Lints the planted-violation fixtures under `crates/audit/fixtures` of
-/// the workspace rooted at `root`, with the deep rules armed. Each fixture
+/// the workspace rooted at `root`, through the same pipeline as
+/// [`audit_workspace`]. Each fixture
 /// is linted as if it lived at the virtual path named in its
 /// [`FIXTURE_HEADER`] line; FA007 roots come from [`FIXTURE_ENTRIES`]
 /// headers, while the FA008/FA009 path scopes and the FA011 spec docs come
@@ -233,8 +215,6 @@ pub fn audit_fixtures(root: &Path) -> io::Result<AuditReport> {
         .filter(|p| p.extension().map(|e| e == "rs").unwrap_or(false))
         .collect();
     paths.sort();
-    let mut report = AuditReport::default();
-    let mut waivers: Vec<WaiverRecord> = Vec::new();
     let mut ctxs: Vec<FileCtx> = Vec::new();
     let mut entries: Vec<String> = Vec::new();
     for path in &paths {
@@ -261,23 +241,9 @@ pub fn audit_fixtures(root: &Path) -> io::Result<AuditReport> {
                 );
             }
         }
-        let ctx =
-            FileCtx::analyze(virtual_path, walk::classify(virtual_path), declares, &source);
-        report.findings.extend(rules::check_file(&ctx));
-        waivers.extend(waiver_records(&ctx));
-        ctxs.push(ctx);
+        ctxs.push(FileCtx::analyze(virtual_path, walk::classify(virtual_path), declares, &source));
     }
-    let parsed: Vec<parse::ParsedFile> =
-        ctxs.iter().map(|c| parse::parse_file(c, &crate_ident(&c.rel_path))).collect();
-    let (deep_findings, stats) =
-        deep::check_deep(&ctxs, &parsed, &manifest, &entries, &docs, false);
-    report.findings.extend(deep_findings);
-    apply_waivers(&mut report.findings, &mut waivers);
-    report.deep = Some(stats);
-    report.waivers = waivers;
-    report.files_scanned = paths.len();
-    report.sort();
-    Ok(report)
+    Ok(audit_contexts(&ctxs, &manifest, &entries, &docs, false))
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub struct TrustEntry {
     pub panic_free: bool,
 }
 
-/// Statistics from a deep (`--deep`) run: parser/call-graph scale and the
+/// Statistics from the call-graph rules: parser/call-graph scale and the
 /// per-entry trust-boundary verdicts. The counts mirror the
 /// `audit_parse_fns` / `audit_callgraph_edges` / `audit_panic_reachable`
 /// telemetry counters.
@@ -75,8 +75,8 @@ pub struct AuditReport {
     pub waivers: Vec<WaiverRecord>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Deep-run statistics (`None` on a shallow run).
-    pub deep: Option<DeepStats>,
+    /// Parser, call-graph and trust-boundary statistics.
+    pub deep: DeepStats,
 }
 
 impl AuditReport {
@@ -148,20 +148,19 @@ impl AuditReport {
                 w.path, w.line, w.rule, w.reason
             ));
         }
-        if let Some(deep) = &self.deep {
-            for e in &deep.entries {
-                s.push_str(&format!(
-                    "trust boundary: `{}` — {}\n",
-                    e.entry,
-                    if e.panic_free { "panic-free" } else { "NOT PROVEN panic-free" }
-                ));
-            }
+        let deep = &self.deep;
+        for e in &deep.entries {
             s.push_str(&format!(
-                "deep: {} fn(s), {} call edge(s), {} panic site(s) reachable from the trust \
-                 boundary\n",
-                deep.parse_fns, deep.callgraph_edges, deep.panic_reachable
+                "trust boundary: `{}` — {}\n",
+                e.entry,
+                if e.panic_free { "panic-free" } else { "NOT PROVEN panic-free" }
             ));
         }
+        s.push_str(&format!(
+            "call graph: {} fn(s), {} call edge(s), {} panic site(s) reachable from the trust \
+             boundary\n",
+            deep.parse_fns, deep.callgraph_edges, deep.panic_reachable
+        ));
         let waived = self.findings.iter().filter(|f| f.waived).count();
         s.push_str(&format!(
             "fbb-audit: {} file(s) scanned, {violations} violation(s), {waived} waived hit(s), \
@@ -184,26 +183,25 @@ impl AuditReport {
             counts.iter().map(|(id, n)| format!("\"{id}\": {n}")).collect();
         s.push_str(&entries.join(", "));
         s.push_str("},\n");
-        if let Some(deep) = &self.deep {
-            s.push_str("  \"deep\": {\n");
-            s.push_str(&format!("    \"audit_parse_fns\": {},\n", deep.parse_fns));
-            s.push_str(&format!("    \"audit_callgraph_edges\": {},\n", deep.callgraph_edges));
-            s.push_str(&format!("    \"audit_panic_reachable\": {},\n", deep.panic_reachable));
-            s.push_str("    \"trust_boundary\": [");
-            let rows: Vec<String> = deep
-                .entries
-                .iter()
-                .map(|e| {
-                    format!(
-                        "{{\"entry\": \"{}\", \"panic_free\": {}}}",
-                        json_escape(&e.entry),
-                        e.panic_free
-                    )
-                })
-                .collect();
-            s.push_str(&rows.join(", "));
-            s.push_str("]\n  },\n");
-        }
+        let deep = &self.deep;
+        s.push_str("  \"deep\": {\n");
+        s.push_str(&format!("    \"audit_parse_fns\": {},\n", deep.parse_fns));
+        s.push_str(&format!("    \"audit_callgraph_edges\": {},\n", deep.callgraph_edges));
+        s.push_str(&format!("    \"audit_panic_reachable\": {},\n", deep.panic_reachable));
+        s.push_str("    \"trust_boundary\": [");
+        let rows: Vec<String> = deep
+            .entries
+            .iter()
+            .map(|e| {
+                format!(
+                    "{{\"entry\": \"{}\", \"panic_free\": {}}}",
+                    json_escape(&e.entry),
+                    e.panic_free
+                )
+            })
+            .collect();
+        s.push_str(&rows.join(", "));
+        s.push_str("]\n  },\n");
         s.push_str("  \"violations\": [\n");
         let rows: Vec<String> = self
             .violations()
@@ -282,7 +280,7 @@ mod tests {
             findings: vec![finding("FA001", false), finding("FA002", true)],
             waivers: vec![],
             files_scanned: 1,
-            deep: None,
+            deep: DeepStats::default(),
         };
         assert_eq!(report.violations().count(), 1);
         assert!(!report.is_clean());
@@ -301,7 +299,7 @@ mod tests {
                 used: false,
             }],
             files_scanned: 2,
-            deep: None,
+            deep: DeepStats::default(),
         };
         let json = report.to_json();
         assert!(json.contains("\\\"quoted\\\""));
@@ -322,7 +320,7 @@ mod tests {
                 used: false,
             }],
             files_scanned: 1,
-            deep: None,
+            deep: DeepStats::default(),
         };
         assert!(report.is_clean());
         assert!(report.summary().contains("stale waiver for FA003"));
@@ -334,7 +332,7 @@ mod tests {
             findings: vec![],
             waivers: vec![],
             files_scanned: 3,
-            deep: Some(DeepStats {
+            deep: DeepStats {
                 parse_fns: 40,
                 callgraph_edges: 17,
                 panic_reachable: 0,
@@ -342,7 +340,7 @@ mod tests {
                     TrustEntry { entry: "fbb_serve::protocol::read_frame".into(), panic_free: true },
                     TrustEntry { entry: "nope::missing".into(), panic_free: false },
                 ],
-            }),
+            },
         };
         let summary = report.summary();
         assert!(summary.contains("`fbb_serve::protocol::read_frame` — panic-free"));

@@ -23,9 +23,6 @@ pub struct RuleInfo {
     pub doc: &'static str,
     /// A minimal violating snippet, as planted in the rule's fixture file.
     pub example: &'static str,
-    /// Whether the rule needs the deep pass (`fbb lint --deep`): parser,
-    /// call graph, manifest, and spec docs.
-    pub deep: bool,
 }
 
 /// All rules, in ID order.
@@ -42,7 +39,6 @@ pub const RULES: [RuleInfo; 12] = [
               waivers are therefore violations in their own right, and FA000 itself can \
               never be waived.",
         example: "// fbb-audit: allow(FA002)\nvalue.unwrap(); // reason text is missing",
-        deep: false,
     },
     RuleInfo {
         id: "FA001",
@@ -55,7 +51,6 @@ pub const RULES: [RuleInfo; 12] = [
               diverges across optimization levels. The approx helpers centralize the \
               tolerance policy so it can be tuned in one place.",
         example: "if reduced_cost == 0.0 { // FA001: exact float equality\n    return None;\n}",
-        deep: false,
     },
     RuleInfo {
         id: "FA002",
@@ -67,7 +62,6 @@ pub const RULES: [RuleInfo; 12] = [
               allowed — it documents the invariant — and test code is exempt because a \
               panic is the correct test-failure mechanism.",
         example: "let design = cache.get(&key).unwrap(); // FA002 in library code",
-        deep: false,
     },
     RuleInfo {
         id: "FA003",
@@ -81,7 +75,6 @@ pub const RULES: [RuleInfo; 12] = [
               tests; telemetry spans and waived runtime reporting are the only other \
               legitimate clock users.",
         example: "let t0 = std::time::Instant::now(); // FA003 in crates/core\nsolve(model);",
-        deep: false,
     },
     RuleInfo {
         id: "FA004",
@@ -97,7 +90,6 @@ pub const RULES: [RuleInfo; 12] = [
               call site (`fbb_telemetry::counter(\"lp_pivots\", …)`) because names are \
               compile-time string literals.",
         example: "fbb_telemetry::counter(\"Pivots\", 1); // FA004: not snake_case, no lp_ prefix",
-        deep: false,
     },
     RuleInfo {
         id: "FA005",
@@ -110,7 +102,6 @@ pub const RULES: [RuleInfo; 12] = [
               production results. A crate that declares the feature on its fbb-lp \
               dependency in Cargo.toml opts in deliberately and is exempt.",
         example: "lp::fault::with_flipped_pivot_sign(|| run()); // FA005 outside #[cfg(...)]",
-        deep: false,
     },
     RuleInfo {
         id: "FA006",
@@ -123,7 +114,6 @@ pub const RULES: [RuleInfo; 12] = [
               fbb-* crates, and the checked-in shims. New third-party functionality means \
               writing (or extending) a shim, not adding a registry dependency.",
         example: "use regex::Regex; // FA006: no shims/regex crate exists",
-        deep: false,
     },
     RuleInfo {
         id: "FA007",
@@ -134,14 +124,13 @@ pub const RULES: [RuleInfo; 12] = [
         doc: "The functions named in audit.toml's [trust_boundary] section parse bytes \
               that arrive from the network, so any panic they can transitively reach is a \
               remote denial-of-service: one malformed frame kills the worker thread. The \
-              deep pass builds a workspace call graph, walks every path from each entry, \
+              lint builds a workspace call graph, walks every path from each entry, \
               and reports each reachable panic site (panic!-family macros, .unwrap(), \
               .expect(…), and — on manifest-scoped decode paths — bare slice indexing) \
               with an example call chain. An entry that resolves to no function is itself \
               a violation, so the proof cannot rot silently.",
         example: "pub fn decode(b: &[u8]) -> Header { parse_magic(b) } // entry\n\
                   fn parse_magic(b: &[u8]) -> Header { b.first().copied().unwrap().into() }",
-        deep: true,
     },
     RuleInfo {
         id: "FA008",
@@ -157,7 +146,6 @@ pub const RULES: [RuleInfo; 12] = [
               every integer crosses a trust boundary; deliberate truncation (bit masks, \
               hashes) is waived at the site with the mask visible.",
         example: "let n = decoder.u64()? as usize; // FA008: silently truncates on 32-bit",
-        deep: true,
     },
     RuleInfo {
         id: "FA009",
@@ -172,7 +160,6 @@ pub const RULES: [RuleInfo; 12] = [
               kernels whose indices are masked to the table size are listed in [scopes] \
               exclude with a justification.",
         example: "let magic = &bytes[..8]; // FA009: panics on a short frame",
-        deep: true,
     },
     RuleInfo {
         id: "FA010",
@@ -189,7 +176,6 @@ pub const RULES: [RuleInfo; 12] = [
               blocking statement as proof the hold is intentional.",
         example: "let g = q.jobs.lock().expect(\"poisoned\");\n\
                   let _ = q.not_empty.wait(g); // FA010: no predicate loop",
-        deep: true,
     },
     RuleInfo {
         id: "FA011",
@@ -198,13 +184,12 @@ pub const RULES: [RuleInfo; 12] = [
                edit), or fix the doc if the code is the intended value",
         doc: "docs/FORMAT.md and docs/PROTOCOL.md are normative: external tools decode \
               .fbb containers and speak the daemon protocol from those tables alone. The \
-              deep pass extracts every `NAME` = value and opcode-table row from the docs \
+              lint extracts every `NAME` = value and opcode-table row from the docs \
               and cross-checks it against the workspace's `const NAME` declarations — a \
               mismatch means shipped bytes and documented bytes disagree, which is a \
               compatibility break no test catches. A documented constant with no source \
               const is reported at the doc line so renames cannot orphan the spec.",
         example: "pub const MAX_FRAME_LEN: u32 = 4096; // docs/PROTOCOL.md says 16777216",
-        deep: true,
     },
 ];
 

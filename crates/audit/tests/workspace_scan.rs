@@ -10,15 +10,10 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn workspace_is_lint_clean() {
+fn workspace_is_deep_lint_clean() {
     let report = fbb_audit::audit_workspace(workspace_root()).expect("scan workspace");
     assert!(report.files_scanned > 20, "walker found too few files: {}", report.files_scanned);
     assert!(report.is_clean(), "workspace has lint violations:\n{}", report.summary());
-}
-
-#[test]
-fn workspace_has_no_stale_waivers() {
-    let report = fbb_audit::audit_workspace(workspace_root()).expect("scan workspace");
     let stale: Vec<String> = report
         .waivers
         .iter()
@@ -29,22 +24,9 @@ fn workspace_has_no_stale_waivers() {
 }
 
 #[test]
-fn workspace_is_deep_lint_clean() {
-    let report = fbb_audit::audit_workspace_deep(workspace_root()).expect("deep-scan workspace");
-    assert!(report.is_clean(), "workspace has deep lint violations:\n{}", report.summary());
-    let stale: Vec<String> = report
-        .waivers
-        .iter()
-        .filter(|w| !w.used)
-        .map(|w| format!("{}:{} {}", w.path, w.line, w.rule))
-        .collect();
-    assert!(stale.is_empty(), "stale waivers present under the deep pass: {stale:?}");
-}
-
-#[test]
 fn every_trust_boundary_entry_is_proven_panic_free() {
-    let report = fbb_audit::audit_workspace_deep(workspace_root()).expect("deep-scan workspace");
-    let deep = report.deep.as_ref().expect("deep pass ran");
+    let report = fbb_audit::audit_workspace(workspace_root()).expect("scan workspace");
+    let deep = &report.deep;
     assert!(!deep.entries.is_empty(), "audit.toml declares trust-boundary entries");
     let unproven: Vec<&str> = deep
         .entries

@@ -69,7 +69,6 @@ pub fn prepare_design(name: &str) -> PreparedDesign {
         anneal_moves: 40_000.min(netlist.gate_count() * 4),
         timing_driven: !gridlike,
         order: if gridlike { PlacementOrder::Natural } else { PlacementOrder::Cone },
-        ..PlacerOptions::default()
     });
     let placement = placer.place(&netlist, &library).expect("paper row counts are placeable");
     let characterization = library

@@ -1,7 +1,5 @@
 //! The block-level single-voltage baseline ("Single BB" in Table 1).
 
-use fbb_lp::deadline::Stopwatch;
-
 use crate::{pass_one, ClusterSolution, FbbError, Preprocessed};
 
 /// Block-level FBB as applied by prior work ([Tschanz'02] and friends): the
@@ -13,14 +11,8 @@ use crate::{pass_one, ClusterSolution, FbbError, Preprocessed};
 ///
 /// Returns [`FbbError::Uncompensable`] when no ladder voltage compensates β.
 pub fn single_bb(pre: &Preprocessed) -> Result<ClusterSolution, FbbError> {
-    let clock = Stopwatch::start();
     let jopt = pass_one(pre).ok_or_else(|| FbbError::uncompensable(pre))?;
-    Ok(ClusterSolution::from_assignment(
-        pre,
-        vec![jopt; pre.n_rows()],
-        "single-bb",
-        clock.runtime(),
-    ))
+    Ok(ClusterSolution::from_assignment(pre, vec![jopt; pre.n_rows()]))
 }
 
 #[cfg(test)]

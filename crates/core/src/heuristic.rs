@@ -8,8 +8,6 @@
 //! share their common moves instead of each descending on its own. Both
 //! passes run serially on the calling thread; neither uses the worker pool.
 
-use fbb_lp::deadline::Stopwatch;
-
 use crate::{check_timing, CheckState, ClusterSolution, FbbError, Preprocessed};
 
 /// `PassOne`: find the lowest uniform bias level `jopt` at which every
@@ -90,11 +88,10 @@ impl TwoPassHeuristic {
     ///
     /// Returns [`FbbError::Uncompensable`] when `PassOne` fails.
     pub fn solve(&self, pre: &Preprocessed) -> Result<ClusterSolution, FbbError> {
-        let clock = Stopwatch::start();
         let jopt = fbb_telemetry::time("core_pass_one", || pass_one(pre))
             .ok_or_else(|| FbbError::uncompensable(pre))?;
         let assignment = fbb_telemetry::time("core_pass_two", || self.pass_two(pre, jopt));
-        Ok(ClusterSolution::from_assignment(pre, assignment, "heuristic", clock.runtime()))
+        Ok(ClusterSolution::from_assignment(pre, assignment))
     }
 
     /// Like [`TwoPassHeuristic::solve`], but only levels in `allowed` (plus
@@ -112,18 +109,12 @@ impl TwoPassHeuristic {
         pre: &Preprocessed,
         allowed: &[usize],
     ) -> Result<ClusterSolution, FbbError> {
-        let clock = Stopwatch::start();
         let jopt = fbb_telemetry::time("core_pass_one", || pass_one_restricted(pre, allowed))
             .ok_or_else(|| FbbError::uncompensable(pre))?;
         let assignment = fbb_telemetry::time("core_pass_two", || {
             least_leakage(pre, max_drop(pre, jopt, Some(allowed)))
         });
-        Ok(ClusterSolution::from_assignment(
-            pre,
-            assignment,
-            "heuristic-restricted",
-            clock.runtime(),
-        ))
+        Ok(ClusterSolution::from_assignment(pre, assignment))
     }
 
     /// `PassTwo` from a given `jopt` (exposed for the cluster-sweep

@@ -280,7 +280,7 @@ impl IlpAllocator {
         let solution = match mip.status {
             MipStatus::Optimal | MipStatus::Feasible => {
                 let assignment = decode(pre, &mip.x);
-                Some(ClusterSolution::from_assignment(pre, assignment, "ilp", runtime))
+                Some(ClusterSolution::from_assignment(pre, assignment))
             }
             _ => None,
         };

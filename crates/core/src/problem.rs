@@ -51,8 +51,16 @@ pub struct FbbProblem<'a> {
     characterization: &'a Characterization,
     beta: f64,
     max_clusters: usize,
-    instance_jitter: f64,
 }
+
+/// The per-instance delay jitter amplitude (5 %).
+///
+/// Library characterization gives every instance of a cell the same delay,
+/// which collapses the worst-path multiplicity real designs have
+/// (interconnect and fanout loading make every instance slightly
+/// different). A deterministic ±5 % perturbation per gate id restores that
+/// diversity.
+const INSTANCE_JITTER: f64 = 0.05;
 
 impl<'a> FbbProblem<'a> {
     /// Bundles a problem instance.
@@ -84,25 +92,7 @@ impl<'a> FbbProblem<'a> {
             characterization,
             beta,
             max_clusters,
-            instance_jitter: 0.05,
         })
-    }
-
-    /// Sets the per-instance delay jitter amplitude (default 5 %).
-    ///
-    /// Library characterization gives every instance of a cell the same
-    /// delay, which collapses the worst-path multiplicity real designs have
-    /// (interconnect and fanout loading make every instance slightly
-    /// different). A deterministic ±`amplitude` perturbation per gate id
-    /// restores that diversity; `0.0` disables it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `amplitude` is not within `[0, 0.5]`.
-    pub fn with_instance_jitter(mut self, amplitude: f64) -> Self {
-        assert!((0.0..=0.5).contains(&amplitude), "jitter amplitude outside [0, 0.5]");
-        self.instance_jitter = amplitude;
-        self
     }
 
     /// The slowdown coefficient β.
@@ -116,8 +106,8 @@ impl<'a> FbbProblem<'a> {
     }
 
     /// The nominal (NBB) per-gate delay vector the pre-processing analyzes:
-    /// library delays at level 0 with the deterministic per-instance loading
-    /// perturbation of [`FbbProblem::with_instance_jitter`] applied.
+    /// library delays at level 0 with the deterministic ±5 % per-instance
+    /// loading perturbation applied.
     ///
     /// Exposed so design databases can persist the exact STA input and later
     /// cross-check stored timing against it.
@@ -132,7 +122,7 @@ impl<'a> FbbProblem<'a> {
         let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
             / (1u64 << 53) as f64;
         self.characterization.delay_ps(gate.cell, 0)
-            * (1.0 + self.instance_jitter * (2.0 * h - 1.0))
+            * (1.0 + INSTANCE_JITTER * (2.0 * h - 1.0))
     }
 
     /// Runs the paper's pre-processing: nominal STA, critical-path-set
@@ -229,7 +219,7 @@ impl<'a> FbbProblem<'a> {
             ));
         }
         // Nominal (NBB) per-gate delays, with a deterministic per-instance
-        // loading perturbation (see [`FbbProblem::with_instance_jitter`]),
+        // loading perturbation (see `INSTANCE_JITTER`),
         // compared gate by gate without building a second vector.
         let nominal = analysis.delays();
         let gates = self.netlist.gates();
@@ -1011,7 +1001,7 @@ mod tests {
 
         // The right netlist, but delays that are not the nominal ones.
         let graph = TimingGraph::new(&nl).unwrap();
-        let unjittered = problem.clone().with_instance_jitter(0.0).nominal_delays();
+        let unjittered: Vec<f64> = nl.gates().iter().map(|g| c.delay_ps(g.cell, 0)).collect();
         assert!(rejects(&graph.analyze(&unjittered)));
         let mut nudged = problem.nominal_delays();
         nudged[0] = f64::from_bits(nudged[0].to_bits() + 1);

@@ -1,7 +1,6 @@
 //! Allocation results.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 use crate::{check_timing, Preprocessed};
 
@@ -16,31 +15,15 @@ pub struct ClusterSolution {
     pub meets_timing: bool,
     /// Distinct levels used (cluster count, including NBB).
     pub clusters: usize,
-    /// Which algorithm produced the solution.
-    pub algorithm: String,
-    /// Wall-clock solve time.
-    pub runtime: Duration,
 }
 
 impl ClusterSolution {
     /// Builds a solution record from an assignment.
-    pub fn from_assignment(
-        pre: &Preprocessed,
-        assignment: Vec<usize>,
-        algorithm: impl Into<String>,
-        runtime: Duration,
-    ) -> Self {
+    pub fn from_assignment(pre: &Preprocessed, assignment: Vec<usize>) -> Self {
         let leakage_nw = pre.leakage_nw(&assignment);
         let meets_timing = check_timing(pre, &assignment).is_ok();
         let clusters = Preprocessed::cluster_count(&assignment);
-        ClusterSolution {
-            assignment,
-            leakage_nw,
-            meets_timing,
-            clusters,
-            algorithm: algorithm.into(),
-            runtime,
-        }
+        ClusterSolution { assignment, leakage_nw, meets_timing, clusters }
     }
 
     /// Leakage savings relative to a baseline, in percent (positive = this
@@ -97,26 +80,6 @@ impl ClusterSolution {
     pub fn well_separation_count(&self) -> usize {
         self.assignment.windows(2).filter(|w| w[0] != w[1]).count()
     }
-
-    /// The clusters as `(level, rows)` groups, ascending by level.
-    pub fn clusters_by_level(&self) -> Vec<(usize, Vec<usize>)> {
-        let mut levels: Vec<usize> = self.assignment.to_vec();
-        levels.sort_unstable();
-        levels.dedup();
-        levels
-            .into_iter()
-            .map(|level| {
-                let rows = self
-                    .assignment
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &l)| l == level)
-                    .map(|(r, _)| r)
-                    .collect();
-                (level, rows)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -133,19 +96,17 @@ mod tests {
     #[test]
     fn bookkeeping() {
         let pre = dummy_pre();
-        let s = ClusterSolution::from_assignment(&pre, vec![0, 2, 2], "test", Duration::ZERO);
+        let s = ClusterSolution::from_assignment(&pre, vec![0, 2, 2]);
         assert_eq!(s.leakage_nw, 9.0);
         assert!(s.meets_timing);
         assert_eq!(s.clusters, 2);
-        let groups = s.clusters_by_level();
-        assert_eq!(groups, vec![(0, vec![0]), (2, vec![1, 2])]);
     }
 
     #[test]
     fn well_separation_cleanup() {
         let pre = dummy_pre();
         // Row 1 sandwiched between two level-2 rows.
-        let mut s = ClusterSolution::from_assignment(&pre, vec![2, 0, 2], "t", Duration::ZERO);
+        let mut s = ClusterSolution::from_assignment(&pre, vec![2, 0, 2]);
         assert_eq!(s.well_separation_count(), 2);
         // Raising row 1 costs 4 - 1 = 3 nW; allow up to 50% increase (3.5).
         let raised = s.reduce_well_separations(&pre, 50.0);
@@ -156,7 +117,7 @@ mod tests {
         assert!(s.meets_timing);
 
         // With a tight budget nothing moves.
-        let mut s = ClusterSolution::from_assignment(&pre, vec![2, 0, 2], "t", Duration::ZERO);
+        let mut s = ClusterSolution::from_assignment(&pre, vec![2, 0, 2]);
         assert_eq!(s.reduce_well_separations(&pre, 10.0), 0);
         assert_eq!(s.assignment, vec![2, 0, 2]);
     }
@@ -166,7 +127,7 @@ mod tests {
         let pre = dummy_pre();
         // Row 1 is *above* its neighbours: lowering would risk timing, so
         // the cleanup must not touch it.
-        let mut s = ClusterSolution::from_assignment(&pre, vec![0, 2, 0], "t", Duration::ZERO);
+        let mut s = ClusterSolution::from_assignment(&pre, vec![0, 2, 0]);
         assert_eq!(s.reduce_well_separations(&pre, 100.0), 0);
         assert_eq!(s.assignment, vec![0, 2, 0]);
     }
@@ -174,8 +135,8 @@ mod tests {
     #[test]
     fn savings_math() {
         let pre = dummy_pre();
-        let base = ClusterSolution::from_assignment(&pre, vec![2, 2, 2], "base", Duration::ZERO);
-        let better = ClusterSolution::from_assignment(&pre, vec![0, 0, 2], "opt", Duration::ZERO);
+        let base = ClusterSolution::from_assignment(&pre, vec![2, 2, 2]);
+        let better = ClusterSolution::from_assignment(&pre, vec![0, 0, 2]);
         // base 12, better 6 -> 50%.
         assert!((better.savings_vs(&base) - 50.0).abs() < 1e-9);
         assert!((base.savings_vs(&base)).abs() < 1e-12);

@@ -46,12 +46,7 @@ pub fn tune_blocks(blocks: &[BlockRequest]) -> Result<Vec<BlockTuning>, FbbError
             let solution = if b.tc_flag {
                 heuristic.solve(&b.pre)?
             } else {
-                ClusterSolution::from_assignment(
-                    &b.pre,
-                    vec![0; b.pre.n_rows()],
-                    "nbb",
-                    std::time::Duration::ZERO,
-                )
+                ClusterSolution::from_assignment(&b.pre, vec![0; b.pre.n_rows()])
             };
             let mut bias_levels: Vec<usize> =
                 solution.assignment.iter().copied().filter(|&l| l > 0).collect();
@@ -112,12 +107,7 @@ pub fn tune_blocks_shared(
             let solution = if b.tc_flag {
                 heuristic.solve_restricted(&b.pre, &allowed)?
             } else {
-                ClusterSolution::from_assignment(
-                    &b.pre,
-                    vec![0; b.pre.n_rows()],
-                    "nbb",
-                    std::time::Duration::ZERO,
-                )
+                ClusterSolution::from_assignment(&b.pre, vec![0; b.pre.n_rows()])
             };
             total += solution.leakage_nw;
             let mut levels: Vec<usize> =

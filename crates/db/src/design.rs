@@ -2,8 +2,6 @@
 //! phase needs, so the generate → place → characterize → STA → extract
 //! pipeline runs once per design instead of once per invocation.
 
-use std::path::Path;
-
 use fbb_core::{FbbError, FbbProblem, Granularity, Preprocessed};
 use fbb_device::Characterization;
 use fbb_netlist::Netlist;
@@ -246,25 +244,6 @@ impl DesignDb {
         })
     }
 
-    /// Writes the canonical encoding to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), DbError> {
-        std::fs::write(path, self.encode_to_vec()).map_err(DbError::from)
-    }
-
-    /// Reads and decodes the file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on filesystem failure, otherwise as [`DesignDb::decode`].
-    pub fn load(path: &Path) -> Result<Self, DbError> {
-        let bytes = std::fs::read(path)?;
-        Self::decode(&bytes)
-    }
-
     /// Looks up the persisted entry for `(granularity, beta)` (exact f64
     /// bit match — β comes from the same CLI parse on both sides).
     pub fn entry(&self, granularity: Granularity, beta: f64) -> Option<&PreparedEntry> {
@@ -446,17 +425,6 @@ mod tests {
         db.entries.swap(0, 1);
         let bytes = db.encode_to_vec();
         assert!(matches!(DesignDb::decode(&bytes), Err(DbError::Malformed(_))));
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let db = build_small(&[0.05]);
-        let dir = std::env::temp_dir();
-        let path = dir.join("fbb_db_test_roundtrip.fbb");
-        db.save(&path).unwrap();
-        let back = DesignDb::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back, db);
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub enum DbError {
     /// or overlong varint, a non-finite float, invalid UTF-8, an
     /// out-of-range id, or a cross-table inconsistency.
     Malformed(String),
-    /// An operating-system I/O error while reading or writing the file.
-    Io(String),
 }
 
 impl fmt::Display for DbError {
@@ -80,18 +78,11 @@ impl fmt::Display for DbError {
                 write!(f, "{extra} trailing bytes after {region}")
             }
             DbError::Malformed(msg) => write!(f, "malformed design database: {msg}"),
-            DbError::Io(msg) => write!(f, "design database I/O: {msg}"),
         }
     }
 }
 
 impl std::error::Error for DbError {}
-
-impl From<std::io::Error> for DbError {
-    fn from(e: std::io::Error) -> Self {
-        DbError::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -114,18 +105,10 @@ mod tests {
             (DbError::Layout("bad order".into()), "bad order"),
             (DbError::TrailingBytes { region: "PLAC".into(), extra: 4 }, "4 trailing bytes"),
             (DbError::Malformed("net id out of range".into()), "net id"),
-            (DbError::Io("disk on fire".into()), "disk on fire"),
         ];
         for (err, needle) in cases {
             let text = err.to_string();
             assert!(text.contains(needle), "{text:?} should contain {needle:?}");
         }
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "nope");
-        let db: DbError = io.into();
-        assert!(matches!(db, DbError::Io(_)));
     }
 }

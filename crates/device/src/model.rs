@@ -144,11 +144,6 @@ impl BodyBiasModel {
         self.leakage_multiplier(vbs) + self.junction_multiplier(vbs)
     }
 
-    /// The PMOS body voltage corresponding to `vbs` (`vbsp = Vdd − vbs`).
-    pub fn pmos_body_volts(&self, vbs: BiasVoltage) -> f64 {
-        self.vdd - vbs.volts()
-    }
-
     /// The complete parameter set of this model, for serialization.
     ///
     /// [`BodyBiasModel::from_params`] rebuilds a bit-identical model from
@@ -279,11 +274,5 @@ mod tests {
         assert!(BodyBiasModel::new(0.2, -1.0, 0.95, BiasVoltage::from_millivolts(500)).is_err());
         assert!(BodyBiasModel::new(0.2, 2.5, 0.95, BiasVoltage::from_millivolts(1500)).is_err());
         assert!(BodyBiasModel::new(0.2, 2.5, 0.95, BiasVoltage::from_millivolts(500)).is_ok());
-    }
-
-    #[test]
-    fn pmos_body_is_vdd_minus_vbs() {
-        let model = m();
-        assert!((model.pmos_body_volts(BiasVoltage::from_millivolts(300)) - 0.65).abs() < 1e-12);
     }
 }

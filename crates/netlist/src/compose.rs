@@ -26,7 +26,7 @@
 //!
 //! The delay-deep leaves (array multipliers) are emitted first and are the
 //! only blocks whose paths survive the pre-processing prune at realistic β,
-//! so the timing-constraint count is governed by `deep_blocks`, not by the
+//! so the timing-constraint count is governed by `DEEP_BLOCKS`, not by the
 //! total gate count — that is what keeps the ILP tractable at 100k gates.
 
 use fbb_device::{Cell, CellKind, DriveStrength};
@@ -45,18 +45,16 @@ pub struct ComposeOptions {
     /// Any value produces byte-identical gate/net tables; this only shapes
     /// the intermediate merges and the net-name prefixes.
     pub group_size: usize,
-    /// Number of delay-deep (array multiplier) leaves. These dominate the
-    /// critical delay, so they bound the pruned constraint set.
-    pub deep_blocks: usize,
-    /// Star-stitch every leaf to leaf 0 with BUF gates.
-    pub stitch: bool,
 }
 
+/// Number of delay-deep (array multiplier) leaves. These dominate the
+/// critical delay, so they bound the pruned constraint set.
+const DEEP_BLOCKS: usize = 2;
+
 impl ComposeOptions {
-    /// Defaults for a given gate target: groups of 8 leaves, two deep
-    /// blocks, stitching on.
+    /// Defaults for a given gate target: groups of 8 leaves.
     pub fn with_target(target_gates: usize) -> Self {
-        ComposeOptions { target_gates, group_size: 8, deep_blocks: 2, stitch: true }
+        ComposeOptions { target_gates, group_size: 8 }
     }
 
     /// Same tiling, but merged in one flat pass (reference for equivalence
@@ -83,8 +81,8 @@ pub struct ComposedDesign {
     pub netlist: Netlist,
     /// Per-leaf gate spans, in composition order.
     pub blocks: Vec<BlockSpan>,
-    /// The BUF gates inserted between adjacent leaves (after all leaf
-    /// gates; empty when stitching is off).
+    /// The BUF gates that star-stitch every leaf to leaf 0 (after all
+    /// leaf gates).
     pub stitch_gates: Vec<GateId>,
 }
 
@@ -107,7 +105,7 @@ pub fn compose(name: &str, options: &ComposeOptions) -> Result<ComposedDesign, N
 
     let mut leaves: Vec<(&str, &Netlist)> = Vec::new();
     let mut total = 0usize;
-    for _ in 0..options.deep_blocks.max(1) {
+    for _ in 0..DEEP_BLOCKS {
         leaves.push(("mul", &deep));
         total += deep.gate_count();
     }
@@ -156,28 +154,27 @@ pub fn compose(name: &str, options: &ComposeOptions) -> Result<ComposedDesign, N
         merge_named(name, &top)
     };
 
+    // Star-stitch every leaf to leaf 0 with BUF gates.
     let mut stitch_gates = Vec::new();
-    if options.stitch && leaves.len() > 1 {
-        let (_, hub_leaf) = leaves[0];
-        let src = NetId::from_index(net_off[0] + hub_leaf.outputs()[0].index());
-        // Stitched nets stop being primary inputs; one retain drops them all.
-        let mut stitched = vec![false; netlist.nets.len()];
-        for k in 1..leaves.len() {
-            let (_, dst_leaf) = leaves[k];
-            let dst = NetId::from_index(net_off[k] + dst_leaf.inputs()[0].index());
-            let id = GateId::from_index(netlist.gates.len());
-            netlist.gates.push(Gate {
-                cell: Cell::new(CellKind::Buf, DriveStrength::X1),
-                inputs: vec![src],
-                output: dst,
-            });
-            netlist.nets[src.index()].sinks.push(id);
-            netlist.nets[dst.index()].driver = Some(id);
-            stitched[dst.index()] = true;
-            stitch_gates.push(id);
-        }
-        netlist.inputs.retain(|n| !stitched[n.index()]);
+    let (_, hub_leaf) = leaves[0];
+    let src = NetId::from_index(net_off[0] + hub_leaf.outputs()[0].index());
+    // Stitched nets stop being primary inputs; one retain drops them all.
+    let mut stitched = vec![false; netlist.nets.len()];
+    for k in 1..leaves.len() {
+        let (_, dst_leaf) = leaves[k];
+        let dst = NetId::from_index(net_off[k] + dst_leaf.inputs()[0].index());
+        let id = GateId::from_index(netlist.gates.len());
+        netlist.gates.push(Gate {
+            cell: Cell::new(CellKind::Buf, DriveStrength::X1),
+            inputs: vec![src],
+            output: dst,
+        });
+        netlist.nets[src.index()].sinks.push(id);
+        netlist.nets[dst.index()].driver = Some(id);
+        stitched[dst.index()] = true;
+        stitch_gates.push(id);
     }
+    netlist.inputs.retain(|n| !stitched[n.index()]);
     netlist.validate()?;
 
     let blocks = instances

@@ -204,7 +204,7 @@ impl Placement {
     /// One-line summary for experiment logs.
     pub fn stats(&self) -> String {
         format!(
-            "{} rows x {} sites ({}x{} um), mean utilization {:.1}%",
+            "{} rows x {} sites ({:.1}x{:.1} um), mean utilization {:.1}%",
             self.rows.len(),
             self.die.sites_per_row,
             self.die.width_um(),

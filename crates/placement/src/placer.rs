@@ -28,14 +28,8 @@ pub struct PlacerOptions {
     /// Fix the number of rows (the paper reports exact row counts per
     /// design); `None` sizes a roughly square die automatically.
     pub target_rows: Option<u32>,
-    /// Target placement utilization (fraction of sites occupied). The paper
-    /// notes "good amount of spatial slack available on each row", which is
-    /// what leaves room for body-bias contact cells.
-    pub utilization: f64,
     /// Number of annealing improvement moves (0 disables refinement).
     pub anneal_moves: usize,
-    /// RNG seed for the annealing schedule.
-    pub seed: u64,
     /// Timing-driven mode: gates are grouped by slack bucket before row
     /// packing, concentrating timing-critical logic into few adjacent rows
     /// the way a timing-driven physical synthesis flow does. This is the
@@ -45,6 +39,14 @@ pub struct PlacerOptions {
     /// Base gate ordering before slack bucketing.
     pub order: PlacementOrder,
 }
+
+/// Target placement utilization (fraction of sites occupied). The paper
+/// notes "good amount of spatial slack available on each row", which is
+/// what leaves room for body-bias contact cells.
+const UTILIZATION: f64 = 0.70;
+
+/// RNG seed for the annealing schedule.
+const ANNEAL_SEED: u64 = 0x5EED;
 
 impl PlacerOptions {
     /// Options with a fixed row count and defaults elsewhere.
@@ -57,9 +59,7 @@ impl Default for PlacerOptions {
     fn default() -> Self {
         PlacerOptions {
             target_rows: None,
-            utilization: 0.70,
             anneal_moves: 20_000,
-            seed: 0x5EED,
             timing_driven: true,
             order: PlacementOrder::Cone,
         }
@@ -85,26 +85,15 @@ impl Placer {
         Placer { options }
     }
 
-    /// The active options.
-    pub fn options(&self) -> &PlacerOptions {
-        &self.options
-    }
-
     /// Places `netlist` onto a row-based die.
     ///
     /// # Errors
     ///
-    /// Returns [`PlacementError::InvalidOptions`] for a non-positive
-    /// utilization or zero target rows, and [`PlacementError::Capacity`] if
-    /// the sized die cannot legally hold the design.
+    /// Returns [`PlacementError::InvalidOptions`] for zero target rows, and
+    /// [`PlacementError::Capacity`] if the sized die cannot legally hold the
+    /// design.
     pub fn place(&self, netlist: &Netlist, library: &Library) -> Result<Placement, PlacementError> {
         let opts = &self.options;
-        if !(0.05..=1.0).contains(&opts.utilization) {
-            return Err(PlacementError::InvalidOptions(format!(
-                "utilization {} outside (0.05, 1.0]",
-                opts.utilization
-            )));
-        }
         if opts.target_rows == Some(0) {
             return Err(PlacementError::InvalidOptions("target_rows must be nonzero".into()));
         }
@@ -117,13 +106,13 @@ impl Placer {
             None => {
                 // Square die: rows * row_height == sites_per_row * site_width.
                 let r = ((total_sites as f64) * Die::SITE_WIDTH_UM
-                    / (Die::ROW_HEIGHT_UM * opts.utilization))
+                    / (Die::ROW_HEIGHT_UM * UTILIZATION))
                     .sqrt()
                     .round();
                 (r as u32).max(1)
             }
         };
-        let sites_per_row = ((total_sites as f64) / (f64::from(rows) * opts.utilization))
+        let sites_per_row = ((total_sites as f64) / (f64::from(rows) * UTILIZATION))
             .ceil()
             .max(1.0) as u32;
         // A row must at least fit the widest gate.
@@ -324,7 +313,7 @@ fn anneal(
         return;
     }
     let rows = placement.rows.len();
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(ANNEAL_SEED);
     let mut row_of: Vec<usize> = (0..n_gates).map(|g| placement.gates[g].row.index()).collect();
     let mut used: Vec<u32> = placement.rows.iter().map(|r| r.used_sites).collect();
     let cap = row_cap.min(placement.die.sites_per_row);
@@ -425,9 +414,9 @@ mod tests {
     #[test]
     fn utilization_near_target() {
         let nl = generators::alu("alu", 24).unwrap();
-        let opts = PlacerOptions { utilization: 0.6, ..PlacerOptions::default() };
-        let p = Placer::new(opts).place(&nl, &lib()).unwrap();
-        assert!((0.40..=0.75).contains(&p.mean_utilization()), "{}", p.mean_utilization());
+        let p = Placer::default().place(&nl, &lib()).unwrap();
+        let near = UTILIZATION - 0.2..=UTILIZATION + 0.05;
+        assert!(near.contains(&p.mean_utilization()), "{}", p.mean_utilization());
     }
 
     #[test]
@@ -466,9 +455,6 @@ mod tests {
     #[test]
     fn rejects_bad_options() {
         let nl = generators::ripple_adder("a4", 4, false).unwrap();
-        let err = Placer::new(PlacerOptions { utilization: 0.0, ..Default::default() })
-            .place(&nl, &lib());
-        assert!(matches!(err, Err(PlacementError::InvalidOptions(_))));
         let err = Placer::new(PlacerOptions { target_rows: Some(0), ..Default::default() })
             .place(&nl, &lib());
         assert!(matches!(err, Err(PlacementError::InvalidOptions(_))));

@@ -15,7 +15,6 @@ proptest! {
         seed in 0u64..10_000,
         gates in 60usize..400,
         rows in 2u32..16,
-        utilization in 0.3f64..0.9,
         anneal in prop_oneof![Just(0usize), Just(2_000usize)],
         timing_driven in any::<bool>(),
         natural in any::<bool>(),
@@ -33,11 +32,9 @@ proptest! {
         .expect("valid generator");
         let placer = Placer::new(PlacerOptions {
             target_rows: Some(rows),
-            utilization,
             anneal_moves: anneal,
             timing_driven,
             order: if natural { PlacementOrder::Natural } else { PlacementOrder::Cone },
-            ..PlacerOptions::default()
         });
         let placement = placer.place(&nl, &Library::date09_45nm()).expect("placeable");
         placement.validate(&nl).expect("legal placement");

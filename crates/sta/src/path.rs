@@ -20,11 +20,6 @@ pub struct TimingPath {
 }
 
 impl TimingPath {
-    /// Path slack against a required time (`required − delay`).
-    pub fn slack_ps(&self, required_ps: f64) -> f64 {
-        required_ps - self.delay_ps
-    }
-
     /// Number of gates on the path.
     pub fn len(&self) -> usize {
         self.gates.len()
@@ -58,8 +53,6 @@ mod tests {
     #[test]
     fn slack_arithmetic() {
         let p = TimingPath { gates: vec![GateId::from_index(0)], delay_ps: 80.0 };
-        assert!((p.slack_ps(100.0) - 20.0).abs() < 1e-12);
-        assert!(p.slack_ps(50.0) < 0.0);
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
     }

@@ -46,15 +46,16 @@ pub struct DiffConfig {
     /// instances its gap is empirically far below this; a regression that
     /// blows past it is a real quality bug, not noise.
     pub greedy_gap_limit: f64,
-    /// Cap on recorded failure descriptions (counters keep exact totals).
-    pub max_recorded_failures: usize,
 }
 
 impl Default for DiffConfig {
     fn default() -> Self {
-        DiffConfig { cases: 64, seed: 0, greedy_gap_limit: 0.6, max_recorded_failures: 8 }
+        DiffConfig { cases: 64, seed: 0, greedy_gap_limit: 0.6 }
     }
 }
+
+/// Cap on recorded failure descriptions (counters keep exact totals).
+const MAX_RECORDED_FAILURES: usize = 8;
 
 /// Outcome of a differential run.
 #[derive(Debug, Clone, Default)]
@@ -149,7 +150,7 @@ impl DiffRunner {
                             fbb_telemetry::counter("difftest_fault_mismatches", 1);
                         }
                     }
-                    if report.failures.len() < cfg.max_recorded_failures {
+                    if report.failures.len() < MAX_RECORDED_FAILURES {
                         report
                             .failures
                             .push(format!("[{layer} seed={} case={case}] {reason}", cfg.seed));

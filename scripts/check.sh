@@ -37,11 +37,11 @@
 #     design and holds the warm-pipeline acceptance numbers (>= 2x over
 #     cold per-cell solves, bit-identical cells), plus an `fbb sweep`
 #     CLI smoke on a composed design with a JSON report round trip
-#   - lint gate: `fbb lint` clean over the tree AND the planted-violation
-#     fixtures trip exit code 5 (guards the analyzer against going blind)
-#   - deep-lint lane: `fbb lint --deep` (token-tree parse + workspace call
-#     graph) clean, with every audit.toml trust-boundary entry proven
-#     panic-free in the JSON report
+#   - lint gate: one `fbb lint --json` pass (all 12 rules: the per-file
+#     rules plus the token-tree parse + workspace call graph) clean over
+#     the tree, with every audit.toml trust-boundary entry proven
+#     panic-free in its JSON report, AND the planted-violation fixtures
+#     trip exit code 5 (guards the analyzer against going blind)
 #   - model audit smoke: `fbb lint --models` audits the generated ILP for
 #     all 9 Table 1 designs at beta in {5%,10%} with zero structural errors
 #   - release-safe lane: fbb-core builds with --features release-safe, and
@@ -107,8 +107,24 @@ if [ "$postsolve_code" -ne 4 ]; then
 fi
 echo "difftest smoke: clean run green, injected defects caught (pivot + postsolve)"
 
-# Lint gate: the tree must be clean (exit 0)…
-cargo run --release --quiet -- lint
+# Lint gate: the tree must be clean (exit 0; pipefail keeps that gate
+# through the pipe), and every declared trust-boundary entry must be proven
+# panic-free in the JSON…
+cargo run --release --quiet -- lint --json | python3 -c '
+import json, sys
+rep = json.load(sys.stdin)
+violations = rep["violations"]
+assert rep["violation_count"] == 0, f"lint violations: {violations}"
+deep = rep["deep"]
+entries = deep["trust_boundary"]
+assert entries, "audit.toml declares no trust-boundary entries"
+unproven = [e["entry"] for e in entries if not e["panic_free"]]
+assert not unproven, f"entries with reachable panics: {unproven}"
+assert deep["audit_panic_reachable"] == 0, "panic sites reachable from the trust boundary"
+fns, edges = deep["audit_parse_fns"], deep["audit_callgraph_edges"]
+assert fns > 500 and edges > 1000, "lint under-parsed the tree"
+print(f"lint: {fns} fns, {edges} edges, {len(entries)} trust entries proven panic-free")
+'
 # …and the planted fixtures must trip the analyzer (expect exit code 5;
 # anything else — including exit 1 for a rule that no longer fires — fails).
 set +e
@@ -120,22 +136,6 @@ if [ "$lint_code" -ne 5 ]; then
     exit 1
 fi
 echo "lint gate: workspace clean, armed fixtures trip exit 5"
-
-# Deep-lint lane: the parser/call-graph pass must also be clean, and every
-# declared trust-boundary entry must be proven panic-free in the JSON.
-cargo run --release --quiet -- lint --deep --json | python3 -c '
-import json, sys
-rep = json.load(sys.stdin)
-deep = rep["deep"]
-entries = deep["trust_boundary"]
-assert entries, "audit.toml declares no trust-boundary entries"
-unproven = [e["entry"] for e in entries if not e["panic_free"]]
-assert not unproven, f"entries with reachable panics: {unproven}"
-assert deep["audit_panic_reachable"] == 0, "panic sites reachable from the trust boundary"
-fns, edges = deep["audit_parse_fns"], deep["audit_callgraph_edges"]
-assert fns > 500 and edges > 1000, "deep pass under-parsed the tree"
-print(f"deep lint: {fns} fns, {edges} edges, {len(entries)} trust entries proven panic-free")
-'
 
 # Layer-2 smoke: every Table 1 design's generated ILP passes the model and
 # Eq.1-4 structure audits at both paper beta points.

@@ -19,14 +19,16 @@
 //! A design NAME (`--design`) is a Table 1 name or a generated datapath
 //! `adder:W`, `multiplier:W` or `alu:W`; `bench-serve` and `lint --models`
 //! take Table 1 names only. Every subcommand reads and checks all of its
-//! flags before it touches a file, a socket or a solver.
+//! flags before it touches a file, a socket or a solver, and a `--` flag
+//! the subcommand does not read is rejected before that.
 //!
 //! Exit codes are a machine-readable contract:
 //!
 //! * `0` — success (and, with `--require-optimal`, a proven optimum);
-//! * `1` — usage error or internal failure; a bad flag value (one that
-//!   does not parse, or a flag with no value) or an unknown design name is
-//!   a usage error whose message names the flag or the design;
+//! * `1` — usage error or internal failure; an unknown flag, a bad flag
+//!   value (one that does not parse, or a flag with no value) or an
+//!   unknown design name is a usage error whose message names the flag or
+//!   the design;
 //! * `2` — the instance is infeasible (uncompensable β);
 //! * `3` — a time/node budget expired without an optimality proof;
 //! * `4` — `difftest` found at least one engine/oracle mismatch;
@@ -177,14 +179,29 @@ fn parse_netlist(path: &str, text: &str) -> Result<Netlist, String> {
 }
 
 /// A design ready to solve: either built cold from a netlist (parsed,
-/// generated or composed; then placed and characterized) or loaded from a
-/// compiled `.fbb` database, in which case the stored pre-processed
-/// problems are available too.
-struct LoadedDesign {
-    netlist: Netlist,
-    placement: Placement,
-    chara: Characterization,
-    db: Option<DesignDb>,
+/// generated or composed; then placed and characterized) or a decoded
+/// `.fbb` database, whose stored pre-processed problems are available too.
+enum LoadedDesign {
+    Cold(Netlist, Placement, Characterization),
+    Db(DesignDb),
+}
+
+impl LoadedDesign {
+    /// The netlist, placement and characterization, wherever they live.
+    fn parts(&self) -> (&Netlist, &Placement, &Characterization) {
+        match self {
+            LoadedDesign::Cold(netlist, placement, chara) => (netlist, placement, chara),
+            LoadedDesign::Db(db) => (&db.netlist, &db.placement, &db.characterization),
+        }
+    }
+
+    /// The database the design was decoded from, if any.
+    fn db(&self) -> Option<&DesignDb> {
+        match self {
+            LoadedDesign::Db(db) => Some(db),
+            LoadedDesign::Cold(..) => None,
+        }
+    }
 }
 
 /// The single normalized error path for reading a design file. Every
@@ -211,12 +228,7 @@ fn load_design(path: &str, rows: Option<u32>) -> Result<LoadedDesign, CliError> 
         if rows.is_some() {
             eprintln!("note: --rows ignored ({path} is a compiled database with a stored placement)");
         }
-        return Ok(LoadedDesign {
-            netlist: db.netlist.clone(),
-            placement: db.placement.clone(),
-            chara: db.characterization.clone(),
-            db: Some(db),
-        });
+        return Ok(LoadedDesign::Db(db));
     }
     let text =
         String::from_utf8(bytes).map_err(|_| format!("{path}: neither a design database nor text"))?;
@@ -277,7 +289,7 @@ fn place_cold(netlist: Netlist, rows: Option<u32>) -> Result<LoadedDesign, CliEr
     let options = PlacerOptions { target_rows: rows, ..PlacerOptions::default() };
     let placement =
         Placer::new(options).place(&netlist, chara.library()).map_err(|e| e.to_string())?;
-    Ok(LoadedDesign { netlist, placement, chara, db: None })
+    Ok(LoadedDesign::Cold(netlist, placement, chara))
 }
 
 fn save_netlist(nl: &Netlist, path: &str) -> Result<(), String> {
@@ -306,7 +318,7 @@ fn usage() -> &'static str {
      fbb bench-serve (--design TABLE1-NAME | --netlist FILE.fbb) [--addr HOST:PORT]\n            \
      [--connections 4] [--requests 64] [--beta 0.05] [--clusters 3]\n  \
      fbb difftest [--cases 64] [--seed 0] [--gap-limit 0.6] [--db FILE.fbb]\n  \
-     fbb lint [--json] [--deep] [--fixtures] [--models] [--designs a,b] [--root DIR]\n  \
+     fbb lint [--json] [--fixtures] [--models] [--designs a,b] [--root DIR]\n  \
      fbb lint (--list-rules | --explain RULE)\n\n\
      A design NAME is a Table 1 name or adder:W / multiplier:W / alu:W;\n\
      `--models --designs` takes Table 1 names only. --rows N places N rows\n\
@@ -337,33 +349,68 @@ fn usage() -> &'static str {
      Any command also accepts --telemetry FILE: solver/STA/Monte-Carlo\n\
      counters are collected during the run, written to FILE as flat JSON,\n\
      and summarized on stderr.\n\n\
-     Exit codes: 0 ok, 1 usage/internal error (a bad flag value or an\n\
-     unknown design name exits 1 naming it), 2 infeasible instance,\n\
-     3 budget expired without an optimality proof (--require-optimal),\n\
-     4 difftest mismatch, 5 lint/model-audit violations. A stdout closed\n\
-     early by its reader does not change the code.\n\n\
+     Exit codes: 0 ok, 1 usage/internal error (an unknown flag, a bad\n\
+     flag value or an unknown design name exits 1 naming it), 2\n\
+     infeasible instance, 3 budget expired without an optimality proof\n\
+     (--require-optimal), 4 difftest mismatch, 5 lint/model-audit\n\
+     violations. A stdout closed early by its reader does not change the\n\
+     code.\n\n\
      *.bench files use the ISCAS format; others use the native format."
 }
 
+/// A subcommand's entry point, given the whole argument list.
+type Handler = fn(&[String]) -> Result<(), CliError>;
+
+/// Every subcommand with its handler and the `--` flags it reads. [`run`]
+/// rejects any other `--` flag before the command starts, except the
+/// global `--telemetry`.
+const COMMANDS: &[(&str, Handler, &[&str])] = &[
+    ("generate", generate, &["--design", "--out"]),
+    ("compile", compile, &[
+        "--design", "--netlist", "--out", "--rows", "--betas", "--granularity", "--clusters",
+    ]),
+    ("sta", sta, &["--netlist", "--beta"]),
+    ("solve", solve, &[
+        "--netlist", "--rows", "--beta", "--clusters", "--ilp", "--ilp-time-limit",
+        "--require-optimal", "--layout", "--cleanup", "--mc",
+    ]),
+    ("serve", serve, &["--addr", "--workers", "--cache-designs", "--queue-depth"]),
+    ("sweep", sweep, &[
+        "--design", "--netlist", "--compose", "--rows", "--betas", "--clusters", "--levels",
+        "--node-limit", "--time-limit", "--cold", "--report",
+    ]),
+    ("bench-serve", bench_serve, &[
+        "--design", "--netlist", "--addr", "--connections", "--requests", "--beta", "--clusters",
+    ]),
+    ("difftest", difftest, &[
+        "--cases", "--seed", "--gap-limit", "--db", "--ilp", "--ilp-time-limit",
+        "--inject-pivot-bug", "--inject-postsolve-bug",
+    ]),
+    ("lint", lint, &[
+        "--json", "--fixtures", "--models", "--designs", "--clusters", "--root", "--list-rules",
+        "--explain",
+    ]),
+];
+
 fn run() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(&(name, handler, flags)) =
+        COMMANDS.iter().find(|(name, ..)| args.first().is_some_and(|a| a == name))
+    else {
+        return Err(CliError::Failure(usage().to_owned()));
+    };
+    if let Some(unknown) = args[1..]
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--telemetry" && !flags.contains(&a.as_str()))
+    {
+        return Err(format!("unknown flag {unknown} for fbb {name} (see `fbb` for usage)").into());
+    }
     let telemetry_path = arg_value(&args, "--telemetry");
     if telemetry_path.is_some() {
         fbb::telemetry::reset();
         fbb::telemetry::enable();
     }
-    let result = match args.first().map(String::as_str) {
-        Some("generate") => generate(&args),
-        Some("compile") => compile(&args),
-        Some("sta") => sta(&args),
-        Some("solve") => solve(&args),
-        Some("serve") => serve(&args),
-        Some("sweep") => sweep(&args),
-        Some("bench-serve") => bench_serve(&args),
-        Some("difftest") => difftest(&args),
-        Some("lint") => lint(&args),
-        _ => Err(CliError::Failure(usage().to_owned())),
-    };
+    let result = handler(&args);
     if let Some(path) = telemetry_path {
         let snap = fbb::telemetry::snapshot();
         snap.save_flat_json(Path::new(&path))
@@ -391,12 +438,7 @@ fn difftest(args: &[String]) -> Result<(), CliError> {
     if let Some(path) = arg_value(args, "--db") {
         return difftest_db(&path, ilp_limit, arg_flag(args, "--ilp"));
     }
-    let config = fbb::testkit::DiffConfig {
-        cases,
-        seed,
-        greedy_gap_limit: gap_limit,
-        ..fbb::testkit::DiffConfig::default()
-    };
+    let config = fbb::testkit::DiffConfig { cases, seed, greedy_gap_limit: gap_limit };
     let runner = fbb::testkit::DiffRunner::with_config(config);
     let report = if arg_flag(args, "--inject-pivot-bug") {
         eprintln!("warning: pivot-sign defect armed; this run must report mismatches");
@@ -516,12 +558,12 @@ fn difftest_db(path: &str, ilp_limit: Duration, run_ilp: bool) -> Result<(), Cli
 
 /// `fbb lint` — the two-layer static-analysis pass (see `DESIGN.md` §5g).
 ///
-/// Default mode lints the workspace source tree with the `fbb-audit` rule
-/// engine; any unwaived finding exits 5. `--deep` arms the parser /
-/// call-graph rules FA007–FA011 (trust-boundary panic-reachability, codec
-/// casts/indexing, condvar discipline, spec-constant drift) driven by
-/// `audit.toml` and the spec docs. `--fixtures` lints the planted
-/// violation files instead (deep rules always armed) — that run must
+/// Default mode lints the workspace source tree with every `fbb-audit`
+/// rule: the per-file rules FA000–FA006 and the parser / call-graph rules
+/// FA007–FA011 (trust-boundary panic-reachability, codec casts/indexing,
+/// condvar discipline, spec-constant drift) driven by `audit.toml` and the
+/// spec docs; any unwaived finding exits 5. `--fixtures` lints the planted
+/// violation files instead — that run must
 /// *fail* (exit 5) with every rule firing, which is how
 /// `scripts/check.sh` proves the analyzer still bites (exit 1 if a rule
 /// has gone blind). `--list-rules` and `--explain RULE` print the rule
@@ -535,7 +577,7 @@ fn lint(args: &[String]) -> Result<(), CliError> {
     }
     if arg_flag(args, "--list-rules") {
         for r in &fbb::audit::RULES {
-            outln!("{}  {}{}", r.id, r.title, if r.deep { "  [deep]" } else { "" })?;
+            outln!("{}  {}", r.id, r.title)?;
         }
         return Ok(());
     }
@@ -546,7 +588,7 @@ fn lint(args: &[String]) -> Result<(), CliError> {
                 "unknown rule `{id}` (see `fbb lint --list-rules`)"
             )));
         };
-        outln!("{} — {}{}\n", r.id, r.title, if r.deep { " (deep pass)" } else { "" })?;
+        outln!("{} — {}\n", r.id, r.title)?;
         outln!("{}\n", r.doc)?;
         outln!("example:")?;
         for line in r.example.lines() {
@@ -562,8 +604,6 @@ fn lint(args: &[String]) -> Result<(), CliError> {
     let fixtures = arg_flag(args, "--fixtures");
     let report = if fixtures {
         fbb::audit::audit_fixtures(&root)
-    } else if arg_flag(args, "--deep") {
-        fbb::audit::audit_workspace_deep(&root)
     } else {
         fbb::audit::audit_workspace(&root)
     }
@@ -752,7 +792,7 @@ fn compile(args: &[String]) -> Result<(), CliError> {
     let granularities: Vec<Granularity> = arg_list(args, "--granularity", &[Granularity::Row])?;
     let clusters: usize = arg_parse(args, "--clusters")?.unwrap_or(3);
     let (design, source) = design_arg(args, rows)?.ok_or("missing --design or --netlist")?;
-    let (netlist, placement, chara) = (&design.netlist, &design.placement, &design.chara);
+    let (netlist, placement, chara) = design.parts();
     eprintln!("{}", netlist.stats());
     eprintln!("{}", placement.stats());
 
@@ -778,7 +818,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     let mc_samples: usize =
         arg_parse(args, "--mc")?.unwrap_or(if fbb::telemetry::is_enabled() { 32 } else { 0 });
     let design = load_design(&path, rows)?;
-    let (nl, placement, chara) = (&design.netlist, &design.placement, &design.chara);
+    let (nl, placement, chara) = design.parts();
     let ladder = chara.ladder().clone();
     eprintln!("{}", nl.stats());
     eprintln!("{}", placement.stats());
@@ -786,17 +826,14 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     // A compiled database skips straight to the LP: the pre-processed
     // problem is looked up by (granularity, β) and the cluster budget is
     // overridden — pre-processing never reads it, so the override is exact.
-    let cached = design
-        .db
-        .as_ref()
-        .and_then(|db| db.preprocessed_for(Granularity::Row, beta, clusters));
+    let cached = design.db().and_then(|db| db.preprocessed_for(Granularity::Row, beta, clusters));
     let pre = match cached {
         Some(pre) => {
             eprintln!("pre-processed instance loaded from database (beta {beta})");
             pre
         }
         None => {
-            let missing = design.db.as_ref().filter(|db| db.entry(Granularity::Row, beta).is_none());
+            let missing = design.db().filter(|db| db.entry(Granularity::Row, beta).is_none());
             if let Some(db) = missing {
                 eprintln!(
                     "note: beta {beta} not compiled in (available: {:?}); pre-processing from stored artifacts",
@@ -997,11 +1034,11 @@ fn sweep(args: &[String]) -> Result<(), CliError> {
         let placement =
             fbb::placement::tile(&composed.netlist, chara.library(), rows.unwrap_or(64))
                 .map_err(|e| e.to_string())?;
-        LoadedDesign { netlist: composed.netlist, placement, chara, db: None }
+        LoadedDesign::Cold(composed.netlist, placement, chara)
     } else {
         design_arg(args, rows)?.ok_or("missing --design, --netlist, or --compose")?.0
     };
-    let (netlist, placement, chara) = (&design.netlist, &design.placement, &design.chara);
+    let (netlist, placement, chara) = design.parts();
 
     outln!(
         "sweeping {} cells over {} ({} rows, {} mode)",

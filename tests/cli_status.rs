@@ -41,6 +41,23 @@ fn unknown_subcommand_exits_1_with_usage() {
 }
 
 #[test]
+fn unknown_flags_exit_1_naming_the_flag() {
+    // A misspelled flag must not fall back to its default silently, and a
+    // retired flag must not be ignored either.
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/c1355.fbb");
+    for (args, flag) in [
+        (vec!["solve", "--netlist", golden, "--bta", "0.10", "--clustrs", "2"], "--bta"),
+        (vec!["lint", "--deep"], "--deep"),
+    ] {
+        let out = fbb(&args);
+        let stderr = text(&out.stderr);
+        assert_eq!(code(&out), 1, "args {args:?}: stderr: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "args {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "args {args:?}: work began: {}", text(&out.stdout));
+    }
+}
+
+#[test]
 fn uncompensable_instance_exits_2_and_names_the_path() {
     let nl = adder_netlist("infeasible");
     let out = fbb(&[

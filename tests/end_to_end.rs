@@ -40,8 +40,8 @@ fn all_allocators_agree_on_feasibility_and_ordering() {
             let ilp = IlpAllocator::default().solve(&pre).expect("solves");
             let exact = ilp.solution.expect("feasible");
 
-            for sol in [&base, &heur, &exact] {
-                assert!(sol.meets_timing, "{design} beta={beta}: {} violates", sol.algorithm);
+            for (algorithm, sol) in [("single-bb", &base), ("heuristic", &heur), ("ilp", &exact)] {
+                assert!(sol.meets_timing, "{design} beta={beta}: {algorithm} violates");
                 assert!(sol.clusters <= 3, "{design} beta={beta}");
             }
             assert!(
@@ -66,24 +66,18 @@ fn solutions_hold_up_under_independent_sta() {
     let pre = problem.preprocess().expect("acyclic");
     let sol = TwoPassHeuristic.solve(&pre).expect("feasible");
 
+    // The verification models the silicon the allocator solved on: the
+    // jittered nominal delays pre-processing analyzed, as `fbb solve` does.
     let graph = TimingGraph::new(&nl).expect("acyclic");
-    // Note: preprocess() applies a deterministic per-instance jitter; the
-    // verification must model the same silicon, so jitter is disabled for
-    // this cross-check problem.
-    let pre_nojitter = FbbProblem::new(&nl, &placement, &chara, beta, 3)
-        .expect("valid")
-        .with_instance_jitter(0.0)
-        .preprocess()
-        .expect("acyclic");
-    let sol2 = TwoPassHeuristic.solve(&pre_nojitter).expect("feasible");
-    let nominal: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
+    let nominal = problem.nominal_delays();
     let dcrit = graph.analyze(&nominal).dcrit_ps();
+    assert_eq!(dcrit.to_bits(), pre.dcrit_ps.to_bits(), "Dcrit of the solved delays");
     let tuned: Vec<f64> = nominal
         .iter()
         .enumerate()
         .map(|(i, &d)| {
             let row = placement.row_of(GateId::from_index(i)).index();
-            d * (1.0 + beta) * (1.0 - chara.speedup_fraction(sol2.assignment[row]))
+            d * (1.0 + beta) * (1.0 - chara.speedup_fraction(sol.assignment[row]))
         })
         .collect();
     let tuned_dcrit = graph.analyze(&tuned).dcrit_ps();
@@ -91,7 +85,6 @@ fn solutions_hold_up_under_independent_sta() {
         tuned_dcrit <= dcrit * 1.002,
         "independent STA shows {tuned_dcrit:.1} ps vs Dcrit {dcrit:.1} ps"
     );
-    let _ = sol;
 }
 
 /// An uncompensable slowdown must not just fail — the error must say *which*
@@ -110,9 +103,11 @@ fn uncompensable_slowdown_is_reported_not_mis_solved() {
     let (oracle_path, oracle_shortfall) = enumerate::uncompensable_reason(&pre)
         .expect("beta=0.25 exceeds what the ladder can recover on the adder");
 
-    for result in [single_bb(&pre), TwoPassHeuristic.solve(&pre)] {
+    for (algorithm, result) in
+        [("single-bb", single_bb(&pre)), ("heuristic", TwoPassHeuristic.solve(&pre))]
+    {
         match result {
-            Ok(sol) => panic!("uncompensable design mis-solved by {}", sol.algorithm),
+            Ok(_) => panic!("uncompensable design mis-solved by {algorithm}"),
             Err(FbbError::Uncompensable { beta, worst_path, shortfall_ps }) => {
                 assert_eq!(beta, 0.25);
                 assert_eq!(

@@ -17,7 +17,6 @@ fn prepare(name: &str) -> (Netlist, Placement, Characterization) {
         anneal_moves: 10_000,
         timing_driven: !gridlike,
         order: if gridlike { PlacementOrder::Natural } else { PlacementOrder::Cone },
-        ..PlacerOptions::default()
     })
     .place(&nl, &library)
     .expect("placeable");
