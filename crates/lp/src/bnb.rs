@@ -15,15 +15,16 @@
 //!    warm starts stay sound), then searches best-first with pseudocost
 //!    branching seeded by strong-branch probes on the first nodes.
 //!
-//! A tree solves one relaxation from the all-artificial basis: the first
-//! root cut round. Every later round re-optimizes by dual simplex from the
-//! previous round's optimal basis, restated for the appended cut rows by
-//! [`Basis::with_rows`], and the root node enters the tree carrying the
-//! final root basis. One [`SparseEngine`] is built for the tree and every
-//! explored node records its optimal basis; children inherit it (shared via
-//! `Rc`, since both siblings start from the same parent vertex) and
-//! re-optimize with the dual simplex after their single branching-bound
-//! change. Any warm-path bailout, in a root round or at a node, falls back
+//! A tree solves one relaxation from scratch: the first root cut round,
+//! which on an all-binary model starts dual feasible from the slack basis
+//! ([`SparseEngine::solve_cold`]). Every later round re-optimizes by dual
+//! simplex from the previous round's optimal basis, restated for the
+//! appended cut rows by [`Basis::with_rows`], and the root node enters the
+//! tree carrying the final root basis. One [`SparseEngine`] is built for
+//! the tree and every explored node records its optimal basis; children
+//! inherit it (shared via `Rc`, since both siblings start from the same
+//! parent vertex) and re-optimize with the dual simplex after their single
+//! branching-bound change. Any warm-path bailout, in a root round or at a node, falls back
 //! to a cold solve of the same relaxation (`bnb_warm_start_fallbacks`), so
 //! warm-starting can only change *how* a relaxation is solved, never its
 //! answer. Warm-started nodes re-check the root cuts against their
@@ -95,9 +96,10 @@ pub struct MipOptions {
     /// round's, and every other node from its parent's. Once there is an
     /// incumbent, a warm node re-solve also stops early when its bound
     /// reaches the incumbent, closing the node as pruned. On by default;
-    /// turning it off forces a cold two-phase solve per root round and per
-    /// node, with no early stop, which the equivalence tests and the
-    /// benchmark use as the comparison baseline.
+    /// turning it off forces a cold solve per root round and per node (the
+    /// dual start from the slack basis, on an all-binary model), with no
+    /// early stop, which the equivalence tests and the benchmark use as the
+    /// comparison baseline.
     pub warm_start: bool,
     /// Run the transforming presolve on integer models before the tree
     /// (fixed/free column elimination, redundant/duplicate row drops,

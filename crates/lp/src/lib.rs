@@ -7,16 +7,18 @@
 //!
 //! * [`Model`] — variables with bounds/integrality, linear constraints
 //!   (`<=`, `=`, `>=`), and a linear objective (minimization);
-//! * [`solve_lp`] — a **sparse revised two-phase bounded-variable primal
-//!   simplex** (CSC matrix, LU-factorized basis with eta-file updates and
-//!   periodic refactorization, partial pricing with a Bland anti-cycling
-//!   fallback), the crate's one simplex engine;
+//! * [`solve_lp`] — a **sparse revised bounded-variable simplex** (CSC
+//!   matrix, LU-factorized basis with eta-file updates and periodic
+//!   refactorization, partial pricing with a Bland anti-cycling fallback),
+//!   the crate's one simplex engine: a cold solve starts dual feasible from
+//!   the slack basis when every costed column is bounded on its cheap side,
+//!   and runs two-phase primal from the all-artificial basis otherwise;
 //! * [`solve_mip`] — **best-first branch & bound** with branching
 //!   priorities, incumbent seeding, a rounding probe, node/time limits
 //!   (time-limited solves report the residual MIP gap, which is how the
 //!   harness reproduces the paper's "ILP did not converge" entries), and
 //!   dual-simplex warm starts: each child node re-optimizes from its
-//!   parent's basis instead of running two-phase from scratch, and once
+//!   parent's basis instead of solving from scratch, and once
 //!   there is an incumbent it stops as soon as its bound passes it, so a
 //!   dominated node closes without finishing its relaxation, and
 //!   reduced-cost fixing pins the integer columns whose move off their

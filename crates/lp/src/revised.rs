@@ -11,8 +11,19 @@
 //! when the anti-cycling stall counter trips (more than `64 + m`
 //! consecutive degenerate steps).
 //!
-//! Phase 1 keeps the matrix fixed across solves (a warm-start requirement)
-//! by *signing the artificials* instead of the rows: artificial `k` always
+//! A cold solve starts *dual feasible* when it can: every slack basic,
+//! every artificial nonbasic at 0, and every structural at the bound its
+//! cost prefers, so with `y = 0` every reduced cost has its optimal sign.
+//! The dual simplex then repairs the primal infeasibilities and the primal
+//! finish pass certifies optimality, as on the warm path. Every FBB model
+//! is all binaries, so every FBB cold solve starts this way.
+//!
+//! Two-phase primal from the all-artificial basis answers the rest: a
+//! model where some costed column has no finite bound on its cheap side
+//! (the only cold path that can prove such a model unbounded), and a dual
+//! start that gives up on an iteration limit or a singular basis. Phase 1
+//! keeps the matrix fixed across solves (a warm-start requirement) by
+//! *signing the artificials* instead of the rows: artificial `k` always
 //! has coefficient `+1`, and a negative starting residual simply gives it
 //! bounds `(-inf, 0]` and phase-1 cost `-1`, so the phase-1 objective is
 //! the residual 1-norm either way.
@@ -150,6 +161,8 @@ struct Stats {
     /// Objective cutoffs reached on a basis that failed the fresh
     /// dual-feasibility check.
     cutoff_rejections: usize,
+    /// Cold solves the dual start answered (0 or 1 per solve).
+    dual_cold_starts: usize,
 }
 
 /// Sparse revised simplex engine, reusable across many solves of the same
@@ -220,7 +233,10 @@ impl SparseEngine {
         }
     }
 
-    /// Full two-phase solve from the all-artificial start.
+    /// Solves from scratch: the dual start from the slack basis when every
+    /// costed column is bounded on its cheap side, else (or when the dual
+    /// start gives up) two-phase from the all-artificial basis, which then
+    /// reports the iterations of both.
     ///
     /// # Errors
     ///
@@ -303,6 +319,7 @@ impl SparseEngine {
         fbb_telemetry::counter("lp_lu_kernel_columns", s.lu_kernel_columns as u64);
         fbb_telemetry::counter("lp_lu_nnz", s.lu_nnz as u64);
         fbb_telemetry::counter("lp_cutoff_rejections", s.cutoff_rejections as u64);
+        fbb_telemetry::counter("lp_dual_cold_starts", s.dual_cold_starts as u64);
     }
 
     fn iter_limit(&self) -> usize {
@@ -341,6 +358,61 @@ impl SparseEngine {
         if let Some(out) = self.install_bounds(var_lower, var_upper) {
             return Ok(out);
         }
+        let c2 = self.phase2_cost();
+        if self.install_slack_basis(&c2) {
+            if let Some(out) = self.reoptimize(&c2, deadline, None) {
+                self.stats.dual_cold_starts += 1;
+                return Ok(out);
+            }
+        }
+        self.two_phase(&c2, deadline)
+    }
+
+    /// Installs the dual start: every slack basic at its own row, every
+    /// artificial nonbasic and pinned at 0, and every structural nonbasic
+    /// at the bound its cost `c` prefers (lower when `c_j > 0`, upper when
+    /// `c_j < 0`, any finite bound, else free, when `c_j = 0`). The basic
+    /// costs are all 0, so `y = 0` and every reduced cost is `c_j`: the
+    /// basis prices dual feasible. `false`, with nothing the two-phase
+    /// path reads left changed, when some costed column has no finite
+    /// bound on its cheap side.
+    fn install_slack_basis(&mut self, c: &[f64]) -> bool {
+        let (n, m) = (self.n, self.m);
+        for j in 0..n {
+            let (lo, up) = (self.lower[j].is_finite(), self.upper[j].is_finite());
+            self.status[j] = if c[j] > 0.0 && lo {
+                VarStatus::AtLower
+            } else if c[j] < 0.0 && up {
+                VarStatus::AtUpper
+            } else if is_nonzero(c[j]) {
+                return false;
+            } else if lo {
+                VarStatus::AtLower
+            } else if up {
+                VarStatus::AtUpper
+            } else {
+                VarStatus::Free
+            };
+        }
+        for k in 0..m {
+            self.basis[k] = n + k;
+            self.status[n + k] = VarStatus::Basic(k);
+            let a = n + m + k;
+            self.lower[a] = 0.0;
+            self.upper[a] = 0.0;
+            self.status[a] = VarStatus::AtLower;
+        }
+        self.cursor = 0;
+        if self.refactor().is_err() {
+            return false;
+        }
+        self.recompute_xb();
+        true
+    }
+
+    /// Two-phase primal simplex from the all-artificial basis, with an
+    /// iteration budget of its own on top of what this solve already spent.
+    fn two_phase(&mut self, c2: &[f64], deadline: Option<Instant>) -> Result<SolveOutcome, LpError> {
         let (n, m) = (self.n, self.m);
         self.cursor = 0;
 
@@ -393,7 +465,7 @@ impl SparseEngine {
         self.xb = residual;
         self.refactor().expect("identity artificial basis cannot be singular");
 
-        let iter_limit = self.iter_limit();
+        let iter_limit = self.stats.iterations + self.iter_limit();
 
         // Phase 1: minimize the signed artificial sum (the residual 1-norm).
         match self.primal(&c1, iter_limit, deadline) {
@@ -416,8 +488,7 @@ impl SparseEngine {
         }
 
         // Phase 2: the real objective.
-        let c2 = self.phase2_cost();
-        match self.primal(&c2, iter_limit, deadline) {
+        match self.primal(c2, iter_limit, deadline) {
             Ok(true) => Ok(self.extract()),
             Ok(false) => Ok(Self::bare(LpStatus::Unbounded)),
             Err(LpError::DeadlineExceeded) => Ok(Self::bare(LpStatus::DeadlineExceeded)),
@@ -439,29 +510,40 @@ impl SparseEngine {
         if !self.install_basis(warm) {
             return Ok(None);
         }
-
-        let iter_limit = self.iter_limit();
         let c2 = self.phase2_cost();
-        match self.dual(&c2, iter_limit, deadline, cutoff) {
+        Ok(self.reoptimize(&c2, deadline, cutoff))
+    }
+
+    /// Dual simplex from the installed basis, which must price dual
+    /// feasible under the phase-2 costs `c2`, then a primal finish pass
+    /// that certifies optimality (and mops up any slop the dual tolerances
+    /// let through). `None` means the path gave up and the caller must
+    /// solve another way: an iteration limit, a singular basis, or an
+    /// "unbounded" verdict, which is a numerical artifact here because
+    /// every relaxation this runs on is bounded (a warm child below a
+    /// bounded parent; a dual start, whose costed columns are bounded on
+    /// their cheap side).
+    fn reoptimize(
+        &mut self,
+        c2: &[f64],
+        deadline: Option<Instant>,
+        cutoff: Option<f64>,
+    ) -> Option<SolveOutcome> {
+        let iter_limit = self.iter_limit();
+        match self.dual(c2, iter_limit, deadline, cutoff) {
             Ok(DualEnd::Feasible) => {}
-            Ok(DualEnd::Infeasible) => return Ok(Some(Self::bare(LpStatus::Infeasible))),
+            Ok(DualEnd::Infeasible) => return Some(Self::bare(LpStatus::Infeasible)),
             Ok(DualEnd::CutOff) => {
-                return Ok(Some(SolveOutcome { cut_off: true, ..Self::bare(LpStatus::Infeasible) }))
+                return Some(SolveOutcome { cut_off: true, ..Self::bare(LpStatus::Infeasible) })
             }
-            Err(LpError::DeadlineExceeded) => {
-                return Ok(Some(Self::bare(LpStatus::DeadlineExceeded)))
-            }
-            Err(_) => return Ok(None),
+            Err(LpError::DeadlineExceeded) => return Some(Self::bare(LpStatus::DeadlineExceeded)),
+            Err(_) => return None,
         }
-        // Primal finish pass: certifies optimality (and mops up any slop the
-        // dual tolerances let through). A genuine "unbounded" cannot happen
-        // below a parent whose relaxation was bounded, so treat it as a
-        // numerical artifact and fall back.
-        match self.primal(&c2, iter_limit, deadline) {
-            Ok(true) => Ok(Some(self.extract())),
-            Ok(false) => Ok(None),
-            Err(LpError::DeadlineExceeded) => Ok(Some(Self::bare(LpStatus::DeadlineExceeded))),
-            Err(_) => Ok(None),
+        match self.primal(c2, iter_limit, deadline) {
+            Ok(true) => Some(self.extract()),
+            Ok(false) => None,
+            Err(LpError::DeadlineExceeded) => Some(Self::bare(LpStatus::DeadlineExceeded)),
+            Err(_) => None,
         }
     }
 
@@ -1152,13 +1234,93 @@ mod tests {
     #[test]
     fn negative_residual_rows_use_signed_artificials() {
         // -x <= -3 gives a negative starting residual; the signed phase 1
-        // must still find x = 3.
+        // must still find x >= 3, and phase 2 then x = 5. x has no upper
+        // bound on its cheap side, so the solve is two-phase.
         let mut m = Model::new();
-        let x = m.add_continuous(0.0, 10.0, 1.0);
+        let x = m.add_continuous(0.0, f64::INFINITY, -1.0);
         m.add_constraint(vec![(x, -1.0)], Sense::Le, -3.0).unwrap();
-        let out = cold(&m);
+        m.add_constraint(vec![(x, 1.0)], Sense::Le, 5.0).unwrap();
+        let (lo, up) = bounds_of(&m);
+        let mut engine = SparseEngine::new(&m);
+        let out = engine.solve_cold(&lo, &up, None).unwrap();
         assert_eq!(out.solution.status, LpStatus::Optimal);
-        assert_close(out.solution.objective, 3.0);
+        assert_close(out.solution.objective, -5.0);
+        assert_eq!(engine.stats.dual_cold_starts, 0);
+    }
+
+    #[test]
+    fn dual_start_proves_an_empty_boxed_model_infeasible() {
+        // x + y >= 3 and x - y = 0 over the unit box, costs of both signs:
+        // every column is bounded, so the dual start answers, and its dual
+        // loop finds the row it cannot repair.
+        let mut m = Model::new();
+        let x = m.add_continuous(0.0, 1.0, 2.0);
+        let y = m.add_continuous(0.0, 1.0, -1.0);
+        m.add_constraint(vec![(x, 1.0), (y, 1.0)], Sense::Ge, 3.0).unwrap();
+        m.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Eq, 0.0).unwrap();
+        let (lo, up) = bounds_of(&m);
+        let mut engine = SparseEngine::new(&m);
+        let out = engine.solve_cold(&lo, &up, None).unwrap();
+        assert_eq!(out.solution.status, LpStatus::Infeasible);
+        assert_eq!(engine.stats.dual_cold_starts, 1);
+        assert!(out.iterations > 0, "the dual loop pivots before its verdict");
+    }
+
+    #[test]
+    fn unbounded_cheap_side_keeps_the_two_phase_verdict() {
+        // The textbook LP's costs are negative and its columns have no
+        // upper bound: two-phase answers, with the known optimum.
+        let m = textbook_lp();
+        let (lo, up) = bounds_of(&m);
+        let mut engine = SparseEngine::new(&m);
+        let out = engine.solve_cold(&lo, &up, None).unwrap();
+        assert_eq!(out.solution.status, LpStatus::Optimal);
+        assert_close(out.solution.objective, -36.0);
+        assert_eq!(engine.stats.dual_cold_starts, 0);
+
+        // min -x - y with x - y <= 1 over x, y >= 0 runs off along x = y.
+        let mut m = Model::new();
+        let x = m.add_continuous(0.0, f64::INFINITY, -1.0);
+        let y = m.add_continuous(0.0, f64::INFINITY, -1.0);
+        m.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0).unwrap();
+        let (lo, up) = bounds_of(&m);
+        let mut engine = SparseEngine::new(&m);
+        let out = engine.solve_cold(&lo, &up, None).unwrap();
+        assert_eq!(out.solution.status, LpStatus::Unbounded);
+        assert_eq!(engine.stats.dual_cold_starts, 0);
+    }
+
+    /// Bits of a solve's verdict, objective, point and basis.
+    fn outcome_bits(out: &SolveOutcome) -> (LpStatus, u64, Vec<u64>, Option<Basis>) {
+        let x = out.solution.x.iter().map(|v| v.to_bits()).collect();
+        (out.solution.status, out.solution.objective.to_bits(), x, out.basis.clone())
+    }
+
+    #[test]
+    fn dual_start_matches_two_phase_and_its_fallback_is_a_clean_two_phase() {
+        // Every boxed unit model: the dual start reaches the two-phase
+        // optimum; and a dual start abandoned after one iteration leaves
+        // nothing that moves a single bit of the two-phase solve after it.
+        for model in [covering_lp(), knapsack_relaxation(), chain_model(80)] {
+            let (lo, up) = bounds_of(&model);
+            let mut engine = SparseEngine::new(&model);
+            let dual = engine.solve_cold(&lo, &up, None).unwrap();
+            assert_eq!(engine.stats.dual_cold_starts, 1);
+
+            let mut fresh = SparseEngine::new(&model);
+            assert!(fresh.install_bounds(&lo, &up).is_none());
+            let c2 = fresh.phase2_cost();
+            let two_phase = fresh.two_phase(&c2, None).unwrap();
+            assert_eq!(dual.solution.status, LpStatus::Optimal);
+            assert_eq!(two_phase.solution.status, LpStatus::Optimal);
+            assert_close(dual.solution.objective, two_phase.solution.objective);
+
+            engine.stats = Stats::default();
+            assert!(engine.install_slack_basis(&c2));
+            assert!(matches!(engine.dual(&c2, 1, None, None), Err(LpError::IterationLimit)));
+            let fallback = engine.two_phase(&c2, None).unwrap();
+            assert_eq!(outcome_bits(&fallback), outcome_bits(&two_phase));
+        }
     }
 
     #[test]
@@ -1221,11 +1383,11 @@ mod tests {
         assert!(engine.stats.iterations > 0, "the dual loop pivots before its verdict");
         assert_eq!(warm.iterations, engine.stats.iterations);
 
-        // Cold, with both capped at 0.5: phase 1 moves both before it
-        // finds the residual it cannot close.
+        // Cold, with both capped at 0.5: the dual start moves both before
+        // it finds the row it cannot repair.
         let cold = engine.solve_cold(&lo, &[0.5, 0.5], None).unwrap();
         assert_eq!(cold.solution.status, LpStatus::Infeasible);
-        assert!(engine.stats.iterations > 0, "phase 1 pivots before its verdict");
+        assert!(engine.stats.iterations > 0, "the dual start pivots before its verdict");
         assert_eq!(cold.iterations, engine.stats.iterations);
     }
 

@@ -1,8 +1,8 @@
 //! Public LP entry points, backed by the sparse revised simplex.
 //!
 //! [`solve_lp`]/[`solve_lp_with_bounds`] construct a
-//! [`crate::revised::SparseEngine`] per call and run a cold two-phase
-//! solve; branch-and-bound holds one engine for the whole tree and uses
+//! [`crate::revised::SparseEngine`] per call and run a cold solve;
+//! branch-and-bound holds one engine for the whole tree and uses
 //! the warm-start path directly. Shared solver vocabulary — statuses,
 //! tolerances — is defined here so the engine, presolve and
 //! [`Model::audit`] agree on it by construction.

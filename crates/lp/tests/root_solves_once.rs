@@ -1,8 +1,9 @@
-//! Pins "one cold solve per tree": the root relaxation is solved from the
-//! all-artificial basis once, every later root cut round re-optimizes from
-//! the previous round's basis, and the root node inherits the last one.
-//! With `warm_start: false` every round and node solves cold, and both
-//! trees land on the same answer.
+//! Pins "one cold solve per tree": the root relaxation is solved cold
+//! once, every later root cut round re-optimizes from the previous round's
+//! basis, and the root node inherits the last one. With `warm_start: false`
+//! every round and node solves cold, and both trees land on the same
+//! answer. The model is all binaries, so every cold solve takes the dual
+//! start from the slack basis, never two-phase.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -87,6 +88,11 @@ fn default_tree_solves_cold_once_and_matches_the_cold_tree() {
         1,
         "a default tree solves cold only its first root round: {wc:?}"
     );
+    assert_eq!(
+        count(&wc, "lp_dual_cold_starts"),
+        1,
+        "the one cold solve takes the dual start: {wc:?}"
+    );
     assert_eq!(count(&wc, "bnb_warm_start_fallbacks"), 0);
     assert!(
         count(&wc, "bnb_warm_starts") >= rounds - 1 + warm.nodes as u64,
@@ -104,6 +110,11 @@ fn default_tree_solves_cold_once_and_matches_the_cold_tree() {
     assert!(
         cold_solves >= count(&cc, "bnb_cut_rounds") + cold.nodes as u64,
         "every root round and every node solves cold: {cc:?}"
+    );
+    assert_eq!(
+        count(&cc, "lp_dual_cold_starts"),
+        cold_solves,
+        "every cold solve takes the dual start: {cc:?}"
     );
     assert_eq!(count(&cc, "bnb_warm_starts"), 0);
 
