@@ -23,7 +23,10 @@
 //! then the transposed LU solve. The eta file is discarded on
 //! refactorization, which the engine triggers on a count/stability policy
 //! (see `DESIGN.md` §5f) — never on wall-clock, so factorization telemetry
-//! stays deterministic per seed.
+//! stays deterministic per seed. A refactorization asked for the very basis
+//! the LU in place factorizes keeps that LU and drops only the eta file:
+//! branch and bound re-installs one parent basis for both children and for
+//! every strong-branch probe.
 
 use crate::approx::{is_nonzero, is_zero};
 use crate::sparse::CscMatrix;
@@ -315,6 +318,8 @@ struct Eta {
 #[derive(Debug, Clone)]
 pub(crate) struct BasisFactor {
     lu: LuFactor,
+    /// The basis `lu` factorizes: the matrix column at each position.
+    factored: Vec<usize>,
     /// The previous factorization's storage: the next [`Self::refactorize`]
     /// fills it and swaps it in only on success, so a singular candidate
     /// leaves `lu` and the eta file as they were.
@@ -333,6 +338,7 @@ impl BasisFactor {
     pub fn factorize(mat: &CscMatrix, basis: &[usize]) -> Result<BasisFactor, SingularBasis> {
         let mut f = BasisFactor {
             lu: LuFactor::default(),
+            factored: Vec::new(),
             spare: LuFactor::default(),
             etas: Vec::new(),
             ws: Workspace { y: vec![0.0; mat.rows()], ..Workspace::default() },
@@ -342,13 +348,22 @@ impl BasisFactor {
     }
 
     /// Replaces the factorization (and drops the eta file) with one of the
-    /// given basis columns, reusing this factor's storage. On failure
-    /// nothing changes.
-    pub fn refactorize(&mut self, mat: &CscMatrix, basis: &[usize]) -> Result<(), SingularBasis> {
-        self.spare.factorize_into(mat, basis, &mut self.ws)?;
-        std::mem::swap(&mut self.lu, &mut self.spare);
+    /// given basis columns of `mat`, which must be the matrix of every
+    /// earlier call, reusing this factor's storage. When the LU in place
+    /// already factorizes exactly these positions, only the eta file goes:
+    /// a factorization is deterministic in its input, so every later solve
+    /// is bit-identical to one on a fresh LU. Returns whether it computed
+    /// an LU. On failure nothing changes.
+    pub fn refactorize(&mut self, mat: &CscMatrix, basis: &[usize]) -> Result<bool, SingularBasis> {
+        let computed = self.factored != basis;
+        if computed {
+            self.spare.factorize_into(mat, basis, &mut self.ws)?;
+            std::mem::swap(&mut self.lu, &mut self.spare);
+            self.factored.clear();
+            self.factored.extend_from_slice(basis);
+        }
         self.etas.clear();
-        Ok(())
+        Ok(computed)
     }
 
     /// Basis columns the last factorization had to eliminate: those with
@@ -554,6 +569,47 @@ mod tests {
             fresh.btran(&mut b);
             assert_close(&a, &b);
         }
+    }
+
+    /// FTRAN and BTRAN of a few right-hand sides, as bits.
+    fn solve_bits(f: &mut BasisFactor) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for rhs in [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, -2.0, 0.5]] {
+            let (mut a, mut b) = (rhs.to_vec(), rhs.to_vec());
+            f.ftran(&mut a);
+            f.btran(&mut b);
+            bits.extend(a.iter().chain(&b).map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    #[test]
+    fn refactorizing_the_factored_basis_reuses_its_lu() {
+        let mat =
+            csc_from_rows(3, &[&[2.0, 0.0, 1.0], &[1.0, 3.0, 0.0], &[0.0, 1.0, 4.0]]);
+        let basis = [0, 1, 2];
+        let mut f = BasisFactor::factorize(&mat, &basis).unwrap();
+        let mut w = vec![0.0f64; 3];
+        mat.scatter_col(4, 1.0, &mut w);
+        f.ftran(&mut w);
+        f.push_eta(0, &w).unwrap();
+
+        // The etas go, and the LU in place answers bit for bit as a fresh one.
+        assert!(!f.refactorize(&mat, &basis).unwrap(), "the factored basis is reused");
+        assert_eq!(f.eta_count(), 0);
+        let mut fresh = BasisFactor::factorize(&mat, &basis).unwrap();
+        assert_eq!(solve_bits(&mut f), solve_bits(&mut fresh));
+
+        // Another basis is factorized, and a failed one leaves the LU and
+        // its etas in place.
+        let other = [4, 1, 3];
+        assert!(f.refactorize(&mat, &other).unwrap(), "another basis is factorized");
+        let mut fresh = BasisFactor::factorize(&mat, &other).unwrap();
+        assert_eq!(solve_bits(&mut f), solve_bits(&mut fresh));
+        f.push_eta(0, &w).unwrap();
+        assert_eq!(f.refactorize(&mat, &[3, 3, 3]).unwrap_err(), SingularBasis);
+        assert_eq!(f.eta_count(), 1);
+        assert!(!f.refactorize(&mat, &other).unwrap(), "the failure kept the factored basis");
     }
 
     #[test]

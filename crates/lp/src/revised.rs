@@ -153,7 +153,10 @@ struct Stats {
     bound_flips: usize,
     bland_activations: usize,
     bland_active: bool,
+    /// LUs actually computed.
     factorizations: usize,
+    /// Refactorizations the LU already in place served.
+    factor_reuses: usize,
     refactorizations: usize,
     eta_appends: usize,
     lu_kernel_columns: usize,
@@ -314,6 +317,7 @@ impl SparseEngine {
         fbb_telemetry::counter("lp_simplex_bound_flips", s.bound_flips as u64);
         fbb_telemetry::counter("lp_simplex_bland_activations", s.bland_activations as u64);
         fbb_telemetry::counter("lp_factorizations", s.factorizations as u64);
+        fbb_telemetry::counter("lp_factor_reuses", s.factor_reuses as u64);
         fbb_telemetry::counter("lp_refactorizations", s.refactorizations as u64);
         fbb_telemetry::counter("lp_eta_appends", s.eta_appends as u64);
         fbb_telemetry::counter("lp_lu_kernel_columns", s.lu_kernel_columns as u64);
@@ -662,13 +666,17 @@ impl SparseEngine {
         self.xb = r;
     }
 
-    /// Refactorizes the current basis, counting it; on failure the previous
-    /// factorization and its etas stay in place.
+    /// Refactorizes the current basis, counting a computed LU apart from a
+    /// reuse of the one in place; on failure the previous factorization
+    /// and its etas stay in place.
     fn refactor(&mut self) -> Result<(), SingularBasis> {
-        self.factor.refactorize(&self.mat, &self.basis)?;
-        self.stats.factorizations += 1;
-        self.stats.lu_kernel_columns += self.factor.kernel_columns();
-        self.stats.lu_nnz += self.factor.lu_nnz();
+        if self.factor.refactorize(&self.mat, &self.basis)? {
+            self.stats.factorizations += 1;
+            self.stats.lu_kernel_columns += self.factor.kernel_columns();
+            self.stats.lu_nnz += self.factor.lu_nnz();
+        } else {
+            self.stats.factor_reuses += 1;
+        }
         Ok(())
     }
 

@@ -3,7 +3,8 @@
 //! basis, and the root node inherits the last one. With `warm_start: false`
 //! every round and node solves cold, and both trees land on the same
 //! answer. The model is all binaries, so every cold solve takes the dual
-//! start from the slack basis, never two-phase.
+//! start from the slack basis, never two-phase; and the default tree
+//! re-installs some basis whose LU the engine already holds.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -94,6 +95,10 @@ fn default_tree_solves_cold_once_and_matches_the_cold_tree() {
         "the one cold solve takes the dual start: {wc:?}"
     );
     assert_eq!(count(&wc, "bnb_warm_start_fallbacks"), 0);
+    assert!(
+        count(&wc, "lp_factor_reuses") >= 1,
+        "a sibling or probe re-installs a basis whose LU is in place: {wc:?}"
+    );
     assert!(
         count(&wc, "bnb_warm_starts") >= rounds - 1 + warm.nodes as u64,
         "every later root round and every node re-optimizes warm: {wc:?}"
