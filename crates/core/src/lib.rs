@@ -67,6 +67,8 @@ pub use check::{check_timing, CheckState};
 pub use error::FbbError;
 pub use heuristic::{pass_one, pass_one_restricted, TwoPassHeuristic};
 pub use ilp::{IlpAllocator, IlpOutcome};
-pub use problem::{FbbProblem, Granularity, PathRef, Preprocessed, PreprocessedBuilder};
+pub use problem::{
+    nominal_delays, FbbProblem, Granularity, PathRef, Preprocessed, PreprocessedBuilder,
+};
 pub use solution::ClusterSolution;
 pub use sweep::{run_sweep, SweepCell, SweepGrid, SweepOptions, SweepReport, SweepStatus};

@@ -62,6 +62,25 @@ pub struct FbbProblem<'a> {
 /// diversity.
 const INSTANCE_JITTER: f64 = 0.05;
 
+/// The nominal (NBB) per-gate delay vector the pre-processing analyzes:
+/// each gate's level-0 library delay with the deterministic ±5 %
+/// per-instance loading perturbation applied (see `INSTANCE_JITTER`).
+///
+/// It reads no placement, so a timing report on a bare netlist times the
+/// very delays the allocators solve on. [`FbbProblem::nominal_delays`] is
+/// this function on the problem's netlist and characterization.
+pub fn nominal_delays(netlist: &Netlist, characterization: &Characterization) -> Vec<f64> {
+    netlist.gates().iter().enumerate().map(|(i, g)| nominal_delay(characterization, i, g)).collect()
+}
+
+/// Element `i` of [`nominal_delays`]: gate `i`'s level-0 library delay
+/// with its per-instance perturbation.
+fn nominal_delay(characterization: &Characterization, i: usize, gate: &Gate) -> f64 {
+    // Weyl-sequence hash in [-1, 1).
+    let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+    characterization.delay_ps(gate.cell, 0) * (1.0 + INSTANCE_JITTER * (2.0 * h - 1.0))
+}
+
 impl<'a> FbbProblem<'a> {
     /// Bundles a problem instance.
     ///
@@ -106,23 +125,12 @@ impl<'a> FbbProblem<'a> {
     }
 
     /// The nominal (NBB) per-gate delay vector the pre-processing analyzes:
-    /// library delays at level 0 with the deterministic ±5 % per-instance
-    /// loading perturbation applied.
+    /// [`nominal_delays`] on this problem's netlist and characterization.
     ///
     /// Exposed so design databases can persist the exact STA input and later
     /// cross-check stored timing against it.
     pub fn nominal_delays(&self) -> Vec<f64> {
-        self.netlist.gates().iter().enumerate().map(|(i, g)| self.nominal_delay(i, g)).collect()
-    }
-
-    /// Element `i` of [`FbbProblem::nominal_delays`]: gate `i`'s level-0
-    /// library delay with its per-instance perturbation.
-    fn nominal_delay(&self, i: usize, gate: &Gate) -> f64 {
-        // Weyl-sequence hash in [-1, 1).
-        let h = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64
-            / (1u64 << 53) as f64;
-        self.characterization.delay_ps(gate.cell, 0)
-            * (1.0 + INSTANCE_JITTER * (2.0 * h - 1.0))
+        nominal_delays(self.netlist, self.characterization)
     }
 
     /// Runs the paper's pre-processing: nominal STA, critical-path-set
@@ -228,7 +236,9 @@ impl<'a> FbbProblem<'a> {
                 .iter()
                 .zip(nominal)
                 .enumerate()
-                .all(|(i, (g, d))| self.nominal_delay(i, g).to_bits() == d.to_bits());
+                .all(|(i, (g, d))| {
+                    nominal_delay(self.characterization, i, g).to_bits() == d.to_bits()
+                });
         if !same {
             return Err(FbbError::InvalidProblem(
                 "timing analysis delays are not this problem's nominal delays".into(),

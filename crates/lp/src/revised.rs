@@ -382,13 +382,13 @@ impl SparseEngine {
     /// bound on its cheap side.
     fn install_slack_basis(&mut self, c: &[f64]) -> bool {
         let (n, m) = (self.n, self.m);
-        for j in 0..n {
+        for (j, &cj) in c[..n].iter().enumerate() {
             let (lo, up) = (self.lower[j].is_finite(), self.upper[j].is_finite());
-            self.status[j] = if c[j] > 0.0 && lo {
+            self.status[j] = if cj > 0.0 && lo {
                 VarStatus::AtLower
-            } else if c[j] < 0.0 && up {
+            } else if cj < 0.0 && up {
                 VarStatus::AtUpper
-            } else if is_nonzero(c[j]) {
+            } else if is_nonzero(cj) {
                 return false;
             } else if lo {
                 VarStatus::AtLower

@@ -16,7 +16,7 @@
 //! with, that stays well under the decode cost a wrong eviction causes.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fbb_db::DesignDb;
 
@@ -33,7 +33,9 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Bounded, thread-safe design cache (see the module docs).
+/// Bounded, thread-safe design cache (see the module docs). No code that
+/// can panic runs under its lock, so a poisoned lock still guards a
+/// consistent cache and is recovered rather than propagated.
 pub struct DesignCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -69,7 +71,7 @@ impl DesignCache {
     /// `serve_cache_hits` / `serve_cache_misses` telemetry). A hit marks
     /// the design most-recently-used.
     pub fn get(&self, hash: u64) -> Option<Arc<DesignDb>> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match inner.map.get(&hash).cloned() {
             Some(db) => {
                 inner.hits += 1;
@@ -90,7 +92,7 @@ impl DesignCache {
     /// kept — same hash means same bytes — but still counts as a touch).
     /// Evicts the least-recently-used entry when full.
     pub fn insert(&self, hash: u64, db: Arc<DesignDb>) -> bool {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.map.contains_key(&hash) {
             inner.touch(hash);
             return false;
@@ -110,7 +112,7 @@ impl DesignCache {
 
     /// Counter snapshot for the STATS opcode.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         CacheStats {
             designs: inner.map.len() as u64,
             hits: inner.hits,
@@ -186,6 +188,25 @@ mod tests {
         assert!(cache.get(2).is_none());
     }
 
+
+    #[test]
+    fn a_poisoned_lock_still_answers() {
+        let cache = Arc::new(DesignCache::new(2));
+        let db = tiny_db();
+        assert!(cache.insert(1, db.clone()));
+        let holder = Arc::clone(&cache);
+        let joined = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("a holder of the cache lock panics");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(cache.inner.is_poisoned());
+        assert!(cache.get(1).is_some());
+        assert!(cache.insert(2, db));
+        let stats = cache.stats();
+        assert_eq!((stats.designs, stats.hits), (2, 1));
+    }
 
     #[test]
     fn zero_capacity_clamps_to_one() {

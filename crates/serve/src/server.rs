@@ -486,7 +486,9 @@ fn read_frame_polling(stream: &mut impl Read, shared: &Shared) -> Result<Option<
 
 fn send_response(writer: &Arc<Mutex<TcpStream>>, resp: &Response) {
     let payload = protocol::encode_response(resp);
-    let mut stream = writer.lock().expect("connection writer poisoned");
+    // Only the frame write runs under the lock, so a poisoned lock still
+    // holds a usable stream and is recovered rather than propagated.
+    let mut stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
     // A dead peer is not a server error; the reader will see the close.
     let _ = protocol::write_frame(&mut *stream, &payload);
 }

@@ -13,7 +13,8 @@
 #     planted defects are actually caught (a flipped pivot sign and a
 #     transposed postsolve column pair must both exit 4 — guards the
 #     harness against going blind)
-#   - telemetry smoke: quickstart emits a snapshot that parses as JSON
+#   - telemetry smoke: quickstart emits a snapshot that parses as JSON,
+#     and every cold LP solve of its ILP took the dual start
 #   - lp bench smoke: BENCH_lp.json regenerates and holds the warm-start
 #     iteration-reduction and presolve+cuts node-count reduction (>= 1.3x
 #     on the largest shape) acceptance numbers
@@ -158,13 +159,16 @@ with open(sys.argv[1]) as f:
     snap = json.load(f)
 assert snap.get("lp_simplex_solves", 0) > 0, "no simplex counters in snapshot"
 assert all(isinstance(v, (int, float)) for v in snap.values()), "non-numeric value"
+cold, dual = snap.get("lp_simplex_cold_solves", 0), snap.get("lp_dual_cold_starts", 0)
+assert cold > 0 and dual == cold, f"{dual} of {cold} cold solves took the dual start"
 print(f"telemetry smoke: {len(snap)} keys, JSON OK")
 EOF
 
 # LP solver bench smoke: regenerate BENCH_lp.json and hold the acceptance
 # numbers — warm starts cutting per-node simplex iterations below cold
-# two-phase solves, and the §5j presolve+cuts tree at least 1.3x smaller
-# than the raw tree on the largest clustered shape.
+# solves (which start dual feasible from the slack basis), and the §5j
+# presolve+cuts tree at least 1.3x smaller than the raw tree on the
+# largest clustered shape.
 cargo bench -p fbb-bench --bench lp_solver > /dev/null
 python3 - BENCH_lp.json <<'EOF'
 import json, sys

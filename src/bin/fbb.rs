@@ -45,8 +45,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use fbb::core::{
-    check_timing, single_bb, FbbError, FbbProblem, Granularity, IlpAllocator, Preprocessed,
-    TwoPassHeuristic,
+    check_timing, nominal_delays, single_bb, FbbError, FbbProblem, Granularity, IlpAllocator,
+    Preprocessed, TwoPassHeuristic,
 };
 use fbb::bench::report::BenchReport;
 use fbb::bench::{
@@ -740,8 +740,8 @@ fn sta(args: &[String]) -> Result<(), CliError> {
 
     // From a compiled database the report comes straight from the stored
     // timing tables (the exact jittered STA input and its extracted paths);
-    // from a text netlist it is recomputed with unjittered library delays,
-    // matching the historical `fbb sta` behaviour.
+    // from a text netlist it is recomputed on the same jittered nominal
+    // delays, so both report what the allocators solve on.
     let bytes = read_design_bytes(&path)?;
     let (stats, dcrit, mut paths) = if is_design_db(&bytes) {
         let db =
@@ -752,9 +752,8 @@ fn sta(args: &[String]) -> Result<(), CliError> {
         let text = String::from_utf8(bytes).map_err(|_| format!("{path}: not a text netlist"))?;
         let nl = parse_netlist(&path, &text)?;
         let chara = characterize()?;
-        let delays: Vec<f64> = nl.gates().iter().map(|g| chara.delay_ps(g.cell, 0)).collect();
         let graph = TimingGraph::new(&nl).map_err(|e| e.to_string())?;
-        let analysis = graph.analyze(&delays);
+        let analysis = graph.analyze(&nominal_delays(&nl, &chara));
         (nl.stats(), analysis.dcrit_ps(), analysis.critical_path_set())
     };
     outln!("{stats}")?;
@@ -940,9 +939,7 @@ fn solve(args: &[String]) -> Result<(), CliError> {
     // die and re-time the whole netlist once (the allocators only checked
     // Π). It starts from the jittered nominal delays the allocators solved
     // on, the same input `Dcrit` was computed from.
-    let nominal = FbbProblem::new(nl, placement, chara, beta, clusters)
-        .map_err(|e| e.to_string())?
-        .nominal_delays();
+    let nominal = nominal_delays(nl, chara);
     let graph = TimingGraph::new(nl).map_err(|e| e.to_string())?;
     let tuned: Vec<f64> = nl
         .iter_gates()

@@ -75,6 +75,30 @@ fn sta_reads_compiled_timing_tables() {
 }
 
 #[test]
+fn sta_times_a_text_netlist_on_the_delays_its_database_stores() {
+    // Both paths report on the jittered nominal delays the allocators
+    // solve on: the same Dcrit and the same violating-path count.
+    let nl = temp("sta_text", "nl");
+    let out = fbb(&["generate", "--design", "adder:16", "--out", nl.to_str().expect("utf8")]);
+    assert_eq!(code(&out), 0, "generate failed: {}", text(&out.stderr));
+    let db = compiled("sta_text");
+    let report = |path: &Path| -> Vec<String> {
+        let out = fbb(&["sta", "--netlist", path.to_str().expect("utf8"), "--beta", "0.05"]);
+        assert_eq!(code(&out), 0, "stderr: {}", text(&out.stderr));
+        text(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("Dcrit =") || l.starts_with("at beta"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let from_text = report(&nl);
+    assert_eq!(from_text.len(), 2, "{from_text:?}");
+    assert_eq!(from_text, report(&db));
+    let _ = std::fs::remove_file(nl);
+    let _ = std::fs::remove_file(db);
+}
+
+#[test]
 fn difftest_db_oracle_checks_the_stored_instances() {
     let db = compiled("difftest");
     let out = fbb(&["difftest", "--db", db.to_str().expect("utf8")]);
