@@ -407,9 +407,7 @@ impl SparseEngine {
             self.status[a] = VarStatus::AtLower;
         }
         self.cursor = 0;
-        if self.refactor().is_err() {
-            return false;
-        }
+        self.refactor().expect("identity slack basis cannot be singular");
         self.recompute_xb();
         true
     }
